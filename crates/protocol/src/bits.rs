@@ -8,6 +8,29 @@
 //! Besides fixed-width fields the writer offers Elias gamma coding for
 //! length prefixes whose magnitude is data-dependent (used by the
 //! variable-size power-sum sketches).
+//!
+//! # Layout invariants
+//!
+//! Every wire format in the workspace is built on these, so they are fixed:
+//!
+//! * **MSB-first.** Bit `i` of a stream is bit `7 - i % 8` of byte
+//!   `i / 8`; a field's most significant bit comes first.
+//! * **Zero padding.** A writer holding `len_bits` bits owns exactly
+//!   `⌈len_bits / 8⌉` bytes, and every bit of the final byte past
+//!   `len_bits` is zero. [`Message::from_bits`](crate::Message::from_bits)
+//!   rejects anything else, and [`Message`](crate::Message) equality and
+//!   hashing compare bytes, so one bit string has one representation.
+//! * **Failed reads do not move.** Every `Err` from [`BitReader`] leaves
+//!   the reader where it was, and a failed
+//!   [`copy_bits_into`](BitReader::copy_bits_into) leaves the writer
+//!   untouched as well: lengths are checked before anything is consumed.
+//!
+//! The codec moves whole bytes and 64-bit words, not single bits: a
+//! field fills the writer's partial head byte and then appends whole
+//! bytes; a read loads one big-endian word (plus one byte when the field
+//! straddles it) and shifts the field out; a copy tops up the writer's
+//! head byte, then `memcpy`s when both sides share a bit offset and
+//! shift-merges a word at a time when they do not.
 
 use crate::DecodeError;
 
@@ -38,9 +61,22 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            self.push_bit((value >> i) & 1 == 1);
+        if width == 0 {
+            return;
         }
+        // The field's first bit at bit 63, zeros below it: whatever is
+        // appended past the field is zero padding.
+        let mut word = value << (64 - width);
+        let off = self.len_bits % 8;
+        if off != 0 {
+            let last = self.bytes.last_mut().expect("a partial byte is a final byte");
+            *last |= (word >> (56 + off)) as u8;
+            word <<= 8 - off;
+        }
+        self.len_bits += width as usize;
+        // A fixed 8-byte append, then cut back to the exact length.
+        self.bytes.extend_from_slice(&word.to_be_bytes());
+        self.bytes.truncate(self.len_bits.div_ceil(8));
     }
 
     /// Append a single bit.
@@ -60,10 +96,13 @@ impl BitWriter {
     pub fn write_gamma(&mut self, value: u64) {
         assert!(value >= 1, "gamma code requires value ≥ 1");
         let bits = 64 - value.leading_zeros();
-        for _ in 0..bits - 1 {
-            self.push_bit(false);
+        if 2 * bits - 1 <= 64 {
+            // The zero prefix is just the field's own leading zeros.
+            self.write_bits(value, 2 * bits - 1);
+        } else {
+            self.write_bits(0, bits - 1);
+            self.write_bits(value, bits);
         }
-        self.write_bits(value, bits);
     }
 
     /// Finish, returning the byte buffer and exact bit length.
@@ -114,43 +153,117 @@ impl<'a> BitReader<'a> {
         if self.remaining() < width as usize {
             return Err(DecodeError::Truncated);
         }
-        let mut v = 0u64;
-        for _ in 0..width {
-            v = (v << 1) | u64::from(self.read_bit()?);
-        }
-        Ok(v)
+        Ok(self.take(width))
     }
 
-    /// Copy the next `len_bits` bits verbatim into `w` (64-bit chunks;
-    /// `Err(Truncated)` if fewer remain). The shared primitive behind
-    /// every "embed a bit string inside another" codec — partial-state
-    /// payloads, verdict payloads — so the chunking exists in one place.
+    /// The next `width ≤ 64` bits as a value, without consuming them.
+    /// The caller guarantees `width ≤ remaining()`.
+    fn peek(&self, width: u32) -> u64 {
+        if width == 0 {
+            return 0;
+        }
+        let at = self.pos / 8;
+        let off = (self.pos % 8) as u32;
+        let mut word = load_be(&self.bytes[at..]) << off;
+        if off + width > 64 {
+            // The field straddles the loaded word; the byte after it
+            // exists because the field lies within `len_bits`.
+            word |= u64::from(self.bytes[at + 8] >> (8 - off));
+        }
+        word >> (64 - width)
+    }
+
+    /// [`peek`](Self::peek), then consume.
+    fn take(&mut self, width: u32) -> u64 {
+        let v = self.peek(width);
+        self.pos += width as usize;
+        v
+    }
+
+    /// Copy the next `len_bits` bits verbatim into `w`, or return
+    /// `Err(Truncated)` — with neither `self` nor `w` changed — if fewer
+    /// remain. The shared primitive behind every "embed a bit string
+    /// inside another" codec — partial-state payloads, verdict payloads —
+    /// so the alignment handling exists in one place.
     pub fn copy_bits_into(
         &mut self,
         w: &mut BitWriter,
         len_bits: usize,
     ) -> Result<(), DecodeError> {
-        let mut left = len_bits;
-        while left > 0 {
-            let chunk = left.min(64) as u32;
-            w.write_bits(self.read_bits(chunk)?, chunk);
-            left -= chunk as usize;
+        if self.remaining() < len_bits {
+            return Err(DecodeError::Truncated);
+        }
+        // Top up the writer's partial final byte: from here on it is
+        // byte-aligned.
+        let head = ((8 - w.len_bits % 8) % 8).min(len_bits) as u32;
+        w.write_bits(self.take(head), head);
+        let left = len_bits - head as usize;
+        let full = left / 8;
+        let src = &self.bytes[self.pos / 8..];
+        let shift = self.pos % 8;
+        w.bytes.reserve(left.div_ceil(8));
+        if shift == 0 {
+            w.bytes.extend_from_slice(&src[..full]);
+        } else {
+            // Output byte `j` is the low `8 - shift` bits of `src[j]`
+            // followed by the high `shift` bits of `src[j + 1]`, which
+            // exists because the copied bits end inside it.
+            let mut j = 0;
+            while j + 8 <= full {
+                let hi = load_be(&src[j..]) << shift;
+                let word = hi | u64::from(src[j + 8] >> (8 - shift));
+                w.bytes.extend_from_slice(&word.to_be_bytes());
+                j += 8;
+            }
+            for j in j..full {
+                w.bytes.push(src[j] << shift | src[j + 1] >> (8 - shift));
+            }
+        }
+        self.pos += full * 8;
+        w.len_bits += full * 8;
+        let tail = (left % 8) as u32;
+        if tail > 0 {
+            // One last, zero-padded byte, inside the capacity reserved
+            // above.
+            w.bytes.push((self.take(tail) << (8 - tail)) as u8);
+            w.len_bits += tail as usize;
         }
         Ok(())
     }
 
     /// Read an Elias gamma code (inverse of [`BitWriter::write_gamma`]).
     pub fn read_gamma(&mut self) -> Result<u64, DecodeError> {
-        let mut zeros = 0u32;
-        while !self.read_bit()? {
-            zeros += 1;
-            if zeros >= 64 {
-                return Err(DecodeError::OutOfRange("gamma prefix too long".into()));
-            }
+        let avail = self.remaining().min(64) as u32;
+        if avail == 0 {
+            return Err(DecodeError::Truncated);
         }
-        // We consumed the leading 1 of the binary part already.
-        let rest = self.read_bits(zeros)?;
-        Ok((1u64 << zeros) | rest)
+        let zeros = (self.peek(avail) << (64 - avail)).leading_zeros();
+        if zeros >= avail {
+            return Err(if avail == 64 {
+                DecodeError::OutOfRange("gamma prefix too long".into())
+            } else {
+                DecodeError::Truncated
+            });
+        }
+        if self.remaining() < 2 * zeros as usize + 1 {
+            return Err(DecodeError::Truncated);
+        }
+        // The value is the `zeros + 1` bits starting at its leading 1.
+        self.pos += zeros as usize;
+        Ok(self.take(zeros + 1))
+    }
+}
+
+/// The first (up to) 8 bytes of `bytes` as a big-endian word, zero-filled
+/// past the end of the slice.
+fn load_be(bytes: &[u8]) -> u64 {
+    match bytes.get(..8) {
+        Some(word) => u64::from_be_bytes(word.try_into().expect("8 bytes")),
+        None => {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            u64::from_be_bytes(word)
+        }
     }
 }
 
@@ -250,6 +363,41 @@ mod tests {
         // chop the stream mid-prefix
         let mut r = BitReader::new(&bytes, 3);
         assert_eq!(r.read_gamma(), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn failed_copy_moves_neither_side() {
+        // From an unaligned reader into an unaligned writer, ask for one
+        // bit more than remains, past several whole words: neither side
+        // may move.
+        let bytes = [0xa5u8; 25];
+        let mut r = BitReader::new(&bytes, 200);
+        r.read_bits(3).unwrap();
+        let mut w = BitWriter::new();
+        w.write_bits(0b10, 2);
+        assert_eq!(r.copy_bits_into(&mut w, 198), Err(DecodeError::Truncated));
+        assert_eq!(r.remaining(), 197);
+        assert_eq!(w.clone().finish(), (vec![0b1000_0000], 2));
+        // The same reader and writer then copy what is really there.
+        r.copy_bits_into(&mut w, 197).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(w.len_bits(), 199);
+    }
+
+    #[test]
+    fn failed_gamma_read_does_not_move() {
+        let mut w = BitWriter::new();
+        w.write_gamma(100);
+        let (bytes, len) = w.finish();
+        // prefix complete, binary part cut short
+        let mut r = BitReader::new(&bytes, len - 1);
+        assert_eq!(r.read_gamma(), Err(DecodeError::Truncated));
+        assert_eq!(r.remaining(), len - 1);
+        // 64 zeros: the prefix alone would overflow a u64
+        let zeros = [0u8; 9];
+        let mut r = BitReader::new(&zeros, 72);
+        assert!(matches!(r.read_gamma(), Err(DecodeError::OutOfRange(_))));
+        assert_eq!(r.remaining(), 72);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod multiround;
 pub mod placement;
 pub mod replay;
 
-use crate::{DecodeError, Message};
+use crate::{BitReader, BitWriter, DecodeError, Message};
 use referee_graph::VertexId;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -295,7 +295,14 @@ impl PartialState {
     /// arrival in ascending sender order: sender:32, payload bit
     /// length:32, payload bits.
     pub fn encode(&self) -> Message {
-        let mut w = crate::BitWriter::new();
+        let mut w = BitWriter::new();
+        self.encode_into(&mut w);
+        Message::from_writer(w)
+    }
+
+    /// Append the [`encode`](PartialState::encode) layout to `w` — the
+    /// single pass that envelopes like the round-stamped partial build on.
+    fn encode_into(&self, w: &mut BitWriter) {
         w.write_bits(self.n as u64, 32);
         match self.oor_min {
             Some(v) => {
@@ -315,9 +322,8 @@ impl PartialState {
         for (sender, msg) in &self.slots {
             w.write_bits(*sender as u64, 32);
             w.write_bits(msg.len_bits() as u64, 32);
-            msg.append_to(&mut w);
+            msg.append_to(w);
         }
-        Message::from_writer(w)
     }
 
     /// Deserialize a summary produced by [`encode`](PartialState::encode),
@@ -326,7 +332,15 @@ impl PartialState {
     /// range, and the bit stream must end exactly at the last payload —
     /// anything else (including any truncation) is a [`DecodeError`].
     pub fn decode(expected_n: usize, msg: &Message) -> Result<PartialState, DecodeError> {
-        let mut r = msg.reader();
+        PartialState::decode_from(expected_n, &mut msg.reader())
+    }
+
+    /// [`decode`](PartialState::decode) the rest of `r`, in place: the
+    /// summary must end exactly where the reader does.
+    fn decode_from(
+        expected_n: usize,
+        r: &mut BitReader<'_>,
+    ) -> Result<PartialState, DecodeError> {
         let n = r.read_bits(32)? as usize;
         if n != expected_n {
             return Err(DecodeError::Inconsistent(format!(
@@ -364,10 +378,7 @@ impl PartialState {
             }
             prev = sender;
             let len_bits = r.read_bits(32)? as usize;
-            if r.remaining() < len_bits {
-                return Err(DecodeError::Truncated);
-            }
-            let mut w = crate::BitWriter::new();
+            let mut w = BitWriter::new();
             r.copy_bits_into(&mut w, len_bits)?;
             slots.insert(sender, Message::from_writer(w));
         }
@@ -478,7 +489,6 @@ impl RefereeShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitWriter;
 
     fn msg(value: u64, width: u32) -> Message {
         let mut w = BitWriter::new();

@@ -169,7 +169,7 @@ impl RoundPartialState {
     pub fn encode(&self) -> Message {
         let mut w = crate::BitWriter::new();
         w.write_bits(self.round as u64, 32);
-        self.inner.encode().append_to(&mut w);
+        self.inner.encode_into(&mut w);
         Message::from_writer(w)
     }
 
@@ -180,9 +180,7 @@ impl RoundPartialState {
     pub fn decode(expected_n: usize, msg: &Message) -> Result<RoundPartialState, DecodeError> {
         let mut r = msg.reader();
         let round = r.read_bits(32)? as u32;
-        let mut w = crate::BitWriter::new();
-        r.copy_bits_into(&mut w, r.remaining())?;
-        let inner = PartialState::decode(expected_n, &Message::from_writer(w))?;
+        let inner = PartialState::decode_from(expected_n, &mut r)?;
         Ok(RoundPartialState { round, inner })
     }
 }

@@ -8,7 +8,7 @@
 //! which preserves frugality (the paper simply notes the bundle is "three
 //! times as big"; our accounting is exact).
 
-use referee_protocol::{BitReader, BitWriter, DecodeError, Message};
+use referee_protocol::{BitWriter, DecodeError, Message};
 
 /// Concatenate messages with self-delimiting length prefixes.
 pub fn bundle(parts: &[Message]) -> Message {
@@ -16,10 +16,7 @@ pub fn bundle(parts: &[Message]) -> Message {
     for part in parts {
         // +1 so the empty message is encodable (gamma needs ≥ 1).
         w.write_gamma(part.len_bits() as u64 + 1);
-        let mut r = part.reader();
-        for _ in 0..part.len_bits() {
-            w.push_bit(r.read_bit().expect("within length"));
-        }
+        part.append_to(&mut w);
     }
     Message::from_writer(w)
 }
@@ -31,9 +28,7 @@ pub fn unbundle(msg: &Message, count: usize) -> Result<Vec<Message>, DecodeError
     for _ in 0..count {
         let len = r.read_gamma()? - 1;
         let mut w = BitWriter::new();
-        for _ in 0..len {
-            w.push_bit(r.read_bit()?);
-        }
+        r.copy_bits_into(&mut w, len as usize)?;
         parts.push(Message::from_writer(w));
     }
     if !r.is_exhausted() {
@@ -43,18 +38,6 @@ pub fn unbundle(msg: &Message, count: usize) -> Result<Vec<Message>, DecodeError
         )));
     }
     Ok(parts)
-}
-
-/// Copy a reader's remaining bits (test helper for reassembling messages).
-pub fn copy_bits(
-    r: &mut BitReader<'_>,
-    w: &mut BitWriter,
-    count: usize,
-) -> Result<(), DecodeError> {
-    for _ in 0..count {
-        w.push_bit(r.read_bit()?);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
