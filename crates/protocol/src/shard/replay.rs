@@ -30,9 +30,9 @@ pub enum Recorded {
     Forward,
     /// The uplink's round is already committed — its partial has
     /// merged, so the shard host no longer holds that round. The caller
-    /// decides the policy: a one-round service reports the straggler as
-    /// a poison notice (it is by definition a duplicate or stray), a
-    /// multi-round service counts committed history as orphaned.
+    /// decides the policy: the wire proxy and the placement sim report
+    /// the straggler as a poison notice for that round (it is by
+    /// definition a duplicate or stray).
     Stale,
 }
 

@@ -15,11 +15,13 @@
 //!   returning frames into per-session queues where `recv` picks them
 //!   up. Protocol logic runs unchanged on the client's session state
 //!   machines, every message crossing OS sockets twice.
-//! * **Sharded referee service** ([`FleetServer::spawn_sharded`]): the
-//!   server performs the referee's assembly itself, split across shard
-//!   workers that exchange [`PartialState`](referee_protocol::shard::PartialState)
-//!   frames and reply with verdicts — see [`crate::shard`] and
-//!   [`FleetClient::verify_session`].
+//! * **Referee service** ([`FleetServer::spawn_sharded`],
+//!   [`FleetServer::spawn_multiround`], [`FleetServerBuilder::catalog`]):
+//!   the server runs the referee itself on one session engine, split
+//!   across shard workers that exchange per-round partial-state frames
+//!   and reply with verdicts — see [`crate::multiround`]. The one-round
+//!   verifier behind [`FleetClient::verify_session`] is that engine's
+//!   cap-1 digest service ([`crate::shard`]).
 //!
 //! # Per-connection keys
 //!
@@ -62,15 +64,15 @@ use crate::auth::AuthKey;
 use crate::frame::{FrameKind, WireError};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
 use crate::multiround::{
-    decode_mr_verdict, encode_mr_announce, run_multiround_server, run_multiround_server_remote,
-    ServiceCatalog, WireReferee, MAX_SERVICE_NAME_BYTES,
+    decode_mr_verdict, encode_mr_announce, run_catalog_server, ServiceCatalog, WireReferee,
+    MAX_SERVICE_NAME_BYTES,
 };
 use crate::placement::{default_redial_backoff, RemotePlacement};
 use crate::poll::{
     default_backend, fd_of, resolve_poller, Poller, PollerBackend, Readiness, POLLER_ENV,
 };
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use crate::shard::{decode_verdict, run_sharded_server, run_sharded_server_remote};
+use crate::shard::{decode_digest_verdict, digest_catalog};
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::multiround::MultiRoundProtocol;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
@@ -184,7 +186,7 @@ pub struct FleetServerBuilder {
     key: AuthKey,
     shards: usize,
     bind: Option<SocketAddr>,
-    multiround: Option<ServiceCatalog>,
+    catalog: Option<ServiceCatalog>,
     placement: Option<RemotePlacement>,
     redial_backoff: Option<Duration>,
     poller: Option<PollerBackend>,
@@ -196,7 +198,7 @@ impl std::fmt::Debug for FleetServerBuilder {
         f.debug_struct("FleetServerBuilder")
             .field("shards", &self.shards)
             .field("bind", &self.bind)
-            .field("multiround", &self.multiround.is_some())
+            .field("catalog", &self.catalog.is_some())
             .field("placement", &self.placement.is_some())
             .field("redial_backoff", &self.redial_backoff)
             .field("poller", &self.poller)
@@ -207,7 +209,9 @@ impl std::fmt::Debug for FleetServerBuilder {
 
 impl FleetServerBuilder {
     /// Run as a sharded referee service with `shards` shard workers
-    /// (clamped to at least 1). Without this call the server is the
+    /// (clamped to at least 1) — the one-round verifier unless a
+    /// [`catalog`](FleetServerBuilder::catalog) names other protocols.
+    /// Without this call, a catalog or a placement, the server is the
     /// echo mailbox.
     pub fn shards(mut self, shards: usize) -> FleetServerBuilder {
         self.shards = shards.max(1);
@@ -235,7 +239,7 @@ impl FleetServerBuilder {
     /// selects entry 0). Announcing an unknown name fails closed with
     /// a typed error verdict.
     pub fn catalog(mut self, catalog: ServiceCatalog) -> FleetServerBuilder {
-        self.multiround = Some(catalog);
+        self.catalog = Some(catalog);
         self
     }
 
@@ -247,9 +251,11 @@ impl FleetServerBuilder {
     /// [`crate::placement`]). The shard count comes from the
     /// placement's [`PlacementPolicy`](crate::placement::PlacementPolicy),
     /// overriding [`shards`](FleetServerBuilder::shards). Combine with
-    /// [`multiround`](FleetServerBuilder::multiround) for the
-    /// multi-round service; without it the one-round verifier is
-    /// served.
+    /// [`multiround`](FleetServerBuilder::multiround) or
+    /// [`catalog`](FleetServerBuilder::catalog) to choose the served
+    /// protocols; without either the one-round verifier (the cap-1
+    /// digest service) is served. Either way the shard hosts run the
+    /// same per-round range waits as in-process workers.
     pub fn placement(mut self, placement: RemotePlacement) -> FleetServerBuilder {
         self.shards = placement.shards();
         self.placement = Some(placement);
@@ -304,47 +310,29 @@ impl FleetServerBuilder {
         let shutdown = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(WireMetrics::default());
         let key = self.key;
-        let shards = self.shards;
-        let multiround = self.multiround;
-        let placement = self.placement;
-        let backoff = self.redial_backoff.unwrap_or_else(default_redial_backoff);
+        let shards = self.shards.max(1);
+        // Echo unless asked to referee; a referee without a catalog
+        // serves the one-round verifier.
+        let catalog = match (self.catalog, self.shards, &self.placement) {
+            (None, 0, None) => None,
+            (catalog, _, _) => Some(catalog.unwrap_or_else(|| digest_catalog(key))),
+        };
+        let placement = self
+            .placement
+            .map(|p| (p, self.redial_backoff.unwrap_or_else(default_redial_backoff)));
         let backend = resolve_poller(self.poller, std::env::var(POLLER_ENV).ok().as_deref());
         let poller = Poller::new(backend, self.idle_sleep.unwrap_or(IDLE_SLEEP));
         let thread = {
             let shutdown = Arc::clone(&shutdown);
             let metrics = Arc::clone(&metrics);
-            thread::Builder::new().name("wirenet-server".into()).spawn(move || {
-                match (placement, multiround) {
-                    (Some(p), Some(catalog)) => run_multiround_server_remote(
-                        listener,
-                        key,
-                        Arc::new(catalog),
-                        p,
-                        backoff,
-                        &shutdown,
-                        &metrics,
-                        poller,
+            thread::Builder::new().name("wirenet-server".into()).spawn(
+                move || match catalog {
+                    None => run_server(listener, key, &shutdown, &metrics, &poller),
+                    Some(catalog) => run_catalog_server(
+                        listener, key, &catalog, shards, placement, &shutdown, &metrics, poller,
                     ),
-                    (Some(p), None) => run_sharded_server_remote(
-                        listener, key, p, backoff, &shutdown, &metrics, poller,
-                    ),
-                    (None, Some(catalog)) => run_multiround_server(
-                        listener,
-                        key,
-                        Arc::new(catalog),
-                        shards.max(1),
-                        &shutdown,
-                        &metrics,
-                        poller,
-                    ),
-                    (None, None) if shards == 0 => {
-                        run_server(listener, key, &shutdown, &metrics, &poller)
-                    }
-                    (None, None) => {
-                        run_sharded_server(listener, key, shards, &shutdown, &metrics, poller)
-                    }
-                }
-            })?
+                },
+            )?
         };
         Ok(FleetServer { addr, shutdown, metrics, thread: Some(thread) })
     }
@@ -377,7 +365,7 @@ impl FleetServer {
             key,
             shards: 0,
             bind: None,
-            multiround: None,
+            catalog: None,
             placement: None,
             redial_backoff: None,
             poller: None,
@@ -390,8 +378,10 @@ impl FleetServer {
         FleetServer::builder(key).spawn()
     }
 
-    /// Spawn the sharded referee service with `shards` shard workers on
-    /// the default bind address.
+    /// Spawn the one-round verifier with `shards` shard workers on the
+    /// default bind address: the session engine serving the cap-1
+    /// digest service (see [`crate::shard`]), which
+    /// [`FleetClient::verify_session`] drives.
     pub fn spawn_sharded(key: AuthKey, shards: usize) -> io::Result<FleetServer> {
         FleetServer::builder(key).shards(shards).spawn()
     }
@@ -1240,7 +1230,7 @@ impl FleetClient {
         }
         self.core.metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
         self.core.metrics.trace(session.0, trace_endpoint::CLIENT, TraceKind::Uplink, n as u64);
-        let verdict = decode_verdict(&self.core.await_verdict(session)?);
+        let verdict = decode_digest_verdict(&self.core.await_verdict(session)?);
         self.core.metrics.record_stage(Stage::Verdict, opened.elapsed());
         self.core.metrics.trace(
             session.0,

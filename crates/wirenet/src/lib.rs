@@ -12,8 +12,8 @@
 //!   binary framing of [`Envelope`](referee_simnet::Envelope)s, carrying
 //!   the [`SessionId`](referee_simnet::SessionId) that lets one
 //!   connection multiplex a whole fleet. [`FrameKind`] types each frame:
-//!   session data, the key handshake, and the sharded referee's
-//!   partial-state and verdict traffic.
+//!   session data, the key handshake, and the referee engine's
+//!   partial-state, downlink and verdict traffic.
 //! * [`auth`] — the authentication layer: a keyed 64-bit SipHash-2-4
 //!   tag on every frame; verification failures surface through the
 //!   existing `DecodeError` rejection paths. Every connection runs on a
@@ -35,30 +35,30 @@
 //!   `write_syscalls`/`read_syscalls` counters and
 //!   [`WireSnapshot::frames_per_write`] make the batching measurable.
 //! * [`fleet`] — the referee-side acceptor ([`FleetServer`]: echo
-//!   mailbox or sharded referee service) and node-side pool
+//!   mailbox or referee service) and node-side pool
 //!   ([`FleetClient`]) whose [`SocketTransport`] runs 1000+ sessions
 //!   over a handful of TCP connections with wire-level metrics
 //!   ([`WireSnapshot`]).
-//! * [`shard`] — the sharded referee service: authenticated frames are
-//!   routed to shard workers by session + node range
-//!   (`referee_protocol::shard`), shards exchange
-//!   [`PartialState`](referee_protocol::shard::PartialState) frames over
-//!   the same MAC'd codec, and clients get verdicts with a keyed
-//!   [`vector_digest`] of the assembled vector
-//!   ([`FleetClient::verify_session`]).
-//! * [`multiround`] — the **multi-round** referee service: the server
-//!   runs a protocol's `referee_step` itself, once per round, over the
-//!   same sharded wait — per-round
+//! * [`multiround`] — the **referee session engine**, one for every
+//!   service: authenticated frames are routed to shard workers by
+//!   session + node range (`referee_protocol::shard`), each round's
+//!   ranges ship
 //!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)
-//!   `Partial` frames (epoch-fenced, round carried inside the
-//!   authenticated payload), MAC'd downlink frames streamed back each
-//!   round, and the encoded final output as the verdict.
+//!   `Partial` frames over the same MAC'd codec (epoch-fenced, round
+//!   carried inside the authenticated payload), and worker 0 runs the
+//!   served protocol's `referee_step` once per round, streaming MAC'd
+//!   downlinks back and the encoded final output as the verdict. A
+//!   [`ServiceCatalog`] names the protocols one server hosts;
 //!   [`FleetClient::run_multiround_session`] drives the node half
 //!   client-side, so Borůvka-style protocols run against a live wire
 //!   referee. Client-side deadlines (Hello handshake, verdict/round
 //!   waits) are configurable via [`WireTimeouts`] and the
 //!   `REFEREE_WIRENET_{HELLO,VERDICT}_TIMEOUT_MS` environment
 //!   variables.
+//! * [`shard`] — the **one-round verifier** is not a second engine but
+//!   the cap-1 catalog service on this one: its round-1 step answers
+//!   with a keyed [`vector_digest`] of the assembled vector, which
+//!   [`FleetClient::verify_session`] checks against the vector it sent.
 //! * [`placement`] — **cross-host shard placement**: shard workers as
 //!   network peers. A [`ShardHost`] role serves shard state behind a
 //!   MAC'd registration handshake with per-shard, generation-scoped
@@ -132,7 +132,9 @@
 //!    ```
 //!    Shard hosts are deliberately stateless across restarts: the
 //!    coordinator journals everything a live shard may need and replays
-//!    it on reconnect.
+//!    it on reconnect. A host serves whatever the coordinator runs —
+//!    the one-round verifier and multi-round protocols alike — because
+//!    every service is a per-round range wait on the same engine.
 //! 2. **Key registration** — shard hosts hold the same base key as the
 //!    coordinator. Each coordinator link opens with a MAC'd `Register`
 //!    handshake; from then on the link runs under
@@ -153,7 +155,8 @@
 //!    ).unwrap();
 //!    let server = FleetServer::builder(key)
 //!        .placement(placement.clone())
-//!        .multiround(boruvka_connectivity_service()) // omit for the one-round verifier
+//!        // omit to serve the one-round verifier (the cap-1 digest service)
+//!        .multiround(boruvka_connectivity_service())
 //!        .spawn()
 //!        .unwrap();
 //!    ```
@@ -239,7 +242,7 @@
 //! # Accountability
 //!
 //! Every provable wire-level violation produces more than a dead
-//! session: the shard and multiround services package the offending
+//! session: the referee engine packages the offending
 //! MAC'd frames into self-contained
 //! [`EvidenceBundle`](referee_protocol::evidence::EvidenceBundle)s
 //! (see `referee_protocol::evidence` for the format and the no-framing
@@ -367,7 +370,7 @@ pub use multiround::{
 };
 pub use placement::{
     link_key, link_key_path, shard_key, HostId, PlacementPolicy, RemotePlacement, ShardHost,
-    ShardHostMode, DEFAULT_REDIAL_BACKOFF, REDIAL_BACKOFF_ENV, SHARD_HOST_BIND_ENV,
+    DEFAULT_REDIAL_BACKOFF, REDIAL_BACKOFF_ENV, SHARD_HOST_BIND_ENV,
 };
 pub use poll::{PollerBackend, POLLER_ENV};
 pub use shard::vector_digest;

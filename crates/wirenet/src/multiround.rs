@@ -1,10 +1,11 @@
-//! The multi-round referee service: [`FleetServer`](crate::FleetServer)
-//! in `spawn_multiround` mode runs the **referee half** of a
-//! [`MultiRoundProtocol`](referee_protocol::multiround::MultiRoundProtocol)
-//! itself, round by round, with the per-round uplink wait sharded
-//! exactly like the one-round service. The server hosts a whole
-//! [`ServiceCatalog`]: every worker keys its per-session state by
-//! (connection, session, service), so one listener serves
+//! The referee session engine: [`FleetServer`](crate::FleetServer)
+//! runs the **referee half** of every served protocol itself, round by
+//! round, with the per-round uplink wait sharded across workers. One
+//! engine serves everything: a [`MultiRoundProtocol`](referee_protocol::multiround::MultiRoundProtocol)
+//! from a [`ServiceCatalog`], and the one-round verifier, which is the
+//! catalog's cap-1 digest service (see [`crate::shard`]). Every worker
+//! keys its per-session state by (connection, session), with the
+//! service resolved at announce time, so one listener serves
 //! heterogeneous protocols concurrently — each client names its
 //! service in the MAC'd `Announce`, and an unknown name fails closed
 //! with a typed error verdict instead of hanging.
@@ -39,6 +40,11 @@
 //!    [`Verdict`](FrameKind::Verdict) frame and retires the session
 //!    everywhere.
 //!
+//! With a [`RemotePlacement`] the ranges live on
+//! [`ShardHost`](crate::placement::ShardHost) peers instead, each fed by
+//! a coordinator-side proxy, and worker 0 keeps only the referee and
+//! the merge accumulators (see [`crate::placement`]).
+//!
 //! [`FleetClient::run_multiround_session`](crate::FleetClient::run_multiround_session)
 //! drives the node half of the same protocol against this service:
 //! node→node CONGEST links stay client-side (they never involve the
@@ -48,25 +54,36 @@
 //!
 //! # Failure behaviour
 //!
-//! The lifecycle mirrors [`crate::shard`]: sessions are keyed by
-//! (connection, session id), epochs fence stale cross-shard partials of
-//! re-announced ids, tampered frames poison their connection at the
-//! router's MAC check, and faulty sessions fail fast — a duplicate or
-//! out-of-range sender poisons its round, worker 0 judges without
-//! waiting for quorum, and the client receives the canonical rejection
-//! class instead of hanging (bounded further by the client's
+//! Sessions are keyed by (connection, session id); a judged session is
+//! retired from the router and every worker the moment its verdict
+//! ships, and its id becomes re-announceable. Epochs fence stale
+//! cross-shard partials of re-announced ids, and tampered frames poison
+//! their connection at the router's MAC check.
+//!
+//! Faulty sessions fail fast under one rule for every round, the same
+//! on in-process workers and shard hosts: an out-of-range sender, a duplicate, a round
+//! stamp outside `1..=cap` or an uplink racing ahead of the protocol
+//! poisons the round it hit. An arrival behind a range partial that
+//! already shipped is checked against the retained transcript of that
+//! round — a repeat is still provable — and reported to worker 0 as a
+//! round-stamped poison notice. Worker 0 judges a poisoned round
+//! without waiting for quorum, and drops a notice for a round it
+//! already consumed. The client receives the canonical rejection class
+//! instead of hanging (bounded further by the client's
 //! [`WireTimeouts::verdict`](crate::WireTimeouts) round deadline). A
 //! round cap on the server ([`WireReferee::round_cap`]) bounds referee
-//! state even against a client that stalls mid-protocol.
+//! state even against a client that stalls mid-protocol, and a range
+//! partial too large for a frame ends its session with a typed
+//! `Invalid` verdict.
 
 use crate::auth::AuthKey;
 use crate::fleet::accept_conn;
 use crate::frame::{decode_frame, encode_wire_frame, FrameKind, WireError};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics};
-use crate::placement::{run_proxy, ProxyConfig, ProxyEvent, RemotePlacement, ShardHostMode};
+use crate::placement::{fits_frame, run_proxy, ProxyConfig, RemotePlacement};
 use crate::poll::{fd_of, Poller, PollerBackend, Readiness, Waker};
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use crate::shard::{acc_first_order, build_evidence, evidence_record, evidence_record_for};
+use crate::shard::{build_evidence, evidence_record, repeat_evidence};
 use referee_protocol::evidence::{EvidenceRecord, ProvableError};
 use referee_protocol::multiround::RefereeStep;
 use referee_protocol::shard::multiround::{RoundPartialState, RoundShard};
@@ -78,17 +95,17 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Domain-separation tweak for the multi-round shard-exchange key
-/// (distinct from the one-round service's, so partials can never cross
-/// service modes).
+/// Domain-separation tweak for the shard-exchange key.
 const MR_EXCHANGE_TWEAK: u64 = 0x6d72_7368_6172_6478; // "mrshardx"
 
-/// How many finished session routes the router remembers (FIFO) — same
-/// rationale and bound as the one-round sharded service.
+/// How many finished session routes the router remembers (FIFO). A
+/// finished route only exists to classify short-lived stragglers behind
+/// a verdict as harmless; beyond this window a straggler is treated as
+/// the protocol violation it is, and the memory stays bounded no matter
+/// how many sessions a long-lived connection judges.
 const FINISHED_ROUTE_CAP: usize = 4096;
 
 // The protocol-agnostic referee service layer — [`WireReferee`],
@@ -176,8 +193,9 @@ pub(crate) fn decode_mr_verdict(msg: &Message) -> Result<Message, DecodeError> {
     Err(class_error(class))
 }
 
-/// Router → worker (and worker → worker 0) traffic; sessions keyed by
-/// `(conn, session)` like the one-round service.
+/// Router → worker (and worker → worker 0) traffic. Sessions are keyed
+/// by `(conn, session)` throughout, so independent clients may number
+/// their sessions identically without colliding.
 pub(crate) enum MrMsg {
     /// A session opened: every worker creates its round-1 shard under
     /// the catalog service the router resolved (an index into the
@@ -187,9 +205,10 @@ pub(crate) enum MrMsg {
     /// An authenticated round-stamped uplink routed to this worker's
     /// range.
     Data { conn: u32, env: Envelope },
-    /// A wire-encoded [`FrameKind::Partial`] frame (worker 0 only). The
-    /// envelope's `round` carries the session's announce epoch — the
-    /// protocol round travels inside the authenticated payload.
+    /// A wire-encoded [`FrameKind::Partial`] frame (worker 0 only): a
+    /// range partial or a poison notice. The envelope's `round` carries
+    /// the session's announce epoch — the protocol round travels inside
+    /// the authenticated payload.
     Partial(Vec<u8>),
     /// A session's verdict shipped: drop its state everywhere.
     Finish { conn: u32, session: u64 },
@@ -197,7 +216,7 @@ pub(crate) enum MrMsg {
     Retire { conn: u32 },
 }
 
-/// Worker 0 → router.
+/// Worker → router.
 enum MrOutbound {
     /// Stream round `round`'s downlinks (`msgs[i]` to node `i + 1`).
     Downlinks { conn: u32, session: SessionId, round: u32, msgs: Vec<Message> },
@@ -229,21 +248,181 @@ struct SessionRoute {
     finished: bool,
 }
 
+/// One range's share of a session's uplink wait — the same state on an
+/// in-process worker and on a [`ShardHost`](crate::placement::ShardHost):
+/// the round the range is collecting, plus the transcript that keeps an
+/// arrival behind an already-shipped partial provable.
+pub(crate) struct RangeWait {
+    pub n: usize,
+    shards: usize,
+    index: usize,
+    pub cap: u32,
+    shard: RoundShard,
+    /// Fresh uplinks of the collecting round.
+    collecting: Vec<(u32, Message)>,
+    /// Fresh uplinks of the last round whose partial shipped.
+    shipped: Vec<(u32, Message)>,
+}
+
+/// What one uplink did besides filling its range.
+#[derive(Default)]
+pub(crate) struct Ingested {
+    /// A provable violation and the records proving it.
+    pub evidence: Option<(ProvableError, Vec<EvidenceRecord>)>,
+    /// A poison notice for a round whose partial already shipped: the
+    /// accumulator fails the session unless it consumed that round.
+    pub late: Option<RoundPartialState>,
+}
+
+impl RangeWait {
+    /// Shard `index` of `shards` of a size-`n` session, collecting from
+    /// round `round` under round cap `cap`.
+    pub(crate) fn new(
+        n: usize,
+        shards: usize,
+        index: usize,
+        round: u32,
+        cap: u32,
+    ) -> RangeWait {
+        RangeWait {
+            n,
+            shards,
+            index,
+            cap,
+            shard: RoundShard::new(n, shards, index, round),
+            collecting: Vec::new(),
+            shipped: Vec::new(),
+        }
+    }
+
+    /// Absorb one routed uplink under the engine's single round rule.
+    /// Faults poison the round they hit:
+    ///
+    /// * an out-of-range sender poisons its claimed round if that
+    ///   round's partial already shipped, else the collecting round;
+    /// * a stamp outside `1..=cap`, a repeat within the collecting
+    ///   round, and an uplink racing ahead of the collecting round
+    ///   poison the collecting round;
+    /// * an arrival for a round whose partial already shipped poisons
+    ///   that round, proven against the retained transcript when it is
+    ///   the last shipped round.
+    ///
+    /// Once every round up to the cap has shipped, "the collecting
+    /// round" is the last shipped one. `conn` and `base` sign the
+    /// evidence records; `env` must be the frame as the client sent it.
+    pub(crate) fn ingest(
+        &mut self,
+        base: &AuthKey,
+        conn: u32,
+        env: Envelope,
+        metrics: &WireMetrics,
+    ) -> Ingested {
+        let current = self.shard.round();
+        let stray = env.from == 0 || env.from as usize > self.n;
+        let behind = (1..current).contains(&env.round);
+        let (evidence, poisoned_round) = if stray {
+            let rec = evidence_record(base, conn, &env);
+            (Some((ProvableError::OutOfRangeSender, vec![rec])), behind.then_some(env.round))
+        } else if env.round == 0 || env.round > self.cap {
+            let rec = evidence_record(base, conn, &env);
+            (Some((ProvableError::WrongRound, vec![rec])), None)
+        } else if env.round == current {
+            match self.shard.ingest(env.from, env.payload.clone()) {
+                Ok(Arrival::Fresh) => {
+                    self.collecting.push((env.from, env.payload));
+                    return Ingested::default();
+                }
+                Ok(Arrival::Duplicate { .. }) => {
+                    let prev = self.shard.message_for(env.from);
+                    (prev.map(|prev| repeat_evidence(base, conn, &env, prev)), None)
+                }
+                Ok(Arrival::OutOfRange) => return Ingested::default(),
+                Err(_) => {
+                    // Router/worker range disagreement — a bug, not
+                    // wire data; surfaced in metrics.
+                    metrics.decode_rejects(1);
+                    return Ingested::default();
+                }
+            }
+        } else if behind {
+            let prev = (env.round + 1 == current)
+                .then(|| self.shipped.iter().find(|(from, _)| *from == env.from))
+                .flatten();
+            (prev.map(|(_, prev)| repeat_evidence(base, conn, &env, prev)), Some(env.round))
+        } else {
+            // An uplink for a round whose downlinks were never issued.
+            (None, None)
+        };
+        let late = self.poison(poisoned_round, env.from, env.payload);
+        Ingested { evidence, late }
+    }
+
+    /// Record `from` as the fault of `round` — a shipped round, or the
+    /// collecting one when `None`. Returns the notice to ship when the
+    /// poisoned round's partial already left.
+    fn poison(
+        &mut self,
+        round: Option<u32>,
+        from: u32,
+        payload: Message,
+    ) -> Option<RoundPartialState> {
+        let round = match round {
+            Some(round) => round,
+            None if self.shard.round() <= self.cap => {
+                if from == 0 || from as usize > self.n {
+                    let _ = self.shard.ingest(from, payload); // records the stray
+                } else {
+                    self.shard.note_duplicate(from);
+                }
+                return None;
+            }
+            None => self.cap,
+        };
+        Some(poison_notice(self.n, round, from))
+    }
+
+    /// The collecting round's partial, once the range is complete or
+    /// poisoned (and the round within the cap); the wait then advances
+    /// to the next round and the shipped round's transcript is kept.
+    pub(crate) fn take_ready(&mut self) -> Option<RoundPartialState> {
+        let s = &self.shard;
+        if s.range().is_empty() || !(s.is_complete() || s.is_poisoned()) || s.round() > self.cap
+        {
+            return None;
+        }
+        let next = RoundShard::new(self.n, self.shards, self.index, s.round() + 1);
+        self.shipped = std::mem::take(&mut self.collecting);
+        Some(std::mem::replace(&mut self.shard, next).into_partial())
+    }
+}
+
+/// The single-fault summary of round `round` that poisons it at the
+/// accumulator: `from` recorded as an out-of-range sender (0 or `> n`)
+/// or as a duplicate. Every deployment that reports a fault behind a
+/// shipped partial — the in-process worker, the shard host, the
+/// placement proxy — ships exactly this notice, so the fail-fast
+/// verdict cannot drift between them.
+pub(crate) fn poison_notice(n: usize, round: u32, from: u32) -> RoundPartialState {
+    let mut notice = RoundPartialState::new(n, round);
+    if from == 0 || from as usize > n {
+        notice.note_out_of_range(from);
+    } else {
+        notice.note_duplicate(from);
+    }
+    notice
+}
+
 /// Per-session state inside one worker — keyed by (conn, session) in
-/// the worker's map, with the resolved catalog `service` pinned at
-/// announce time (the stepper and round cap are that service's; a
-/// re-announced id may land on a different service under a fresh
-/// epoch).
+/// the worker's map. The stepper and round cap are those of the catalog
+/// service resolved at announce time (a re-announced id may land on a
+/// different service under a fresh epoch).
 struct MrSession {
     conn: u32,
     n: usize,
     epoch: u32,
-    #[allow(dead_code)] // recorded for debugging; cap + stepper already carry its effect
-    service: u32,
-    /// Total shards in the partition (needed to open each next round).
-    shards: usize,
-    /// The round this worker's shard is currently collecting.
-    shard: RoundShard,
+    /// This worker's range wait; `None` on a remote-placement
+    /// accumulator, whose ranges live on shard hosts.
+    wait: Option<RangeWait>,
     /// Worker 0 only: the referee, its next round, and per-round merge
     /// accumulators `(state, quorum)`.
     stepper: Option<Box<dyn RefereeStepper>>,
@@ -263,154 +442,78 @@ struct MrSession {
     round_opened: Instant,
 }
 
-/// The multi-round-mode server loop (spawned by
-/// [`FleetServer::spawn_multiround`](crate::FleetServer::spawn_multiround)).
-pub(crate) fn run_multiround_server(
-    listener: TcpListener,
-    key: AuthKey,
-    catalog: Arc<ServiceCatalog>,
-    shards: usize,
-    shutdown: &AtomicBool,
-    metrics: &WireMetrics,
-    poller: Poller,
-) {
-    let exchange_key = key.derive(MR_EXCHANGE_TWEAK);
-    let (out_tx, out_rx) = std::sync::mpsc::channel::<MrOutbound>();
-    let mut worker_txs: Vec<Sender<MrMsg>> = Vec::with_capacity(shards);
-    let mut worker_rxs: Vec<Receiver<MrMsg>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = std::sync::mpsc::channel();
-        worker_txs.push(tx);
-        worker_rxs.push(rx);
-    }
-    thread::scope(|scope| {
-        for (i, rx) in worker_rxs.into_iter().enumerate().rev() {
-            let tx0 = if i == 0 { None } else { Some(worker_txs[0].clone()) };
-            let otx = OutTx { tx: out_tx.clone(), waker: poller.waker() };
-            let exchange_key = &exchange_key;
-            let base = &key;
-            let catalog = Arc::clone(&catalog);
-            scope.spawn(move || {
-                mr_worker(i, shards, rx, tx0, otx, exchange_key, base, catalog, metrics, true)
-            });
-        }
-        drop(out_tx);
-        mr_route(
-            listener,
-            key,
-            &catalog,
-            shards,
-            shutdown,
-            metrics,
-            &worker_txs,
-            &out_rx,
-            &poller,
-        );
-        drop(worker_txs);
-    });
-}
-
-/// Convert router traffic into the placement proxy's event type.
-pub(crate) fn mr_proxy_event(m: MrMsg) -> Option<ProxyEvent> {
-    match m {
-        // Remote shard hosts only collect per-round uplink ranges —
-        // they never run a referee, so the service index stays
-        // coordinator-side.
-        MrMsg::Announce { conn, session, n, epoch, service: _ } => {
-            Some(ProxyEvent::Announce { conn, session, n, epoch })
-        }
-        MrMsg::Data { conn, env } => Some(ProxyEvent::Data { conn, env }),
-        MrMsg::Finish { conn, session } => Some(ProxyEvent::Finish { conn, session }),
-        MrMsg::Retire { conn } => Some(ProxyEvent::Retire { conn }),
-        MrMsg::Partial(_) => None,
-    }
-}
-
-/// The multi-round server loop with **remotely placed** shards: every
-/// per-round range wait lives on a
-/// [`ShardHost`](crate::placement::ShardHost) named by `placement`; the
-/// in-process worker 0 keeps only the referee and the per-round merge
-/// accumulators, fed by one proxy per shard.
+/// The catalog server loop (spawned by
+/// [`FleetServerBuilder::spawn`](crate::FleetServerBuilder::spawn) for
+/// every non-echo server). In process, `shards` workers each own a
+/// range and worker 0 also runs the referee. With a `placement`, one
+/// proxy per shard forwards its range to a
+/// [`ShardHost`](crate::placement::ShardHost) and an extra in-process
+/// worker keeps only the referee and the per-round merge accumulators.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_multiround_server_remote(
+pub(crate) fn run_catalog_server(
     listener: TcpListener,
     key: AuthKey,
-    catalog: Arc<ServiceCatalog>,
-    placement: RemotePlacement,
-    backoff: Duration,
+    catalog: &ServiceCatalog,
+    shards: usize,
+    placement: Option<(RemotePlacement, Duration)>,
     shutdown: &AtomicBool,
     metrics: &WireMetrics,
     poller: Poller,
 ) {
-    let shards = placement.shards();
     let exchange_key = key.derive(MR_EXCHANGE_TWEAK);
     let (out_tx, out_rx) = std::sync::mpsc::channel::<MrOutbound>();
-    let mut worker_txs: Vec<Sender<MrMsg>> = Vec::with_capacity(shards + 1);
-    let mut worker_rxs: Vec<Receiver<MrMsg>> = Vec::with_capacity(shards + 1);
-    for _ in 0..=shards {
-        let (tx, rx) = std::sync::mpsc::channel();
-        worker_txs.push(tx);
-        worker_rxs.push(rx);
-    }
+    // One lane per shard, plus the accumulator's (last) when the
+    // ranges are remote; the router broadcasts control traffic to all.
+    let acc = if placement.is_some() { shards } else { 0 };
+    let lanes = shards + usize::from(placement.is_some());
+    let (worker_txs, worker_rxs): (Vec<Sender<MrMsg>>, Vec<Receiver<MrMsg>>) =
+        (0..lanes).map(|_| std::sync::mpsc::channel()).unzip();
     thread::scope(|scope| {
-        let mut rxs = worker_rxs.into_iter();
-        let proxy_rxs: Vec<_> = rxs.by_ref().take(shards).collect();
-        let acc_rx = rxs.next().expect("accumulator channel");
-        {
-            let otx = OutTx { tx: out_tx.clone(), waker: poller.waker() };
-            let exchange_key = &exchange_key;
-            let base = &key;
-            let catalog = Arc::clone(&catalog);
-            scope.spawn(move || {
-                mr_worker(
-                    0,
-                    shards,
-                    acc_rx,
-                    None,
-                    otx,
-                    exchange_key,
-                    base,
-                    catalog,
-                    metrics,
-                    false,
-                )
-            });
-        }
-        for (i, rx) in proxy_rxs.into_iter().enumerate() {
-            let acc_tx = worker_txs[shards].clone();
-            let base = &key;
-            let exchange_key = &exchange_key;
-            let placement = &placement;
-            let catalog = Arc::clone(&catalog);
-            scope.spawn(move || {
-                run_proxy(
-                    ProxyConfig {
-                        mode: ShardHostMode::MultiRound,
+        for (i, rx) in worker_rxs.into_iter().enumerate() {
+            let (base, exchange_key) = (&key, &exchange_key);
+            match &placement {
+                Some((placement, backoff)) if i != acc => {
+                    let cfg = ProxyConfig {
                         index: i,
                         shards,
                         base,
                         exchange_key,
                         placement,
                         metrics,
-                        backoff,
-                    },
-                    rx,
-                    mr_proxy_event,
-                    move |bytes| {
-                        let _ = acc_tx.send(MrMsg::Partial(bytes));
-                    },
-                    // Shard hosts are service-agnostic: they bound a
-                    // session by the catalog's widest cap (worker 0
-                    // judges by the exact per-service cap regardless).
-                    move |n| catalog.max_round_cap(n),
-                )
-            });
+                        backoff: *backoff,
+                    };
+                    let acc_tx = worker_txs[acc].clone();
+                    scope.spawn(move || run_proxy(cfg, rx, acc_tx, catalog));
+                }
+                _ => {
+                    // The accumulator must not hold a sender to itself
+                    // (its inbox would never disconnect).
+                    let tx0 = (i != acc).then(|| worker_txs[acc].clone());
+                    let otx = OutTx { tx: out_tx.clone(), waker: poller.waker() };
+                    let owns_range = placement.is_none();
+                    let index = if owns_range { i } else { 0 };
+                    scope.spawn(move || {
+                        mr_worker(
+                            index,
+                            shards,
+                            rx,
+                            tx0,
+                            otx,
+                            exchange_key,
+                            base,
+                            catalog,
+                            metrics,
+                            owns_range,
+                        )
+                    });
+                }
+            }
         }
         drop(out_tx);
         mr_route(
             listener,
             key,
-            &catalog,
+            catalog,
             shards,
             shutdown,
             metrics,
@@ -418,8 +521,26 @@ pub(crate) fn run_multiround_server_remote(
             &out_rx,
             &poller,
         );
+        // Dropping the senders disconnects every worker inbox; the scope
+        // then joins the workers.
         drop(worker_txs);
     });
+}
+
+/// Index order for broadcasting router control traffic to workers: the
+/// merge accumulator FIRST, then everyone else. Every worker's reaction
+/// to a control message funnels into the accumulator's inbox — e.g. an
+/// empty-range shard host ships its partial the instant a proxy relays
+/// a fresh announce — and channel causality only keeps that reaction
+/// *behind* the message that caused it if the router enqueued the
+/// accumulator's copy before any other worker's. In-process layouts
+/// keep the accumulator at index 0 (forward order was already safe);
+/// remote placement appends its channel after the `shards` proxies,
+/// where forward order let partials overtake their announce and starve
+/// the merge quorum.
+fn acc_first_order(len: usize, shards: usize) -> impl Iterator<Item = usize> {
+    let acc = if len > shards { shards } else { 0 };
+    std::iter::once(acc).chain((0..len).filter(move |i| *i != acc))
 }
 
 /// The router: accepts, authenticates, routes round-stamped uplinks by
@@ -749,12 +870,10 @@ fn nonempty_shards(n: usize, shards: usize) -> usize {
     (0..shards).filter(|&i| !shard_range(n, shards, i).is_empty()).count()
 }
 
-/// Build, self-verify, and ship an evidence bundle for a multi-round
-/// session — the mr twin of the one-round service's `emit_evidence`.
-/// The bundle rides the worker→router outbound channel as an
-/// [`MrOutbound::Evidence`] and reaches the client as a
-/// [`FrameKind::Evidence`] frame; it never touches round/verdict
-/// bookkeeping, so the session's failure path is unchanged.
+/// Build, self-verify, and ship an evidence bundle. The bundle rides
+/// the worker→router outbound channel as an [`MrOutbound::Evidence`]
+/// and reaches the client as a [`FrameKind::Evidence`] frame; it never
+/// touches round/verdict bookkeeping.
 #[allow(clippy::too_many_arguments)]
 fn mr_evidence(
     index: usize,
@@ -787,11 +906,10 @@ fn mr_evidence(
     });
 }
 
-/// One multi-round shard worker: owns shard `index` of every announced
-/// session's per-round uplink wait. With `owns_range` false (remote
-/// placement) the worker collects nothing itself — it keeps only the
-/// referee and the per-round merge accumulators, its "shard" a
-/// permanently empty range that never emits.
+/// One shard worker: owns shard `index` of every announced session's
+/// per-round uplink wait. With `owns_range` false (remote placement)
+/// the worker collects nothing itself — it keeps only the referee and
+/// the per-round merge accumulators.
 #[allow(clippy::too_many_arguments)]
 fn mr_worker(
     index: usize,
@@ -801,7 +919,7 @@ fn mr_worker(
     otx: OutTx,
     exchange_key: &AuthKey,
     base: &AuthKey,
-    catalog: Arc<ServiceCatalog>,
+    catalog: &ServiceCatalog,
     metrics: &WireMetrics,
     owns_range: bool,
 ) {
@@ -820,28 +938,21 @@ fn mr_worker(
                 // name before broadcasting, so the index is valid.
                 let entry =
                     catalog.by_index(service as usize).expect("router validated the service");
+                let cap = entry.round_cap(n);
                 let mut ws = MrSession {
                     conn,
                     n,
                     epoch,
-                    service,
-                    shards,
-                    shard: if owns_range {
-                        RoundShard::new(n, shards, index, 1)
-                    } else {
-                        // n = 0 yields the empty range: the emit loop
-                        // returns immediately, forever.
-                        RoundShard::new(0, 1, 0, 1)
-                    },
+                    wait: owns_range.then(|| RangeWait::new(n, shards, index, 1, cap as u32)),
                     stepper: (index == 0).then(|| entry.open(n)),
                     referee_round: 1,
                     pending: BTreeMap::new(),
                     needed: nonempty_shards(n, shards),
-                    cap: entry.round_cap(n),
+                    cap,
                     opened: Instant::now(),
                     round_opened: Instant::now(),
                 };
-                emit_ready_rounds(index, session, &mut ws, &tx0, exchange_key, metrics);
+                emit_ready_rounds(index, session, &mut ws, &tx0, &otx, exchange_key, metrics);
                 if index == 0 && try_advance(session, &mut ws, &otx, metrics) {
                     continue; // e.g. n = 0: judged straight from announce
                 }
@@ -853,94 +964,22 @@ fn mr_worker(
                     metrics.orphan_frames(1);
                     continue;
                 };
-                let cap = ws.cap as u32;
-                if env.from == 0 || env.from as usize > ws.n {
-                    // Out-of-range stray: recorded round-agnostically —
-                    // it poisons the current shard and fails the
-                    // session fast, whatever round it claimed.
-                    mr_evidence(
-                        index,
-                        base,
-                        session,
-                        ws,
-                        ProvableError::OutOfRangeSender,
-                        vec![evidence_record(base, conn, &env)],
-                        &otx,
-                        metrics,
-                    );
-                    let _ = ws.shard.ingest(env.from, env.payload);
-                } else if env.round == ws.shard.round() {
-                    match ws.shard.ingest(env.from, env.payload.clone()) {
-                        Ok(Arrival::Fresh) | Ok(Arrival::OutOfRange) => {}
-                        Ok(Arrival::Duplicate { identical }) => {
-                            let (error, records) = if identical {
-                                // Provable but NOT attributable: an
-                                // at-least-once network duplicates
-                                // frames too, so nobody is accused.
-                                let rec = evidence_record(base, conn, &env);
-                                (ProvableError::DuplicateSender, vec![rec.clone(), rec])
-                            } else {
-                                // Equivocation: the recorded original
-                                // and the conflicting arrival, signed
-                                // into the same (round, sender) slot.
-                                match ws.shard.message_for(env.from).cloned() {
-                                    Some(prev) => (
-                                        ProvableError::Equivocation,
-                                        vec![
-                                            evidence_record_for(base, conn, &env, &prev),
-                                            evidence_record(base, conn, &env),
-                                        ],
-                                    ),
-                                    None => (ProvableError::Equivocation, Vec::new()),
-                                }
-                            };
-                            if !records.is_empty() {
-                                mr_evidence(
-                                    index, base, session, ws, error, records, &otx, metrics,
-                                );
-                            }
-                            ws.shard.note_duplicate(env.from);
-                        }
-                        Err(_) => {
-                            // Router/worker range disagreement — a bug,
-                            // not wire data; surfaced in metrics.
-                            metrics.decode_rejects(1);
-                            continue;
-                        }
-                    }
-                } else if env.round == 0 || env.round > cap {
-                    // A round stamp outside 1..=cap can never be an
-                    // honest uplink of this session — provable on the
-                    // frame alone. Round 0 would otherwise be absorbed
-                    // as a harmless straggler; past-cap stamps poison
-                    // like any other race-ahead below.
-                    mr_evidence(
-                        index,
-                        base,
-                        session,
-                        ws,
-                        ProvableError::WrongRound,
-                        vec![evidence_record(base, conn, &env)],
-                        &otx,
-                        metrics,
-                    );
-                    if env.round > cap {
-                        ws.shard.note_duplicate(env.from);
-                    }
-                } else if env.round < ws.shard.round() {
-                    // A straggler behind an already-emitted round
-                    // partial: the referee consumed that round (per-
-                    // connection FIFO means the client re-sent it), so
-                    // it can no longer influence any verdict.
-                    metrics.orphan_frames(1);
-                } else {
-                    // An uplink for a round whose downlinks were never
-                    // issued — a client racing ahead of the protocol.
-                    // Poison the current round so the session fails
-                    // fast instead of wedging.
-                    ws.shard.note_duplicate(env.from);
+                let Some(wait) = ws.wait.as_mut() else {
+                    metrics.decode_rejects(1); // a range this worker does not own
+                    continue;
+                };
+                let from = env.from;
+                let ingested = wait.ingest(base, conn, env, metrics);
+                if let Some((error, records)) = ingested.evidence {
+                    mr_evidence(index, base, session, ws, error, records, &otx, metrics);
                 }
-                emit_ready_rounds(index, session, ws, &tx0, exchange_key, metrics);
+                if let Some(notice) = ingested.late {
+                    let endpoint = trace_endpoint::worker(index as u32);
+                    metrics.trace(session, endpoint, TraceKind::Poison, u64::from(from));
+                    // A poison notice is a few bits — never oversized.
+                    let _ = ship(index, session, ws, notice, &tx0, exchange_key, metrics);
+                }
+                emit_ready_rounds(index, session, ws, &tx0, &otx, exchange_key, metrics);
                 if index == 0 && try_advance(session, ws, &otx, metrics) {
                     sessions.remove(&(conn, session));
                 }
@@ -977,24 +1016,7 @@ fn mr_worker(
                     continue;
                 }
                 let merged = RoundPartialState::decode(ws.n, &decoded.envelope.payload)
-                    .and_then(|p| {
-                        let round = p.round();
-                        if round < ws.referee_round {
-                            // The referee already consumed this round —
-                            // impossible from a live sibling (each
-                            // emits once per round); defensive drop.
-                            metrics.orphan_frames(1);
-                            return Ok(());
-                        }
-                        let (acc, quorum) = ws
-                            .pending
-                            .remove(&round)
-                            .unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
-                        let mut acc = acc;
-                        acc.merge(p)?;
-                        ws.pending.insert(round, (acc, quorum + 1));
-                        Ok(())
-                    });
+                    .and_then(|p| accumulate(ws, p, metrics));
                 match merged {
                     Ok(()) => {
                         metrics.trace(
@@ -1008,6 +1030,8 @@ fn mr_worker(
                         }
                     }
                     Err(e) => {
+                        // A partial that does not decode or merge is an
+                        // internal fault; fail the session closed.
                         send_mr_verdict(session, ws, Err(e), &otx, metrics);
                         sessions.remove(&(conn, session));
                     }
@@ -1023,89 +1047,93 @@ fn mr_worker(
     }
 }
 
-/// While this worker's current round shard is complete or poisoned,
-/// emit its partial toward the accumulator and open the next round.
-/// In practice the loop runs at most once per arrival burst — a freshly
-/// opened round with a non-empty range has no arrivals yet — and it
-/// always terminates: every iteration advances the round, and the cap
-/// guard stops runaway emission for sessions the referee has already
-/// judged past their cap.
+/// Route one partial — a range partial or a poison notice — toward the
+/// accumulator: worker 0 merges in place, every other worker ships a
+/// MAC'd [`FrameKind::Partial`] frame stamped with the session's
+/// announce epoch. `false` if the partial is too large for the wire
+/// codec's frame cap.
+#[must_use]
+fn ship(
+    index: usize,
+    session: u64,
+    ws: &mut MrSession,
+    partial: RoundPartialState,
+    tx0: &Option<Sender<MrMsg>>,
+    exchange_key: &AuthKey,
+    metrics: &WireMetrics,
+) -> bool {
+    let Some(tx) = tx0 else {
+        accumulate(ws, partial, metrics).expect("same-n partials always merge");
+        return true;
+    };
+    let payload = partial.encode();
+    if !fits_frame(&payload) {
+        return false;
+    }
+    let env = Envelope {
+        session: SessionId(session),
+        round: ws.epoch,
+        from: index as u32,
+        to: ws.conn,
+        payload,
+    };
+    let _ = tx.send(MrMsg::Partial(encode_wire_frame(exchange_key, FrameKind::Partial, &env)));
+    true
+}
+
+/// Ship every partial this worker's range has ready. A partial beyond
+/// the frame cap (a session far outside frugal message sizes) ends the
+/// session with a typed `Invalid` verdict — never a worker panic, and
+/// never a starved wait.
 fn emit_ready_rounds(
     index: usize,
     session: u64,
     ws: &mut MrSession,
     tx0: &Option<Sender<MrMsg>>,
+    otx: &OutTx,
     exchange_key: &AuthKey,
     metrics: &WireMetrics,
 ) {
-    loop {
-        if ws.shard.range().is_empty() {
-            // n = 0 (worker 0 only — Announce filters everyone else):
-            // there is nothing to emit, ever; the zero quorum in
-            // `try_advance` supplies the implied empty partials.
+    while let Some(partial) = ws.wait.as_mut().and_then(RangeWait::take_ready) {
+        let endpoint = trace_endpoint::worker(index as u32);
+        metrics.trace(session, endpoint, TraceKind::PartialEmit, u64::from(partial.round()));
+        if !ship(index, session, ws, partial, tx0, exchange_key, metrics) {
+            let e = DecodeError::Invalid("shard partial exceeds the wire frame cap".into());
+            send_mr_verdict(session, ws, Err(e), otx, metrics);
             return;
         }
-        if !(ws.shard.is_complete() || ws.shard.is_poisoned()) {
-            return;
-        }
-        if ws.shard.round() as usize > ws.cap {
-            return; // past the cap: the referee judges, nothing to emit
-        }
-        let next = RoundShard::new(ws.n, ws.shards, index, ws.shard.round() + 1);
-        let partial = std::mem::replace(&mut ws.shard, next).into_partial();
-        let round = partial.round();
-        metrics.trace(
-            session,
-            trace_endpoint::worker(index as u32),
-            TraceKind::PartialEmit,
-            u64::from(round),
-        );
-        match tx0 {
-            Some(tx) => {
-                let payload = partial.encode();
-                let body = crate::frame::HEADER_BYTES
-                    + payload.len_bits().div_ceil(8)
-                    + crate::frame::TAG_BYTES;
-                if body > crate::frame::MAX_BODY_BYTES {
-                    // A partial beyond the frame cap (a session far
-                    // outside frugal message sizes) is dropped; the
-                    // session starves and the client's round deadline
-                    // rejects it — never a worker panic.
-                    metrics.decode_rejects(1);
-                    return;
-                }
-                let env = Envelope {
-                    session: SessionId(session),
-                    round: ws.epoch,
-                    from: index as u32,
-                    to: ws.conn,
-                    payload,
-                };
-                metrics.partial_frames(1);
-                let _ = tx.send(MrMsg::Partial(encode_wire_frame(
-                    exchange_key,
-                    FrameKind::Partial,
-                    &env,
-                )));
-            }
-            None => {
-                let (mut acc, quorum) = ws
-                    .pending
-                    .remove(&round)
-                    .unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
-                if let Err(e) = acc.merge(partial) {
-                    unreachable!("same-n same-round partials always merge: {e}");
-                }
-                ws.pending.insert(round, (acc, quorum + 1));
-            }
+        if tx0.is_some() {
+            metrics.partial_frames(1);
         }
     }
 }
 
+/// Worker 0: merge one partial into its round's accumulator. A partial
+/// for a round the referee already consumed — only ever a late poison
+/// notice — is dropped as an orphan.
+fn accumulate(
+    ws: &mut MrSession,
+    partial: RoundPartialState,
+    metrics: &WireMetrics,
+) -> Result<(), DecodeError> {
+    let round = partial.round();
+    if round < ws.referee_round {
+        metrics.orphan_frames(1);
+        return Ok(());
+    }
+    let (mut acc, quorum) =
+        ws.pending.remove(&round).unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
+    acc.merge(partial)?;
+    ws.pending.insert(round, (acc, quorum + 1));
+    Ok(())
+}
+
 /// Worker 0: consume every round whose quorum is complete (or whose
 /// accumulator is poisoned — no further partial can turn an `Err` into
-/// an `Ok`), stepping the referee in round order. Returns whether the
-/// session is done (verdict sent).
+/// an `Ok`), stepping the referee in round order. While the current
+/// round waits, a poisoned later round already fixes the verdict's
+/// `Err` shape and is judged at once. Returns whether the session is
+/// done (verdict sent).
 fn try_advance(session: u64, ws: &mut MrSession, otx: &OutTx, metrics: &WireMetrics) -> bool {
     loop {
         if ws.referee_round as usize > ws.cap {
@@ -1122,13 +1150,18 @@ fn try_advance(session: u64, ws: &mut MrSession, otx: &OutTx, metrics: &WireMetr
             return true;
         }
         let round = ws.referee_round;
-        let (acc, quorum) = ws
+        let (mut acc, quorum) = ws
             .pending
             .remove(&round)
             .unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
         if quorum < ws.needed && !acc.poisoned() {
             ws.pending.insert(round, (acc, quorum));
-            return false;
+            let Some(later) =
+                ws.pending.iter().find(|(_, (p, _))| p.poisoned()).map(|(r, _)| *r)
+            else {
+                return false;
+            };
+            acc = ws.pending.remove(&later).expect("found above").0;
         }
         metrics.record_stage(Stage::PartialMerge, ws.round_opened.elapsed());
         match acc.finish() {

@@ -1,9 +1,8 @@
 //! Cross-host shard placement: shard workers as first-class network
 //! peers.
 //!
-//! The sharded referee services ([`crate::shard`], [`crate::multiround`])
-//! already push every cross-shard partial through the full MAC'd wire
-//! codec — this module swaps the in-process channel under that codec for
+//! The referee session engine ([`crate::multiround`]) already pushes
+//! every cross-shard partial through the full MAC'd wire codec — this module swaps the in-process channel under that codec for
 //! a real socket, so shards can live on separate hosts:
 //!
 //! * [`PlacementPolicy`] (re-exported from
@@ -19,11 +18,12 @@
 //! * [`ShardHost`] is the remote worker role: it accepts coordinator
 //!   connections, each registered as one shard of a placement by a
 //!   MAC'd [`Register`](FrameKind::Register) handshake, ingests routed
-//!   uplinks into [`RefereeShard`]/[`RoundShard`] states, and ships
+//!   uplinks into the engine's per-round range waits (the same
+//!   `RoundShard` rules an in-process worker runs), and ships
 //!   [`Partial`](FrameKind::Partial) frames back over the same
 //!   authenticated codec the rest of the system speaks.
 //! * The coordinator runs one **proxy** per shard (spawned by the
-//!   remote server modes in [`crate::fleet`]): it forwards the router's
+//!   catalog server in [`crate::multiround`]): it forwards the router's
 //!   traffic to its shard host, journals everything a live shard may
 //!   still need ([`ShardJournal`]), and on disconnect redials,
 //!   re-registers and replays — so a shard-host kill/restart is
@@ -61,16 +61,24 @@
 //! rebuilt shard re-emits bit-identical partials — verdicts are
 //! unchanged by any kill/restart schedule that eventually lets the
 //! fleet drain.
+//!
+//! An uplink for a round the journal has already committed never
+//! reaches the host: the proxy itself ships the round-stamped poison
+//! notice the host would have sent, as it does for a round stamp
+//! outside `1..=cap` — so fail-fast verdicts do not depend on whether
+//! the host is alive.
 
 use crate::auth::AuthKey;
 use crate::frame::{
     encode_wire_frame, FrameKind, WireError, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES,
 };
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
+use crate::multiround::{poison_notice, MrMsg, RangeWait, ServiceCatalog};
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use referee_protocol::shard::multiround::{RoundPartialState, RoundShard};
+use crate::shard::build_evidence;
+use referee_protocol::shard::multiround::RoundPartialState;
 use referee_protocol::shard::replay::{decode_resume, encode_resume, Recorded, ShardJournal};
-use referee_protocol::shard::{shard_range, Arrival, PartialState, RefereeShard};
+use referee_protocol::shard::shard_range;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
@@ -78,7 +86,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -154,26 +162,10 @@ pub fn link_key_path(index: usize, generation: u32) -> Vec<u64> {
     vec![PLACEMENT_TWEAK, index as u64, u64::from(generation)]
 }
 
-/// Which referee service a shard-host link serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardHostMode {
-    /// One-round assembly: [`RefereeShard`] per session.
-    OneRound,
-    /// Multi-round assembly: a [`RoundShard`] per session, advanced
-    /// round by round.
-    MultiRound,
-}
-
-/// Serialize a [`Register`](FrameKind::Register) payload: mode:8,
-/// shard index:32, shard count:32, registration generation:32.
-fn encode_register(
-    mode: ShardHostMode,
-    index: usize,
-    shards: usize,
-    generation: u32,
-) -> Message {
+/// Serialize a [`Register`](FrameKind::Register) payload: shard
+/// index:32, shard count:32, registration generation:32.
+fn encode_register(index: usize, shards: usize, generation: u32) -> Message {
     let mut w = BitWriter::new();
-    w.write_bits(matches!(mode, ShardHostMode::MultiRound) as u64, 8);
     w.write_bits(index as u64, 32);
     w.write_bits(shards as u64, 32);
     w.write_bits(generation as u64, 32);
@@ -181,13 +173,8 @@ fn encode_register(
 }
 
 /// Inverse of [`encode_register`], validating the exact layout.
-fn decode_register(msg: &Message) -> Result<(ShardHostMode, usize, usize, u32), DecodeError> {
+fn decode_register(msg: &Message) -> Result<(usize, usize, u32), DecodeError> {
     let mut r = msg.reader();
-    let mode = match r.read_bits(8)? {
-        0 => ShardHostMode::OneRound,
-        1 => ShardHostMode::MultiRound,
-        m => return Err(DecodeError::Invalid(format!("unknown shard-host mode {m}"))),
-    };
     let index = r.read_bits(32)? as usize;
     let shards = r.read_bits(32)? as usize;
     let generation = r.read_bits(32)? as u32;
@@ -199,7 +186,7 @@ fn decode_register(msg: &Message) -> Result<(ShardHostMode, usize, usize, u32), 
             "registration of shard {index}/{shards} generation {generation}"
         )));
     }
-    Ok((mode, index, shards, generation))
+    Ok((index, shards, generation))
 }
 
 /// Encode the [`Register`](FrameKind::Register) handshake frame a
@@ -207,13 +194,7 @@ fn decode_register(msg: &Message) -> Result<(ShardHostMode, usize, usize, u32), 
 /// [`registration_key`]. After sending it, switch the link to
 /// [`link_key`]`(base, index, generation)`. Exposed for tests and
 /// alternative coordinator implementations.
-pub fn register_frame(
-    base: &AuthKey,
-    mode: ShardHostMode,
-    index: usize,
-    shards: usize,
-    generation: u32,
-) -> Vec<u8> {
+pub fn register_frame(base: &AuthKey, index: usize, shards: usize, generation: u32) -> Vec<u8> {
     encode_wire_frame(
         &registration_key(base),
         FrameKind::Register,
@@ -222,13 +203,13 @@ pub fn register_frame(
             round: generation,
             from: index as u32,
             to: 0,
-            payload: encode_register(mode, index, shards, generation),
+            payload: encode_register(index, shards, generation),
         },
     )
 }
 
 /// Whether a partial payload fits the wire codec's frame cap.
-fn fits_frame(payload: &Message) -> bool {
+pub(crate) fn fits_frame(payload: &Message) -> bool {
     HEADER_BYTES + payload.len_bits().div_ceil(8) + TAG_BYTES <= MAX_BODY_BYTES
 }
 
@@ -398,7 +379,8 @@ impl Drop for ShardHost {
 /// One registered coordinator link on a shard host.
 struct HostLink {
     conn: Conn,
-    role: Option<(ShardHostMode, usize, usize)>,
+    /// `(shard index, shard count)`, once registered.
+    role: Option<(usize, usize)>,
     /// Shard state keyed by (coordinator client-connection id, session).
     sessions: HashMap<(u32, u64), HostSession>,
     /// Flight-recorder watermark: events below this sequence were
@@ -408,17 +390,14 @@ struct HostLink {
     shipped_seq: u64,
 }
 
-/// Per-session shard state on a host. `opened` is when the current
-/// range wait began (the announce, or the previous multi-round emit) —
-/// the zero point for the host's uplinks-complete stage histogram.
-enum HostSession {
-    /// One-round: `None` once the range partial shipped (later arrivals
-    /// are by definition duplicates or strays — reported as poison
-    /// notices so the session fails fast, exactly like the in-process
-    /// worker).
-    One { n: usize, epoch: u32, shard: Option<RefereeShard>, opened: Instant },
-    /// Multi-round: the round currently collecting, advanced on emit.
-    Multi { n: usize, epoch: u32, shard: RoundShard, cap: usize, opened: Instant },
+/// Per-session shard state on a host: the engine's range wait, under
+/// the session's announce epoch. `opened` is when the current range
+/// wait began (the announce, or the previous emit) — the zero point
+/// for the host's uplinks-complete stage histogram.
+struct HostSession {
+    epoch: u32,
+    wait: RangeWait,
+    opened: Instant,
 }
 
 /// The shard-host accept/pump loop.
@@ -479,7 +458,7 @@ fn run_shard_host(
                         // Wrong base key, a sibling shard's key, or a
                         // stale-generation frame: fail the link closed.
                         metrics.mac_rejects(1);
-                        if let Some((_, index, _)) = link.role {
+                        if let Some((index, _)) = link.role {
                             let ep = trace_endpoint::shard_host(index as u32);
                             metrics.trace(0, ep, TraceKind::MacReject, 0);
                         }
@@ -512,13 +491,13 @@ fn host_frame(
     base: &AuthKey,
     metrics: &WireMetrics,
 ) -> Result<(), ()> {
-    let Some((mode, index, shards)) = link.role else {
+    let Some((index, shards)) = link.role else {
         // The registration handshake must come first — and only once.
-        let (mode, index, shards, generation) = match kind {
+        let (index, shards, generation) = match kind {
             FrameKind::Register => decode_register(&env.payload).map_err(|_| ())?,
             _ => return Err(()),
         };
-        link.role = Some((mode, index, shards));
+        link.role = Some((index, shards));
         link.conn.set_key(link_key(base, index, generation));
         let ep = trace_endpoint::shard_host(index as u32);
         link.conn.trace_with(metrics.recorder_arc(), ep);
@@ -533,80 +512,58 @@ fn host_frame(
             let session = env.session.0;
             let epoch = env.round;
             metrics.trace(session, endpoint, TraceKind::Announce, n as u64);
-            let hs = match mode {
-                ShardHostMode::OneRound => HostSession::One {
-                    n,
-                    epoch,
-                    shard: Some(RefereeShard::new(n, shards, index)),
-                    opened: Instant::now(),
-                },
-                ShardHostMode::MultiRound => {
-                    if shard_range(n, shards, index).is_empty() {
-                        // Empty ranges never receive data and never
-                        // emit — their per-round partials are implied.
-                        return Ok(());
-                    }
-                    HostSession::Multi {
-                        n,
-                        epoch,
-                        shard: RoundShard::new(n, shards, index, resume),
-                        cap: cap as usize,
-                        opened: Instant::now(),
-                    }
-                }
+            if shard_range(n, shards, index).is_empty() {
+                // Empty ranges never receive data and never emit — their
+                // per-round partials are implied.
+                return Ok(());
+            }
+            let hs = HostSession {
+                epoch,
+                wait: RangeWait::new(n, shards, index, resume, cap),
+                opened: Instant::now(),
             };
             // A re-announce of a live key only happens when the
             // coordinator re-registered (its journal replay is about to
             // rebuild the state): start fresh.
             link.sessions.insert((conn, session), hs);
-            emit_ready(link, (conn, session), index, shards, metrics);
+            emit_ready(link, (conn, session), index, metrics);
             Ok(())
         }
         FrameKind::Data => {
-            let key = (env.to, env.session.0);
+            // The proxy carries the client connection in `to`; client
+            // uplinks address the referee (0), the only address an
+            // evidence record accepts.
+            let conn = env.to;
+            let key = (conn, env.session.0);
             let Some(hs) = link.sessions.get_mut(&key) else {
                 metrics.orphan_frames(1); // finished or retired in flight
                 return Ok(());
             };
-            metrics.trace(env.session.0, endpoint, TraceKind::Uplink, u64::from(env.from));
-            match hs {
-                HostSession::One { n, epoch, shard, .. } => match shard.as_mut() {
-                    Some(s) => match s.ingest(env.from, env.payload) {
-                        Ok(Arrival::Fresh) | Ok(Arrival::OutOfRange) => {}
-                        Ok(Arrival::Duplicate { .. }) => s.note_duplicate(env.from),
-                        Err(_) => {
-                            // Coordinator/host range disagreement — a
-                            // bug, not wire data.
-                            metrics.decode_rejects(1);
-                            return Ok(());
-                        }
-                    },
-                    None => {
-                        // The range partial already shipped: this is a
-                        // duplicate or stray — report it so the session
-                        // fails fast instead of wedging a sibling.
-                        metrics.trace(
-                            env.session.0,
-                            endpoint,
-                            TraceKind::Poison,
-                            u64::from(env.from),
-                        );
-                        let poison = PartialState::poison_notice(*n, env.from);
-                        let round = (*epoch << 1) | 1;
-                        queue_partial(
-                            &mut link.conn,
-                            env.session,
-                            round,
-                            index,
-                            env.to,
-                            &poison.encode(),
-                            metrics,
-                        );
-                    }
-                },
-                HostSession::Multi { n, shard, .. } => mr_ingest(*n, shard, &env, metrics),
+            let (session, from) = (env.session, env.from);
+            metrics.trace(session.0, endpoint, TraceKind::Uplink, u64::from(from));
+            let ingested = hs.wait.ingest(base, conn, Envelope { to: 0, ..env }, metrics);
+            if let Some((error, records)) = ingested.evidence {
+                let (n, cap) = (hs.wait.n, hs.wait.cap);
+                // Logged host-side only: the host has no client link.
+                let _ = build_evidence(
+                    base, conn, session.0, n, cap, error, records, endpoint, metrics,
+                );
             }
-            emit_ready(link, key, index, shards, metrics);
+            if let Some(notice) = ingested.late {
+                // Fail fast instead of wedging a sibling range's wait.
+                metrics.trace(session.0, endpoint, TraceKind::Poison, u64::from(from));
+                let payload = notice.encode();
+                queue_partial(
+                    &mut link.conn,
+                    session,
+                    hs.epoch,
+                    index,
+                    conn,
+                    &payload,
+                    metrics,
+                );
+            }
+            emit_ready(link, key, index, metrics);
             Ok(())
         }
         FrameKind::Finish => {
@@ -653,79 +610,24 @@ fn ship_trace(link: &mut HostLink, index: usize, metrics: &WireMetrics) {
     link.conn.queue_frame(FrameKind::Trace, &env);
 }
 
-/// Multi-round ingest, mirroring the in-process worker's round rules.
-fn mr_ingest(n: usize, shard: &mut RoundShard, env: &Envelope, metrics: &WireMetrics) {
-    if env.from == 0 || env.from as usize > n {
-        // Out-of-range stray: poisons whatever round is collecting.
-        let _ = shard.ingest(env.from, env.payload.clone());
-    } else if env.round == shard.round() {
-        match shard.ingest(env.from, env.payload.clone()) {
-            Ok(Arrival::Fresh) | Ok(Arrival::OutOfRange) => {}
-            Ok(Arrival::Duplicate { .. }) => shard.note_duplicate(env.from),
-            Err(_) => metrics.decode_rejects(1),
-        }
-    } else if env.round < shard.round() {
-        // Committed history — the referee consumed that round.
-        metrics.orphan_frames(1);
-    } else {
-        // An uplink for a round whose downlinks were never issued:
-        // poison the current round so the session fails fast.
-        shard.note_duplicate(env.from);
-    }
-}
-
-/// Emit whatever this session's shard state has ready: the one-round
-/// range partial once complete/poisoned, or every consecutive complete
-/// multi-round partial (advancing the round each time).
-fn emit_ready(
-    link: &mut HostLink,
-    key: (u32, u64),
-    index: usize,
-    shards: usize,
-    metrics: &WireMetrics,
-) {
+/// Ship every partial this session's range wait has ready, advancing
+/// the round each time.
+fn emit_ready(link: &mut HostLink, key: (u32, u64), index: usize, metrics: &WireMetrics) {
     let Some(hs) = link.sessions.get_mut(&key) else { return };
     let (conn, session) = key;
-    match hs {
-        HostSession::One { epoch, shard, opened, .. } => {
-            let ready = shard.as_ref().is_some_and(|s| s.is_complete() || s.is_poisoned());
-            if !ready {
-                return;
-            }
-            metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
-            let partial = shard.take().expect("checked above").into_partial();
-            let round = *epoch << 1;
-            queue_partial(
-                &mut link.conn,
-                SessionId(session),
-                round,
-                index,
-                conn,
-                &partial.encode(),
-                metrics,
-            );
-        }
-        HostSession::Multi { n, epoch, shard, cap, opened } => loop {
-            if shard.range().is_empty() || !(shard.is_complete() || shard.is_poisoned()) {
-                return;
-            }
-            if shard.round() as usize > *cap {
-                return; // past the cap: the referee judges server-side
-            }
-            metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
-            *opened = Instant::now();
-            let next = RoundShard::new(*n, shards, index, shard.round() + 1);
-            let partial = std::mem::replace(shard, next).into_partial();
-            queue_partial(
-                &mut link.conn,
-                SessionId(session),
-                *epoch,
-                index,
-                conn,
-                &partial.encode(),
-                metrics,
-            );
-        },
+    while let Some(partial) = hs.wait.take_ready() {
+        metrics.record_stage(Stage::UplinksComplete, hs.opened.elapsed());
+        hs.opened = Instant::now();
+        let payload = partial.encode();
+        queue_partial(
+            &mut link.conn,
+            SessionId(session),
+            hs.epoch,
+            index,
+            conn,
+            &payload,
+            metrics,
+        );
     }
 }
 
@@ -764,45 +666,8 @@ fn queue_partial(
 // Coordinator-side proxy
 // ---------------------------------------------------------------------------
 
-/// Router traffic as the proxy consumes it (adapters in
-/// [`crate::shard`]/[`crate::multiround`] convert their channel enums).
-pub(crate) enum ProxyEvent {
-    /// A session opened on the coordinator.
-    Announce {
-        /// Coordinator client-connection id.
-        conn: u32,
-        /// Session id on that connection.
-        session: u64,
-        /// Network size.
-        n: usize,
-        /// The session's announce epoch (fences stale partials at the
-        /// accumulator).
-        epoch: u32,
-    },
-    /// A routed uplink for this shard's range.
-    Data {
-        /// Coordinator client-connection id.
-        conn: u32,
-        /// The authenticated envelope as received from the client.
-        env: Envelope,
-    },
-    /// The session was judged — drop and tell the host.
-    Finish {
-        /// Coordinator client-connection id.
-        conn: u32,
-        /// Session id on that connection.
-        session: u64,
-    },
-    /// A client connection died — drop all of its sessions.
-    Retire {
-        /// Coordinator client-connection id.
-        conn: u32,
-    },
-}
-
 /// Everything a proxy needs to serve one shard remotely.
 pub(crate) struct ProxyConfig<'a> {
-    pub mode: ShardHostMode,
     pub index: usize,
     pub shards: usize,
     pub base: &'a AuthKey,
@@ -827,16 +692,15 @@ struct ProxySession {
     cap: u32,
 }
 
-/// One shard's coordinator proxy: forwards router traffic to the shard
-/// host, journals for replay, redials on disconnect, and pipes the
+/// One shard's coordinator proxy: forwards the router's traffic to the
+/// shard host, journals for replay, redials on disconnect, and pipes the
 /// host's partials (re-MAC'd under the exchange key) to the
-/// accumulator. Runs until its event channel disconnects.
-pub(crate) fn run_proxy<M: Send>(
+/// accumulator. Runs until its inbox disconnects.
+pub(crate) fn run_proxy(
     cfg: ProxyConfig<'_>,
-    rx: Receiver<M>,
-    to_event: impl Fn(M) -> Option<ProxyEvent>,
-    send_partial: impl Fn(Vec<u8>),
-    round_cap: impl Fn(usize) -> usize,
+    rx: Receiver<MrMsg>,
+    acc: Sender<MrMsg>,
+    catalog: &ServiceCatalog,
 ) {
     let host = cfg.placement.policy().host_of_shard(cfg.index);
     let mut link: Option<Conn> = None;
@@ -850,21 +714,9 @@ pub(crate) fn run_proxy<M: Send>(
         match rx.recv_timeout(Duration::from_micros(200)) {
             Ok(m) => {
                 let mut next = Some(m);
-                loop {
-                    if let Some(ev) = next.take().and_then(&to_event) {
-                        proxy_event(
-                            &cfg,
-                            ev,
-                            &mut sessions,
-                            &mut link,
-                            &round_cap,
-                            &send_partial,
-                        );
-                    }
-                    match rx.try_recv() {
-                        Ok(m) => next = Some(m),
-                        Err(_) => break,
-                    }
+                while let Some(m) = next {
+                    proxy_event(&cfg, m, &mut sessions, &mut link, catalog, &acc);
+                    next = rx.try_recv().ok();
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -880,14 +732,15 @@ pub(crate) fn run_proxy<M: Send>(
         }
         // Pump the socket: flush queued frames, absorb partials.
         if let Some(conn) = link.as_mut() {
-            pump_partials(&cfg, conn, &mut scratch, &mut sessions, &send_partial);
+            pump_partials(&cfg, conn, &mut scratch, &mut sessions, &acc);
         }
     }
 }
 
 /// Dial the shard host, register generation `generation + 1`, and
-/// replay every uncommitted session from the journal (round caps were
-/// fixed at announce time; replay reuses the stored ones).
+/// replay every session with a round left to collect from the journal
+/// (round caps were fixed at announce time; replay reuses the stored
+/// ones).
 fn dial(
     cfg: &ProxyConfig<'_>,
     host: HostId,
@@ -910,14 +763,14 @@ fn dial(
             round: *generation,
             from: cfg.index as u32,
             to: 0,
-            payload: encode_register(cfg.mode, cfg.index, cfg.shards, *generation),
+            payload: encode_register(cfg.index, cfg.shards, *generation),
         },
     );
     conn.set_key(link_key(cfg.base, cfg.index, *generation));
     cfg.metrics.shard_reconnects(1);
     for ((cconn, session), ps) in sessions {
-        if matches!(cfg.mode, ShardHostMode::OneRound) && ps.journal.committed() {
-            continue; // the range partial already merged; nothing to rebuild
+        if ps.journal.resume_round() > ps.cap {
+            continue; // every round's partial merged; nothing to rebuild
         }
         conn.queue_frame(
             FrameKind::Announce,
@@ -948,18 +801,20 @@ fn dial(
     Some(conn)
 }
 
-/// Apply one router event: journal, forward, or synthesize.
+/// Apply one router message: journal, forward, or synthesize.
 fn proxy_event(
     cfg: &ProxyConfig<'_>,
-    ev: ProxyEvent,
+    msg: MrMsg,
     sessions: &mut HashMap<(u32, u64), ProxySession>,
     link: &mut Option<Conn>,
-    round_cap: &impl Fn(usize) -> usize,
-    send_partial: &impl Fn(Vec<u8>),
+    catalog: &ServiceCatalog,
+    acc: &Sender<MrMsg>,
 ) {
-    match ev {
-        ProxyEvent::Announce { conn, session, n, epoch } => {
-            let cap = round_cap(n) as u32;
+    match msg {
+        MrMsg::Announce { conn, session, n, epoch, service } => {
+            let entry =
+                catalog.by_index(service as usize).expect("router validated the service");
+            let cap = entry.round_cap(n) as u32;
             cfg.metrics.trace(session, cfg.endpoint(), TraceKind::Announce, n as u64);
             sessions.insert(
                 (conn, session),
@@ -979,54 +834,53 @@ fn proxy_event(
                 c.flush();
             }
         }
-        ProxyEvent::Data { conn, env } => {
+        MrMsg::Data { conn, env } => {
             let Some(ps) = sessions.get_mut(&(conn, env.session.0)) else {
                 cfg.metrics.orphan_frames(1); // judged or retired in flight
                 return;
             };
-            match cfg.mode {
-                ShardHostMode::OneRound if ps.journal.committed() => {
-                    // The range partial already merged, so this arrival
-                    // is a duplicate or stray by definition. Synthesize
-                    // the poison notice *here* — the shard host may not
-                    // even hold the session any more (e.g. it restarted
-                    // and committed sessions are not replayed), and the
-                    // fail-fast verdict must not depend on host
-                    // liveness.
-                    let poison = PartialState::poison_notice(ps.journal.n(), env.from);
-                    cfg.metrics.trace(
-                        env.session.0,
-                        cfg.endpoint(),
-                        TraceKind::Poison,
-                        u64::from(env.from),
-                    );
-                    let notice = Envelope {
-                        session: env.session,
-                        round: (ps.epoch << 1) | 1,
-                        from: cfg.index as u32,
-                        to: conn,
-                        payload: poison.encode(),
-                    };
-                    send_partial(encode_wire_frame(
-                        cfg.exchange_key,
-                        FrameKind::Partial,
-                        &notice,
-                    ));
+            // A round stamp outside 1..=cap poisons the round being
+            // collected (the last one, once all have merged); a round
+            // whose partial already merged is poisoned by any arrival.
+            // Either way synthesize the notice *here*: the shard host
+            // may not even hold the session any more (e.g. it restarted
+            // and committed rounds are not replayed), and the fail-fast
+            // verdict must not depend on host liveness.
+            let resume = ps.journal.resume_round();
+            let poisoned = if env.round == 0 || env.round > ps.cap {
+                Some(resume.min(ps.cap))
+            } else {
+                (env.round < resume).then_some(env.round)
+            };
+            if let Some(round) = poisoned {
+                let from = env.from;
+                cfg.metrics.trace(
+                    env.session.0,
+                    cfg.endpoint(),
+                    TraceKind::Poison,
+                    u64::from(from),
+                );
+                let notice = Envelope {
+                    session: env.session,
+                    round: ps.epoch,
+                    from: cfg.index as u32,
+                    to: conn,
+                    payload: poison_notice(ps.journal.n(), round, from).encode(),
+                };
+                let frame = encode_wire_frame(cfg.exchange_key, FrameKind::Partial, &notice);
+                let _ = acc.send(MrMsg::Partial(frame));
+            } else if ps.journal.record(env.round, env.from, env.payload.clone())
+                == Recorded::Forward
+            {
+                if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
+                    c.queue_frame(FrameKind::Data, &Envelope { to: conn, ..env });
+                    c.flush();
                 }
-                _ => match ps.journal.record(env.round, env.from, env.payload.clone()) {
-                    Recorded::Stale => cfg.metrics.orphan_frames(1),
-                    Recorded::Forward => {
-                        if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                            c.queue_frame(FrameKind::Data, &Envelope { to: conn, ..env });
-                            c.flush();
-                        }
-                        // Not yet on the wire? The journal has it — the
-                        // next (re)dial replays it.
-                    }
-                },
+                // Not yet on the wire? The journal has it — the next
+                // (re)dial replays it.
             }
         }
-        ProxyEvent::Finish { conn, session } => {
+        MrMsg::Finish { conn, session } => {
             sessions.remove(&(conn, session));
             if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
                 c.queue_frame(
@@ -1042,7 +896,7 @@ fn proxy_event(
                 c.flush();
             }
         }
-        ProxyEvent::Retire { conn } => {
+        MrMsg::Retire { conn } => {
             sessions.retain(|(owner, _), _| *owner != conn);
             if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
                 c.queue_frame(
@@ -1058,6 +912,8 @@ fn proxy_event(
                 c.flush();
             }
         }
+        // Partials flow toward the accumulator, never into a proxy.
+        MrMsg::Partial(_) => {}
     }
 }
 
@@ -1069,7 +925,7 @@ fn pump_partials(
     conn: &mut Conn,
     scratch: &mut [u8],
     sessions: &mut HashMap<(u32, u64), ProxySession>,
-    send_partial: &impl Fn(Vec<u8>),
+    acc: &Sender<MrMsg>,
 ) {
     conn.flush();
     let got = conn.fill(scratch);
@@ -1090,32 +946,19 @@ fn pump_partials(
                     cfg.metrics.orphan_frames(1); // judged while in flight
                     continue;
                 };
-                match cfg.mode {
-                    ShardHostMode::OneRound => {
-                        if env.round >> 1 != ps.epoch {
-                            cfg.metrics.orphan_frames(1); // stale announce run
-                            continue;
-                        }
-                        if env.round & 1 == 0 {
-                            ps.journal.commit(1);
-                            cfg.metrics.partial_frames(1);
-                        }
-                    }
-                    ShardHostMode::MultiRound => {
-                        if env.round != ps.epoch {
-                            cfg.metrics.orphan_frames(1);
-                            continue;
-                        }
-                        // Commit the emitted round; a malformed payload
-                        // is still forwarded — the accumulator's decode
-                        // fails the session closed.
-                        if let Ok(p) = RoundPartialState::decode(ps.journal.n(), &env.payload) {
-                            ps.journal.commit(p.round());
-                        }
-                        cfg.metrics.partial_frames(1);
-                    }
+                if env.round != ps.epoch {
+                    cfg.metrics.orphan_frames(1); // stale announce run
+                    continue;
                 }
-                send_partial(encode_wire_frame(cfg.exchange_key, FrameKind::Partial, &env));
+                // Commit the emitted round; a malformed payload is still
+                // forwarded — the accumulator's decode fails the session
+                // closed.
+                if let Ok(p) = RoundPartialState::decode(ps.journal.n(), &env.payload) {
+                    ps.journal.commit(p.round());
+                }
+                cfg.metrics.partial_frames(1);
+                let frame = encode_wire_frame(cfg.exchange_key, FrameKind::Partial, &env);
+                let _ = acc.send(MrMsg::Partial(frame));
             }
             Ok(Some((FrameKind::Trace, env))) => {
                 // A trace segment the host shipped on Finish/Retire:

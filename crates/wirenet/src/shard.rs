@@ -1,92 +1,43 @@
-//! The sharded referee service: [`FleetServer`](crate::FleetServer) in
-//! `spawn_sharded` mode assembles sessions itself instead of echoing.
+//! The one-round verifier as a catalog service.
 //!
-//! # Topology
+//! [`FleetServer::spawn_sharded`](crate::FleetServer::spawn_sharded)
+//! (and any builder given shards or a placement but no catalog) runs
+//! the multi-round engine of [`crate::multiround`] with a one-entry
+//! catalog: a **digest referee** whose round cap is 1 and whose
+//! round-1 step answers with the keyed [`vector_digest`] of the
+//! assembled uplink vector. In the paper's model a one-round protocol is
+//! exactly a multi-round protocol that stops after round 1, so nothing
+//! else is needed:
 //!
-//! One **router** thread owns the listener and every client connection;
-//! `k` **shard workers** each own the [`RefereeShard`] states for
-//! their slice of every session's ID space. Per session:
+//! * [`FleetClient::verify_session`](crate::FleetClient::verify_session)
+//!   announces with the bare 32-bit payload, which selects catalog
+//!   entry 0, and stamps its uplinks round 1;
+//! * the verdict is the engine's — `1` plus the 64-bit digest, or `0`
+//!   plus the 2-bit rejection class — and the client cross-checks the
+//!   digest against the vector it sent, so a referee that reordered,
+//!   truncated or substituted anything is caught.
 //!
-//! 1. the client announces `(session, n)`
-//!    ([`Announce`](FrameKind::Announce)); the router broadcasts it so
-//!    every worker opens its shard (`shard i` owning
-//!    `shard_range(n, k, i)`);
-//! 2. authenticated [`Data`](FrameKind::Data) frames are routed to
-//!    workers by sender range (`route_arrival`) — the router never
-//!    touches payloads;
-//! 3. a worker whose range completes serializes its
-//!    [`PartialState`] into a
-//!    [`Partial`](FrameKind::Partial) frame — encoded and MAC'd by the
-//!    **same wire codec** as everything else, under a key derived for
-//!    the exchange domain — and ships it to worker 0 (in-process by
-//!    default; with a [`RemotePlacement`] the ranges live on
-//!    [`ShardHost`](crate::placement::ShardHost) peers instead — see
-//!    [`crate::placement`]);
-//! 4. worker 0 merges the `k` partials (any arrival order — merge is
-//!    commutative) and finishes: the canonical verdict plus, on
-//!    success, a keyed [`vector_digest`] of the assembled message
-//!    vector, returned to the client as a
-//!    [`Verdict`](FrameKind::Verdict) frame under the client
-//!    connection's derived key.
-//!
-//! # Lifecycle and failure behaviour
-//!
-//! Sessions are keyed by **(connection, session id)** end to end, so
-//! independent clients may number their sessions identically. A judged
-//! session is retired from the router and every worker the moment its
-//! verdict ships (the id becomes re-announceable on its connection);
-//! a dying connection retires all of its sessions everywhere.
-//!
-//! Faulty sessions fail **fast**: a duplicate or out-of-range sender
-//! fixes the verdict's `Err` shape, so the observing shard emits its
-//! (poisoned) partial immediately — and arrivals landing after a shard
-//! already shipped are themselves reported as poison notices — letting
-//! worker 0 judge without waiting for ranges that may never fill. The
-//! fast verdict reports the first fault *detected* in the connection's
-//! FIFO arrival order (deterministic per client), which may name a
-//! different offender than the fully-canonical protocol-layer verdict;
-//! the `Err`-vs-`Ok` shape is always identical.
-//!
-//! A client that corrupts or loses traffic never yields a wrong accept:
-//! tampered frames die at the router's MAC check (poisoning the
-//! connection, whose sessions are then retired from every worker), and
-//! the digest lets the client cross-check that the referee assembled
-//! *exactly* the vector it sent.
+//! Faulty sessions fail fast through the engine's round rules
+//! (duplicates, out-of-range senders, wrong round stamps and arrivals
+//! behind a shipped range all poison round 1). The module also holds
+//! the evidence helpers every worker uses to turn such a violation into
+//! a self-contained [`EvidenceBundle`].
 
 use crate::auth::AuthKey;
-use crate::fleet::accept_conn;
-use crate::frame::{decode_frame, encode_wire_frame, FrameKind, WireError};
-use crate::metrics::{trace_endpoint, Stage, WireMetrics};
-use crate::placement::{run_proxy, ProxyConfig, ProxyEvent, RemotePlacement, ShardHostMode};
-use crate::poll::{fd_of, Poller, PollerBackend, Readiness, Waker};
-use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
+use crate::metrics::WireMetrics;
+use crate::multiround::{decode_mr_verdict, RefereeStepper, ServiceCatalog, WireReferee};
 use referee_protocol::evidence::{
     encode_record_body, verify_bundle, EvidenceBundle, EvidenceRecord, ProvableError,
     SessionParams,
 };
-use referee_protocol::shard::{route_arrival, Arrival, PartialState, RefereeShard};
+use referee_protocol::multiround::RefereeStep;
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
-use referee_simnet::{Envelope, SessionId};
-use std::collections::{HashMap, VecDeque};
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::thread;
-use std::time::{Duration, Instant};
-
-/// Domain-separation tweak for the shard-to-shard exchange key.
-const EXCHANGE_TWEAK: u64 = 0x7368_6172_645f_7863; // "shard_xc"
+use referee_simnet::Envelope;
+use std::sync::Arc;
 
 /// Domain-separation tweak for the message-vector digest key.
 const DIGEST_TWEAK: u64 = 0x7368_6172_645f_6467; // "shard_dg"
-
-/// How many finished session routes the router remembers (FIFO). A
-/// finished route only exists to classify short-lived stragglers behind
-/// a fast verdict as harmless; beyond this window a straggler is
-/// treated as the protocol violation it is, and the memory stays
-/// bounded no matter how many sessions a long-lived connection judges.
-const FINISHED_ROUTE_CAP: usize = 4096;
 
 /// Keyed digest of an assembled message vector: SipHash-2-4 under
 /// `key.derive(DIGEST_TWEAK)` over every message's position, bit length
@@ -103,912 +54,45 @@ pub fn vector_digest(key: &AuthKey, messages: &[Message]) -> u64 {
     key.derive(DIGEST_TWEAK).tag(&buf)
 }
 
-/// Serialize a verdict: ok bit + digest on success, else a 2-bit
-/// rejection class (the canonical `DecodeError` variant — the detailed
-/// text stays server-side).
-pub(crate) fn encode_verdict(result: &Result<u64, DecodeError>) -> Message {
-    let mut w = BitWriter::new();
-    match result {
-        Ok(digest) => {
-            w.push_bit(true);
-            w.write_bits(*digest, 64);
-        }
-        Err(e) => {
-            w.push_bit(false);
-            let class = match e {
-                DecodeError::Truncated => 0u64,
-                DecodeError::OutOfRange(_) => 1,
-                DecodeError::Inconsistent(_) => 2,
-                DecodeError::Invalid(_) => 3,
-            };
-            w.write_bits(class, 2);
-        }
-    }
-    Message::from_writer(w)
+/// The one-round verifier as a [`WireReferee`]: round cap 1, and the
+/// round-1 step outputs the 64-bit [`vector_digest`] of the uplinks.
+struct DigestReferee {
+    key: AuthKey,
 }
 
-/// Inverse of [`encode_verdict`]; malformed verdict payloads surface as
-/// `DecodeError::Invalid`.
-pub(crate) fn decode_verdict(msg: &Message) -> Result<u64, DecodeError> {
-    let mut r = msg.reader();
-    if r.read_bit()? {
-        let digest = r.read_bits(64)?;
-        if !r.is_exhausted() {
-            return Err(DecodeError::Invalid("trailing bits after verdict digest".into()));
-        }
-        return Ok(digest);
+impl WireReferee for DigestReferee {
+    fn open(&self, _n: usize) -> Box<dyn RefereeStepper> {
+        Box::new(DigestReferee { key: self.key })
     }
-    let class = r.read_bits(2)?;
+
+    fn round_cap(&self, _n: usize) -> usize {
+        1
+    }
+}
+
+impl RefereeStepper for DigestReferee {
+    fn step(&mut self, _n: usize, _round: usize, uplinks: &[Message]) -> RefereeStep<Message> {
+        let mut w = BitWriter::new();
+        w.write_bits(vector_digest(&self.key, uplinks), 64);
+        RefereeStep::Done(Message::from_writer(w))
+    }
+}
+
+/// The catalog a server without one serves: the digest referee alone.
+pub(crate) fn digest_catalog(key: AuthKey) -> ServiceCatalog {
+    ServiceCatalog::single(Arc::new(DigestReferee { key }))
+}
+
+/// Decode a digest service's verdict payload into the digest, or the
+/// rejection that ended the session.
+pub(crate) fn decode_digest_verdict(msg: &Message) -> Result<u64, DecodeError> {
+    let out = decode_mr_verdict(msg)?;
+    let mut r = out.reader();
+    let digest = r.read_bits(64)?;
     if !r.is_exhausted() {
-        return Err(DecodeError::Invalid("trailing bits after verdict class".into()));
+        return Err(DecodeError::Invalid("trailing bits after verdict digest".into()));
     }
-    Err(match class {
-        0 => DecodeError::Truncated,
-        1 => DecodeError::OutOfRange("sharded referee: out-of-range sender".into()),
-        2 => DecodeError::Inconsistent("sharded referee: duplicate or missing message".into()),
-        _ => DecodeError::Invalid("sharded referee: invalid session traffic".into()),
-    })
-}
-
-/// Router → worker (and worker → worker 0) traffic. Sessions are keyed
-/// by `(conn, session)` throughout, so independent clients may number
-/// their sessions identically without colliding.
-pub(crate) enum ShardMsg {
-    /// A session opened: every worker creates its shard. `epoch` is the
-    /// router's announce sequence number for this (conn, session) run.
-    Announce { conn: u32, session: u64, n: usize, epoch: u32 },
-    /// An authenticated arrival routed to this worker's range.
-    Data { conn: u32, env: Envelope },
-    /// A wire-encoded [`FrameKind::Partial`] frame (worker 0 only).
-    /// The frame's `round` packs `(epoch << 1) | poison_bit`: epoch
-    /// guards against a slow sibling's partial from a *previous* run of
-    /// a re-announced (conn, session) key leaking into the current one
-    /// (worker→worker-0 sends are not ordered against router→worker-0
-    /// sends); poison_bit 0 = a shard's range partial (counts toward
-    /// the merge quorum), 1 = a poison notice for an arrival observed
-    /// after the range partial shipped (merged, but not quorum).
-    Partial(Vec<u8>),
-    /// A session's verdict shipped: drop its state everywhere.
-    Finish { conn: u32, session: u64 },
-    /// A connection died: drop its sessions.
-    Retire { conn: u32 },
-}
-
-/// Worker → router: a frame to deliver to a client — a session verdict
-/// ([`FrameKind::Verdict`], worker 0 only) or an evidence bundle
-/// ([`FrameKind::Evidence`], any worker that observed a provable
-/// violation).
-struct VerdictMsg {
-    conn: u32,
-    session: SessionId,
-    kind: FrameKind,
-    /// The frame's `from` field: 0 for verdicts, the accused principal
-    /// (or 0 when unattributable) for evidence.
-    from: u32,
-    payload: Message,
-}
-
-/// The verdict channel paired with the router poller's waker: mpsc
-/// sends are invisible to `epoll`, so every verdict send nudges the
-/// router out of its kernel readiness wait.
-struct VerdictTx {
-    tx: Sender<VerdictMsg>,
-    waker: Waker,
-}
-
-impl VerdictTx {
-    fn send(&self, v: VerdictMsg) {
-        let _ = self.tx.send(v);
-        self.waker.wake();
-    }
-}
-
-/// Router-side per-session record: network size plus whether the
-/// verdict already shipped (late data for a finished session is
-/// harmless straggle, not a protocol violation, and the id becomes
-/// re-announceable).
-struct SessionRoute {
-    n: usize,
-    finished: bool,
-}
-
-/// Per-session state inside one worker.
-struct WorkerSession {
-    conn: u32,
-    n: usize,
-    /// The announce epoch of this run (stamped into partial frames so
-    /// stale cross-shard traffic of an earlier run cannot merge here).
-    epoch: u32,
-    /// `None` once the shard completed (or poisoned) and its partial
-    /// was emitted.
-    shard: Option<RefereeShard>,
-    /// Every Fresh uplink this worker's range accepted, retained past
-    /// the partial's emission: a late conflicting frame for an
-    /// already-shipped range must still be provable as equivocation
-    /// (the shard itself is gone by then — see the `None` arm of the
-    /// data path). Bounded by the session's range width and lifetime.
-    transcript: Vec<(u32, Message)>,
-    /// Worker 0 only: the merge accumulator and quorum progress.
-    acc: PartialState,
-    merged: usize,
-    /// When this worker saw the announce — the zero point for the
-    /// partial-merge and server-side verdict stage histograms.
-    opened: Instant,
-}
-
-/// The sharded-mode server loop (spawned by
-/// [`FleetServer::spawn_sharded`](crate::FleetServer::spawn_sharded)).
-pub(crate) fn run_sharded_server(
-    listener: TcpListener,
-    key: AuthKey,
-    shards: usize,
-    shutdown: &AtomicBool,
-    metrics: &WireMetrics,
-    poller: Poller,
-) {
-    let exchange_key = key.derive(EXCHANGE_TWEAK);
-    let (verdict_tx, verdict_rx) = std::sync::mpsc::channel::<VerdictMsg>();
-    let mut worker_txs: Vec<Sender<ShardMsg>> = Vec::with_capacity(shards);
-    let mut worker_rxs: Vec<Receiver<ShardMsg>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = std::sync::mpsc::channel();
-        worker_txs.push(tx);
-        worker_rxs.push(rx);
-    }
-    thread::scope(|scope| {
-        for (i, rx) in worker_rxs.into_iter().enumerate().rev() {
-            // Worker 0 merges its own partial directly and must not hold
-            // a sender to itself (its inbox would never disconnect).
-            let tx0 = if i == 0 { None } else { Some(worker_txs[0].clone()) };
-            let vtx = VerdictTx { tx: verdict_tx.clone(), waker: poller.waker() };
-            let exchange_key = &exchange_key;
-            let base = &key;
-            scope.spawn(move || {
-                shard_worker(i, shards, rx, tx0, vtx, exchange_key, base, metrics, true)
-            });
-        }
-        drop(verdict_tx);
-        route(listener, key, shards, shutdown, metrics, &worker_txs, &verdict_rx, &poller);
-        // Dropping the senders disconnects every worker inbox; the scope
-        // then joins the workers.
-        drop(worker_txs);
-    });
-}
-
-/// Index order for broadcasting router control traffic to workers: the
-/// merge accumulator FIRST, then everyone else. Every worker's reaction
-/// to a control message funnels into the accumulator's inbox — e.g. an
-/// empty-range shard host ships its partial the instant a proxy relays
-/// a fresh announce — and channel causality only keeps that reaction
-/// *behind* the message that caused it if the router enqueued the
-/// accumulator's copy before any other worker's. In-process layouts
-/// keep the accumulator at index 0 (forward order was already safe);
-/// remote placement appends its channel after the `shards` proxies,
-/// where forward order let partials overtake their announce and starve
-/// the merge quorum.
-pub(crate) fn acc_first_order(len: usize, shards: usize) -> impl Iterator<Item = usize> {
-    let acc = if len > shards { shards } else { 0 };
-    std::iter::once(acc).chain((0..len).filter(move |i| *i != acc))
-}
-
-/// Convert router traffic into the placement proxy's event type
-/// (`Partial` never flows router → proxy).
-pub(crate) fn shard_proxy_event(m: ShardMsg) -> Option<ProxyEvent> {
-    match m {
-        ShardMsg::Announce { conn, session, n, epoch } => {
-            Some(ProxyEvent::Announce { conn, session, n, epoch })
-        }
-        ShardMsg::Data { conn, env } => Some(ProxyEvent::Data { conn, env }),
-        ShardMsg::Finish { conn, session } => Some(ProxyEvent::Finish { conn, session }),
-        ShardMsg::Retire { conn } => Some(ProxyEvent::Retire { conn }),
-        ShardMsg::Partial(_) => None,
-    }
-}
-
-/// The sharded-mode server loop with **remotely placed** shards: every
-/// shard's range lives on a [`ShardHost`](crate::placement::ShardHost)
-/// named by `placement`; the in-process worker 0 degenerates to the
-/// merge accumulator (it owns no range), fed by one proxy per shard.
-pub(crate) fn run_sharded_server_remote(
-    listener: TcpListener,
-    key: AuthKey,
-    placement: RemotePlacement,
-    backoff: Duration,
-    shutdown: &AtomicBool,
-    metrics: &WireMetrics,
-    poller: Poller,
-) {
-    let shards = placement.shards();
-    let exchange_key = key.derive(EXCHANGE_TWEAK);
-    let (verdict_tx, verdict_rx) = std::sync::mpsc::channel::<VerdictMsg>();
-    // One channel per shard proxy, plus the accumulator's (last), which
-    // the router also broadcasts control traffic to.
-    let mut worker_txs: Vec<Sender<ShardMsg>> = Vec::with_capacity(shards + 1);
-    let mut worker_rxs: Vec<Receiver<ShardMsg>> = Vec::with_capacity(shards + 1);
-    for _ in 0..=shards {
-        let (tx, rx) = std::sync::mpsc::channel();
-        worker_txs.push(tx);
-        worker_rxs.push(rx);
-    }
-    thread::scope(|scope| {
-        let mut rxs = worker_rxs.into_iter();
-        let proxy_rxs: Vec<_> = rxs.by_ref().take(shards).collect();
-        let acc_rx = rxs.next().expect("accumulator channel");
-        {
-            let vtx = VerdictTx { tx: verdict_tx.clone(), waker: poller.waker() };
-            let exchange_key = &exchange_key;
-            let base = &key;
-            scope.spawn(move || {
-                shard_worker(0, shards, acc_rx, None, vtx, exchange_key, base, metrics, false)
-            });
-        }
-        for (i, rx) in proxy_rxs.into_iter().enumerate() {
-            let acc_tx = worker_txs[shards].clone();
-            let base = &key;
-            let exchange_key = &exchange_key;
-            let placement = &placement;
-            scope.spawn(move || {
-                run_proxy(
-                    ProxyConfig {
-                        mode: ShardHostMode::OneRound,
-                        index: i,
-                        shards,
-                        base,
-                        exchange_key,
-                        placement,
-                        metrics,
-                        backoff,
-                    },
-                    rx,
-                    shard_proxy_event,
-                    move |bytes| {
-                        let _ = acc_tx.send(ShardMsg::Partial(bytes));
-                    },
-                    |_| 1,
-                )
-            });
-        }
-        drop(verdict_tx);
-        route(listener, key, shards, shutdown, metrics, &worker_txs, &verdict_rx, &poller);
-        drop(worker_txs);
-    });
-}
-
-/// The router: accepts, authenticates, routes by session + node range,
-/// and writes verdicts back. Rides the poller's readiness *sets* like
-/// the echo server's pump: each wake fills and parses only the
-/// connections the kernel flagged; a full probe sweep of the pool
-/// happens only when readiness degrades to `All` (the sweep backend, or
-/// the capped wait timeout re-probing stalled conns).
-#[allow(clippy::too_many_arguments)]
-fn route(
-    listener: TcpListener,
-    key: AuthKey,
-    shards: usize,
-    shutdown: &AtomicBool,
-    metrics: &WireMetrics,
-    worker_txs: &[Sender<ShardMsg>],
-    verdict_rx: &Receiver<VerdictMsg>,
-    poller: &Poller,
-) {
-    let listener_fd = fd_of(&listener);
-    poller.register(listener_fd);
-    let mut gates: Vec<(u32, Conn)> = Vec::new();
-    let mut announced: HashMap<(u32, u64), SessionRoute> = HashMap::new();
-    let mut finished_fifo: VecDeque<(u32, u64)> = VecDeque::new();
-    let mut next_id: u32 = 1;
-    // Announce sequence, packed into 31 bits of the partial frames'
-    // round field (wraps after 2³¹ announces — a collision would need a
-    // partial of that exact ancient run still in flight).
-    let mut next_epoch: u32 = 1;
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut ready: Vec<i32> = Vec::new();
-    let mut readiness = Readiness::All;
-    while !shutdown.load(Ordering::Relaxed) {
-        let mut progress = false;
-        if readiness == Readiness::All || ready.contains(&listener_fd) {
-            while let Some((id, mut conn)) = accept_conn(&listener, &key, &mut next_id) {
-                metrics.connections(1);
-                conn.trace_with(metrics.recorder_arc(), trace_endpoint::SERVER);
-                conn.meter_with(metrics.syscall_meter());
-                poller.register(conn.fd());
-                metrics.trace(0, trace_endpoint::SERVER, TraceKind::Dial, u64::from(id));
-                gates.push((id, conn));
-                progress = true;
-            }
-        }
-        let pump_list: Vec<usize> = match readiness {
-            Readiness::All => (0..gates.len()).collect(),
-            Readiness::Fds => ready
-                .iter()
-                .filter_map(|fd| gates.iter().position(|(_, c)| c.fd() == *fd))
-                .collect(),
-        };
-        for gi in pump_list {
-            let (id, conn) = &mut gates[gi];
-            progress |= conn.flush() > 0;
-            if conn.pending_write() > WRITE_BACKPRESSURE_BYTES {
-                if !conn.stalled {
-                    conn.stalled = true;
-                    metrics.backpressure_stalls(1);
-                }
-                continue;
-            }
-            conn.stalled = false;
-            let got = conn.fill(&mut scratch);
-            metrics.bytes_received(got as u64);
-            progress |= got > 0;
-            loop {
-                match conn.next_frame() {
-                    Ok(None) => break,
-                    Ok(Some((FrameKind::Announce, env))) => {
-                        metrics.frames_received(1);
-                        let mut r = env.payload.reader();
-                        let n = match r.read_bits(32) {
-                            Ok(n) if r.is_exhausted() => n as usize,
-                            _ => {
-                                metrics.decode_rejects(1);
-                                conn.close();
-                                break;
-                            }
-                        };
-                        // Re-announcing a *finished* session id is legal
-                        // (long-lived clients recycle ids); a live one is
-                        // a protocol violation.
-                        if announced
-                            .get(&(*id, env.session.0))
-                            .is_some_and(|route| !route.finished)
-                        {
-                            metrics.decode_rejects(1);
-                            conn.close();
-                            break;
-                        }
-                        let epoch = next_epoch & 0x7fff_ffff;
-                        next_epoch = next_epoch.wrapping_add(1);
-                        metrics.trace(
-                            env.session.0,
-                            trace_endpoint::SERVER,
-                            TraceKind::Announce,
-                            n as u64,
-                        );
-                        announced
-                            .insert((*id, env.session.0), SessionRoute { n, finished: false });
-                        for wi in acc_first_order(worker_txs.len(), shards) {
-                            let _ = worker_txs[wi].send(ShardMsg::Announce {
-                                conn: *id,
-                                session: env.session.0,
-                                n,
-                                epoch,
-                            });
-                        }
-                        progress = true;
-                    }
-                    Ok(Some((FrameKind::Data, env))) => {
-                        metrics.frames_received(1);
-                        match announced.get(&(*id, env.session.0)) {
-                            Some(route) if route.finished => {
-                                // Stragglers behind a fast verdict — the
-                                // session is already judged.
-                                metrics.orphan_frames(1);
-                            }
-                            Some(route) => {
-                                let target = route_arrival(route.n, shards, env.from);
-                                metrics.trace(
-                                    env.session.0,
-                                    trace_endpoint::SERVER,
-                                    TraceKind::Uplink,
-                                    u64::from(env.from),
-                                );
-                                let _ =
-                                    worker_txs[target].send(ShardMsg::Data { conn: *id, env });
-                            }
-                            None => {
-                                // Data for a session this connection
-                                // never announced.
-                                metrics.decode_rejects(1);
-                                conn.close();
-                                break;
-                            }
-                        }
-                        progress = true;
-                    }
-                    Ok(Some(_)) => {
-                        metrics.decode_rejects(1);
-                        conn.close();
-                        break;
-                    }
-                    Err(WireError::BadMac) => {
-                        metrics.mac_rejects(1);
-                        metrics.trace(0, trace_endpoint::SERVER, TraceKind::MacReject, 0);
-                        conn.close();
-                        break;
-                    }
-                    Err(_) => {
-                        metrics.decode_rejects(1);
-                        conn.close();
-                        break;
-                    }
-                }
-            }
-        }
-        // Verdicts land on connections the kernel never flagged: track
-        // which conns the drain touches and flush exactly those after —
-        // every verdict queued this burst still ships in one write per
-        // conn.
-        let mut touched: Vec<u32> = Vec::new();
-        while let Ok(v) = verdict_rx.try_recv() {
-            match gates.iter_mut().find(|(id, c)| *id == v.conn && c.is_open()) {
-                Some((_, conn)) => {
-                    let env = Envelope {
-                        session: v.session,
-                        round: 0,
-                        from: v.from,
-                        to: 0,
-                        payload: v.payload,
-                    };
-                    if !touched.contains(&v.conn) {
-                        touched.push(v.conn);
-                    }
-                    let frame_len = conn.queue_frame_mut(v.kind, &env).len();
-                    metrics.frames_sent(1);
-                    metrics.bytes_sent(frame_len as u64);
-                    if v.kind == FrameKind::Verdict {
-                        metrics.trace(
-                            v.session.0,
-                            trace_endpoint::SERVER,
-                            TraceKind::Verdict,
-                            u64::from(v.conn),
-                        );
-                    }
-                }
-                None => metrics.orphan_frames(1),
-            }
-            // Evidence frames ride the verdict channel but judge
-            // nothing: the session stays live.
-            if v.kind != FrameKind::Verdict {
-                progress = true;
-                continue;
-            }
-            // The session is judged: mark its route finished (late data
-            // becomes straggle, the id becomes re-announceable) and let
-            // every worker drop its state. Finished routes are kept in
-            // a bounded FIFO — old ones evict, so the map cannot grow
-            // with the number of sessions ever judged.
-            if let Some(route) = announced.get_mut(&(v.conn, v.session.0)) {
-                route.finished = true;
-                finished_fifo.push_back((v.conn, v.session.0));
-                while finished_fifo.len() > FINISHED_ROUTE_CAP {
-                    let key = finished_fifo.pop_front().expect("len > cap > 0");
-                    // Only evict if still finished — the id may have
-                    // been legitimately re-announced since.
-                    if announced.get(&key).is_some_and(|r| r.finished) {
-                        announced.remove(&key);
-                    }
-                }
-            }
-            for wi in acc_first_order(worker_txs.len(), shards) {
-                let _ = worker_txs[wi]
-                    .send(ShardMsg::Finish { conn: v.conn, session: v.session.0 });
-            }
-            progress = true;
-        }
-        for cid in touched {
-            if let Some((_, conn)) = gates.iter_mut().find(|(id, _)| *id == cid) {
-                conn.flush();
-            }
-        }
-        let closed: Vec<u32> =
-            gates.iter().filter(|(_, c)| !c.is_open()).map(|(id, _)| *id).collect();
-        for cid in &closed {
-            announced.retain(|(owner, _), _| owner != cid);
-            for wi in acc_first_order(worker_txs.len(), shards) {
-                let _ = worker_txs[wi].send(ShardMsg::Retire { conn: *cid });
-            }
-        }
-        if !closed.is_empty() {
-            gates.retain(|(_, c)| c.is_open());
-        }
-        // Epoll: pumped sockets were drained to WouldBlock and worker
-        // verdicts wake the poller through the channel's waker, so go
-        // straight back to the wait (its capped timeout reports `All`,
-        // re-probing stalled conns at sweep cadence). Sweep: no edges —
-        // re-sweep immediately while traffic flows.
-        if progress && poller.backend() == PollerBackend::Sweep {
-            readiness = Readiness::All;
-            continue;
-        }
-        readiness = poller.wait_ready(&mut ready);
-    }
-}
-
-/// One shard worker: owns shard `index` of every announced session.
-/// With `owns_range` false (remote placement) the worker holds no shard
-/// of its own — it is the pure merge accumulator, fed `Partial` frames
-/// by the shard proxies and expecting one quorum partial from each of
-/// the `shards` remotely-placed ranges.
-#[allow(clippy::too_many_arguments)]
-fn shard_worker(
-    index: usize,
-    shards: usize,
-    rx: Receiver<ShardMsg>,
-    tx0: Option<Sender<ShardMsg>>,
-    vtx: VerdictTx,
-    exchange_key: &AuthKey,
-    base: &AuthKey,
-    metrics: &WireMetrics,
-    owns_range: bool,
-) {
-    let mut sessions: HashMap<(u32, u64), WorkerSession> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Announce { conn, session, n, epoch } => {
-                let mut ws = WorkerSession {
-                    conn,
-                    n,
-                    epoch,
-                    shard: owns_range.then(|| RefereeShard::new(n, shards, index)),
-                    transcript: Vec::new(),
-                    acc: PartialState::new(n),
-                    merged: 0,
-                    opened: Instant::now(),
-                };
-                emit_if_complete(index, session, &mut ws, &tx0, &vtx, exchange_key, metrics);
-                if finish_if_merged(shards, session, &mut ws, &vtx, base, metrics) {
-                    continue; // n = 0 single shard: verdict already out
-                }
-                sessions.insert((conn, session), ws);
-            }
-            ShardMsg::Data { conn, env } => {
-                let session = env.session.0;
-                let Some(ws) = sessions.get_mut(&(conn, session)) else {
-                    metrics.orphan_frames(1);
-                    continue;
-                };
-                // One-round uplinks are stamped round 1 by contract;
-                // any other stamp is a provable violation. Evidence
-                // only — ingestion below is unchanged, so the verdict
-                // shape stays what it always was.
-                if env.round != 1 {
-                    let rec = evidence_record(base, conn, &env);
-                    emit_evidence(
-                        index,
-                        base,
-                        conn,
-                        session,
-                        ws.n,
-                        ProvableError::WrongRound,
-                        vec![rec],
-                        &vtx,
-                        metrics,
-                    );
-                }
-                match ws.shard.as_mut() {
-                    Some(shard) => {
-                        match shard.ingest(env.from, env.payload.clone()) {
-                            Ok(Arrival::Fresh) => {
-                                ws.transcript.push((env.from, env.payload.clone()));
-                            }
-                            Ok(Arrival::OutOfRange) => {
-                                let rec = evidence_record(base, conn, &env);
-                                emit_evidence(
-                                    index,
-                                    base,
-                                    conn,
-                                    session,
-                                    ws.n,
-                                    ProvableError::OutOfRangeSender,
-                                    vec![rec],
-                                    &vtx,
-                                    metrics,
-                                );
-                            }
-                            Ok(Arrival::Duplicate { identical }) => {
-                                let records = if identical {
-                                    // Provable but NOT attributable: an
-                                    // at-least-once network duplicates
-                                    // frames too, so nobody is accused.
-                                    let rec = evidence_record(base, conn, &env);
-                                    vec![rec.clone(), rec]
-                                } else {
-                                    // Equivocation: the recorded
-                                    // original and the conflicting
-                                    // arrival, signed into the same
-                                    // (round, sender) slot.
-                                    match shard.message_for(env.from).cloned() {
-                                        Some(prev) => vec![
-                                            evidence_record_for(base, conn, &env, &prev),
-                                            evidence_record(base, conn, &env),
-                                        ],
-                                        None => Vec::new(),
-                                    }
-                                };
-                                if !records.is_empty() {
-                                    let error = if identical {
-                                        ProvableError::DuplicateSender
-                                    } else {
-                                        ProvableError::Equivocation
-                                    };
-                                    emit_evidence(
-                                        index, base, conn, session, ws.n, error, records, &vtx,
-                                        metrics,
-                                    );
-                                }
-                                shard.note_duplicate(env.from);
-                            }
-                            Err(_) => {
-                                // Router/worker disagreement on ranges —
-                                // a bug, not wire data; surfaced in
-                                // metrics.
-                                metrics.decode_rejects(1);
-                                continue;
-                            }
-                        }
-                    }
-                    None => {
-                        // The range partial already shipped, so this
-                        // arrival is by definition a duplicate (the
-                        // shard only ships once its range is full) or an
-                        // out-of-range stray. The shard's state is gone,
-                        // but the retained transcript still proves what
-                        // the sender originally said — so the violation
-                        // stays attributable even here.
-                        let (error, records) = if env.from == 0 || env.from as usize > ws.n {
-                            let rec = evidence_record(base, conn, &env);
-                            (ProvableError::OutOfRangeSender, vec![rec])
-                        } else {
-                            match ws
-                                .transcript
-                                .iter()
-                                .find(|(f, _)| *f == env.from)
-                                .map(|(_, m)| m.clone())
-                            {
-                                Some(prev) if prev == env.payload => {
-                                    let rec = evidence_record(base, conn, &env);
-                                    (ProvableError::DuplicateSender, vec![rec.clone(), rec])
-                                }
-                                Some(prev) => (
-                                    ProvableError::Equivocation,
-                                    vec![
-                                        evidence_record_for(base, conn, &env, &prev),
-                                        evidence_record(base, conn, &env),
-                                    ],
-                                ),
-                                // An in-range sender this worker
-                                // never accepted: a router/worker
-                                // range disagreement, nothing to
-                                // prove from this frame alone.
-                                None => (ProvableError::Equivocation, Vec::new()),
-                            }
-                        };
-                        if !records.is_empty() {
-                            emit_evidence(
-                                index, base, conn, session, ws.n, error, records, &vtx, metrics,
-                            );
-                        }
-                        // Report the fault so the session fails fast
-                        // instead of wedging a not-yet-complete sibling
-                        // shard's wait.
-                        let poison = PartialState::poison_notice(ws.n, env.from);
-                        // A poison notice is a few bits — never oversized.
-                        let _ = apply_partial(
-                            index,
-                            session,
-                            ws,
-                            poison,
-                            false,
-                            &tx0,
-                            exchange_key,
-                        );
-                    }
-                }
-                emit_if_complete(index, session, ws, &tx0, &vtx, exchange_key, metrics);
-                if finish_if_merged(shards, session, ws, &vtx, base, metrics) {
-                    sessions.remove(&(conn, session));
-                }
-            }
-            ShardMsg::Partial(bytes) => {
-                // Worker 0 only: authenticate and decode a sibling
-                // shard's partial through the same codec the wire uses.
-                let decoded = match decode_frame(exchange_key, &bytes) {
-                    Ok(Some(d)) if d.kind == FrameKind::Partial => d,
-                    Ok(_) => {
-                        metrics.decode_rejects(1);
-                        continue;
-                    }
-                    Err(WireError::BadMac) => {
-                        metrics.mac_rejects(1);
-                        continue;
-                    }
-                    Err(_) => {
-                        metrics.decode_rejects(1);
-                        continue;
-                    }
-                };
-                let session = decoded.envelope.session.0;
-                let conn = decoded.envelope.to;
-                let Some(ws) = sessions.get_mut(&(conn, session)) else {
-                    metrics.orphan_frames(1); // finished or retired while in flight
-                    continue;
-                };
-                // `round` packs (epoch << 1) | poison_bit. A stale
-                // partial from a previous run of this (conn, session)
-                // key — possible because worker→worker-0 sends are not
-                // ordered against the router's — must not merge into
-                // the current run.
-                if decoded.envelope.round >> 1 != ws.epoch {
-                    metrics.orphan_frames(1);
-                    continue;
-                }
-                let counts_toward_quorum = decoded.envelope.round & 1 == 0;
-                let merge = PartialState::decode(ws.n, &decoded.envelope.payload)
-                    .and_then(|p| ws.acc.merge(p));
-                match merge {
-                    Ok(()) => {
-                        metrics.trace(
-                            session,
-                            trace_endpoint::worker(0),
-                            TraceKind::PartialMerge,
-                            u64::from(decoded.envelope.from),
-                        );
-                        if counts_toward_quorum {
-                            ws.merged += 1;
-                        }
-                        if finish_if_merged(shards, session, ws, &vtx, base, metrics) {
-                            sessions.remove(&(conn, session));
-                        }
-                    }
-                    Err(e) => {
-                        // A partial that does not decode or merge is an
-                        // internal fault; fail the session closed.
-                        send_verdict(session, ws, Err(e), &vtx, metrics);
-                        sessions.remove(&(conn, session));
-                    }
-                }
-            }
-            ShardMsg::Finish { conn, session } => {
-                sessions.remove(&(conn, session));
-            }
-            ShardMsg::Retire { conn } => {
-                sessions.retain(|(owner, _), _| *owner != conn);
-            }
-        }
-    }
-}
-
-/// Route a partial (a shard's range summary or a poison notice) toward
-/// the accumulator: worker 0 merges in place, everyone else ships a
-/// MAC'd [`FrameKind::Partial`] frame whose `round` packs the run epoch
-/// and the poison bit (see [`ShardMsg::Partial`]). Returns `false` if
-/// the partial is too large for the wire codec's frame cap — the caller
-/// must then fail the session rather than panic a worker (poison
-/// notices are a few bits and can never trip this).
-#[must_use]
-fn apply_partial(
-    index: usize,
-    session: u64,
-    ws: &mut WorkerSession,
-    partial: PartialState,
-    quorum: bool,
-    tx0: &Option<Sender<ShardMsg>>,
-    exchange_key: &AuthKey,
-) -> bool {
-    match tx0 {
-        Some(tx) => {
-            let payload = partial.encode();
-            let body = crate::frame::HEADER_BYTES
-                + payload.len_bits().div_ceil(8)
-                + crate::frame::TAG_BYTES;
-            if body > crate::frame::MAX_BODY_BYTES {
-                return false;
-            }
-            let env = Envelope {
-                session: SessionId(session),
-                round: (ws.epoch << 1) | u32::from(!quorum),
-                from: index as u32,
-                to: ws.conn,
-                payload,
-            };
-            let _ = tx.send(ShardMsg::Partial(encode_wire_frame(
-                exchange_key,
-                FrameKind::Partial,
-                &env,
-            )));
-        }
-        None => {
-            if let Err(e) = ws.acc.merge(partial) {
-                unreachable!("same-n partials always merge: {e}");
-            }
-            if quorum {
-                ws.merged += 1;
-            }
-        }
-    }
-    true
-}
-
-/// If this worker's shard range just completed — or recorded a fault,
-/// which fixes the verdict's `Err` shape no matter what else arrives —
-/// emit its partial toward the accumulator. A partial too large for the
-/// frame cap (a session far outside frugal message sizes) rejects the
-/// session instead of serving it.
-#[allow(clippy::too_many_arguments)]
-fn emit_if_complete(
-    index: usize,
-    session: u64,
-    ws: &mut WorkerSession,
-    tx0: &Option<Sender<ShardMsg>>,
-    vtx: &VerdictTx,
-    exchange_key: &AuthKey,
-    metrics: &WireMetrics,
-) {
-    let ready = ws.shard.as_ref().is_some_and(|s| s.is_complete() || s.is_poisoned());
-    if !ready {
-        return;
-    }
-    let partial = ws.shard.take().expect("checked above").into_partial();
-    if apply_partial(index, session, ws, partial, true, tx0, exchange_key) {
-        metrics.trace(
-            session,
-            trace_endpoint::worker(index as u32),
-            TraceKind::PartialEmit,
-            index as u64,
-        );
-        if tx0.is_some() {
-            metrics.partial_frames(1);
-        }
-    } else {
-        send_verdict(
-            session,
-            ws,
-            Err(DecodeError::Invalid("shard partial exceeds the wire frame cap".into())),
-            vtx,
-            metrics,
-        );
-    }
-}
-
-/// Worker 0: if all `shards` partials are merged — or the accumulator
-/// is already poisoned, which no further partial can turn into an `Ok`
-/// — finish the assembly and ship the verdict. Returns whether the
-/// session is done.
-fn finish_if_merged(
-    shards: usize,
-    session: u64,
-    ws: &mut WorkerSession,
-    vtx: &VerdictTx,
-    base: &AuthKey,
-    metrics: &WireMetrics,
-) -> bool {
-    if ws.merged < shards && !ws.acc.poisoned() {
-        return false;
-    }
-    metrics.record_stage(Stage::PartialMerge, ws.opened.elapsed());
-    let acc = std::mem::replace(&mut ws.acc, PartialState::new(0));
-    let stepped = Instant::now();
-    let result = acc.finish().map(|messages| vector_digest(base, &messages));
-    metrics.record_stage(Stage::RefereeStep, stepped.elapsed());
-    // Assembly completes at the merge accumulator — worker 0.
-    metrics.trace(session, trace_endpoint::worker(0), TraceKind::RefereeStep, shards as u64);
-    send_verdict(session, ws, result, vtx, metrics);
-    true
-}
-
-fn send_verdict(
-    session: u64,
-    ws: &WorkerSession,
-    result: Result<u64, DecodeError>,
-    vtx: &VerdictTx,
-    metrics: &WireMetrics,
-) {
-    metrics.record_stage(Stage::Verdict, ws.opened.elapsed());
-    metrics.verdict_frames(1);
-    vtx.send(VerdictMsg {
-        conn: ws.conn,
-        session: SessionId(session),
-        kind: FrameKind::Verdict,
-        from: 0,
-        payload: encode_verdict(&result),
-    });
+    Ok(digest)
 }
 
 /// Re-sign one client payload as a transcript record. The evidence
@@ -1024,7 +108,7 @@ pub(crate) fn evidence_record_for(
 ) -> EvidenceRecord {
     let body = encode_record_body(
         crate::frame::WIRE_VERSION,
-        FrameKind::Data as u8,
+        crate::frame::FrameKind::Data as u8,
         env.session.0,
         env.round,
         env.from,
@@ -1037,6 +121,26 @@ pub(crate) fn evidence_record_for(
 /// [`evidence_record_for`] over the arrival's own payload.
 pub(crate) fn evidence_record(base: &AuthKey, conn: u32, env: &Envelope) -> EvidenceRecord {
     evidence_record_for(base, conn, env, &env.payload)
+}
+
+/// The proof that `env` repeats a sender whose uplink `prev` was
+/// already recorded for the same round: a bit-identical repeat is a
+/// [`DuplicateSender`](ProvableError::DuplicateSender) (provable, but an
+/// at-least-once network does that too, so it accuses nobody), a
+/// different payload an [`Equivocation`](ProvableError::Equivocation)
+/// pairing the recorded original with the conflicting arrival.
+pub(crate) fn repeat_evidence(
+    base: &AuthKey,
+    conn: u32,
+    env: &Envelope,
+    prev: &Message,
+) -> (ProvableError, Vec<EvidenceRecord>) {
+    let rec = evidence_record(base, conn, env);
+    if *prev == env.payload {
+        (ProvableError::DuplicateSender, vec![rec.clone(), rec])
+    } else {
+        (ProvableError::Equivocation, vec![evidence_record_for(base, conn, env, prev), rec])
+    }
 }
 
 /// Assemble and self-verify one evidence bundle accusing `conn` (when
@@ -1067,48 +171,18 @@ pub(crate) fn build_evidence(
     Some(bundle)
 }
 
-/// [`build_evidence`] for the one-round service, shipped client-ward
-/// through the worker's verdict channel.
-#[allow(clippy::too_many_arguments)]
-fn emit_evidence(
-    index: usize,
-    base: &AuthKey,
-    conn: u32,
-    session: u64,
-    n: usize,
-    error: ProvableError,
-    records: Vec<EvidenceRecord>,
-    vtx: &VerdictTx,
-    metrics: &WireMetrics,
-) {
-    let Some(bundle) = build_evidence(
-        base,
-        conn,
-        session,
-        n,
-        1,
-        error,
-        records,
-        trace_endpoint::worker(index as u32),
-        metrics,
-    ) else {
-        return;
-    };
-    vtx.send(VerdictMsg {
-        conn,
-        session: SessionId(session),
-        kind: FrameKind::Evidence,
-        from: bundle.accused.unwrap_or(0),
-        payload: bundle.encode(),
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiround::encode_mr_verdict;
 
     #[test]
     fn verdict_codec_round_trips() {
+        let digest_out = |d: u64| {
+            let mut w = BitWriter::new();
+            w.write_bits(d, 64);
+            Message::from_writer(w)
+        };
         for result in [
             Ok(0u64),
             Ok(u64::MAX),
@@ -1118,7 +192,11 @@ mod tests {
             Err(DecodeError::Inconsistent("y".into())),
             Err(DecodeError::Invalid("z".into())),
         ] {
-            let decoded = decode_verdict(&encode_verdict(&result));
+            let payload = encode_mr_verdict(&result.clone().map(digest_out));
+            // The one-round verdict layout: ok bit + 64-bit digest, or
+            // reject bit + 2-bit class.
+            assert_eq!(payload.len_bits(), if result.is_ok() { 65 } else { 3 });
+            let decoded = decode_digest_verdict(&payload);
             match (&result, &decoded) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b),
                 (Err(a), Err(b)) => assert_eq!(
@@ -1128,6 +206,22 @@ mod tests {
                 ),
                 other => panic!("verdict round trip changed shape: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn digest_referee_answers_in_round_one() {
+        let key = AuthKey::from_seed(3);
+        let catalog = digest_catalog(key);
+        let entry = catalog.by_index(0).expect("one entry");
+        assert_eq!(entry.round_cap(17), 1);
+        let uplinks = vec![Message::empty(), Message::empty()];
+        match entry.open(2).step(2, 1, &uplinks) {
+            RefereeStep::Done(out) => {
+                let verdict = encode_mr_verdict(&Ok(out));
+                assert_eq!(decode_digest_verdict(&verdict), Ok(vector_digest(&key, &uplinks)));
+            }
+            RefereeStep::Continue(_) => panic!("the digest referee must finish in round 1"),
         }
     }
 

@@ -205,6 +205,18 @@ fn evidence_record_is_the_wire_frame_bit_for_bit() {
     let att = verify_bundle(base.mac_key(), &params, &bundle).expect("standalone verification");
     assert_eq!(att.culprit, Some(conn));
 
+    // The wrong stamp also poisons the round: the verdict follows at
+    // once, carrying the rejection bit, although nodes 1, 3 and 4 never
+    // speak.
+    let verdict = loop {
+        let (kind, env) = read_raw_frame(&mut stream, &key, &mut buf);
+        if kind == FrameKind::Verdict {
+            break env;
+        }
+    };
+    assert_eq!(verdict.session, SessionId(7));
+    assert!(!verdict.payload.reader().read_bit().unwrap(), "a wrong round must reject");
+
     drop(stream);
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().evidence_bundles == 0 {
@@ -332,6 +344,57 @@ fn multiround_service_emits_out_of_range_evidence() {
     assert_eq!(bundle.accused, Some(conn));
     let params = SessionParams { session: 5, n: 4, round_cap: 20 };
     let att = verify_bundle(base.mac_key(), &params, &bundle).expect("standalone verification");
+    assert_eq!(att.culprit, Some(conn));
+
+    drop(stream);
+    server.stop();
+}
+
+/// A round-0 uplink can never be an honest multi-round uplink: the
+/// service ships a `WrongRound` proof and, because the stamp poisons
+/// the round being collected, judges the session at once instead of
+/// absorbing the frame as a straggler.
+#[test]
+fn multiround_service_rejects_round_zero_uplink_fast() {
+    let base = AuthKey::from_seed(94);
+    let server =
+        FleetServer::spawn_multiround(base, 2, boruvka_connectivity_service()).unwrap();
+    let (mut stream, conn, key, mut buf) = raw_connect(&server, &base);
+
+    let mut w = BitWriter::new();
+    w.write_bits(4, 32);
+    let announce = Envelope {
+        session: SessionId(6),
+        round: 0,
+        from: 0,
+        to: 0,
+        payload: Message::from_writer(w),
+    };
+    stream.write_all(&encode_wire_frame(&key, FrameKind::Announce, &announce)).unwrap();
+    let opened = Instant::now();
+    let env =
+        Envelope { session: SessionId(6), round: 0, from: 2, to: 0, payload: Message::empty() };
+    stream.write_all(&encode_frame(&key, &env)).unwrap();
+
+    let mut bundles = Vec::new();
+    let verdict = loop {
+        let (kind, env) = read_raw_frame(&mut stream, &key, &mut buf);
+        match kind {
+            FrameKind::Evidence => {
+                bundles.push(EvidenceBundle::decode(&env.payload).expect("bundle decodes"))
+            }
+            FrameKind::Verdict => break env,
+            other => panic!("unexpected {other:?} frame awaiting the verdict"),
+        }
+    };
+    assert!(opened.elapsed() < Duration::from_secs(2), "verdict took {:?}", opened.elapsed());
+    assert!(!verdict.payload.reader().read_bit().unwrap(), "a round-0 uplink must reject");
+    assert_eq!(bundles.len(), 1);
+    assert_eq!(bundles[0].error, ProvableError::WrongRound);
+    assert_eq!(bundles[0].accused, Some(conn));
+    let params = SessionParams { session: 6, n: 4, round_cap: 20 };
+    let att =
+        verify_bundle(base.mac_key(), &params, &bundles[0]).expect("standalone verification");
     assert_eq!(att.culprit, Some(conn));
 
     drop(stream);

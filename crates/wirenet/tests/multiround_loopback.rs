@@ -7,11 +7,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use referee_graph::{algo, generators, LabelledGraph};
+use referee_protocol::evidence::{verify_bundle, EvidenceBundle, ProvableError, SessionParams};
 use referee_protocol::multiround::{run_multiround, BoruvkaConnectivity};
 use referee_protocol::shard::replay::encode_resume;
 use referee_protocol::{BitWriter, Message};
 use referee_simnet::{Envelope, Scheduler, SessionId};
-use referee_wirenet::placement::{link_key, register_frame, shard_key, ShardHostMode};
+use referee_wirenet::placement::{link_key, register_frame, shard_key};
 use referee_wirenet::{
     boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame, AuthKey,
     FleetClient, FleetServer, FrameKind, ShardHost, TamperConfig, WireError,
@@ -243,7 +244,7 @@ fn frame_under_sibling_shard_key_is_rejected() {
     // Control: shard 0 registered and serving under its own key.
     let key_a = link_key(&base, 0, 1);
     let mut a = RawLink::connect(host.addr());
-    a.send(&register_frame(&base, ShardHostMode::OneRound, 0, shards, 1));
+    a.send(&register_frame(&base, 0, shards, 1));
     let announce = Envelope {
         session: SessionId(7),
         round: 3, // announce epoch
@@ -260,12 +261,12 @@ fn frame_under_sibling_shard_key_is_rejected() {
         .expect("link healthy")
         .expect("shard 0 emits its range partial");
     assert_eq!(kind, FrameKind::Partial);
-    assert_eq!(env.round, 3 << 1, "quorum partial stamped with the announce epoch");
+    assert_eq!(env.round, 3, "quorum partial stamped with the announce epoch");
 
     // Attack: a link registered as shard 1 replays a frame MAC'd with
     // shard 0's key.
     let mut b = RawLink::connect(host.addr());
-    b.send(&register_frame(&base, ShardHostMode::OneRound, 1, shards, 1));
+    b.send(&register_frame(&base, 1, shards, 1));
     b.send(&encode_wire_frame(&key_a, FrameKind::Data, &data));
     // The host must reject the MAC and hang up on the link.
     let outcome = b.read_frame(&link_key(&base, 1, 1), Duration::from_secs(5));
@@ -300,7 +301,7 @@ fn pre_epoch_partial_fails_closed() {
     // then replay the generation-1 frame — MAC-rejected, link closed.
     let host = ShardHost::spawn(base).expect("bind shard host");
     let mut link = RawLink::connect(host.addr());
-    link.send(&register_frame(&base, ShardHostMode::OneRound, 0, 1, 2));
+    link.send(&register_frame(&base, 0, 1, 2));
     link.send(&stale);
     let outcome = link.read_frame(&link_key(&base, 0, 2), Duration::from_secs(5));
     assert_eq!(outcome, Err(true), "the stale-generation link must be closed");
@@ -321,5 +322,107 @@ fn multiround_against_echo_server_fails_closed() {
         .run_multiround_session(SessionId(1), &BoruvkaConnectivity, &g, CAP)
         .expect_err("an echo server cannot referee");
     let _ = err; // any DecodeError is acceptable; the point is: no hang
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Arrivals behind a shipped range
+// ---------------------------------------------------------------------------
+
+/// Drive one raw-socket session of `n = 6` against an 8-shard Borůvka
+/// server: node 1 (shard 0's whole range) sends its round-1 uplink, then
+/// `repeat` for the same slot, then nodes 2..=5 — node 6 never speaks.
+/// The repeat lands after shard 0 shipped its round-1 partial. Returns
+/// the connection id, the time to the verdict, its reject bit, and the
+/// evidence bundles shipped ahead of it.
+fn repeat_behind_shipped_range(
+    seed: u64,
+    repeat: Message,
+) -> (u32, Duration, bool, Vec<EvidenceBundle>, FleetServer) {
+    let base = AuthKey::from_seed(seed);
+    let server =
+        FleetServer::spawn_multiround(base, 8, boruvka_connectivity_service()).unwrap();
+    let mut link = RawLink::connect(server.addr());
+    let (kind, hello) = link
+        .read_frame(&base, Duration::from_secs(5))
+        .expect("handshake")
+        .expect("the server greets first");
+    assert_eq!(kind, FrameKind::Hello);
+    let conn = hello.from;
+    let key = base.derive(u64::from(conn));
+
+    let session = SessionId(3);
+    let announce = Envelope { session, round: 0, from: 0, to: 0, payload: bits(6, 32) };
+    let opened = Instant::now();
+    link.send(&encode_wire_frame(&key, FrameKind::Announce, &announce));
+    let uplink = |from: u32, payload: Message| {
+        encode_wire_frame(
+            &key,
+            FrameKind::Data,
+            &Envelope { session, round: 1, from, to: 0, payload },
+        )
+    };
+    link.send(&uplink(1, bits(0b101, 3)));
+    link.send(&uplink(1, repeat));
+    for from in 2..=5 {
+        link.send(&uplink(from, bits(u64::from(from), 3)));
+    }
+
+    let mut bundles = Vec::new();
+    let rejected = loop {
+        let (kind, env) = link
+            .read_frame(&key, Duration::from_secs(5))
+            .expect("connection stays healthy")
+            .expect("the session must be judged, not wedged");
+        match kind {
+            FrameKind::Evidence => {
+                bundles.push(EvidenceBundle::decode(&env.payload).expect("bundle decodes"))
+            }
+            FrameKind::Verdict => break !env.payload.reader().read_bit().expect("verdict bit"),
+            other => panic!("unexpected {other:?} frame awaiting the verdict"),
+        }
+    };
+    (conn, opened.elapsed(), rejected, bundles, server)
+}
+
+/// A bit-identical repeat behind a shipped range fails the session fast
+/// and leaves one unattributed `DuplicateSender` proof, cut from the
+/// retained transcript of the shipped round.
+#[test]
+fn duplicate_behind_shipped_range_fails_fast_with_proof() {
+    let (_, elapsed, rejected, bundles, server) =
+        repeat_behind_shipped_range(71, bits(0b101, 3));
+    assert!(rejected, "a duplicated sender must reject");
+    assert!(elapsed < Duration::from_secs(2), "verdict took {elapsed:?}");
+    assert_eq!(bundles.len(), 1);
+    let logged = server.evidence();
+    assert_eq!(logged, bundles, "the server holds exactly the shipped bundle");
+    assert_eq!(logged[0].error, ProvableError::DuplicateSender);
+    let cap = boruvka_connectivity_service().round_cap(6) as u32;
+    let params = SessionParams { session: 3, n: 6, round_cap: cap };
+    let att = verify_bundle(AuthKey::from_seed(71).mac_key(), &params, &logged[0])
+        .expect("standalone verification");
+    assert_eq!(att.culprit, None, "an identical duplicate accuses nobody");
+    server.stop();
+}
+
+/// A different payload behind a shipped range is equivocation, proven
+/// against the transcript the worker kept after shipping — and pinned
+/// on the raw connection that sent both.
+#[test]
+fn equivocation_behind_shipped_range_is_attributed() {
+    let (conn, elapsed, rejected, bundles, server) =
+        repeat_behind_shipped_range(72, bits(0b110, 3));
+    assert!(rejected, "an equivocating sender must reject");
+    assert!(elapsed < Duration::from_secs(2), "verdict took {elapsed:?}");
+    assert_eq!(bundles.len(), 1);
+    assert_eq!(bundles[0].error, ProvableError::Equivocation);
+    assert_eq!(bundles[0].accused, Some(conn));
+    let cap = boruvka_connectivity_service().round_cap(6) as u32;
+    let params = SessionParams { session: 3, n: 6, round_cap: cap };
+    let att = verify_bundle(AuthKey::from_seed(72).mac_key(), &params, &bundles[0])
+        .expect("standalone verification");
+    assert_eq!(att.culprit, Some(conn));
+    assert_eq!(server.evidence(), bundles);
     server.stop();
 }
