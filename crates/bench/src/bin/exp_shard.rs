@@ -1,13 +1,21 @@
 //! E28 (systems side): the sharded referee — 1/2/4/8 shards swept
-//! through both backends.
+//! through both backends, for a one-round protocol (EdgeCount) and a
+//! multi-round one (Borůvka connectivity).
 //!
-//! * **simnet**: `Scheduler::sweep_one_round_sharded` — per-session
-//!   shard states exchanging serialized partials through the transport;
-//!   outcomes pinned against the monolithic sweep, exchange overhead
-//!   accounted in bits.
-//! * **wirenet**: `FleetServer::spawn_sharded` — the server-side shard
-//!   workers verifying 1000-session fleets, with cross-shard partial
-//!   frames and verdict digests counted on the wire.
+//! * **simnet**: one sharded engine. `Scheduler::sweep_one_round_sharded`
+//!   runs EdgeCount as the cap-1 sharded multi-round session and
+//!   `Scheduler::sweep_multi_round_sharded` runs Borůvka; per-round
+//!   shard states exchange serialized partials through the transport,
+//!   outcomes are pinned against the monolithic sweep, and exchange
+//!   overhead is accounted in bits.
+//! * **wirenet**: one sharded wire engine. `FleetServer::spawn_sharded`
+//!   verifies EdgeCount fleets through `verify_session` (verdict digests
+//!   pin the sent vectors); `FleetServer::spawn_multiround` referees
+//!   Borůvka through `run_multiround_session` (verdicts pinned against
+//!   the in-process sweep).
+//!
+//! Emits `BENCH_exp_shard.json` (sessions/s per shard count per backend;
+//! the Borůvka rows carry a `-multiround` backend suffix).
 //!
 //! Run: `cargo run --release -p referee-bench --bin exp_shard`
 
@@ -16,90 +24,157 @@ use rand::SeedableRng;
 use referee_bench::{render_table, section, write_bench_json, BenchRecord, Percentiles};
 use referee_graph::{generators, LabelledGraph};
 use referee_protocol::easy::EdgeCountProtocol;
+use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_protocol::referee::local_phase;
-use referee_simnet::{Scheduler, SessionId};
-use referee_wirenet::{vector_digest, AuthKey, FleetClient, FleetServer, Stage};
+use referee_simnet::scheduler::Report;
+use referee_simnet::{Scheduler, SessionId, SweepReport};
+use referee_wirenet::{
+    boruvka_connectivity_service, decode_bool_output, vector_digest, AuthKey, FleetClient,
+    FleetServer, Stage, WireSnapshot,
+};
+use std::fmt::Debug;
 use std::time::Instant;
 
-fn fleet(count: usize, seed: u64) -> Vec<LabelledGraph> {
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const CONNS: usize = 8;
+const CAP: usize = 64;
+
+fn fleet(count: usize, min_n: usize, span: usize, seed: u64) -> Vec<LabelledGraph> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|i| generators::gnp(12 + i % 20, 0.2, &mut rng)).collect()
+    (0..count).map(|i| generators::gnp(min_n + i % span, 0.2, &mut rng)).collect()
 }
 
-fn main() {
-    println!("# E28: sharded referee — mergeable partial states, in-memory and on the wire");
-    println!("# expectation: outcomes identical at every shard count (merge is commutative");
-    println!("# and associative); exchange overhead grows with k; verification throughput");
-    println!("# stays in the same order of magnitude as the echo fleet.");
+fn header(cols: &[&str]) -> Vec<Vec<String>> {
+    vec![cols.iter().map(|c| c.to_string()).collect()]
+}
 
-    let sessions = 1000usize;
-    let graphs = fleet(sessions, 2028);
-    let scheduler = Scheduler::new(8, 8);
-    let mut records: Vec<BenchRecord> = Vec::new();
-
-    // ---- simnet: sharded sweeps vs the monolithic sweep ---------------
-    section(&format!("simnet: {sessions} EdgeCount sessions, scheduler 8×8"));
-    let t0 = Instant::now();
-    let mono = scheduler.sweep_one_round(&EdgeCountProtocol, &graphs, None);
-    let mono_wall = t0.elapsed().as_secs_f64();
+/// The simnet table for one protocol: the monolithic sweep's row, then
+/// one row per shard count. `sharded(k)` runs the k-shard sweep, pins
+/// its outcomes to `mono`'s and returns it with its total exchange bits.
+fn simnet_rows<S: Report>(
+    backend: &str,
+    mono: &SweepReport<impl Report>,
+    sharded: impl Fn(usize) -> (SweepReport<S>, usize),
+) -> Vec<BenchRecord> {
+    let sessions = mono.reports.len();
     assert_eq!(mono.aggregate.ok, sessions);
-
-    let mut rows = vec![["shards", "ok", "rejected", "exchange KiB", "sess/s"]
-        .into_iter()
-        .map(String::from)
-        .collect::<Vec<_>>()];
+    let rate = |wall: f64| format!("{:.0}", sessions as f64 / wall);
+    let mut records = Vec::new();
+    let mut rows = header(&["shards", "ok", "rejected", "exchange KiB", "sess/s"]);
     rows.push(vec![
         "1 (monolithic)".into(),
         mono.aggregate.ok.to_string(),
         mono.aggregate.rejected.to_string(),
         "-".into(),
-        format!("{:.0}", sessions as f64 / mono_wall),
+        rate(mono.aggregate.wall_seconds),
     ]);
-    for shards in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        let sweep =
-            scheduler.sweep_one_round_sharded(&EdgeCountProtocol, &graphs, shards, None);
-        let wall = t0.elapsed().as_secs_f64();
-        let exchange_bits: usize = sweep.reports.iter().map(|r| r.exchange_bits).sum();
-        for (s, m) in sweep.reports.iter().zip(&mono.reports) {
-            assert_eq!(
-                s.outcome.as_ref().unwrap(),
-                m.outcome.as_ref().unwrap(),
-                "sharded outcome diverged at k={shards}"
-            );
-        }
+    for shards in SHARD_COUNTS {
+        let (sweep, bits) = sharded(shards);
+        let wall = sweep.aggregate.wall_seconds;
         records.push(
-            BenchRecord::new("simnet", shards, sessions as f64 / wall)
+            BenchRecord::new(backend, shards, sessions as f64 / wall)
                 .with_percentiles(Percentiles::from_hist(&sweep.aggregate.latency)),
         );
         rows.push(vec![
             shards.to_string(),
             sweep.aggregate.ok.to_string(),
             sweep.aggregate.rejected.to_string(),
-            format!("{:.0}", exchange_bits as f64 / 8.0 / 1024.0),
-            format!("{:.0}", sessions as f64 / wall),
+            format!("{:.0}", bits as f64 / 8.0 / 1024.0),
+            rate(wall),
         ]);
     }
     println!("{}", render_table(&rows));
+    records
+}
 
-    // ---- wirenet: the sharded referee service -------------------------
-    section(&format!("wirenet: {sessions}-session fleets verified by sharded servers"));
+/// One wire fleet per shard count: `spawn(k)` starts the server,
+/// `run(client, i)` drives session `i`, and the results must equal
+/// `truth`. `row` checks and renders the protocol-specific columns.
+fn wire_rows<T: Send + PartialEq + Debug>(
+    backend: &str,
+    key: AuthKey,
+    truth: &[T],
+    cols: &[&str],
+    spawn: impl Fn(usize) -> FleetServer,
+    run: impl Fn(&FleetClient, usize) -> T + Sync,
+    row: impl Fn(usize, &WireSnapshot, &WireSnapshot) -> Vec<String>,
+) -> Vec<BenchRecord> {
+    let sessions = truth.len();
+    let scheduler = Scheduler::new(8, 8);
+    let mut records = Vec::new();
+    let mut rows = header(cols);
+    for shards in SHARD_COUNTS {
+        let server = spawn(shards);
+        let client = FleetClient::connect(server.addr(), CONNS, key).expect("connect");
+        let t0 = Instant::now();
+        let results: Vec<T> = scheduler.run_indexed(sessions, |i| run(&client, i));
+        let wall = t0.elapsed().as_secs_f64();
+        assert_eq!(results, truth, "{backend}: wire results must pin the expected ones");
+        let c = client.metrics();
+        let s = server.stop();
+        assert_eq!(s.mac_rejects, 0);
+        assert_eq!(s.verdict_frames as usize, sessions);
+        // The client stamps announce→verdict per session into its
+        // Verdict stage histogram — the end-to-end wire latency.
+        records.push(
+            BenchRecord::new(backend, shards, sessions as f64 / wall)
+                .with_percentiles(Percentiles::from_hist(c.stage(Stage::Verdict))),
+        );
+        let mut cells = vec![
+            shards.to_string(),
+            CONNS.to_string(),
+            format!("{:.0}", sessions as f64 / wall),
+        ];
+        cells.extend(row(shards, &c, &s));
+        rows.push(cells);
+    }
+    println!("{}", render_table(&rows));
+    records
+}
+
+fn main() {
+    println!("# E28: sharded referee — mergeable partial states, in-memory and on the wire");
+    println!("# expectation: outcomes identical at every shard count (merge is commutative");
+    println!("# and associative); exchange overhead grows with rounds × k; one-round");
+    println!("# verification stays in the same order of magnitude as the echo fleet, and");
+    println!("# multi-round wire throughput is bounded by the per-round round trips.");
+
+    let scheduler = Scheduler::new(8, 8);
+    let mut records: Vec<BenchRecord> = Vec::new();
+
+    // ---- one-round EdgeCount ------------------------------------------
+    let sessions = 1000usize;
+    let graphs = fleet(sessions, 12, 20, 2028);
+    section(&format!("simnet: {sessions} EdgeCount sessions, scheduler 8×8"));
+    let mono = scheduler.sweep_one_round(&EdgeCountProtocol, &graphs, None);
+    records.extend(simnet_rows("simnet", &mono, |k| {
+        let sweep = scheduler.sweep_one_round_sharded(&EdgeCountProtocol, &graphs, k, None);
+        for (s, m) in sweep.reports.iter().zip(&mono.reports) {
+            assert_eq!(
+                s.outcome.as_ref().unwrap(),
+                m.outcome.as_ref().unwrap(),
+                "sharded outcome diverged at k={k}"
+            );
+        }
+        let bits = sweep.reports.iter().map(|r| r.exchange_bits).sum();
+        (sweep, bits)
+    }));
+
+    section(&format!(
+        "wirenet: {sessions}-session EdgeCount fleets verified by sharded servers"
+    ));
     let key = AuthKey::from_seed(28);
     let truth: Vec<u64> = graphs
         .iter()
         .map(|g| vector_digest(&key, &local_phase(&EdgeCountProtocol, g)))
         .collect();
-    let mut rows =
-        vec![["shards", "conns", "sess/s", "partials", "verdicts", "wire KiB", "mac-rej"]
-            .into_iter()
-            .map(String::from)
-            .collect::<Vec<_>>()];
-    for shards in [1usize, 2, 4, 8] {
-        let server = FleetServer::spawn_sharded(key, shards).expect("bind");
-        let conns = 8usize;
-        let client = FleetClient::connect(server.addr(), conns, key).expect("connect");
-        let t0 = Instant::now();
-        let digests: Vec<u64> = scheduler.run_indexed(sessions, |i| {
+    records.extend(wire_rows(
+        "wirenet",
+        key,
+        &truth,
+        &["shards", "conns", "sess/s", "partials", "verdicts", "wire KiB", "mac-rej"],
+        |k| FleetServer::spawn_sharded(key, k).expect("bind"),
+        |client, i| {
             let g = &graphs[i];
             let arrivals = local_phase(&EdgeCountProtocol, g)
                 .into_iter()
@@ -108,31 +183,72 @@ fn main() {
             client
                 .verify_session(SessionId(i as u64), g.n(), arrivals)
                 .expect("honest session verifies")
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(digests, truth, "verdict digests must pin the sent vectors");
-        let c = client.metrics();
-        let s = server.stop();
-        assert_eq!(s.mac_rejects, 0);
-        assert_eq!(s.verdict_frames as usize, sessions);
-        assert_eq!(s.partial_frames as usize, sessions * (shards - 1));
-        // The client stamps announce→verdict per session into its
-        // Verdict stage histogram — the end-to-end wire latency.
-        records.push(
-            BenchRecord::new("wirenet", shards, sessions as f64 / wall)
-                .with_percentiles(Percentiles::from_hist(c.stage(Stage::Verdict))),
-        );
-        rows.push(vec![
-            shards.to_string(),
-            conns.to_string(),
-            format!("{:.0}", sessions as f64 / wall),
-            s.partial_frames.to_string(),
-            s.verdict_frames.to_string(),
-            format!("{:.0}", (c.bytes_sent + c.bytes_received) as f64 / 1024.0),
-            s.mac_rejects.to_string(),
-        ]);
-    }
-    println!("{}", render_table(&rows));
+        },
+        |k, c, s| {
+            assert_eq!(s.partial_frames as usize, sessions * (k - 1));
+            vec![
+                s.partial_frames.to_string(),
+                s.verdict_frames.to_string(),
+                format!("{:.0}", (c.bytes_sent + c.bytes_received) as f64 / 1024.0),
+                s.mac_rejects.to_string(),
+            ]
+        },
+    ));
+
+    // ---- multi-round Borůvka ------------------------------------------
+    let sessions = 600usize;
+    let graphs = fleet(sessions, 8, 16, 2029);
+    section(&format!("simnet: {sessions} Borůvka sessions, scheduler 8×8"));
+    let mono = scheduler.sweep_multi_round(&BoruvkaConnectivity, &graphs, CAP, None);
+    records.extend(simnet_rows("simnet-multiround", &mono, |k| {
+        let sweep =
+            scheduler.sweep_multi_round_sharded(&BoruvkaConnectivity, &graphs, k, CAP, None);
+        for (s, m) in sweep.reports.iter().zip(&mono.reports) {
+            assert_eq!(
+                s.outcome.as_ref().unwrap(),
+                m.outcome.as_ref().unwrap(),
+                "sharded multi-round outcome diverged at k={k}"
+            );
+        }
+        let bits = sweep.reports.iter().map(|r| r.exchange_bits).sum();
+        (sweep, bits)
+    }));
+
+    section(&format!("wirenet: {sessions}-session Borůvka fleets, sharded wire referee"));
+    let key = AuthKey::from_seed(29);
+    let truth: Vec<bool> = mono
+        .reports
+        .iter()
+        .map(|r| *r.outcome.as_ref().unwrap().as_ref().unwrap().as_ref().unwrap())
+        .collect();
+    records.extend(wire_rows(
+        "wirenet-multiround",
+        key,
+        &truth,
+        &["shards", "conns", "sess/s", "partials", "downlinks", "verdicts", "mac-rej"],
+        |k| {
+            FleetServer::spawn_multiround(key, k, boruvka_connectivity_service()).expect("bind")
+        },
+        |client, i| {
+            let out = client
+                .run_multiround_session(
+                    SessionId(i as u64),
+                    &BoruvkaConnectivity,
+                    &graphs[i],
+                    CAP,
+                )
+                .expect("honest session completes");
+            decode_bool_output(&out).expect("honest uplinks decode")
+        },
+        |_, _, s| {
+            vec![
+                s.partial_frames.to_string(),
+                s.downlink_frames.to_string(),
+                s.verdict_frames.to_string(),
+                s.mac_rejects.to_string(),
+            ]
+        },
+    ));
 
     let json = write_bench_json("exp_shard", &records).expect("write BENCH json");
     println!("\nmachine-readable results: {}", json.display());

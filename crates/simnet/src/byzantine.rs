@@ -31,11 +31,12 @@
 //!   without signed acknowledgements, so those failures yield no
 //!   bundle — and accuse nobody.
 //!
-//! Referee-internal traffic (the sharded session's round-2 partial
-//! exchange) is deliberately **not** signed into the transcript: it is
-//! the referee talking to itself, and recording it under party keys
-//! would let an accuser re-cut legitimate exchange envelopes as
-//! wrong-round "proofs" against honest principals.
+//! Referee-internal traffic (the sharded session's partial exchange:
+//! same-round envelopes from the synthetic shard senders
+//! `n + 1..=n + k`) is deliberately **not** signed into the transcript:
+//! it is the referee talking to itself, and recording it under party
+//! keys would let an accuser re-cut legitimate exchange envelopes as
+//! out-of-range-sender "proofs" against honest principals.
 
 use crate::metrics::TransportCounters;
 use crate::transport::{Envelope, Transport, REFEREE};
@@ -449,11 +450,14 @@ impl<T: Transport> Transport for Misbehaving<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedOneRoundSession;
+    use crate::shard::multiround::ShardedMultiRoundSession;
+    use crate::shard::ShardedReport;
     use crate::transport::{PerfectTransport, SessionId};
     use referee_graph::generators;
+    use referee_protocol::combinators::OneRoundAsMultiRound;
     use referee_protocol::easy::EdgeCountProtocol;
     use referee_protocol::evidence::{verify_bundle, ProvableError};
+    use referee_protocol::DecodeError;
 
     fn key(seed: u64) -> MacKey {
         let a = seed.to_le_bytes();
@@ -464,9 +468,10 @@ mod tests {
         MacKey(k)
     }
 
-    type RunOutcome =
-        Result<Result<usize, referee_protocol::DecodeError>, referee_protocol::DecodeError>;
+    type RunOutcome = Result<Result<usize, DecodeError>, DecodeError>;
 
+    /// One cap-1 sharded EdgeCount session on a 3×4 grid behind
+    /// [`Misbehaving`].
     fn run(
         cfg: ByzantineConfig,
         mask: BTreeSet<VertexId>,
@@ -476,9 +481,11 @@ mod tests {
         let params = SessionParams { session: 77, n: g.n() as u32, round_cap: 1 };
         let base = key(cfg.seed);
         let mut t = Misbehaving::new(PerfectTransport::new(), cfg, mask, base, params);
-        let report = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, k)
-            .with_session(SessionId(params.session))
-            .run(&mut t);
+        let report =
+            ShardedMultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, k, 1)
+                .with_session(SessionId(params.session))
+                .run(&mut t);
+        let report = ShardedReport::from_cap1(report);
         (report.outcome, t.prosecute(), t.injections(), base, params)
     }
 
@@ -533,19 +540,53 @@ mod tests {
     }
 
     #[test]
+    fn stray_round_stamps_fail_the_session() {
+        // Node 2's wrong-round and spliced twins are stamped past the
+        // round cap: the session must fail rather than park them in a
+        // future-round buffer.
+        let mask: BTreeSet<VertexId> = [2].into();
+        for k in [1, 3, 4] {
+            for cfg in [
+                ByzantineConfig { wrong_round: 1.0, ..ByzantineConfig::honest(7) },
+                ByzantineConfig { splice: 1.0, ..ByzantineConfig::honest(8) },
+            ] {
+                let (outcome, _, inj, _, _) = run(cfg, mask.clone(), k);
+                assert_eq!(inj.wrong_round + inj.splice, 1);
+                assert!(matches!(outcome, Err(DecodeError::Invalid(_))), "k={k}: {outcome:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn forged_shard_sender_is_out_of_range() {
+        // Node 2's twins claim senders n+1..=n+4, which include the
+        // synthetic shard IDs: before the exchange they are forged
+        // node IDs, not partials.
+        let cfg = ByzantineConfig { out_of_range: 1.0, ..ByzantineConfig::honest(9) };
+        let mask: BTreeSet<VertexId> = [2].into();
+        for k in [3, 4] {
+            let (outcome, _, inj, _, _) = run(cfg, mask.clone(), k);
+            assert_eq!(inj.out_of_range, 1);
+            assert!(matches!(outcome, Err(DecodeError::OutOfRange(_))), "k={k}: {outcome:?}");
+        }
+    }
+
+    #[test]
     fn exchange_partials_are_never_signed() {
         // With every node byzantine and all provable actions armed, the
-        // transcript must still contain only round-1-origin records
-        // signed under party paths — no record of the round-2 partial
-        // exchange (which would be frameable as "wrong round").
+        // transcript must still contain only records signed under party
+        // paths — no record of the partial exchange, whose envelopes
+        // come from the synthetic shard senders n+1..=n+k (and would be
+        // frameable as "out-of-range sender").
         let g = generators::grid(2, 3);
         let params = SessionParams { session: 9, n: g.n() as u32, round_cap: 1 };
         let cfg = ByzantineConfig { byzantine: 1.0, ..ByzantineConfig::provable(5) };
         let mask = cfg.sample_mask(g.n());
         let mut t = Misbehaving::new(PerfectTransport::new(), cfg, mask, key(5), params);
-        let _ = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, 3)
-            .with_session(SessionId(params.session))
-            .run(&mut t);
+        let _ =
+            ShardedMultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 3, 1)
+                .with_session(SessionId(params.session))
+                .run(&mut t);
         for rec in t.transcript() {
             assert_eq!(rec.path[0], EVIDENCE_DOMAIN);
             let party = rec.path[1] as u32;

@@ -28,15 +28,16 @@
 //!   corruption. Corruption feeds the *existing*
 //!   [`DecodeError`](referee_protocol::DecodeError) rejection paths:
 //!   the decoders are the integrity layer, the runtime adds no oracle.
-//! * [`shard`] — [`ShardedOneRoundSession`]: the referee's mailbox split
-//!   across mergeable [`RefereeShard`](referee_protocol::shard::RefereeShard)s
-//!   whose [`PartialState`](referee_protocol::shard::PartialState)
-//!   summaries cross the transport in a seeded exchange phase —
-//!   bit-for-bit equivalent to the unsharded session (pinned by tests).
-//!   [`ShardedMultiRoundSession`] extends the split to multi-round
-//!   protocols: every round's uplinks route into `k` per-round shards
-//!   whose [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)s
-//!   cross the transport before each `referee_step`.
+//! * [`shard`] — [`ShardedMultiRoundSession`]: the referee's mailbox
+//!   split across mergeable per-round shards. Every round's uplinks
+//!   route into `k` shards whose
+//!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)s
+//!   cross the transport from synthetic shard senders in a seeded
+//!   exchange before each `referee_step` — bit-for-bit equivalent to
+//!   the unsharded session (pinned by tests). Sharded one-round
+//!   sessions are the same engine at a round cap of 1 over
+//!   [`OneRoundAsMultiRound`](referee_protocol::combinators::OneRoundAsMultiRound),
+//!   reported as a [`ShardedReport`].
 //! * [`placement`] — [`PlacementSim`]: a sans-I/O, seeded model of
 //!   cross-host shard placement under host loss — kills wipe volatile
 //!   shard state, journal replay rebuilds it — pinned to produce the
@@ -111,7 +112,7 @@ pub use placement::{PlacementReport, PlacementSim};
 pub use scheduler::{ByzantineReport, MixedLane, MixedReport, Scheduler, SweepReport};
 pub use session::{MultiRoundReport, MultiRoundSession, OneRoundReport, OneRoundSession, Step};
 pub use shard::multiround::{ShardedMultiRoundReport, ShardedMultiRoundSession};
-pub use shard::{ShardedOneRoundSession, ShardedReport};
+pub use shard::ShardedReport;
 pub use transport::{Envelope, PerfectTransport, SessionId, Transport, REFEREE};
 
 use referee_graph::LabelledGraph;

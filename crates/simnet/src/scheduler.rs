@@ -20,9 +20,10 @@ use crate::session::{
     MultiRoundReport, MultiRoundSession, OneRoundReport, OneRoundSession, Step,
 };
 use crate::shard::multiround::{ShardedMultiRoundReport, ShardedMultiRoundSession};
-use crate::shard::{ShardedOneRoundSession, ShardedReport};
+use crate::shard::ShardedReport;
 use crate::transport::{PerfectTransport, SessionId};
 use referee_graph::{LabelledGraph, VertexId};
+use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::evidence::{EvidenceBundle, SessionParams};
 use referee_protocol::multiround::{MultiRoundProtocol, MultiRoundStats};
 use referee_protocol::trace::{wall_clock_us, FlightRecorder, TraceKind};
@@ -163,9 +164,12 @@ impl Scheduler {
 
     /// Like [`sweep_one_round`](Self::sweep_one_round), but every
     /// session's referee runs as `shards` mergeable shards with a
-    /// cross-shard exchange phase. Exchange orders are scrambled with a
-    /// per-lane seed (decorrelated the same way transport fault seeds
-    /// are), so a sweep exercises many interleavings at once.
+    /// cross-shard exchange phase: the cap-1
+    /// [`ShardedMultiRoundSession`] of
+    /// [`OneRoundAsMultiRound`]`(protocol)`. Exchange orders are
+    /// scrambled with a per-lane seed (decorrelated the same way
+    /// transport fault seeds are), so a sweep exercises many
+    /// interleavings at once.
     pub fn sweep_one_round_sharded<P>(
         &self,
         protocol: &P,
@@ -177,16 +181,22 @@ impl Scheduler {
         P: OneRoundProtocol + Sync,
         P::Output: Send,
     {
+        let adapted = OneRoundAsMultiRound(protocol);
         self.sweep(graphs.len(), |lo, hi| {
             let mut lanes: Vec<Option<_>> = (lo..hi)
                 .map(|i| {
                     let transport = session_transport(faults, i);
-                    let session = ShardedOneRoundSession::new(protocol, &graphs[i], shards)
-                        .with_exchange_seed(lane_seed(0x9aa2_d1b5, i));
+                    let session =
+                        ShardedMultiRoundSession::new(&adapted, &graphs[i], shards, 1)
+                            .with_exchange_seed(lane_seed(0x9aa2_d1b5, i));
                     Some((session, transport))
                 })
                 .collect();
-            drive_interleaved(&mut lanes, |s, t| s.step(t), |s, t| s.into_report(t))
+            drive_interleaved(
+                &mut lanes,
+                |s, t| s.step(t),
+                |s, t| ShardedReport::from_cap1(s.into_report(t)),
+            )
         })
     }
 
@@ -251,11 +261,13 @@ impl Scheduler {
         })
     }
 
-    /// Sweep sharded one-round sessions over seeded byzantine
-    /// [`Misbehaving`] transports: lane `i` runs on `graphs[i]` with a
-    /// per-lane derived seed, byzantine mask, session id and base key,
-    /// and after the session ends (however it ends) the independent
-    /// prosecutor scans the MAC'd transcript into evidence bundles.
+    /// Sweep sharded one-round sessions (cap-1, as in
+    /// [`sweep_one_round_sharded`](Self::sweep_one_round_sharded)) over
+    /// seeded byzantine [`Misbehaving`] transports: lane `i` runs on
+    /// `graphs[i]` with a per-lane derived seed, byzantine mask,
+    /// session id and base key, and after the session ends (however it
+    /// ends) the independent prosecutor scans the MAC'd transcript into
+    /// evidence bundles.
     /// Each [`ByzantineReport`] carries everything a third-party
     /// verifier needs (`base`, `params`) plus the injection ground
     /// truth, so harnesses can assert the accountability properties —
@@ -271,6 +283,7 @@ impl Scheduler {
         P: OneRoundProtocol + Sync,
         P::Output: Send,
     {
+        let adapted = OneRoundAsMultiRound(protocol);
         self.sweep(graphs.len(), |lo, hi| {
             let mut lanes: Vec<Option<_>> = (lo..hi)
                 .map(|i| {
@@ -282,7 +295,7 @@ impl Scheduler {
                     let mask = lane_cfg.sample_mask(g.n());
                     let transport =
                         Misbehaving::new(PerfectTransport::new(), lane_cfg, mask, base, params);
-                    let session = ShardedOneRoundSession::new(protocol, g, shards)
+                    let session = ShardedMultiRoundSession::new(&adapted, g, shards, 1)
                         .with_session(SessionId(params.session))
                         .with_exchange_seed(lane_seed(0x6b79_7a61, i));
                     Some((session, transport))
@@ -292,7 +305,7 @@ impl Scheduler {
                 &mut lanes,
                 |s, t| s.step(t),
                 |s, t: &Misbehaving<PerfectTransport>| {
-                    let report = s.into_report(t);
+                    let report = ShardedReport::from_cap1(s.into_report(t));
                     ByzantineReport {
                         outcome: report.outcome,
                         metrics: report.metrics,

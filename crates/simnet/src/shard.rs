@@ -1,362 +1,35 @@
-//! Sharded one-round sessions: the referee's mailbox split across
-//! [`RefereeShard`]s that exchange [`PartialState`] summaries *through
-//! the transport*.
+//! Sharded sessions: the referee's mailbox split across mergeable
+//! per-round shards that exchange partial-state summaries *through the
+//! transport*.
 //!
-//! A [`ShardedOneRoundSession`] runs the same protocol as a
-//! [`OneRoundSession`](crate::OneRoundSession) but collects arrivals
-//! into `k` shard states (routed by the balanced ID partition of
-//! `referee_protocol::shard`) and then runs a **cross-shard exchange
-//! phase**: every shard serializes its partial state and ships it as a
-//! round-2 envelope, in an order scrambled by a seed — so the collector
-//! must cope with out-of-order, duplicated, lost and corrupted partials
-//! exactly the way it copes with node traffic. The round stamp is what
-//! makes that safe: late round-1 stragglers surfacing during the
-//! exchange are committed history (counted `stale`), mirroring the
-//! future-round mailbox of the multi-round runtime.
-//!
-//! Delivery semantics match [`OneRoundSession`](crate::OneRoundSession)
-//! bit for bit on every transport (pinned by tests): identical
-//! duplicates are absorbed, conflicting ones fail the session, loss is
-//! starvation, corruption flows to the decoders. A corrupted partial
-//! either fails [`PartialState::decode`] (structural damage) or decodes
-//! to altered embedded messages — the same exposure corrupting the
-//! original node message would have had; the protocol decoders remain
-//! the integrity layer.
-//!
-//! The [`multiround`] submodule lifts the same design to multi-round
-//! protocols: a
+//! There is one sharded engine,
 //! [`ShardedMultiRoundSession`](multiround::ShardedMultiRoundSession)
-//! routes every round's uplinks into `k` per-round shards and runs a
-//! seeded cross-shard exchange before each `referee_step`.
+//! (see the [`multiround`] submodule): every round's uplinks route into
+//! `k` per-round shards (by the balanced ID partition of
+//! `referee_protocol::shard`), and before each `referee_step` every
+//! shard ships its serialized round partial as a same-round envelope
+//! from a synthetic shard sender (`n + 1 + index`), in an order
+//! scrambled by a seed.
+//!
+//! A sharded **one-round** session is that engine running
+//! [`OneRoundAsMultiRound`](referee_protocol::combinators::OneRoundAsMultiRound)
+//! with a round cap of 1: round 1 carries the node uplinks and the
+//! exchange, and the referee finishes on its first step.
+//! [`Scheduler::sweep_one_round_sharded`](crate::Scheduler::sweep_one_round_sharded)
+//! and [`Scheduler::sweep_byzantine`](crate::Scheduler::sweep_byzantine)
+//! run their sessions this way and report them as a [`ShardedReport`].
+//! Delivery semantics match the unsharded
+//! [`OneRoundSession`](crate::OneRoundSession) on every lossless
+//! transport (pinned by tests): identical duplicates are absorbed,
+//! conflicting ones fail the session, loss is starvation, corruption
+//! flows to the decoders, and an envelope stamped outside round 1 or
+//! claiming a shard sender before the exchange fails the session.
 
 pub mod multiround;
 
-use crate::clock::{real_clock, SharedClock};
 use crate::metrics::SessionMetrics;
-use crate::session::Step;
-use crate::transport::{Envelope, SessionId, Transport, REFEREE};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use referee_graph::LabelledGraph;
-use referee_protocol::shard::{shard_of, Arrival, PartialState, RefereeShard};
-use referee_protocol::{DecodeError, Message, NodeView, OneRoundProtocol};
-
-/// Nodes computed per `step()` call in the local phase (matches the
-/// unsharded session).
-const LOCAL_BATCH: usize = 64;
-
-enum Phase {
-    Local { next: u32 },
-    Collect,
-    Exchange,
-    CollectPartials,
-    Finished,
-}
-
-/// A one-round protocol execution whose referee is split across `k`
-/// mergeable shards (see the module docs).
-pub struct ShardedOneRoundSession<'a, P: OneRoundProtocol> {
-    protocol: &'a P,
-    graph: &'a LabelledGraph,
-    session: SessionId,
-    clock: SharedClock,
-    exchange_seed: u64,
-    phase: Phase,
-    shards: Vec<Option<RefereeShard>>,
-    filled: usize,
-    /// Partial envelopes already absorbed, by shard index (for
-    /// idempotent duplicate handling during the exchange).
-    partial_seen: Vec<Option<Message>>,
-    merged: usize,
-    acc: PartialState,
-    exchange_bits: usize,
-    started: f64,
-    outcome: Option<Result<P::Output, DecodeError>>,
-    metrics: SessionMetrics,
-}
-
-impl<'a, P: OneRoundProtocol + Sync> ShardedOneRoundSession<'a, P> {
-    /// A fresh session for `protocol` on `graph` with `shards` referee
-    /// shards (clamped to at least 1).
-    pub fn new(protocol: &'a P, graph: &'a LabelledGraph, shards: usize) -> Self {
-        let n = graph.n();
-        let k = shards.max(1);
-        let clock = real_clock();
-        ShardedOneRoundSession {
-            protocol,
-            graph,
-            session: SessionId::default(),
-            started: clock.now(),
-            clock,
-            exchange_seed: 0,
-            phase: Phase::Local { next: 1 },
-            shards: (0..k).map(|i| Some(RefereeShard::new(n, k, i))).collect(),
-            filled: 0,
-            partial_seen: vec![None; k],
-            merged: 0,
-            acc: PartialState::new(n),
-            exchange_bits: 0,
-            outcome: None,
-            metrics: SessionMetrics::new(n),
-        }
-    }
-
-    /// Number of referee shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Tag this session's envelopes with `id` (multiplexing); inbound
-    /// envelopes carrying any other id fail the run as a demux fault.
-    pub fn with_session(mut self, id: SessionId) -> Self {
-        self.session = id;
-        self
-    }
-
-    /// Stamp latency metrics from `clock` instead of wall time.
-    pub fn with_clock(mut self, clock: SharedClock) -> Self {
-        self.started = clock.now();
-        self.clock = clock;
-        self
-    }
-
-    /// Scramble the order shards emit their partials with `seed` — the
-    /// exchange must be order-invariant (merge is commutative), and a
-    /// seeded shuffle proves it on every run.
-    pub fn with_exchange_seed(mut self, seed: u64) -> Self {
-        self.exchange_seed = seed;
-        self
-    }
-
-    /// Advance as far as deliverable traffic allows.
-    pub fn step(&mut self, transport: &mut impl Transport) -> Step {
-        match self.phase {
-            Phase::Local { next } => self.step_local(next, transport),
-            Phase::Collect => self.step_collect(transport),
-            Phase::Exchange => self.step_exchange(transport),
-            Phase::CollectPartials => self.step_collect_partials(transport),
-            Phase::Finished => Step::Done,
-        }
-    }
-
-    /// Drive to completion on `transport`.
-    pub fn run(mut self, transport: &mut impl Transport) -> ShardedReport<P::Output> {
-        while self.step(transport) == Step::Running {}
-        self.into_report(transport)
-    }
-
-    /// The outcome and metrics; call after `step` returns [`Step::Done`].
-    pub fn into_report(mut self, transport: &impl Transport) -> ShardedReport<P::Output> {
-        let outcome = self.outcome.take().expect("session not finished");
-        self.metrics.transport.merge(&transport.counters());
-        ShardedReport {
-            outcome,
-            metrics: self.metrics,
-            shards: self.shards.len(),
-            exchange_bits: self.exchange_bits,
-        }
-    }
-
-    fn step_local(&mut self, next: u32, transport: &mut impl Transport) -> Step {
-        let n = self.graph.n();
-        let t0 = self.clock.now();
-        // Mirror OneRoundSession: big standalone graphs take the
-        // fanned-out local phase; scheduler sweeps disable it.
-        if next == 1 && n >= referee_protocol::parallel_threshold() {
-            let messages = referee_protocol::referee::local_phase(self.protocol, self.graph);
-            for (i, payload) in messages.into_iter().enumerate() {
-                self.account_uplink(&payload);
-                transport.send(Envelope {
-                    session: self.session,
-                    round: 1,
-                    from: (i + 1) as u32,
-                    to: REFEREE,
-                    payload,
-                });
-            }
-            self.metrics.stats.local_seconds += self.clock.now() - t0;
-            self.phase = Phase::Collect;
-            return Step::Running;
-        }
-        let last = (next as usize + LOCAL_BATCH - 1).min(n) as u32;
-        for v in next..=last {
-            let view = NodeView::new(n, v, self.graph.neighbourhood(v));
-            let payload = self.protocol.local(view);
-            self.account_uplink(&payload);
-            transport.send(Envelope {
-                session: self.session,
-                round: 1,
-                from: v,
-                to: REFEREE,
-                payload,
-            });
-        }
-        self.metrics.stats.local_seconds += self.clock.now() - t0;
-        self.phase =
-            if (last as usize) >= n { Phase::Collect } else { Phase::Local { next: last + 1 } };
-        Step::Running
-    }
-
-    fn account_uplink(&mut self, payload: &Message) {
-        // Only node uplinks count toward the frugality stats — the
-        // exchange is referee-internal and tracked separately.
-        self.metrics.stats.max_message_bits =
-            self.metrics.stats.max_message_bits.max(payload.len_bits());
-        self.metrics.stats.total_message_bits += payload.len_bits();
-    }
-
-    fn step_collect(&mut self, transport: &mut impl Transport) -> Step {
-        let n = self.graph.n();
-        let k = self.shards.len();
-        while self.filled < n {
-            let Some(env) = transport.recv() else {
-                let missing = n - self.filled;
-                return self.finish(Err(DecodeError::Inconsistent(format!(
-                    "transport drained with {missing} of {n} messages missing"
-                ))));
-            };
-            if env.session != self.session {
-                return self.finish(Err(DecodeError::Invalid(format!(
-                    "envelope for session {} delivered to session {} (demux fault)",
-                    env.session, self.session
-                ))));
-            }
-            if env.to != REFEREE || env.round != 1 {
-                return self.finish(Err(DecodeError::Invalid(format!(
-                    "unexpected round-{} envelope from node {} to {} in a one-round session",
-                    env.round, env.from, env.to
-                ))));
-            }
-            if env.from == REFEREE || env.from as usize > n {
-                return self.finish(Err(DecodeError::OutOfRange(format!(
-                    "message from unknown node {} (n = {n})",
-                    env.from
-                ))));
-            }
-            let shard = self.shards[shard_of(n, k, env.from)]
-                .as_mut()
-                .expect("shards live until the exchange");
-            match shard.ingest(env.from, env.payload) {
-                Ok(Arrival::Fresh) => self.filled += 1,
-                Ok(Arrival::Duplicate { identical: true }) => {
-                    // At-least-once delivery made idempotent.
-                    self.metrics.transport.stale += 1;
-                }
-                Ok(Arrival::Duplicate { identical: false }) => {
-                    return self.finish(Err(DecodeError::Inconsistent(format!(
-                        "conflicting duplicate message from node {}",
-                        env.from
-                    ))));
-                }
-                // Out-of-range was rejected above; a routing error here
-                // is a bug in this session, surfaced loudly.
-                Ok(Arrival::OutOfRange) | Err(_) => {
-                    return self.finish(Err(DecodeError::Invalid(format!(
-                        "misrouted arrival from node {}",
-                        env.from
-                    ))));
-                }
-            }
-        }
-        self.phase = Phase::Exchange;
-        Step::Running
-    }
-
-    fn step_exchange(&mut self, transport: &mut impl Transport) -> Step {
-        // Emit every shard's partial in a seeded order. All partials
-        // cross the transport — shard 0's included — so the collector
-        // path is uniform and every partial is exposed to the same
-        // faults as node traffic.
-        let k = self.shards.len();
-        let mut order: Vec<usize> = (0..k).collect();
-        order.shuffle(&mut StdRng::seed_from_u64(self.exchange_seed));
-        for idx in order {
-            let shard = self.shards[idx].take().expect("exchange runs once");
-            let payload = shard.into_partial().encode();
-            self.exchange_bits += payload.len_bits();
-            transport.send(Envelope {
-                session: self.session,
-                round: 2,
-                from: (idx + 1) as u32,
-                to: REFEREE,
-                payload,
-            });
-        }
-        self.phase = Phase::CollectPartials;
-        Step::Running
-    }
-
-    fn step_collect_partials(&mut self, transport: &mut impl Transport) -> Step {
-        let n = self.graph.n();
-        let k = self.shards.len();
-        while self.merged < k {
-            let Some(env) = transport.recv() else {
-                let missing = k - self.merged;
-                return self.finish(Err(DecodeError::Inconsistent(format!(
-                    "transport drained with {missing} of {k} shard partials missing"
-                ))));
-            };
-            if env.session != self.session {
-                return self.finish(Err(DecodeError::Invalid(format!(
-                    "envelope for session {} delivered to session {} (demux fault)",
-                    env.session, self.session
-                ))));
-            }
-            if env.round < 2 {
-                // Round-1 stragglers (duplicates released late by a
-                // reordering transport): committed history, dropped
-                // uncompared — the originals were already consumed.
-                self.metrics.transport.stale += 1;
-                continue;
-            }
-            if env.round != 2 || env.to != REFEREE || env.from == 0 || env.from as usize > k {
-                return self.finish(Err(DecodeError::Invalid(format!(
-                    "unexpected round-{} envelope from {} to {} during the shard exchange",
-                    env.round, env.from, env.to
-                ))));
-            }
-            let idx = (env.from - 1) as usize;
-            match &self.partial_seen[idx] {
-                Some(existing) if *existing == env.payload => {
-                    self.metrics.transport.stale += 1;
-                    continue;
-                }
-                Some(_) => {
-                    return self.finish(Err(DecodeError::Inconsistent(format!(
-                        "conflicting duplicate partial from shard {idx}"
-                    ))));
-                }
-                None => {}
-            }
-            let partial = match PartialState::decode(n, &env.payload) {
-                Ok(p) => p,
-                Err(e) => return self.finish(Err(e)),
-            };
-            self.partial_seen[idx] = Some(env.payload);
-            if let Err(e) = self.acc.merge(partial) {
-                return self.finish(Err(e));
-            }
-            self.merged += 1;
-        }
-        let messages = match std::mem::replace(&mut self.acc, PartialState::new(0)).finish() {
-            Ok(m) => m,
-            Err(e) => return self.finish(Err(e)),
-        };
-        let t0 = self.clock.now();
-        let output = self.protocol.global(n, &messages);
-        self.metrics.stats.global_seconds = self.clock.now() - t0;
-        self.finish(Ok(output))
-    }
-
-    fn finish(&mut self, outcome: Result<P::Output, DecodeError>) -> Step {
-        self.metrics.rounds = 1;
-        self.metrics.round_seconds = vec![self.clock.now() - self.started];
-        self.outcome = Some(outcome);
-        self.phase = Phase::Finished;
-        Step::Done
-    }
-}
+use multiround::ShardedMultiRoundReport;
+use referee_protocol::DecodeError;
 
 /// Outcome of a sharded one-round session.
 #[derive(Debug)]
@@ -373,14 +46,49 @@ pub struct ShardedReport<O> {
     pub exchange_bits: usize,
 }
 
+impl<O> ShardedReport<O> {
+    /// The one-round view of a cap-1 engine report. A referee that did
+    /// not finish in round 1 is a typed failure, never a panic.
+    pub(crate) fn from_cap1(report: ShardedMultiRoundReport<O>) -> Self {
+        let outcome = report.outcome.and_then(|out| {
+            out.ok_or_else(|| {
+                DecodeError::Inconsistent("referee did not finish in round 1".into())
+            })
+        });
+        ShardedReport {
+            outcome,
+            metrics: report.metrics,
+            shards: report.shards,
+            exchange_bits: report.exchange_bits,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultyTransport};
     use crate::session::OneRoundSession;
-    use crate::transport::PerfectTransport;
-    use referee_graph::generators;
+    use crate::transport::{Envelope, PerfectTransport, Transport};
+    use multiround::ShardedMultiRoundSession;
+    use rand::SeedableRng;
+    use referee_graph::{generators, LabelledGraph};
+    use referee_protocol::combinators::OneRoundAsMultiRound;
     use referee_protocol::easy::EdgeCountProtocol;
+
+    /// The sharded one-round session: EdgeCount through the engine at a
+    /// round cap of 1, seen through its one-round report.
+    fn run_edge_count<T: Transport>(
+        g: &LabelledGraph,
+        k: usize,
+        seed: u64,
+        t: &mut T,
+    ) -> ShardedReport<<EdgeCountProtocol as referee_protocol::OneRoundProtocol>::Output> {
+        let adapted = OneRoundAsMultiRound(EdgeCountProtocol);
+        let report =
+            ShardedMultiRoundSession::new(&adapted, g, k, 1).with_exchange_seed(seed).run(t);
+        ShardedReport::from_cap1(report)
+    }
 
     #[test]
     fn matches_unsharded_session_bit_for_bit() {
@@ -396,9 +104,7 @@ mod tests {
             let mono_out = mono.outcome.unwrap();
             for k in 1..=8usize {
                 let mut t = PerfectTransport::new();
-                let sharded = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, k)
-                    .with_exchange_seed(k as u64 * 77)
-                    .run(&mut t);
+                let sharded = run_edge_count(&g, k, k as u64 * 77, &mut t);
                 assert_eq!(sharded.outcome.unwrap(), mono_out, "k={k}, n={}", g.n());
                 assert_eq!(
                     sharded.metrics.stats.max_message_bits, mono.metrics.stats.max_message_bits,
@@ -420,10 +126,7 @@ mod tests {
         let mut outputs = Vec::new();
         for seed in 0..16u64 {
             let mut t = PerfectTransport::new();
-            let r = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, 5)
-                .with_exchange_seed(seed)
-                .run(&mut t);
-            outputs.push(r.outcome.unwrap());
+            outputs.push(run_edge_count(&g, 5, seed, &mut t).outcome.unwrap());
         }
         assert!(outputs.windows(2).all(|w| w[0] == w[1]));
     }
@@ -448,10 +151,7 @@ mod tests {
                 corruption: 0.0,
             };
             let mut t = FaultyTransport::new(PerfectTransport::new(), cfg);
-            let r = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, 4)
-                .with_exchange_seed(seed)
-                .run(&mut t);
-            match r.outcome {
+            match run_edge_count(&g, 4, seed, &mut t).outcome {
                 Ok(out) => {
                     assert_eq!(out, Ok(g.m()), "seed {seed} fabricated an edge count");
                     completed += 1;
@@ -465,12 +165,12 @@ mod tests {
 
     #[test]
     fn lost_partial_is_detected_as_starvation() {
-        // Full loss after round 1 cannot be arranged with FaultConfig
-        // alone; a tiny wrapper drops every round-2 envelope instead.
-        struct DropPartials<T: Transport>(T);
+        // Drop every exchange envelope (synthetic shard senders above
+        // `n`): the referee must starve loudly, never hang or fabricate.
+        struct DropPartials<T: Transport>(T, usize);
         impl<T: Transport> Transport for DropPartials<T> {
             fn send(&mut self, env: Envelope) {
-                if env.round != 2 {
+                if (env.from as usize) <= self.1 {
                     self.0.send(env);
                 }
             }
@@ -482,22 +182,20 @@ mod tests {
             }
         }
         let g = generators::grid(3, 3);
-        let mut t = DropPartials(PerfectTransport::new());
-        let r = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, 3).run(&mut t);
-        let err = r.outcome.unwrap_err();
+        let mut t = DropPartials(PerfectTransport::new(), g.n());
+        let err = run_edge_count(&g, 3, 0, &mut t).outcome.unwrap_err();
         assert!(format!("{err}").contains("shard partials missing"), "{err}");
     }
 
     #[test]
     fn corrupted_partial_structure_is_rejected() {
-        // Flip a bit in the length-field region of every round-2
-        // payload: the partial decoder must reject, the session must
-        // fail closed.
-        struct CorruptPartials<T: Transport>(T);
+        // Flip a bit inside the `n` field of every exchange payload: the
+        // partial decoder must reject, the session must fail closed.
+        struct CorruptPartials<T: Transport>(T, usize);
         impl<T: Transport> Transport for CorruptPartials<T> {
             fn send(&mut self, mut env: Envelope) {
-                if env.round == 2 {
-                    env.payload = env.payload.with_bit_flipped(10); // inside n field
+                if (env.from as usize) > self.1 {
+                    env.payload = env.payload.with_bit_flipped(42);
                 }
                 self.0.send(env);
             }
@@ -509,8 +207,8 @@ mod tests {
             }
         }
         let g = generators::grid(3, 4);
-        let mut t = CorruptPartials(PerfectTransport::new());
-        let r = ShardedOneRoundSession::new(&EdgeCountProtocol, &g, 2).run(&mut t);
+        let mut t = CorruptPartials(PerfectTransport::new(), g.n());
+        let r = run_edge_count(&g, 2, 0, &mut t);
         assert!(r.outcome.is_err(), "structurally corrupted partial must reject");
     }
 }

@@ -21,10 +21,19 @@
 //! bit for bit on every lossless transport (pinned by tests): identical
 //! duplicates are absorbed, conflicting ones fail the session while
 //! their round is open (after the round's exchange they are committed
-//! history, dropped uncompared — mirroring the one-round sharded
-//! session), loss is starvation, corruption flows to the decoders. The
-//! frugality stats count node traffic only; exchange overhead is
-//! reported separately in [`ShardedMultiRoundReport::exchange_bits`].
+//! history, dropped uncompared), loss is starvation, corruption flows
+//! to the decoders. Two stamps fail the session outright, so hostile
+//! traffic can neither hide in nor grow the round buffers: a round
+//! outside `1..=max_rounds` (`Invalid`), and a synthetic shard sender
+//! whose round has not run its exchange yet — it cannot be one of the
+//! session's own partials (`OutOfRange`). The frugality stats count
+//! node traffic only; exchange overhead is reported separately in
+//! [`ShardedMultiRoundReport::exchange_bits`].
+//!
+//! With `max_rounds = 1` and
+//! [`OneRoundAsMultiRound`](referee_protocol::combinators::OneRoundAsMultiRound)
+//! this is the sharded one-round session (see the [parent
+//! module](crate::shard)).
 
 use crate::clock::{real_clock, SharedClock};
 use crate::metrics::SessionMetrics;
@@ -243,6 +252,12 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
                 env.session, self.session
             )));
         }
+        if env.round == 0 || env.round as usize > self.max_rounds {
+            return Err(DecodeError::Invalid(format!(
+                "round-{} envelope from {} to {} outside rounds 1..={}",
+                env.round, env.from, env.to, self.max_rounds
+            )));
+        }
         if env.round < self.round {
             self.metrics.transport.stale += 1;
             return Ok(());
@@ -289,8 +304,7 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
             if buf.exchanged {
                 // Stragglers behind this round's exchange are committed
                 // history — the shards already shipped their partials —
-                // and are dropped uncompared, like the one-round
-                // session's post-exchange stragglers.
+                // and are dropped uncompared.
                 self.metrics.transport.stale += 1;
                 return Ok(());
             }
@@ -350,9 +364,18 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
     /// Absorb one cross-shard exchange partial.
     fn classify_partial(&mut self, env: Envelope) -> Result<(), DecodeError> {
         let n = self.graph.n();
-        let k = self.k;
         let idx = env.from as usize - n - 1;
-        let buf = Self::buf(&mut self.bufs, n, k, env.round);
+        // Partials exist only once their round has run its exchange;
+        // before that a shard sender is a forged node ID.
+        let buf = match self.bufs.get_mut(&env.round) {
+            Some(buf) if buf.exchanged => buf,
+            _ => {
+                return Err(DecodeError::OutOfRange(format!(
+                    "message from unknown node {} (n = {n})",
+                    env.from
+                )))
+            }
+        };
         match &buf.partial_seen[idx] {
             Some(existing) if *existing == env.payload => {
                 self.metrics.transport.stale += 1;
@@ -774,13 +797,14 @@ mod tests {
 
     #[test]
     fn corrupted_partial_is_rejected() {
-        // Flip a bit inside every exchange payload's round field: the
+        // Flip one bit of every exchange payload — the round stamp's LSB
+        // (bit 31) or a bit inside the embedded `n` field (bit 42): the
         // decoder (round mismatch or structural damage) must reject.
-        struct CorruptPartials<T: Transport>(T, usize);
+        struct CorruptPartials<T: Transport>(T, usize, usize);
         impl<T: Transport> Transport for CorruptPartials<T> {
             fn send(&mut self, mut env: Envelope) {
                 if (env.from as usize) > self.1 {
-                    env.payload = env.payload.with_bit_flipped(31); // round field LSB
+                    env.payload = env.payload.with_bit_flipped(self.2);
                 }
                 self.0.send(env);
             }
@@ -792,8 +816,10 @@ mod tests {
             }
         }
         let g = generators::grid(3, 4);
-        let mut t = CorruptPartials(PerfectTransport::new(), g.n());
-        let r = ShardedMultiRoundSession::new(&BoruvkaConnectivity, &g, 2, 64).run(&mut t);
-        assert!(r.outcome.is_err(), "corrupted round stamp must reject");
+        for bit in [31, 42] {
+            let mut t = CorruptPartials(PerfectTransport::new(), g.n(), bit);
+            let r = ShardedMultiRoundSession::new(&BoruvkaConnectivity, &g, 2, 64).run(&mut t);
+            assert!(r.outcome.is_err(), "bit {bit}: corrupted partial must reject");
+        }
     }
 }
