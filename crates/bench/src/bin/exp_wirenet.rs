@@ -9,8 +9,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use referee_bench::{render_table, section, write_bench_json_axis, BenchRecord, Percentiles};
 use referee_graph::{generators, LabelledGraph};
+use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::easy::EdgeCountProtocol;
-use referee_simnet::{AggregateMetrics, OneRoundSession, Scheduler, SessionId};
+use referee_simnet::{
+    AggregateMetrics, MultiRoundSession, OneRoundReport, Scheduler, SessionId,
+};
 use referee_wirenet::{AuthKey, FleetClient, FleetServer, TamperConfig, TRACE_CAPACITY_ENV};
 use std::time::Instant;
 
@@ -84,9 +87,15 @@ fn main() {
                 scheduler.run_indexed(count, |i| {
                     let id = SessionId(i as u64);
                     let mut transport = client.transport(id);
-                    OneRoundSession::new(&EdgeCountProtocol, &graphs[i])
+                    OneRoundReport::from(
+                        MultiRoundSession::new(
+                            &OneRoundAsMultiRound(EdgeCountProtocol),
+                            &graphs[i],
+                            1,
+                        )
                         .with_session(id)
-                        .run(&mut transport)
+                        .run(&mut transport),
+                    )
                 })
             };
             run_fleet(sessions / 4); // warmup, untimed
@@ -160,8 +169,11 @@ fn main() {
     for (i, g) in graphs.iter().take(32).enumerate() {
         let id = SessionId(i as u64);
         let mut transport = client.transport(id);
-        let report =
-            OneRoundSession::new(&EdgeCountProtocol, g).with_session(id).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), g, 1)
+                .with_session(id)
+                .run(&mut transport),
+        );
         match report.outcome {
             Err(_) => rejected += 1,
             Ok(out) => assert_eq!(*out.as_ref().unwrap(), g.m(), "computed on garbage"),

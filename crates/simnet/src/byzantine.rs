@@ -450,6 +450,7 @@ impl<T: Transport> Transport for Misbehaving<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{MultiRoundSession, OneRoundReport};
     use crate::shard::multiround::ShardedMultiRoundSession;
     use crate::shard::ShardedReport;
     use crate::transport::{PerfectTransport, SessionId};
@@ -487,6 +488,20 @@ mod tests {
                 .run(&mut t);
         let report = ShardedReport::from_cap1(report);
         (report.outcome, t.prosecute(), t.injections(), base, params)
+    }
+
+    /// The same session through the unsharded cap-1 engine.
+    fn run_unsharded(
+        cfg: ByzantineConfig,
+        mask: BTreeSet<VertexId>,
+    ) -> (RunOutcome, InjectionCounts) {
+        let g = generators::grid(3, 4);
+        let params = SessionParams { session: 77, n: g.n() as u32, round_cap: 1 };
+        let mut t = Misbehaving::new(PerfectTransport::new(), cfg, mask, key(cfg.seed), params);
+        let report = MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
+            .with_session(SessionId(params.session))
+            .run(&mut t);
+        (OneRoundReport::from(report).outcome, t.injections())
     }
 
     #[test]
@@ -545,11 +560,14 @@ mod tests {
         // round cap: the session must fail rather than park them in a
         // future-round buffer.
         let mask: BTreeSet<VertexId> = [2].into();
-        for k in [1, 3, 4] {
-            for cfg in [
-                ByzantineConfig { wrong_round: 1.0, ..ByzantineConfig::honest(7) },
-                ByzantineConfig { splice: 1.0, ..ByzantineConfig::honest(8) },
-            ] {
+        for cfg in [
+            ByzantineConfig { wrong_round: 1.0, ..ByzantineConfig::honest(7) },
+            ByzantineConfig { splice: 1.0, ..ByzantineConfig::honest(8) },
+        ] {
+            let (outcome, inj) = run_unsharded(cfg, mask.clone());
+            assert_eq!(inj.wrong_round + inj.splice, 1);
+            assert!(matches!(outcome, Err(DecodeError::Invalid(_))), "unsharded: {outcome:?}");
+            for k in [1, 3, 4] {
                 let (outcome, _, inj, _, _) = run(cfg, mask.clone(), k);
                 assert_eq!(inj.wrong_round + inj.splice, 1);
                 assert!(matches!(outcome, Err(DecodeError::Invalid(_))), "k={k}: {outcome:?}");

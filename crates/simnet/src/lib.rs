@@ -10,10 +10,12 @@
 //! survive — loss, duplication, reordering, corruption, and the cost of
 //! driving thousands of concurrent runs. This crate closes that gap:
 //!
-//! * [`session`] — [`OneRoundSession`] and [`MultiRoundSession`] execute
-//!   protocols as explicit state machines with a poll-style
-//!   [`step()`](OneRoundSession::step) API. No threads, sockets or clocks
-//!   are baked in; every message crosses a [`Transport`].
+//! * [`session`] — [`MultiRoundSession`] executes protocols as an
+//!   explicit state machine with a poll-style
+//!   [`step()`](MultiRoundSession::step) API. No threads, sockets or
+//!   clocks are baked in; every message crosses a [`Transport`]. A
+//!   one-round session is the same engine at a round cap of 1 over
+//!   [`OneRoundAsMultiRound`], reported as a [`OneRoundReport`].
 //! * [`transport`] — the [`Transport`] trait and the in-memory
 //!   [`PerfectTransport`]. Envelopes are session-tagged ([`SessionId`]
 //!   — the multiplexing key `wirenet` uses to carry whole fleets over a
@@ -36,8 +38,7 @@
 //!   exchange before each `referee_step` — bit-for-bit equivalent to
 //!   the unsharded session (pinned by tests). Sharded one-round
 //!   sessions are the same engine at a round cap of 1 over
-//!   [`OneRoundAsMultiRound`](referee_protocol::combinators::OneRoundAsMultiRound),
-//!   reported as a [`ShardedReport`].
+//!   [`OneRoundAsMultiRound`], reported as a [`ShardedReport`].
 //! * [`placement`] — [`PlacementSim`]: a sans-I/O, seeded model of
 //!   cross-host shard placement under host loss — kills wipe volatile
 //!   shard state, journal replay rebuilds it — pinned to produce the
@@ -110,28 +111,31 @@ pub use fault::{FaultConfig, FaultyTransport};
 pub use metrics::{AggregateMetrics, SessionMetrics, TransportCounters};
 pub use placement::{PlacementReport, PlacementSim};
 pub use scheduler::{ByzantineReport, MixedLane, MixedReport, Scheduler, SweepReport};
-pub use session::{MultiRoundReport, MultiRoundSession, OneRoundReport, OneRoundSession, Step};
+pub use session::{MultiRoundReport, MultiRoundSession, OneRoundReport, Step};
 pub use shard::multiround::{ShardedMultiRoundReport, ShardedMultiRoundSession};
 pub use shard::ShardedReport;
 pub use transport::{Envelope, PerfectTransport, SessionId, Transport, REFEREE};
 
 use referee_graph::LabelledGraph;
+use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::multiround::{MultiRoundProtocol, MultiRoundStats};
 use referee_protocol::{OneRoundProtocol, RunOutcome};
 
 /// Drop-in replacement for [`referee_protocol::run_protocol`], executed
-/// through a [`OneRoundSession`] over a [`PerfectTransport`].
+/// through the cap-1 [`MultiRoundSession`] of
+/// [`OneRoundAsMultiRound`]`(protocol)` over a [`PerfectTransport`].
 ///
 /// A perfect transport cannot lose or corrupt anything, so the session
 /// outcome is infallible; the signature stays identical to the legacy
-/// simulator's (including the `Sync` bound, which the parallel local
-/// phase for large graphs needs).
+/// simulator's (including its `Sync` bound).
 pub fn run_protocol<P: OneRoundProtocol + Sync>(
     protocol: &P,
     g: &LabelledGraph,
 ) -> RunOutcome<P::Output> {
     let mut transport = PerfectTransport::new();
-    let report = OneRoundSession::new(protocol, g).run(&mut transport);
+    let report =
+        MultiRoundSession::new(&OneRoundAsMultiRound(protocol), g, 1).run(&mut transport);
+    let report = OneRoundReport::from(report);
     RunOutcome {
         output: report.outcome.expect("perfect transport cannot fail delivery"),
         stats: report.metrics.stats,
@@ -193,10 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn large_graph_parallel_local_phase_matches_legacy() {
-        // n >= the default parallel threshold (2048): the session takes
-        // the fanned-out local_phase branch; output and stats must still
-        // match the legacy simulator exactly.
+    fn large_graph_matches_legacy() {
+        // n above the legacy simulator's default parallel threshold
+        // (2048), where it fans its local phase out across threads: the
+        // session's output and stats must still match it exactly.
         let g = generators::path(3000);
         let legacy = referee_protocol::run_protocol(&EdgeCountProtocol, &g);
         let simnet = run_protocol(&EdgeCountProtocol, &g);

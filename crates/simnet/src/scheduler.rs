@@ -16,9 +16,7 @@
 use crate::byzantine::{ByzantineConfig, InjectionCounts, Misbehaving};
 use crate::fault::{FaultConfig, FaultyTransport};
 use crate::metrics::AggregateMetrics;
-use crate::session::{
-    MultiRoundReport, MultiRoundSession, OneRoundReport, OneRoundSession, Step,
-};
+use crate::session::{MultiRoundReport, MultiRoundSession, OneRoundReport, Step};
 use crate::shard::multiround::{ShardedMultiRoundReport, ShardedMultiRoundSession};
 use crate::shard::ShardedReport;
 use crate::transport::{PerfectTransport, SessionId};
@@ -140,7 +138,8 @@ impl Scheduler {
 
     /// Run `protocol` once per graph, each session on its own transport
     /// (faulty when `faults` is given, perfect otherwise), interleaving
-    /// sessions within each claimed batch.
+    /// sessions within each claimed batch. Each session is the cap-1
+    /// [`MultiRoundSession`] of [`OneRoundAsMultiRound`]`(protocol)`.
     pub fn sweep_one_round<P>(
         &self,
         protocol: &P,
@@ -151,14 +150,19 @@ impl Scheduler {
         P: OneRoundProtocol + Sync,
         P::Output: Send,
     {
+        let adapted = OneRoundAsMultiRound(protocol);
         self.sweep(graphs.len(), |lo, hi| {
             let mut lanes: Vec<Option<_>> = (lo..hi)
                 .map(|i| {
                     let transport = session_transport(faults, i);
-                    Some((OneRoundSession::new(protocol, &graphs[i]), transport))
+                    Some((MultiRoundSession::new(&adapted, &graphs[i], 1), transport))
                 })
                 .collect();
-            drive_interleaved(&mut lanes, |s, t| s.step(t), |s, t| s.into_report(t))
+            drive_interleaved(
+                &mut lanes,
+                |s, t| s.step(t),
+                |s, t| OneRoundReport::from(s.into_report(t)),
+            )
         })
     }
 

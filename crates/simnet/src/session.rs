@@ -1,4 +1,4 @@
-//! Session state machines: protocol executions as explicit, pollable
+//! The session state machine: protocol executions as explicit, pollable
 //! state, with all I/O abstracted behind a [`Transport`].
 //!
 //! A session owns *both* sides of the referee model — the nodes' local
@@ -8,7 +8,14 @@
 //! the caller (a scheduler, a test, an eventual async reactor) decides
 //! when to poll again. Nothing here blocks, sleeps, or spawns.
 //!
-//! Delivery semantics (the same for both machines):
+//! There is one machine, [`MultiRoundSession`]. A one-round protocol is
+//! a multi-round protocol whose referee finishes in round 1, so a
+//! one-round session is
+//! `MultiRoundSession::new(&OneRoundAsMultiRound(p), g, 1)` (see
+//! [`OneRoundAsMultiRound`](referee_protocol::combinators::OneRoundAsMultiRound)),
+//! seen through its [`OneRoundReport`].
+//!
+//! Delivery semantics:
 //!
 //! * **Out-of-order arrivals** are fine: envelopes are round-stamped and
 //!   buffered until their consumer phase runs (the early-message cache).
@@ -20,6 +27,11 @@
 //!   [`DecodeError::Inconsistent`]; duplicates straggling in after
 //!   their round committed are dropped uncompared (the original was
 //!   already consumed, so they can no longer influence any outcome).
+//! * **Stray round stamps** fail the session: an envelope stamped `0`
+//!   or past the round cap can belong to no round of this session, so
+//!   it is rejected with [`DecodeError::Invalid`] instead of being
+//!   counted stale or parked — the future-round buffers stay bounded by
+//!   the round cap.
 //! * **Loss** is detected when the transport reports itself empty while
 //!   the session still expects traffic — a session never hangs.
 //! * **Corruption** is *not* detected here. Flipped bits flow unchanged
@@ -37,10 +49,10 @@ use crate::metrics::SessionMetrics;
 use crate::transport::{Envelope, SessionId, Transport, REFEREE};
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::multiround::{MultiRoundProtocol, MultiRoundStats, RefereeStep};
-use referee_protocol::{DecodeError, Message, NodeView, OneRoundProtocol};
+use referee_protocol::{DecodeError, Message, NodeView};
 use std::collections::BTreeMap;
 
-/// Result of one [`step`](OneRoundSession::step) call.
+/// Result of one [`step`](MultiRoundSession::step) call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// More work remains; poll again.
@@ -49,224 +61,19 @@ pub enum Step {
     Done,
 }
 
-/// Nodes computed per `step()` call in the local phase — small enough
-/// that a scheduler interleaving thousands of sessions stays responsive,
-/// large enough to amortise the call overhead.
-const LOCAL_BATCH: usize = 64;
-
-// ---------------------------------------------------------------------------
-// One-round sessions
-// ---------------------------------------------------------------------------
-
-enum OneRoundPhase {
-    /// Computing and transmitting local messages; `next` is the first
-    /// node that has not sent yet.
-    Local {
-        next: u32,
-    },
-    /// Waiting for the referee's mailbox to fill.
-    Collect,
-    Finished,
+/// The buffer rule both session engines share: a per-node slot vector
+/// is allocated on first use, so a round that never needs it (the
+/// downlinks and inboxes of the round a referee ends on, the link-seen
+/// table of a protocol without link messages) costs nothing.
+pub(crate) fn lazy_slots<T: Clone + Default>(slots: &mut Vec<T>, len: usize) -> &mut [T] {
+    if slots.is_empty() {
+        slots.resize(len, T::default());
+    }
+    slots
 }
 
-/// A single execution of a [`OneRoundProtocol`] as a state machine.
-pub struct OneRoundSession<'a, P: OneRoundProtocol> {
-    protocol: &'a P,
-    graph: &'a LabelledGraph,
-    session: SessionId,
-    clock: SharedClock,
-    phase: OneRoundPhase,
-    slots: Vec<Option<Message>>,
-    filled: usize,
-    started: f64,
-    outcome: Option<Result<P::Output, DecodeError>>,
-    metrics: SessionMetrics,
-}
-
-impl<'a, P: OneRoundProtocol + Sync> OneRoundSession<'a, P> {
-    /// A fresh session for `protocol` on `graph`.
-    pub fn new(protocol: &'a P, graph: &'a LabelledGraph) -> Self {
-        let n = graph.n();
-        let clock = real_clock();
-        OneRoundSession {
-            protocol,
-            graph,
-            session: SessionId::default(),
-            started: clock.now(),
-            clock,
-            phase: OneRoundPhase::Local { next: 1 },
-            slots: vec![None; n],
-            filled: 0,
-            outcome: None,
-            metrics: SessionMetrics::new(n),
-        }
-    }
-
-    /// Tag this session's envelopes with `id` (multiplexing). Inbound
-    /// envelopes carrying any *other* session id fail the run — they are
-    /// evidence of a demultiplexing fault in the transport layer.
-    pub fn with_session(mut self, id: SessionId) -> Self {
-        self.session = id;
-        self
-    }
-
-    /// Stamp latency metrics from `clock` instead of wall time.
-    pub fn with_clock(mut self, clock: SharedClock) -> Self {
-        self.started = clock.now();
-        self.clock = clock;
-        self
-    }
-
-    /// Advance as far as deliverable traffic allows.
-    pub fn step(&mut self, transport: &mut impl Transport) -> Step {
-        match self.phase {
-            OneRoundPhase::Local { next } => self.step_local(next, transport),
-            OneRoundPhase::Collect => self.step_collect(transport),
-            OneRoundPhase::Finished => Step::Done,
-        }
-    }
-
-    /// Drive to completion on `transport`.
-    pub fn run(mut self, transport: &mut impl Transport) -> OneRoundReport<P::Output> {
-        while self.step(transport) == Step::Running {}
-        self.into_report(transport)
-    }
-
-    /// The outcome and metrics; call after `step` returns [`Step::Done`].
-    pub fn into_report(mut self, transport: &impl Transport) -> OneRoundReport<P::Output> {
-        let outcome = self.outcome.take().expect("session not finished");
-        self.metrics.transport.merge(&transport.counters());
-        OneRoundReport { outcome, metrics: self.metrics }
-    }
-
-    fn step_local(&mut self, next: u32, transport: &mut impl Transport) -> Step {
-        let n = self.graph.n();
-        let t0 = self.clock.now();
-        // Large standalone runs keep the legacy simulator's thread
-        // fan-out for the embarrassingly-parallel local phase (a
-        // scheduler sweep sets the threshold to MAX, so its sessions
-        // always take the incremental path below and stay interleavable).
-        if next == 1 && n >= referee_protocol::parallel_threshold() {
-            let messages = referee_protocol::referee::local_phase(self.protocol, self.graph);
-            for (i, payload) in messages.into_iter().enumerate() {
-                self.metrics.stats.max_message_bits =
-                    self.metrics.stats.max_message_bits.max(payload.len_bits());
-                self.metrics.stats.total_message_bits += payload.len_bits();
-                transport.send(Envelope {
-                    session: self.session,
-                    round: 1,
-                    from: (i + 1) as u32,
-                    to: REFEREE,
-                    payload,
-                });
-            }
-            self.metrics.stats.local_seconds += self.clock.now() - t0;
-            self.phase = OneRoundPhase::Collect;
-            return Step::Running;
-        }
-        let last = (next as usize + LOCAL_BATCH - 1).min(n) as u32;
-        for v in next..=last {
-            let view = NodeView::new(n, v, self.graph.neighbourhood(v));
-            let payload = self.protocol.local(view);
-            self.metrics.stats.max_message_bits =
-                self.metrics.stats.max_message_bits.max(payload.len_bits());
-            self.metrics.stats.total_message_bits += payload.len_bits();
-            transport.send(Envelope {
-                session: self.session,
-                round: 1,
-                from: v,
-                to: REFEREE,
-                payload,
-            });
-        }
-        self.metrics.stats.local_seconds += self.clock.now() - t0;
-        self.phase = if (last as usize) >= n {
-            OneRoundPhase::Collect
-        } else {
-            OneRoundPhase::Local { next: last + 1 }
-        };
-        Step::Running
-    }
-
-    fn step_collect(&mut self, transport: &mut impl Transport) -> Step {
-        let n = self.graph.n();
-        while self.filled < n {
-            let Some(env) = transport.recv() else {
-                let missing = n - self.filled;
-                return self.finish(Err(DecodeError::Inconsistent(format!(
-                    "transport drained with {missing} of {n} messages missing"
-                ))));
-            };
-            if env.session != self.session {
-                return self.finish(Err(DecodeError::Invalid(format!(
-                    "envelope for session {} delivered to session {} (demux fault)",
-                    env.session, self.session
-                ))));
-            }
-            if env.to != REFEREE || env.round != 1 {
-                return self.finish(Err(DecodeError::Invalid(format!(
-                    "unexpected round-{} envelope from node {} to {} in a one-round session",
-                    env.round, env.from, env.to
-                ))));
-            }
-            if env.from == REFEREE || env.from as usize > n {
-                return self.finish(Err(DecodeError::OutOfRange(format!(
-                    "message from unknown node {} (n = {n})",
-                    env.from
-                ))));
-            }
-            let slot = &mut self.slots[(env.from - 1) as usize];
-            match slot {
-                None => {
-                    *slot = Some(env.payload);
-                    self.filled += 1;
-                }
-                Some(existing) if *existing == env.payload => {
-                    // At-least-once delivery made idempotent.
-                    self.metrics.transport.stale += 1;
-                }
-                Some(_) => {
-                    return self.finish(Err(DecodeError::Inconsistent(format!(
-                        "conflicting duplicate message from node {}",
-                        env.from
-                    ))));
-                }
-            }
-        }
-        let messages: Vec<Message> =
-            self.slots.drain(..).map(|s| s.expect("all slots filled")).collect();
-        let t0 = self.clock.now();
-        let output = self.protocol.global(n, &messages);
-        self.metrics.stats.global_seconds = self.clock.now() - t0;
-        self.finish(Ok(output))
-    }
-
-    fn finish(&mut self, outcome: Result<P::Output, DecodeError>) -> Step {
-        self.metrics.rounds = 1;
-        self.metrics.round_seconds = vec![self.clock.now() - self.started];
-        self.outcome = Some(outcome);
-        self.phase = OneRoundPhase::Finished;
-        Step::Done
-    }
-}
-
-/// Outcome of a one-round session.
-#[derive(Debug)]
-pub struct OneRoundReport<O> {
-    /// The referee's output, or the decode/delivery failure that ended
-    /// the session.
-    pub outcome: Result<O, DecodeError>,
-    /// Everything measured along the way.
-    pub metrics: SessionMetrics,
-}
-
-// ---------------------------------------------------------------------------
-// Multi-round sessions
-// ---------------------------------------------------------------------------
-
-/// Per-round mailboxes. Envelopes for *future* rounds land here too —
-/// that is the early-message cache that makes reordering across round
-/// boundaries harmless.
+/// One round's mailboxes. `downlinks` and `inbox` follow
+/// [`lazy_slots`].
 struct RoundBuf {
     uplinks: Vec<Option<Message>>,
     uplinks_filled: usize,
@@ -281,9 +88,9 @@ impl RoundBuf {
         RoundBuf {
             uplinks: vec![None; n],
             uplinks_filled: 0,
-            downlinks: vec![None; n],
+            downlinks: Vec::new(),
             downlinks_filled: 0,
-            inbox: vec![Vec::new(); n],
+            inbox: Vec::new(),
             inbox_count: 0,
         }
     }
@@ -307,16 +114,25 @@ pub struct MultiRoundSession<'a, P: MultiRoundProtocol> {
     referee_state: P::RefereeState,
     round: u32,
     phase: MultiRoundPhase,
-    bufs: BTreeMap<u32, RoundBuf>,
+    /// The current round's mailboxes.
+    current: RoundBuf,
+    /// Mailboxes of later rounds, by round: the early-message cache that
+    /// makes reordering across round boundaries harmless. The round-stamp
+    /// rule bounds it to `max_rounds` entries.
+    early: BTreeMap<u32, RoundBuf>,
     /// Node→node envelopes sent this round (recorded at send time: the
     /// session knows the ground truth of what was transmitted, so loss is
     /// distinguishable from "that neighbour simply did not send").
     links_expected: usize,
     /// Per-(node, round) duplicate-target detection in O(1) per send:
     /// `link_seen[target] == link_epoch` means this sender already
-    /// messaged `target` in the current round.
+    /// messaged `target` in the current round ([`lazy_slots`], `n + 1`).
     link_seen: Vec<u64>,
     link_epoch: u64,
+    /// Start of the current round: construction (or
+    /// [`with_clock`](Self::with_clock)) for round 1, so its latency
+    /// includes any wait before the first step; the send step for every
+    /// later round.
     round_started: f64,
     outcome: Option<Result<Option<P::Output>, DecodeError>>,
     metrics: SessionMetrics,
@@ -344,9 +160,10 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             referee_state,
             round: 1,
             phase: MultiRoundPhase::NodeSend,
-            bufs: BTreeMap::new(),
+            current: RoundBuf::new(n),
+            early: BTreeMap::new(),
             links_expected: 0,
-            link_seen: vec![0; n + 1],
+            link_seen: Vec::new(),
             link_epoch: 0,
             outcome: None,
             metrics: SessionMetrics::new(n),
@@ -399,19 +216,31 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
         MultiRoundReport { outcome, metrics: self.metrics, stats: self.mr_stats }
     }
 
-    fn buf(bufs: &mut BTreeMap<u32, RoundBuf>, n: usize, round: u32) -> &mut RoundBuf {
-        bufs.entry(round).or_insert_with(|| RoundBuf::new(n))
+    /// The mailboxes of `round`, the current round or a later one.
+    fn buf(&mut self, round: u32) -> &mut RoundBuf {
+        if round == self.round {
+            return &mut self.current;
+        }
+        let n = self.graph.n();
+        self.early.entry(round).or_insert_with(|| RoundBuf::new(n))
     }
 
     /// Classify one arrival into its round buffer. Rounds older than the
     /// current one are committed history: their traffic is counted stale
-    /// and dropped (idempotent at-least-once delivery).
+    /// and dropped (idempotent at-least-once delivery). A stamp outside
+    /// `1..=max_rounds` fails the session.
     fn classify(&mut self, env: Envelope) -> Result<(), DecodeError> {
         let n = self.graph.n();
         if env.session != self.session {
             return Err(DecodeError::Invalid(format!(
                 "envelope for session {} delivered to session {} (demux fault)",
                 env.session, self.session
+            )));
+        }
+        if env.round == 0 || env.round as usize > self.max_rounds {
+            return Err(DecodeError::Invalid(format!(
+                "round-{} envelope from {} to {} outside rounds 1..={}",
+                env.round, env.from, env.to, self.max_rounds
             )));
         }
         if env.round < self.round {
@@ -426,8 +255,8 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                     env.to
                 )));
             }
-            let buf = Self::buf(&mut self.bufs, n, env.round);
-            let slot = &mut buf.downlinks[(env.to - 1) as usize];
+            let buf = self.buf(env.round);
+            let slot = &mut lazy_slots(&mut buf.downlinks, n)[(env.to - 1) as usize];
             match slot {
                 None => {
                     *slot = Some(env.payload);
@@ -451,7 +280,7 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
         }
         if env.to == REFEREE {
             // Uplink.
-            let buf = Self::buf(&mut self.bufs, n, env.round);
+            let buf = self.buf(env.round);
             let slot = &mut buf.uplinks[(env.from - 1) as usize];
             match slot {
                 None => {
@@ -478,8 +307,8 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                 env.from, env.to
             )));
         }
-        let buf = Self::buf(&mut self.bufs, n, env.round);
-        let inbox = &mut buf.inbox[(env.to - 1) as usize];
+        let buf = self.buf(env.round);
+        let inbox = &mut lazy_slots(&mut buf.inbox, n)[(env.to - 1) as usize];
         match inbox.iter().find(|(from, _)| *from == env.from) {
             Some((_, existing)) if *existing == env.payload => {
                 self.metrics.transport.stale += 1
@@ -505,13 +334,9 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
         transport: &mut impl Transport,
         ready: impl Fn(&RoundBuf, usize) -> bool,
     ) -> Result<bool, DecodeError> {
-        let n = self.graph.n();
         loop {
-            {
-                let buf = Self::buf(&mut self.bufs, n, self.round);
-                if ready(buf, self.links_expected) {
-                    return Ok(true);
-                }
+            if ready(&self.current, self.links_expected) {
+                return Ok(true);
             }
             let Some(env) = transport.recv() else {
                 return Ok(false);
@@ -525,7 +350,10 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
         if self.mr_stats.rounds >= self.max_rounds {
             return self.finish(Ok(None)); // round cap: referee never finished
         }
-        self.round_started = self.clock.now();
+        let t0 = self.clock.now();
+        if self.round > 1 {
+            self.round_started = t0;
+        }
         self.mr_stats.rounds += 1;
         self.links_expected = 0;
         for v in 1..=n as u32 {
@@ -556,14 +384,14 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                 // second send to the same target would be inseparable
                 // from a transport duplicate at the receiver, so it is
                 // rejected here rather than mis-accounted later.
-                if self.link_seen[target as usize] == self.link_epoch {
+                let seen = &mut lazy_slots(&mut self.link_seen, n + 1)[target as usize];
+                if std::mem::replace(seen, self.link_epoch) == self.link_epoch {
                     return self.finish(Err(DecodeError::Invalid(format!(
                         "node {v} sent two messages to {target} in round {} \
                          (one message per link per round)",
                         self.round
                     ))));
                 }
-                self.link_seen[target as usize] = self.link_epoch;
                 self.mr_stats.max_link_bits =
                     self.mr_stats.max_link_bits.max(payload.len_bits());
                 self.metrics.stats.total_message_bits += payload.len_bits();
@@ -577,14 +405,14 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                 });
             }
         }
-        self.metrics.stats.local_seconds += self.clock.now() - self.round_started;
+        self.metrics.stats.local_seconds += self.clock.now() - t0;
         self.phase = MultiRoundPhase::AwaitUplinks;
         Step::Running
     }
 
     fn step_uplinks(&mut self, transport: &mut impl Transport) -> Step {
         let n = self.graph.n();
-        match self.pump(transport, |buf, _| buf.uplinks_filled == buf.uplinks.len()) {
+        match self.pump(transport, |buf, _| buf.uplinks_filled == n) {
             Err(e) => return self.finish(Err(e)),
             Ok(false) => {
                 return self.finish(Err(DecodeError::Inconsistent(format!(
@@ -594,10 +422,15 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             }
             Ok(true) => {}
         }
-        let uplinks: Vec<Message> = {
-            let buf = self.bufs.get_mut(&self.round).expect("buffer exists once ready");
-            buf.uplinks.iter().map(|s| s.clone().expect("uplink present")).collect()
-        };
+        // The uplinks move into the referee step and back into their
+        // slots only if the round continues, where later duplicates are
+        // still compared against them.
+        let uplinks: Vec<Message> = self
+            .current
+            .uplinks
+            .iter_mut()
+            .map(|s| s.take().expect("uplink present"))
+            .collect();
         let t0 = self.clock.now();
         let step = self.protocol.referee_step(
             &mut self.referee_state,
@@ -614,6 +447,9 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                         "referee produced {} downlinks for {n} nodes",
                         downlinks.len()
                     ))));
+                }
+                for (slot, uplink) in self.current.uplinks.iter_mut().zip(uplinks) {
+                    *slot = Some(uplink);
                 }
                 for (i, payload) in downlinks.into_iter().enumerate() {
                     self.mr_stats.max_downlink_bits =
@@ -635,9 +471,9 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
 
     fn step_receive(&mut self, transport: &mut impl Transport) -> Step {
         let n = self.graph.n();
-        match self.pump(transport, |buf, links| {
-            buf.downlinks_filled == buf.downlinks.len() && buf.inbox_count == links
-        }) {
+        match self
+            .pump(transport, |buf, links| buf.downlinks_filled == n && buf.inbox_count == links)
+        {
             Err(e) => return self.finish(Err(e)),
             Ok(false) => {
                 return self.finish(Err(DecodeError::Inconsistent(format!(
@@ -647,18 +483,20 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             }
             Ok(true) => {}
         }
-        let mut buf = self.bufs.remove(&self.round).expect("buffer exists once ready");
+        let next = self.early.remove(&(self.round + 1)).unwrap_or_else(|| RoundBuf::new(n));
+        let mut buf = std::mem::replace(&mut self.current, next);
+        let inbox = lazy_slots(&mut buf.inbox, n);
         let t0 = self.clock.now();
         for v in 1..=n as u32 {
             let i = (v - 1) as usize;
-            buf.inbox[i].sort_by_key(|&(from, _)| from);
+            inbox[i].sort_by_key(|&(from, _)| from);
             let view = NodeView::new(n, v, self.graph.neighbourhood(v));
             let downlink = buf.downlinks[i].take().expect("downlink present");
             self.protocol.node_receive(
                 &mut self.node_states[i],
                 view,
                 self.round as usize,
-                &buf.inbox[i],
+                &inbox[i],
                 &downlink,
             );
         }
@@ -686,6 +524,35 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
     }
 }
 
+/// Outcome of a one-round session: the [`From`] view of a cap-1
+/// [`MultiRoundSession`] over
+/// [`OneRoundAsMultiRound`](referee_protocol::combinators::OneRoundAsMultiRound).
+#[derive(Debug)]
+pub struct OneRoundReport<O> {
+    /// The referee's output, or the decode/delivery failure that ended
+    /// the session.
+    pub outcome: Result<O, DecodeError>,
+    /// Everything measured along the way.
+    pub metrics: SessionMetrics,
+}
+
+impl<O> From<MultiRoundReport<O>> for OneRoundReport<O> {
+    fn from(report: MultiRoundReport<O>) -> Self {
+        OneRoundReport { outcome: cap1_outcome(report.outcome), metrics: report.metrics }
+    }
+}
+
+/// The one-round view of a cap-1 engine outcome, shared by both
+/// engines' one-round reports: a referee that did not finish in round 1
+/// is a typed failure, never a panic.
+pub(crate) fn cap1_outcome<O>(
+    outcome: Result<Option<O>, DecodeError>,
+) -> Result<O, DecodeError> {
+    outcome.and_then(|out| {
+        out.ok_or_else(|| DecodeError::Inconsistent("referee did not finish in round 1".into()))
+    })
+}
+
 /// Outcome of a multi-round session.
 #[derive(Debug)]
 pub struct MultiRoundReport<O> {
@@ -696,4 +563,89 @@ pub struct MultiRoundReport<O> {
     pub metrics: SessionMetrics,
     /// Legacy-compatible per-link-class message-size stats.
     pub stats: MultiRoundStats,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::TransportCounters;
+    use crate::transport::PerfectTransport;
+    use referee_graph::generators;
+    use referee_protocol::combinators::OneRoundAsMultiRound;
+    use referee_protocol::easy::EdgeCountProtocol;
+    use referee_protocol::multiround::BoruvkaConnectivity;
+
+    /// Delivers node 1's first uplink twice: as sent, then stamped
+    /// `round`.
+    struct Restamp {
+        inner: PerfectTransport,
+        round: u32,
+        done: bool,
+    }
+
+    impl Restamp {
+        fn new(round: u32) -> Self {
+            Restamp { inner: PerfectTransport::new(), round, done: false }
+        }
+    }
+
+    impl Transport for Restamp {
+        fn send(&mut self, env: Envelope) {
+            if !self.done && env.from == 1 && env.to == REFEREE {
+                self.done = true;
+                let stray = Envelope { round: self.round, ..env.clone() };
+                self.inner.send(env);
+                self.inner.send(stray);
+            } else {
+                self.inner.send(env);
+            }
+        }
+        fn recv(&mut self) -> Option<Envelope> {
+            self.inner.recv()
+        }
+        fn counters(&self) -> TransportCounters {
+            self.inner.counters()
+        }
+    }
+
+    #[test]
+    fn stray_round_stamps_fail_a_one_round_session() {
+        let g = generators::grid(3, 4);
+        let protocol = OneRoundAsMultiRound(EdgeCountProtocol);
+        for round in [0, 7, 1 << 31] {
+            let report = OneRoundReport::from(
+                MultiRoundSession::new(&protocol, &g, 1).run(&mut Restamp::new(round)),
+            );
+            let err = report.outcome.unwrap_err();
+            assert!(
+                matches!(&err, DecodeError::Invalid(m) if m.contains("outside rounds 1..=1")),
+                "round {round}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn stray_round_stamp_fails_a_multi_round_session() {
+        // A round-65 stray on a cap-64 Borůvka session can belong to no
+        // round it will ever run.
+        let g = generators::path(8);
+        let report =
+            MultiRoundSession::new(&BoruvkaConnectivity, &g, 64).run(&mut Restamp::new(65));
+        let err = report.outcome.unwrap_err();
+        assert!(
+            matches!(&err, DecodeError::Invalid(m) if m.contains("outside rounds 1..=64")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unfinished_referee_is_a_typed_one_round_failure() {
+        // Borůvka cannot finish on a path in one round: the one-round view
+        // of the cap-1 engine reports it as `Inconsistent`, never a panic.
+        let g = generators::path(8);
+        let report = MultiRoundSession::new(&BoruvkaConnectivity, &g, 1)
+            .run(&mut PerfectTransport::new());
+        let err = OneRoundReport::from(report).outcome.unwrap_err();
+        assert!(matches!(&err, DecodeError::Inconsistent(m) if m.contains("round 1")), "{err}");
+    }
 }

@@ -18,16 +18,19 @@
 //! [`Scheduler::sweep_one_round_sharded`](crate::Scheduler::sweep_one_round_sharded)
 //! and [`Scheduler::sweep_byzantine`](crate::Scheduler::sweep_byzantine)
 //! run their sessions this way and report them as a [`ShardedReport`].
-//! Delivery semantics match the unsharded
-//! [`OneRoundSession`](crate::OneRoundSession) on every lossless
+//! Delivery semantics match the unsharded one-round session — the cap-1
+//! [`MultiRoundSession`](crate::MultiRoundSession), reported as a
+//! [`OneRoundReport`](crate::OneRoundReport) — on every lossless
 //! transport (pinned by tests): identical duplicates are absorbed,
 //! conflicting ones fail the session, loss is starvation, corruption
-//! flows to the decoders, and an envelope stamped outside round 1 or
-//! claiming a shard sender before the exchange fails the session.
+//! flows to the decoders, and an envelope stamped outside round 1 fails
+//! the session. A sender claiming a shard ID before the exchange fails
+//! it too.
 
 pub mod multiround;
 
 use crate::metrics::SessionMetrics;
+use crate::session::cap1_outcome;
 use multiround::ShardedMultiRoundReport;
 use referee_protocol::DecodeError;
 
@@ -50,13 +53,8 @@ impl<O> ShardedReport<O> {
     /// The one-round view of a cap-1 engine report. A referee that did
     /// not finish in round 1 is a typed failure, never a panic.
     pub(crate) fn from_cap1(report: ShardedMultiRoundReport<O>) -> Self {
-        let outcome = report.outcome.and_then(|out| {
-            out.ok_or_else(|| {
-                DecodeError::Inconsistent("referee did not finish in round 1".into())
-            })
-        });
         ShardedReport {
-            outcome,
+            outcome: cap1_outcome(report.outcome),
             metrics: report.metrics,
             shards: report.shards,
             exchange_bits: report.exchange_bits,
@@ -68,7 +66,6 @@ impl<O> ShardedReport<O> {
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultyTransport};
-    use crate::session::OneRoundSession;
     use crate::transport::{Envelope, PerfectTransport, Transport};
     use multiround::ShardedMultiRoundSession;
     use rand::SeedableRng;
@@ -99,20 +96,20 @@ mod tests {
             LabelledGraph::new(0),
             generators::complete(9),
         ] {
-            let mut perfect = PerfectTransport::new();
-            let mono = OneRoundSession::new(&EdgeCountProtocol, &g).run(&mut perfect);
-            let mono_out = mono.outcome.unwrap();
+            // The spec oracle: the legacy synchronous simulator.
+            let mono = referee_protocol::run_protocol(&EdgeCountProtocol, &g);
+            let mono_out = mono.output;
             for k in 1..=8usize {
                 let mut t = PerfectTransport::new();
                 let sharded = run_edge_count(&g, k, k as u64 * 77, &mut t);
                 assert_eq!(sharded.outcome.unwrap(), mono_out, "k={k}, n={}", g.n());
                 assert_eq!(
-                    sharded.metrics.stats.max_message_bits, mono.metrics.stats.max_message_bits,
+                    sharded.metrics.stats.max_message_bits, mono.stats.max_message_bits,
                     "k={k}: frugality accounting must ignore the exchange"
                 );
                 assert_eq!(
                     sharded.metrics.stats.total_message_bits,
-                    mono.metrics.stats.total_message_bits
+                    mono.stats.total_message_bits
                 );
                 assert_eq!(sharded.shards, k);
                 assert!(sharded.exchange_bits > 0, "partials always carry headers");

@@ -37,7 +37,7 @@
 
 use crate::clock::{real_clock, SharedClock};
 use crate::metrics::SessionMetrics;
-use crate::session::Step;
+use crate::session::{lazy_slots, Step};
 use crate::transport::{Envelope, SessionId, Transport, REFEREE};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -49,12 +49,11 @@ use referee_protocol::shard::{shard_of, Arrival};
 use referee_protocol::{DecodeError, Message, NodeView};
 use std::collections::BTreeMap;
 
-/// Per-round mailboxes, the sharded analogue of the unsharded session's
-/// round buffer: uplinks land directly in their owning shard, exchange
-/// partials in the merge accumulator, downlinks and link messages in
-/// the same slots as before. Envelopes for *future* rounds land here
-/// too — the early-message cache that makes cross-round reordering
-/// harmless.
+/// One round's mailboxes, the sharded analogue of the unsharded
+/// session's round buffer: uplinks land directly in their owning shard,
+/// exchange partials in the merge accumulator, downlinks and link
+/// messages in the same slots as before. `downlinks` and `inbox` follow
+/// [`lazy_slots`].
 struct ShardRoundBuf {
     shards: Vec<Option<RoundShard>>,
     uplinks_filled: usize,
@@ -81,9 +80,9 @@ impl ShardRoundBuf {
             partial_seen: vec![None; k],
             merged: 0,
             acc: RoundPartialState::new(n, round),
-            downlinks: vec![None; n],
+            downlinks: Vec::new(),
             downlinks_filled: 0,
-            inbox: vec![Vec::new(); n],
+            inbox: Vec::new(),
             inbox_count: 0,
         }
     }
@@ -113,10 +112,19 @@ pub struct ShardedMultiRoundSession<'a, P: MultiRoundProtocol> {
     referee_state: P::RefereeState,
     round: u32,
     phase: Phase,
-    bufs: BTreeMap<u32, ShardRoundBuf>,
+    /// The current round's mailboxes.
+    current: ShardRoundBuf,
+    /// Mailboxes of later rounds, by round: the early-message cache that
+    /// makes cross-round reordering harmless, bounded to `max_rounds`
+    /// entries by the round-stamp rule.
+    early: BTreeMap<u32, ShardRoundBuf>,
     links_expected: usize,
+    /// Duplicate-target detection per send, as in the unsharded session
+    /// ([`lazy_slots`], `n + 1`).
     link_seen: Vec<u64>,
     link_epoch: u64,
+    /// Start of the current round, timed as in the unsharded session:
+    /// from construction for round 1, from the send step after that.
     round_started: f64,
     outcome: Option<Result<Option<P::Output>, DecodeError>>,
     metrics: SessionMetrics,
@@ -153,9 +161,10 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
             referee_state,
             round: 1,
             phase: Phase::NodeSend,
-            bufs: BTreeMap::new(),
+            current: ShardRoundBuf::new(n, shards.max(1), 1),
+            early: BTreeMap::new(),
             links_expected: 0,
-            link_seen: vec![0; n + 1],
+            link_seen: Vec::new(),
             link_epoch: 0,
             outcome: None,
             metrics: SessionMetrics::new(n),
@@ -231,13 +240,13 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
         }
     }
 
-    fn buf(
-        bufs: &mut BTreeMap<u32, ShardRoundBuf>,
-        n: usize,
-        k: usize,
-        round: u32,
-    ) -> &mut ShardRoundBuf {
-        bufs.entry(round).or_insert_with(|| ShardRoundBuf::new(n, k, round))
+    /// The mailboxes of `round`, the current round or a later one.
+    fn buf(&mut self, round: u32) -> &mut ShardRoundBuf {
+        if round == self.round {
+            return &mut self.current;
+        }
+        let (n, k) = (self.graph.n(), self.k);
+        self.early.entry(round).or_insert_with(|| ShardRoundBuf::new(n, k, round))
     }
 
     /// Classify one arrival into its round buffer (see
@@ -270,8 +279,8 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
                     env.to
                 )));
             }
-            let buf = Self::buf(&mut self.bufs, n, k, env.round);
-            let slot = &mut buf.downlinks[(env.to - 1) as usize];
+            let buf = self.buf(env.round);
+            let slot = &mut lazy_slots(&mut buf.downlinks, n)[(env.to - 1) as usize];
             match slot {
                 None => {
                     *slot = Some(env.payload);
@@ -300,7 +309,7 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
         }
         if env.to == REFEREE {
             // Uplink: route straight into the owning shard.
-            let buf = Self::buf(&mut self.bufs, n, k, env.round);
+            let buf = self.buf(env.round);
             if buf.exchanged {
                 // Stragglers behind this round's exchange are committed
                 // history — the shards already shipped their partials —
@@ -341,8 +350,8 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
                 env.from, env.to
             )));
         }
-        let buf = Self::buf(&mut self.bufs, n, k, env.round);
-        let inbox = &mut buf.inbox[(env.to - 1) as usize];
+        let buf = self.buf(env.round);
+        let inbox = &mut lazy_slots(&mut buf.inbox, n)[(env.to - 1) as usize];
         match inbox.iter().find(|(from, _)| *from == env.from) {
             Some((_, existing)) if *existing == env.payload => {
                 self.metrics.transport.stale += 1
@@ -366,16 +375,15 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
         let n = self.graph.n();
         let idx = env.from as usize - n - 1;
         // Partials exist only once their round has run its exchange;
-        // before that a shard sender is a forged node ID.
-        let buf = match self.bufs.get_mut(&env.round) {
-            Some(buf) if buf.exchanged => buf,
-            _ => {
-                return Err(DecodeError::OutOfRange(format!(
-                    "message from unknown node {} (n = {n})",
-                    env.from
-                )))
-            }
-        };
+        // before that a shard sender is a forged node ID. Only the
+        // current round can have exchanged.
+        if env.round != self.round || !self.current.exchanged {
+            return Err(DecodeError::OutOfRange(format!(
+                "message from unknown node {} (n = {n})",
+                env.from
+            )));
+        }
+        let buf = &mut self.current;
         match &buf.partial_seen[idx] {
             Some(existing) if *existing == env.payload => {
                 self.metrics.transport.stale += 1;
@@ -408,14 +416,9 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
         transport: &mut impl Transport,
         ready: impl Fn(&ShardRoundBuf, usize) -> bool,
     ) -> Result<bool, DecodeError> {
-        let n = self.graph.n();
-        let k = self.k;
         loop {
-            {
-                let buf = Self::buf(&mut self.bufs, n, k, self.round);
-                if ready(buf, self.links_expected) {
-                    return Ok(true);
-                }
+            if ready(&self.current, self.links_expected) {
+                return Ok(true);
             }
             let Some(env) = transport.recv() else {
                 return Ok(false);
@@ -429,7 +432,10 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
         if self.mr_stats.rounds >= self.max_rounds {
             return self.finish(Ok(None)); // round cap: referee never finished
         }
-        self.round_started = self.clock.now();
+        let t0 = self.clock.now();
+        if self.round > 1 {
+            self.round_started = t0;
+        }
         self.mr_stats.rounds += 1;
         self.links_expected = 0;
         for v in 1..=n as u32 {
@@ -456,14 +462,14 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
                         "node {v} tried to message non-neighbour {target}"
                     ))));
                 }
-                if self.link_seen[target as usize] == self.link_epoch {
+                let seen = &mut lazy_slots(&mut self.link_seen, n + 1)[target as usize];
+                if std::mem::replace(seen, self.link_epoch) == self.link_epoch {
                     return self.finish(Err(DecodeError::Invalid(format!(
                         "node {v} sent two messages to {target} in round {} \
                          (one message per link per round)",
                         self.round
                     ))));
                 }
-                self.link_seen[target as usize] = self.link_epoch;
                 self.mr_stats.max_link_bits =
                     self.mr_stats.max_link_bits.max(payload.len_bits());
                 self.metrics.stats.total_message_bits += payload.len_bits();
@@ -477,7 +483,7 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
                 });
             }
         }
-        self.metrics.stats.local_seconds += self.clock.now() - self.round_started;
+        self.metrics.stats.local_seconds += self.clock.now() - t0;
         self.phase = Phase::AwaitUplinks;
         Step::Running
     }
@@ -508,9 +514,8 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
         let mut order: Vec<usize> = (0..k).collect();
         let seed = self.exchange_seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         order.shuffle(&mut StdRng::seed_from_u64(seed));
-        let buf = Self::buf(&mut self.bufs, n, k, round);
         for idx in order {
-            let shard = buf.shards[idx].take().expect("exchange runs once per round");
+            let shard = self.current.shards[idx].take().expect("exchange runs once per round");
             let payload = shard.into_partial().encode();
             self.exchange_bits += payload.len_bits();
             transport.send(Envelope {
@@ -521,7 +526,7 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
                 payload,
             });
         }
-        Self::buf(&mut self.bufs, n, k, round).exchanged = true;
+        self.current.exchanged = true;
         self.phase = Phase::CollectPartials;
         Step::Running
     }
@@ -532,7 +537,7 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
         match self.pump(transport, |buf, _| buf.merged == k) {
             Err(e) => return self.finish(Err(e)),
             Ok(false) => {
-                let missing = k - Self::buf(&mut self.bufs, n, k, self.round).merged;
+                let missing = k - self.current.merged;
                 return self.finish(Err(DecodeError::Inconsistent(format!(
                     "transport drained with {missing} of {k} round-{} shard partials missing",
                     self.round
@@ -540,10 +545,7 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
             }
             Ok(true) => {}
         }
-        let acc = {
-            let buf = self.bufs.get_mut(&self.round).expect("buffer exists once ready");
-            std::mem::replace(&mut buf.acc, RoundPartialState::new(0, 0))
-        };
+        let acc = std::mem::replace(&mut self.current.acc, RoundPartialState::new(0, 0));
         let uplinks = match acc.finish() {
             Ok(u) => u,
             Err(e) => return self.finish(Err(e)),
@@ -597,18 +599,24 @@ impl<'a, P: MultiRoundProtocol> ShardedMultiRoundSession<'a, P> {
             }
             Ok(true) => {}
         }
-        let mut buf = self.bufs.remove(&self.round).expect("buffer exists once ready");
+        let (k, next_round) = (self.k, self.round + 1);
+        let next = self
+            .early
+            .remove(&next_round)
+            .unwrap_or_else(|| ShardRoundBuf::new(n, k, next_round));
+        let mut buf = std::mem::replace(&mut self.current, next);
+        let inbox = lazy_slots(&mut buf.inbox, n);
         let t0 = self.clock.now();
         for v in 1..=n as u32 {
             let i = (v - 1) as usize;
-            buf.inbox[i].sort_by_key(|&(from, _)| from);
+            inbox[i].sort_by_key(|&(from, _)| from);
             let view = NodeView::new(n, v, self.graph.neighbourhood(v));
             let downlink = buf.downlinks[i].take().expect("downlink present");
             self.protocol.node_receive(
                 &mut self.node_states[i],
                 view,
                 self.round as usize,
-                &buf.inbox[i],
+                &inbox[i],
                 &downlink,
             );
         }

@@ -4,9 +4,10 @@
 //! clock, no tolerance bands.
 
 use referee_graph::generators;
+use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_simnet::{
-    AggregateMetrics, ManualClock, MultiRoundSession, OneRoundSession, PerfectTransport,
+    AggregateMetrics, ManualClock, MultiRoundSession, OneRoundReport, PerfectTransport,
     SharedClock,
 };
 
@@ -19,10 +20,10 @@ fn manual_clock_pins_exact_percentiles() {
     // exactly 1 000 000 µs: p50 and p99 land in the 1 000 µs bucket
     // (bound 1023), p999 in the straggler's (bound 2²⁰ − 1).
     for i in 0..101 {
-        let session = OneRoundSession::new(&EdgeCountProtocol, &g)
+        let session = MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
             .with_clock(clock.clone() as SharedClock);
         clock.advance(if i < 100 { 0.001 } else { 1.0 });
-        let report = session.run(&mut PerfectTransport::new());
+        let report = OneRoundReport::from(session.run(&mut PerfectTransport::new()));
         assert_eq!(report.outcome.clone().unwrap().unwrap(), g.m());
         agg.absorb(&report.metrics, report.outcome.is_ok());
     }
@@ -39,10 +40,10 @@ fn merged_aggregates_preserve_exact_percentiles() {
     let clock = ManualClock::new();
     let g = generators::path(3);
     let run = |dt: f64, agg: &mut AggregateMetrics| {
-        let session = OneRoundSession::new(&EdgeCountProtocol, &g)
+        let session = MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
             .with_clock(clock.clone() as SharedClock);
         clock.advance(dt);
-        let report = session.run(&mut PerfectTransport::new());
+        let report = OneRoundReport::from(session.run(&mut PerfectTransport::new()));
         agg.absorb(&report.metrics, report.outcome.is_ok());
     };
     let (mut a, mut b) = (AggregateMetrics::default(), AggregateMetrics::default());

@@ -10,10 +10,11 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use referee_degeneracy::{DegeneracyProtocol, ForestProtocol, Reconstruction};
 use referee_graph::{generators, LabelledGraph};
+use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_simnet::{
-    FaultConfig, FaultyTransport, MultiRoundSession, OneRoundSession, PerfectTransport,
+    FaultConfig, FaultyTransport, MultiRoundSession, OneRoundReport, PerfectTransport,
     Scheduler,
 };
 
@@ -42,7 +43,9 @@ proptest! {
             PerfectTransport::new(),
             FaultConfig::lossless(seed ^ 0xabcd),
         );
-        let report = OneRoundSession::new(&protocol, &g).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(&protocol), &g, 1).run(&mut transport),
+        );
 
         prop_assert_eq!(report.outcome.expect("lossless delivery"), legacy.output);
         prop_assert_eq!(report.metrics.stats.max_message_bits, legacy.stats.max_message_bits);
@@ -63,7 +66,10 @@ proptest! {
         let legacy = referee_protocol::run_protocol(&ForestProtocol, &g);
         let mut transport =
             FaultyTransport::new(PerfectTransport::new(), FaultConfig::lossless(seed));
-        let report = OneRoundSession::new(&ForestProtocol, &g).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(ForestProtocol), &g, 1)
+                .run(&mut transport),
+        );
         prop_assert_eq!(report.outcome.expect("lossless delivery"), legacy.output);
         prop_assert_eq!(report.metrics.stats.max_message_bits, legacy.stats.max_message_bits);
     }
@@ -105,7 +111,10 @@ proptest! {
             corruption: 0.0,
         };
         let mut transport = FaultyTransport::new(PerfectTransport::new(), cfg);
-        let report = OneRoundSession::new(&EdgeCountProtocol, &g).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
+                .run(&mut transport),
+        );
         match report.outcome {
             Err(_) => {} // loss detected and rejected
             Ok(out) => prop_assert_eq!(out.expect("well-formed messages"), truth),
@@ -132,7 +141,10 @@ proptest! {
             corruption: 0.0,
         };
         let mut transport = FaultyTransport::new(PerfectTransport::new(), cfg);
-        let report = OneRoundSession::new(&EdgeCountProtocol, &g).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
+                .run(&mut transport),
+        );
         prop_assert_eq!(
             report.outcome.expect("nothing was lost").expect("well-formed"),
             truth
@@ -151,7 +163,9 @@ proptest! {
             PerfectTransport::new(),
             FaultConfig::corrupting(seed, 0.3),
         );
-        let report = OneRoundSession::new(&protocol, &g).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(&protocol), &g, 1).run(&mut transport),
+        );
         match report.outcome {
             Err(_) => {}
             Ok(Err(_)) | Ok(Ok(Reconstruction::NotInClass)) => {}
@@ -232,13 +246,14 @@ fn manual_clock_makes_latency_metrics_deterministic() {
     let g = generators::path(8);
     let clock = ManualClock::new();
     let mut transport = PerfectTransport::new();
-    let mut session = OneRoundSession::new(&EdgeCountProtocol, &g).with_clock(clock.clone());
+    let mut session = MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
+        .with_clock(clock.clone());
     let mut steps = 0usize;
     while session.step(&mut transport) == Step::Running {
         clock.advance(0.25);
         steps += 1;
     }
-    let report = session.into_report(&transport);
+    let report = OneRoundReport::from(session.into_report(&transport));
     assert_eq!(report.outcome.unwrap().unwrap(), g.m());
     assert_eq!(report.metrics.round_seconds, vec![steps as f64 * 0.25]);
     // No advance happened *inside* a step, so phase times are exactly 0.

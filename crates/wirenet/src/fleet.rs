@@ -1137,7 +1137,7 @@ impl FleetClient {
 
     /// Register `session` (round-robin across the pool) and return the
     /// transport that carries it. Drive it with a session built with
-    /// [`with_session`](referee_simnet::OneRoundSession::with_session)
+    /// [`with_session`](referee_simnet::MultiRoundSession::with_session)
     /// on the same id — inbound envelopes are demultiplexed by that tag.
     ///
     /// Panics if the session id is already held by a *live* transport

@@ -300,8 +300,9 @@
 //!
 //! ```
 //! use referee_wirenet::{AuthKey, FleetClient, FleetServer};
-//! use referee_simnet::{OneRoundSession, SessionId};
+//! use referee_simnet::{MultiRoundSession, OneRoundReport, SessionId};
 //! use referee_graph::generators;
+//! use referee_protocol::combinators::OneRoundAsMultiRound;
 //! use referee_protocol::easy::EdgeCountProtocol;
 //!
 //! let key = AuthKey::from_seed(7);
@@ -311,8 +312,9 @@
 //! let g = generators::grid(3, 4);
 //! let id = SessionId(1);
 //! let mut transport = client.transport(id);
-//! let report =
-//!     OneRoundSession::new(&EdgeCountProtocol, &g).with_session(id).run(&mut transport);
+//! // A one-round session: the cap-1 session of the one-round protocol.
+//! let session = MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1);
+//! let report = OneRoundReport::from(session.with_session(id).run(&mut transport));
 //! assert_eq!(report.outcome.unwrap().unwrap(), g.m());
 //!
 //! let stats = server.stop();

@@ -4,12 +4,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use referee_graph::{algo, generators, LabelledGraph};
+use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_protocol::referee::local_phase;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{
-    Envelope, MultiRoundSession, OneRoundSession, PerfectTransport, Scheduler, SessionId,
+    Envelope, MultiRoundSession, OneRoundReport, PerfectTransport, Scheduler, SessionId,
 };
 use referee_wirenet::{
     decode_frame, encode_frame, vector_digest, AuthKey, FleetClient, FleetServer, FrameKind,
@@ -38,13 +39,20 @@ fn one_round_fleet_matches_in_memory() {
     let wire: Vec<_> = Scheduler::new(8, 4).run_indexed(fleet.len(), |i| {
         let id = SessionId(i as u64);
         let mut transport = client.transport(id);
-        OneRoundSession::new(&EdgeCountProtocol, &fleet[i]).with_session(id).run(&mut transport)
+        OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &fleet[i], 1)
+                .with_session(id)
+                .run(&mut transport),
+        )
     });
 
     let mut expected_frames = 0u64;
     for (i, (report, g)) in wire.iter().zip(&fleet).enumerate() {
         let mut perfect = PerfectTransport::new();
-        let memory = OneRoundSession::new(&EdgeCountProtocol, g).run(&mut perfect);
+        let memory = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), g, 1)
+                .run(&mut perfect),
+        );
         assert_eq!(
             report.outcome.as_ref().unwrap().as_ref().unwrap(),
             memory.outcome.as_ref().unwrap().as_ref().unwrap(),
@@ -121,8 +129,11 @@ fn tampered_frames_are_all_mac_rejected() {
     for (i, g) in fleet.iter().enumerate() {
         let id = SessionId(i as u64);
         let mut transport = client.transport(id);
-        let report =
-            OneRoundSession::new(&EdgeCountProtocol, g).with_session(id).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), g, 1)
+                .with_session(id)
+                .run(&mut transport),
+        );
         assert!(
             report.outcome.is_err(),
             "session {i} survived a poisoned connection: {:?}",
@@ -167,8 +178,11 @@ fn session_ids_are_reusable_after_transport_drop() {
     for run in 0..3 {
         let id = SessionId(42);
         let mut transport = client.transport(id); // would panic if the lane leaked
-        let report =
-            OneRoundSession::new(&EdgeCountProtocol, &g).with_session(id).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
+                .with_session(id)
+                .run(&mut transport),
+        );
         assert_eq!(report.outcome.unwrap().unwrap(), g.m(), "run {run}");
     }
     assert_eq!(server.stop().mac_rejects, 0);
@@ -186,9 +200,11 @@ fn cross_session_delivery_is_rejected() {
     // Session believes it is id 5; transport is bound to id 9, so every
     // envelope comes back stamped 9 and the session must reject it.
     let mut transport = client.transport(SessionId(9));
-    let report = OneRoundSession::new(&EdgeCountProtocol, &g)
-        .with_session(SessionId(5))
-        .run(&mut transport);
+    let report = OneRoundReport::from(
+        MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
+            .with_session(SessionId(5))
+            .run(&mut transport),
+    );
     let err = report.outcome.unwrap_err();
     assert!(format!("{err}").contains("demux"), "unexpected error: {err}");
     server.stop();

@@ -16,9 +16,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use referee_bench::{Percentiles, SloCheck};
 use referee_one_round::prelude::*;
+use referee_one_round::protocol::combinators::OneRoundAsMultiRound;
 use referee_one_round::protocol::easy::EdgeCountProtocol;
 use referee_one_round::protocol::trace::dump_if_armed;
-use referee_simnet::{AggregateMetrics, OneRoundSession, PerfectTransport, SessionId};
+use referee_simnet::{
+    AggregateMetrics, MultiRoundSession, OneRoundReport, PerfectTransport, SessionId,
+};
 use referee_wirenet::{AuthKey, FleetClient, FleetServer, TamperConfig};
 
 fn fleet_graphs(count: usize, seed: u64) -> Vec<LabelledGraph> {
@@ -31,7 +34,7 @@ fn main() {
     let conns = 8usize;
     let key = AuthKey::from_seed(2011);
     let graphs = fleet_graphs(sessions, 2011);
-    let protocol = EdgeCountProtocol;
+    let protocol = OneRoundAsMultiRound(EdgeCountProtocol);
 
     // ---- Phase 1: honest fleet, wire vs memory ------------------------
     let server = FleetServer::spawn(key).expect("bind loopback");
@@ -46,14 +49,19 @@ fn main() {
     let wire: Vec<_> = scheduler.run_indexed(sessions, |i| {
         let id = SessionId(i as u64);
         let mut transport = client.transport(id);
-        OneRoundSession::new(&protocol, &graphs[i]).with_session(id).run(&mut transport)
+        OneRoundReport::from(
+            MultiRoundSession::new(&protocol, &graphs[i], 1)
+                .with_session(id)
+                .run(&mut transport),
+        )
     });
     let wall = t0.elapsed().as_secs_f64();
 
     let mut expected_frames = 0u64;
     for (i, (report, g)) in wire.iter().zip(&graphs).enumerate() {
         let mut perfect = PerfectTransport::new();
-        let memory = OneRoundSession::new(&protocol, g).run(&mut perfect);
+        let memory =
+            OneRoundReport::from(MultiRoundSession::new(&protocol, g, 1).run(&mut perfect));
         let (wire_out, memory_out) = (
             report.outcome.as_ref().expect("wire delivery"),
             memory.outcome.as_ref().expect("memory delivery"),
@@ -119,7 +127,9 @@ fn main() {
     for (i, g) in graphs.iter().take(corrupt_sessions).enumerate() {
         let id = SessionId(i as u64);
         let mut transport = client.transport(id);
-        let report = OneRoundSession::new(&protocol, g).with_session(id).run(&mut transport);
+        let report = OneRoundReport::from(
+            MultiRoundSession::new(&protocol, g, 1).with_session(id).run(&mut transport),
+        );
         match report.outcome {
             Err(_) => failed_closed += 1,
             Ok(out) => {
