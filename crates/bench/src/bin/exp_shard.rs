@@ -2,11 +2,13 @@
 //! through both backends, for a one-round protocol (EdgeCount) and a
 //! multi-round one (Borůvka connectivity).
 //!
-//! * **simnet**: one sharded engine. `Scheduler::sweep_one_round_sharded`
-//!   runs EdgeCount as the cap-1 sharded multi-round session and
-//!   `Scheduler::sweep_multi_round_sharded` runs Borůvka; per-round
-//!   shard states exchange serialized partials through the transport,
-//!   outcomes are pinned against the monolithic sweep, and exchange
+//! * **simnet**: one session engine. `Scheduler::sweep_one_round_sharded`
+//!   runs EdgeCount as the cap-1 `MultiRoundSession` with `k` shards and
+//!   `Scheduler::sweep_multi_round_sharded` runs Borůvka. Shard 0 merges
+//!   by value, so the exchange costs `k − 1` serialized partials per
+//!   round through the transport — none at `k = 1`, the same shape as
+//!   wirenet's `k − 1` partial frames per session (both asserted).
+//!   Outcomes are pinned against the monolithic sweep, and exchange
 //!   overhead is accounted in bits.
 //! * **wirenet**: one sharded wire engine. `FleetServer::spawn_sharded`
 //!   verifies EdgeCount fleets through `verify_session` (verdict digests
@@ -70,6 +72,7 @@ fn simnet_rows<S: Report>(
     ]);
     for shards in SHARD_COUNTS {
         let (sweep, bits) = sharded(shards);
+        assert_eq!(bits > 0, shards > 1, "{backend}: k={shards} ships k − 1 partials");
         let wall = sweep.aggregate.wall_seconds;
         records.push(
             BenchRecord::new(backend, shards, sessions as f64 / wall)

@@ -59,8 +59,6 @@ pub mod replay;
 
 use crate::{BitReader, BitWriter, DecodeError, Message};
 use referee_graph::VertexId;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 
 /// The contiguous node-ID range `lo..=hi` owned by one shard (1-based,
 /// inclusive; empty when `lo > hi`, which happens for some shards when
@@ -75,6 +73,7 @@ pub struct ShardRange {
 
 impl ShardRange {
     /// Whether `v` belongs to this shard.
+    #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
         self.lo <= v && v <= self.hi
     }
@@ -160,11 +159,26 @@ pub enum Arrival {
 
 /// A mergeable, serializable summary of the arrivals one shard (or any
 /// merged set of shards) has absorbed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Arrivals sit in a dense, sender-indexed window: `window[i]` is the
+/// message of sender `lo + i`, so ingest, merge and finish index instead
+/// of search. A shard's window starts at its range's first ID and grows
+/// only as its arrivals reach further (trailing slots may be `None`) —
+/// it allocates nothing before the first arrival, so a claimed network
+/// size alone sizes no memory.
+/// Merging into a state with no arrivals moves the other window in;
+/// otherwise the window grows to the union of both spans (holes stay
+/// `None`). The window is representation only: equality, the encoding
+/// and every verdict depend on the recorded arrivals alone.
+#[derive(Debug, Clone)]
 pub struct PartialState {
     n: usize,
-    /// Recorded messages, keyed by sender (all in `1..=n`).
-    slots: BTreeMap<VertexId, Message>,
+    /// Sender of `window[0]` (all senders are in `1..=n`).
+    lo: VertexId,
+    /// Recorded messages, indexed by `sender - lo`.
+    window: Vec<Option<Message>>,
+    /// Occupied slots of `window`.
+    count: usize,
     /// Smallest out-of-range sender observed.
     oor_min: Option<VertexId>,
     /// Smallest duplicated sender observed.
@@ -179,10 +193,36 @@ fn min_opt(a: Option<VertexId>, b: Option<VertexId>) -> Option<VertexId> {
     }
 }
 
+impl PartialEq for PartialState {
+    fn eq(&self, other: &PartialState) -> bool {
+        self.n == other.n
+            && self.oor_min == other.oor_min
+            && self.dup_min == other.dup_min
+            && self.count == other.count
+            && self.arrivals_iter().eq(other.arrivals_iter())
+    }
+}
+
+impl Eq for PartialState {}
+
 impl PartialState {
     /// An empty summary for a size-`n` network.
     pub fn new(n: usize) -> PartialState {
-        PartialState { n, slots: BTreeMap::new(), oor_min: None, dup_min: None }
+        PartialState::for_range(n, ShardRange { lo: 1, hi: 0 })
+    }
+
+    /// An empty summary whose window starts at `range.lo` (a shard's
+    /// first ID) and holds no slots yet.
+    #[inline]
+    fn for_range(n: usize, range: ShardRange) -> PartialState {
+        PartialState {
+            n,
+            lo: range.lo,
+            window: Vec::new(),
+            count: 0,
+            oor_min: None,
+            dup_min: None,
+        }
     }
 
     /// The network size this summary is for.
@@ -192,7 +232,16 @@ impl PartialState {
 
     /// Distinct senders recorded so far.
     pub fn arrivals(&self) -> usize {
-        self.slots.len()
+        self.count
+    }
+
+    /// The recorded `(sender, message)` pairs in ascending sender order.
+    fn arrivals_iter(&self) -> impl Iterator<Item = (VertexId, &Message)> {
+        let lo = self.lo;
+        self.window
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, slot)| slot.as_ref().map(|m| (lo + i as VertexId, m)))
     }
 
     /// Whether a fault (out-of-range or duplicated sender) has been
@@ -247,12 +296,35 @@ impl PartialState {
         }
         self.oor_min = min_opt(self.oor_min, other.oor_min);
         self.dup_min = min_opt(self.dup_min, other.dup_min);
-        for (sender, msg) in other.slots {
-            match self.slots.entry(sender) {
-                Entry::Vacant(e) => {
-                    e.insert(msg);
-                }
-                Entry::Occupied(_) => self.note_duplicate(sender),
+        if other.count == 0 {
+            return Ok(());
+        }
+        if self.count == 0 {
+            self.lo = other.lo;
+            self.window = other.window;
+            self.count = other.count;
+            return Ok(());
+        }
+        // Grow to the union of both spans, then fill.
+        let end =
+            (self.lo as usize + self.window.len()).max(other.lo as usize + other.window.len());
+        if other.lo < self.lo {
+            let mut grown = vec![None; (self.lo - other.lo) as usize];
+            grown.reserve(end - self.lo as usize);
+            grown.append(&mut self.window);
+            self.window = grown;
+            self.lo = other.lo;
+        }
+        self.window.resize(end - self.lo as usize, None);
+        let offset = (other.lo - self.lo) as usize;
+        for (i, msg) in other.window.into_iter().enumerate() {
+            let Some(msg) = msg else { continue };
+            let slot = &mut self.window[offset + i];
+            if slot.is_some() {
+                self.dup_min = min_opt(self.dup_min, Some(other.lo + i as VertexId));
+            } else {
+                *slot = Some(msg);
+                self.count += 1;
             }
         }
         Ok(())
@@ -271,20 +343,20 @@ impl PartialState {
         if let Some(v) = self.dup_min {
             return Err(DecodeError::Inconsistent(format!("duplicate message from node {v}")));
         }
-        let mut out = Vec::with_capacity(self.n);
-        let mut slots = self.slots.into_iter();
-        for want in 1..=self.n as VertexId {
-            match slots.next() {
-                Some((got, msg)) if got == want => out.push(msg),
-                // Keys ascend, so a mismatch means `want` never arrived.
-                _ => {
-                    return Err(DecodeError::Inconsistent(format!(
-                        "no message from node {want}"
-                    )))
-                }
-            }
+        if self.count < self.n {
+            // The smallest missing sender: below the window, in one of
+            // its holes, or past its end.
+            let first_hole = self.window.iter().position(Option::is_none);
+            let want = match first_hole {
+                _ if self.lo > 1 => 1,
+                Some(i) => self.lo as usize + i,
+                None => self.lo as usize + self.window.len(),
+            };
+            return Err(DecodeError::Inconsistent(format!("no message from node {want}")));
         }
-        Ok(out)
+        // `n` distinct senders in `1..=n`: the window is exactly `1..=n`,
+        // every slot filled, and becomes the vector in place.
+        Ok(self.window.into_iter().map(|m| m.expect("a full window has no holes")).collect())
     }
 
     /// Serialize into a [`Message`] (the payload cross-shard exchange
@@ -318,9 +390,9 @@ impl PartialState {
             }
             None => w.push_bit(false),
         }
-        w.write_bits(self.slots.len() as u64, 32);
-        for (sender, msg) in &self.slots {
-            w.write_bits(*sender as u64, 32);
+        w.write_bits(self.count as u64, 32);
+        for (sender, msg) in self.arrivals_iter() {
+            w.write_bits(sender as u64, 32);
             w.write_bits(msg.len_bits() as u64, 32);
             msg.append_to(w);
         }
@@ -367,7 +439,7 @@ impl PartialState {
         if count > n {
             return Err(DecodeError::OutOfRange(format!("{count} arrivals for n = {n}")));
         }
-        let mut slots = BTreeMap::new();
+        let mut state = PartialState::new(n);
         let mut prev: VertexId = 0;
         for _ in 0..count {
             let sender = r.read_bits(32)? as VertexId;
@@ -380,7 +452,14 @@ impl PartialState {
             let len_bits = r.read_bits(32)? as usize;
             let mut w = BitWriter::new();
             r.copy_bits_into(&mut w, len_bits)?;
-            slots.insert(sender, Message::from_writer(w));
+            let msg = Some(Message::from_writer(w));
+            if state.count == 0 {
+                state.lo = sender;
+            }
+            // Senders ascend, so the window only ever grows at its end.
+            state.window.resize((sender - state.lo) as usize, None);
+            state.window.push(msg);
+            state.count += 1;
         }
         if !r.is_exhausted() {
             return Err(DecodeError::Invalid(format!(
@@ -388,9 +467,15 @@ impl PartialState {
                 r.remaining()
             )));
         }
-        Ok(PartialState { n, slots, oor_min, dup_min })
+        state.oor_min = oor_min;
+        state.dup_min = dup_min;
+        Ok(state)
     }
 }
+
+/// Window slots a [`RefereeShard`] opens at its first arrival: its
+/// whole range when that is at most this long, else this many.
+const WINDOW_RESERVE: usize = 1024;
 
 /// One shard of the referee's wait: accepts arrivals for its ID range,
 /// accumulating a [`PartialState`].
@@ -404,13 +489,10 @@ pub struct RefereeShard {
 
 impl RefereeShard {
     /// Shard `index` of `shards` over a size-`n` network.
+    #[inline]
     pub fn new(n: usize, shards: usize, index: usize) -> RefereeShard {
-        RefereeShard {
-            index,
-            shards,
-            range: shard_range(n, shards, index),
-            state: PartialState::new(n),
-        }
+        let range = shard_range(n, shards, index);
+        RefereeShard { index, shards, range, state: PartialState::for_range(n, range) }
     }
 
     /// This shard's position in the partition.
@@ -424,6 +506,7 @@ impl RefereeShard {
     }
 
     /// The ID range this shard owns.
+    #[inline]
     pub fn range(&self) -> ShardRange {
         self.range
     }
@@ -443,35 +526,64 @@ impl RefereeShard {
 
     /// The recorded message of `sender`, if any.
     pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
-        self.state.slots.get(&sender)
+        let i = sender.checked_sub(self.state.lo)?;
+        self.state.window.get(i as usize)?.as_ref()
     }
 
     /// Absorb one arrival, classifying it (the caller picks the
     /// duplicate policy — see [`Arrival`]). Out-of-range senders are
     /// recorded no matter which shard they were routed to; an in-range
     /// sender owned by a *different* shard is a router bug and errors.
+    #[inline(always)]
     pub fn ingest(
         &mut self,
         sender: VertexId,
         payload: Message,
     ) -> Result<Arrival, DecodeError> {
+        // The state's window starts at this shard's first ID; `i` wraps
+        // past the range's end for senders below it.
+        let i = sender.wrapping_sub(self.range.lo) as usize;
+        if i >= self.state.window.len() {
+            if i >= self.range.len() {
+                return self.ingest_foreign(sender);
+            }
+            self.grow_window(i + 1);
+        }
+        let slot = &mut self.state.window[i];
+        match slot {
+            None => {
+                *slot = Some(payload);
+                self.state.count += 1;
+                Ok(Arrival::Fresh)
+            }
+            Some(existing) => Ok(Arrival::Duplicate { identical: *existing == payload }),
+        }
+    }
+
+    /// Lengthen the window to at least `len` slots (at most the
+    /// range's length): to [`WINDOW_RESERVE`] slots at once, doubling
+    /// past that, so its memory follows how far the arrivals reach, not
+    /// the range. Kept out of line: it runs a few times per shard.
+    #[inline(never)]
+    fn grow_window(&mut self, len: usize) {
+        let window = &mut self.state.window;
+        let target = len.max(2 * window.len()).max(WINDOW_RESERVE).min(self.range.len());
+        window.resize(target, None);
+    }
+
+    /// [`ingest`](RefereeShard::ingest) of a sender outside this shard's
+    /// range: out of range altogether, or a router bug. Kept out of line
+    /// so `ingest`, once per uplink, inlines into session loops.
+    #[inline(never)]
+    fn ingest_foreign(&mut self, sender: VertexId) -> Result<Arrival, DecodeError> {
         if sender == 0 || sender as usize > self.state.n {
             self.state.note_out_of_range(sender);
             return Ok(Arrival::OutOfRange);
         }
-        if !self.range.contains(sender) {
-            return Err(DecodeError::Invalid(format!(
-                "arrival from node {sender} routed to shard {}/{} owning {}",
-                self.index, self.shards, self.range
-            )));
-        }
-        match self.state.slots.entry(sender) {
-            Entry::Vacant(e) => {
-                e.insert(payload);
-                Ok(Arrival::Fresh)
-            }
-            Entry::Occupied(e) => Ok(Arrival::Duplicate { identical: *e.get() == payload }),
-        }
+        Err(DecodeError::Invalid(format!(
+            "arrival from node {sender} routed to shard {}/{} owning {}",
+            self.index, self.shards, self.range
+        )))
     }
 
     /// Record `sender` as duplicated (the monolithic assembler's policy
@@ -481,6 +593,7 @@ impl RefereeShard {
     }
 
     /// The shard's summary, ready to exchange and merge.
+    #[inline]
     pub fn into_partial(self) -> PartialState {
         self.state
     }
@@ -524,6 +637,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn claimed_size_alone_allocates_no_window() {
+        // The shard of a network as large as the ID space holds no slot
+        // before its first arrival, and then only `WINDOW_RESERVE`.
+        let n = VertexId::MAX as usize;
+        let mut shard = RefereeShard::new(n, 1, 0);
+        assert_eq!(shard.state.window.capacity(), 0);
+        assert_eq!(shard.ingest(3, msg(3, 8)).unwrap(), Arrival::Fresh);
+        assert_eq!(shard.state.window.len(), WINDOW_RESERVE);
+        // Past the reserve the window doubles, or reaches the arrival.
+        assert_eq!(shard.ingest(2000, msg(0, 8)).unwrap(), Arrival::Fresh);
+        assert_eq!(shard.state.window.len(), 2 * WINDOW_RESERVE);
+        assert_eq!(shard.ingest(9000, msg(0, 8)).unwrap(), Arrival::Fresh);
+        assert_eq!(shard.state.window.len(), 9000);
+        assert_eq!(shard.ingest(3, msg(3, 8)).unwrap(), Arrival::Duplicate { identical: true });
+        assert_eq!(
+            shard.into_partial().finish(),
+            Err(DecodeError::Inconsistent("no message from node 1".into()))
+        );
     }
 
     #[test]
@@ -604,6 +738,50 @@ mod tests {
             }
             other => panic!("expected missing verdict, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dense_windows_merge_by_arrivals() {
+        let shard = |i: usize, skip: VertexId| {
+            let mut s = RefereeShard::new(9, 3, i);
+            let r = s.range();
+            for v in (r.lo..=r.hi).filter(|&v| v != skip) {
+                s.ingest(v, msg(v as u64, 8)).unwrap();
+            }
+            s.into_partial()
+        };
+        // Merging into an empty state adopts the other window; a later
+        // merge below it grows the window downwards. The missing sender
+        // the verdict names is the smallest, wherever it sits.
+        let mut acc = PartialState::new(9);
+        acc.merge(shard(2, 8)).unwrap();
+        assert_eq!(acc, shard(2, 8));
+        acc.merge(shard(0, 0)).unwrap();
+        assert_eq!(acc.arrivals(), 5);
+        match acc.clone().finish() {
+            Err(DecodeError::Inconsistent(m)) => assert!(m.contains("node 4"), "{m}"),
+            other => panic!("expected missing verdict, got {other:?}"),
+        }
+        // A sender present on both sides is a duplicate.
+        let mut again = acc.clone();
+        again.merge(shard(2, 0)).unwrap();
+        assert!(again.poisoned());
+        match again.finish() {
+            Err(DecodeError::Inconsistent(m)) => assert!(m.contains("from node 7"), "{m}"),
+            other => panic!("expected duplicate verdict, got {other:?}"),
+        }
+        acc.merge(shard(1, 0)).unwrap();
+        match acc.finish() {
+            Err(DecodeError::Inconsistent(m)) => {
+                assert!(m.contains("no message from node 8"), "{m}")
+            }
+            other => panic!("expected missing verdict, got {other:?}"),
+        }
+        let mut full = PartialState::new(9);
+        for i in [1, 2, 0] {
+            full.merge(shard(i, 0)).unwrap();
+        }
+        assert_eq!(full.finish().unwrap(), (1..=9).map(|v| msg(v, 8)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub struct RoundShard {
 
 impl RoundShard {
     /// Shard `index` of `shards` for round `round` of a size-`n` network.
+    #[inline]
     pub fn new(n: usize, shards: usize, index: usize, round: u32) -> RoundShard {
         RoundShard { round, inner: RefereeShard::new(n, shards, index) }
     }
@@ -54,6 +55,7 @@ impl RoundShard {
     }
 
     /// The ID range this shard owns.
+    #[inline]
     pub fn range(&self) -> ShardRange {
         self.inner.range()
     }
@@ -71,6 +73,7 @@ impl RoundShard {
 
     /// Absorb one round-`r` uplink (same classification contract as
     /// [`RefereeShard::ingest`](super::RefereeShard::ingest)).
+    #[inline(always)]
     pub fn ingest(
         &mut self,
         sender: VertexId,
@@ -92,6 +95,7 @@ impl RoundShard {
     }
 
     /// The shard's per-round summary, ready to exchange and merge.
+    #[inline]
     pub fn into_partial(self) -> RoundPartialState {
         RoundPartialState { round: self.round, inner: self.inner.into_partial() }
     }
@@ -160,6 +164,7 @@ impl RoundPartialState {
     /// duplicate, then missing node — smallest offender first — else the
     /// complete ID-ordered uplink vector, exactly the input
     /// [`referee_step`](MultiRoundProtocol::referee_step) expects.
+    #[inline]
     pub fn finish(self) -> Result<Vec<Message>, DecodeError> {
         self.inner.finish()
     }
@@ -292,6 +297,67 @@ mod tests {
         assert_eq!(p.round(), 7);
         let decoded = RoundPartialState::decode(6, &p.encode()).unwrap();
         assert_eq!(decoded, p);
+    }
+
+    /// The documented partial layout, written field by field: `round:32`,
+    /// `n:32`, out-of-range flag (+ `sender:32`), duplicate flag (+
+    /// `sender:32`), `count:32`, then per arrival `sender:32 len:32`
+    /// and the payload (here `msg(value, width)`, so `width` bits of
+    /// `value`).
+    fn layout(
+        round: u32,
+        n: usize,
+        oor: Option<VertexId>,
+        dup: Option<VertexId>,
+        arrivals: &[(VertexId, u64, u32)],
+    ) -> Message {
+        let mut w = BitWriter::new();
+        w.write_bits(round as u64, 32);
+        w.write_bits(n as u64, 32);
+        for marker in [oor, dup] {
+            w.push_bit(marker.is_some());
+            if let Some(v) = marker {
+                w.write_bits(v as u64, 32);
+            }
+        }
+        w.write_bits(arrivals.len() as u64, 32);
+        for &(sender, value, width) in arrivals {
+            w.write_bits(sender as u64, 32);
+            w.write_bits(width as u64, 32);
+            w.write_bits(value, width);
+        }
+        Message::from_writer(w)
+    }
+
+    #[test]
+    fn encoding_pins_the_documented_layout() {
+        // Both fault markers, and a hole inside the shard's window.
+        let mut s = RoundShard::new(6, 2, 1, 9);
+        s.ingest(6, msg(0x2b, 7)).unwrap();
+        s.ingest(4, msg(1, 1)).unwrap();
+        s.ingest(11, msg(0, 3)).unwrap();
+        s.note_duplicate(4);
+        let want = layout(9, 6, Some(11), Some(4), &[(4, 1, 1), (6, 0x2b, 7)]);
+        let got = s.into_partial().encode();
+        assert_eq!((got.len_bits(), got.as_bytes()), (want.len_bits(), want.as_bytes()));
+
+        // Shards 2 and 0 of 4 over n = 10 (IDs 6..=8 and 1..=3), merged
+        // in that order: the window spans 1..=8 with 4..=5 empty.
+        let (n, k) = (10, 4);
+        let mut acc = RoundPartialState::new(n, 3);
+        for i in [2, 0] {
+            let mut s = RoundShard::new(n, k, i, 3);
+            let r = s.range();
+            for v in r.lo..=r.hi {
+                s.ingest(v, msg(v as u64 * 5, 6)).unwrap();
+            }
+            acc.merge(s.into_partial()).unwrap();
+        }
+        let arrivals: Vec<_> = [1, 2, 3, 6, 7, 8].map(|v| (v, v as u64 * 5, 6)).to_vec();
+        let want = layout(3, n, None, None, &arrivals);
+        let got = acc.encode();
+        assert_eq!((got.len_bits(), got.as_bytes()), (want.len_bits(), want.as_bytes()));
+        assert_eq!(RoundPartialState::decode(n, &got).unwrap(), acc);
     }
 
     #[test]

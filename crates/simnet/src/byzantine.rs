@@ -33,7 +33,8 @@
 //!
 //! Referee-internal traffic (the sharded session's partial exchange:
 //! same-round envelopes from the synthetic shard senders
-//! `n + 1..=n + k`) is deliberately **not** signed into the transcript:
+//! `n + 2..=n + k`; shard 0 merges by value and never sends) is
+//! deliberately **not** signed into the transcript:
 //! it is the referee talking to itself, and recording it under party
 //! keys would let an accuser re-cut legitimate exchange envelopes as
 //! out-of-range-sender "proofs" against honest principals.
@@ -451,8 +452,6 @@ impl<T: Transport> Transport for Misbehaving<T> {
 mod tests {
     use super::*;
     use crate::session::{MultiRoundSession, OneRoundReport};
-    use crate::shard::multiround::ShardedMultiRoundSession;
-    use crate::shard::ShardedReport;
     use crate::transport::{PerfectTransport, SessionId};
     use referee_graph::generators;
     use referee_protocol::combinators::OneRoundAsMultiRound;
@@ -471,7 +470,7 @@ mod tests {
 
     type RunOutcome = Result<Result<usize, DecodeError>, DecodeError>;
 
-    /// One cap-1 sharded EdgeCount session on a 3×4 grid behind
+    /// One cap-1 EdgeCount session with `k` shards on a 3×4 grid behind
     /// [`Misbehaving`].
     fn run(
         cfg: ByzantineConfig,
@@ -482,26 +481,12 @@ mod tests {
         let params = SessionParams { session: 77, n: g.n() as u32, round_cap: 1 };
         let base = key(cfg.seed);
         let mut t = Misbehaving::new(PerfectTransport::new(), cfg, mask, base, params);
-        let report =
-            ShardedMultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, k, 1)
-                .with_session(SessionId(params.session))
-                .run(&mut t);
-        let report = ShardedReport::from_cap1(report);
-        (report.outcome, t.prosecute(), t.injections(), base, params)
-    }
-
-    /// The same session through the unsharded cap-1 engine.
-    fn run_unsharded(
-        cfg: ByzantineConfig,
-        mask: BTreeSet<VertexId>,
-    ) -> (RunOutcome, InjectionCounts) {
-        let g = generators::grid(3, 4);
-        let params = SessionParams { session: 77, n: g.n() as u32, round_cap: 1 };
-        let mut t = Misbehaving::new(PerfectTransport::new(), cfg, mask, key(cfg.seed), params);
         let report = MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
+            .with_shards(k)
             .with_session(SessionId(params.session))
             .run(&mut t);
-        (OneRoundReport::from(report).outcome, t.injections())
+        let report = OneRoundReport::from(report);
+        (report.outcome, t.prosecute(), t.injections(), base, params)
     }
 
     #[test]
@@ -564,9 +549,6 @@ mod tests {
             ByzantineConfig { wrong_round: 1.0, ..ByzantineConfig::honest(7) },
             ByzantineConfig { splice: 1.0, ..ByzantineConfig::honest(8) },
         ] {
-            let (outcome, inj) = run_unsharded(cfg, mask.clone());
-            assert_eq!(inj.wrong_round + inj.splice, 1);
-            assert!(matches!(outcome, Err(DecodeError::Invalid(_))), "unsharded: {outcome:?}");
             for k in [1, 3, 4] {
                 let (outcome, _, inj, _, _) = run(cfg, mask.clone(), k);
                 assert_eq!(inj.wrong_round + inj.splice, 1);
@@ -577,9 +559,9 @@ mod tests {
 
     #[test]
     fn forged_shard_sender_is_out_of_range() {
-        // Node 2's twins claim senders n+1..=n+4, which include the
-        // synthetic shard IDs: before the exchange they are forged
-        // node IDs, not partials.
+        // Node 2's twins claim senders n+1..=n+4: shard 0's ID, which
+        // never sends, or a shipping shard's ID before the exchange —
+        // forged node IDs either way, not partials.
         let cfg = ByzantineConfig { out_of_range: 1.0, ..ByzantineConfig::honest(9) };
         let mask: BTreeSet<VertexId> = [2].into();
         for k in [3, 4] {
@@ -594,17 +576,17 @@ mod tests {
         // With every node byzantine and all provable actions armed, the
         // transcript must still contain only records signed under party
         // paths — no record of the partial exchange, whose envelopes
-        // come from the synthetic shard senders n+1..=n+k (and would be
+        // come from the synthetic shard senders n+2..=n+k (and would be
         // frameable as "out-of-range sender").
         let g = generators::grid(2, 3);
         let params = SessionParams { session: 9, n: g.n() as u32, round_cap: 1 };
         let cfg = ByzantineConfig { byzantine: 1.0, ..ByzantineConfig::provable(5) };
         let mask = cfg.sample_mask(g.n());
         let mut t = Misbehaving::new(PerfectTransport::new(), cfg, mask, key(5), params);
-        let _ =
-            ShardedMultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 3, 1)
-                .with_session(SessionId(params.session))
-                .run(&mut t);
+        let _ = MultiRoundSession::new(&OneRoundAsMultiRound(EdgeCountProtocol), &g, 1)
+            .with_shards(3)
+            .with_session(SessionId(params.session))
+            .run(&mut t);
         for rec in t.transcript() {
             assert_eq!(rec.path[0], EVIDENCE_DOMAIN);
             let party = rec.path[1] as u32;

@@ -17,8 +17,6 @@ use crate::byzantine::{ByzantineConfig, InjectionCounts, Misbehaving};
 use crate::fault::{FaultConfig, FaultyTransport};
 use crate::metrics::AggregateMetrics;
 use crate::session::{MultiRoundReport, MultiRoundSession, OneRoundReport, Step};
-use crate::shard::multiround::{ShardedMultiRoundReport, ShardedMultiRoundSession};
-use crate::shard::ShardedReport;
 use crate::transport::{PerfectTransport, SessionId};
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::combinators::OneRoundAsMultiRound;
@@ -138,12 +136,33 @@ impl Scheduler {
 
     /// Run `protocol` once per graph, each session on its own transport
     /// (faulty when `faults` is given, perfect otherwise), interleaving
-    /// sessions within each claimed batch. Each session is the cap-1
-    /// [`MultiRoundSession`] of [`OneRoundAsMultiRound`]`(protocol)`.
+    /// sessions within each claimed batch: the one-shard case of
+    /// [`sweep_one_round_sharded`](Self::sweep_one_round_sharded).
     pub fn sweep_one_round<P>(
         &self,
         protocol: &P,
         graphs: &[LabelledGraph],
+        faults: Option<FaultConfig>,
+    ) -> SweepReport<OneRoundReport<P::Output>>
+    where
+        P: OneRoundProtocol + Sync,
+        P::Output: Send,
+    {
+        self.sweep_one_round_sharded(protocol, graphs, 1, faults)
+    }
+
+    /// Like [`sweep_one_round`](Self::sweep_one_round), but every
+    /// session's referee runs as `shards` mergeable shards: each
+    /// session is the cap-1 [`MultiRoundSession`] of
+    /// [`OneRoundAsMultiRound`]`(protocol)` with `shards` shards.
+    /// Exchange orders are scrambled with a per-lane seed (decorrelated
+    /// the same way transport fault seeds are), so a sweep exercises
+    /// many interleavings at once.
+    pub fn sweep_one_round_sharded<P>(
+        &self,
+        protocol: &P,
+        graphs: &[LabelledGraph],
+        shards: usize,
         faults: Option<FaultConfig>,
     ) -> SweepReport<OneRoundReport<P::Output>>
     where
@@ -155,7 +174,10 @@ impl Scheduler {
             let mut lanes: Vec<Option<_>> = (lo..hi)
                 .map(|i| {
                     let transport = session_transport(faults, i);
-                    Some((MultiRoundSession::new(&adapted, &graphs[i], 1), transport))
+                    let session = MultiRoundSession::new(&adapted, &graphs[i], 1)
+                        .with_shards(shards)
+                        .with_exchange_seed(lane_seed(0x9aa2_d1b5, i));
+                    Some((session, transport))
                 })
                 .collect();
             drive_interleaved(
@@ -166,45 +188,9 @@ impl Scheduler {
         })
     }
 
-    /// Like [`sweep_one_round`](Self::sweep_one_round), but every
-    /// session's referee runs as `shards` mergeable shards with a
-    /// cross-shard exchange phase: the cap-1
-    /// [`ShardedMultiRoundSession`] of
-    /// [`OneRoundAsMultiRound`]`(protocol)`. Exchange orders are
-    /// scrambled with a per-lane seed (decorrelated the same way
-    /// transport fault seeds are), so a sweep exercises many
-    /// interleavings at once.
-    pub fn sweep_one_round_sharded<P>(
-        &self,
-        protocol: &P,
-        graphs: &[LabelledGraph],
-        shards: usize,
-        faults: Option<FaultConfig>,
-    ) -> SweepReport<ShardedReport<P::Output>>
-    where
-        P: OneRoundProtocol + Sync,
-        P::Output: Send,
-    {
-        let adapted = OneRoundAsMultiRound(protocol);
-        self.sweep(graphs.len(), |lo, hi| {
-            let mut lanes: Vec<Option<_>> = (lo..hi)
-                .map(|i| {
-                    let transport = session_transport(faults, i);
-                    let session =
-                        ShardedMultiRoundSession::new(&adapted, &graphs[i], shards, 1)
-                            .with_exchange_seed(lane_seed(0x9aa2_d1b5, i));
-                    Some((session, transport))
-                })
-                .collect();
-            drive_interleaved(
-                &mut lanes,
-                |s, t| s.step(t),
-                |s, t| ShardedReport::from_cap1(s.into_report(t)),
-            )
-        })
-    }
-
-    /// Multi-round analogue of [`sweep_one_round`](Self::sweep_one_round).
+    /// Multi-round analogue of [`sweep_one_round`](Self::sweep_one_round):
+    /// the one-shard case of
+    /// [`sweep_multi_round_sharded`](Self::sweep_multi_round_sharded).
     pub fn sweep_multi_round<P>(
         &self,
         protocol: &P,
@@ -218,25 +204,17 @@ impl Scheduler {
         P::NodeState: Send,
         P::RefereeState: Send,
     {
-        self.sweep(graphs.len(), |lo, hi| {
-            let mut lanes: Vec<Option<_>> = (lo..hi)
-                .map(|i| {
-                    let transport = session_transport(faults, i);
-                    Some((MultiRoundSession::new(protocol, &graphs[i], max_rounds), transport))
-                })
-                .collect();
-            drive_interleaved(&mut lanes, |s, t| s.step(t), |s, t| s.into_report(t))
-        })
+        self.sweep_multi_round_sharded(protocol, graphs, 1, max_rounds, faults)
     }
 
     /// Like [`sweep_multi_round`](Self::sweep_multi_round), but every
     /// session's per-round referee wait runs as `shards` mergeable
-    /// shards with a cross-shard exchange phase before each
-    /// `referee_step`. Exchange orders are scrambled with a per-lane
-    /// seed, so a sweep exercises many interleavings at once; the
-    /// aggregate can be reclassified with
-    /// [`SweepReport::reclassify_ok`] exactly like every other sweep
-    /// (the rollup is rebuilt from the reports, never patched).
+    /// shards with a cross-shard exchange before each `referee_step`.
+    /// Exchange orders are scrambled with a per-lane seed, so a sweep
+    /// exercises many interleavings at once; the aggregate can be
+    /// reclassified with [`SweepReport::reclassify_ok`] exactly like
+    /// every other sweep (the rollup is rebuilt from the reports, never
+    /// patched).
     pub fn sweep_multi_round_sharded<P>(
         &self,
         protocol: &P,
@@ -244,7 +222,7 @@ impl Scheduler {
         shards: usize,
         max_rounds: usize,
         faults: Option<FaultConfig>,
-    ) -> SweepReport<ShardedMultiRoundReport<P::Output>>
+    ) -> SweepReport<MultiRoundReport<P::Output>>
     where
         P: MultiRoundProtocol + Sync,
         P::Output: Send,
@@ -255,9 +233,9 @@ impl Scheduler {
             let mut lanes: Vec<Option<_>> = (lo..hi)
                 .map(|i| {
                     let transport = session_transport(faults, i);
-                    let session =
-                        ShardedMultiRoundSession::new(protocol, &graphs[i], shards, max_rounds)
-                            .with_exchange_seed(lane_seed(0x51ab_77ed, i));
+                    let session = MultiRoundSession::new(protocol, &graphs[i], max_rounds)
+                        .with_shards(shards)
+                        .with_exchange_seed(lane_seed(0x51ab_77ed, i));
                     Some((session, transport))
                 })
                 .collect();
@@ -299,7 +277,8 @@ impl Scheduler {
                     let mask = lane_cfg.sample_mask(g.n());
                     let transport =
                         Misbehaving::new(PerfectTransport::new(), lane_cfg, mask, base, params);
-                    let session = ShardedMultiRoundSession::new(&adapted, g, shards, 1)
+                    let session = MultiRoundSession::new(&adapted, g, 1)
+                        .with_shards(shards)
                         .with_session(SessionId(params.session))
                         .with_exchange_seed(lane_seed(0x6b79_7a61, i));
                     Some((session, transport))
@@ -309,7 +288,7 @@ impl Scheduler {
                 &mut lanes,
                 |s, t| s.step(t),
                 |s, t: &Misbehaving<PerfectTransport>| {
-                    let report = ShardedReport::from_cap1(s.into_report(t));
+                    let report = OneRoundReport::from(s.into_report(t));
                     ByzantineReport {
                         outcome: report.outcome,
                         metrics: report.metrics,
@@ -534,15 +513,6 @@ impl<O> Report for MultiRoundReport<O> {
     }
 }
 
-impl<O> Report for ShardedReport<O> {
-    fn metrics(&self) -> &crate::metrics::SessionMetrics {
-        &self.metrics
-    }
-    fn is_ok(&self) -> bool {
-        self.outcome.is_ok()
-    }
-}
-
 /// Outcome of one byzantine-sweep lane: the session result plus
 /// everything needed to independently verify (or refute) the evidence
 /// the prosecutor produced.
@@ -569,15 +539,6 @@ pub struct ByzantineReport<O> {
 }
 
 impl<O> Report for ByzantineReport<O> {
-    fn metrics(&self) -> &crate::metrics::SessionMetrics {
-        &self.metrics
-    }
-    fn is_ok(&self) -> bool {
-        self.outcome.is_ok()
-    }
-}
-
-impl<O> Report for ShardedMultiRoundReport<O> {
     fn metrics(&self) -> &crate::metrics::SessionMetrics {
         &self.metrics
     }

@@ -15,23 +15,56 @@
 //! [`OneRoundAsMultiRound`](referee_protocol::combinators::OneRoundAsMultiRound)),
 //! seen through its [`OneRoundReport`].
 //!
-//! Delivery semantics:
+//! # Shards
+//!
+//! The referee's per-round wait runs as `k` mergeable shards
+//! ([`with_shards`](MultiRoundSession::with_shards), default 1; the
+//! paper's referee is `k = 1`). Every uplink lands in the
+//! [`RoundShard`] owning its sender (the balanced ID partition of
+//! `referee_protocol::shard`). Once a round's uplinks are all in, the
+//! round runs its exchange:
+//!
+//! * shard 0 sits with the collector, so its partial is merged **by
+//!   value** — it *becomes* the round's accumulator;
+//! * shards `1..k` serialize their [`RoundPartialState`]s and ship them
+//!   through the transport as same-round envelopes from the synthetic
+//!   senders `n + 2..=n + k` (outside the node ID space), in an order
+//!   scrambled by [`with_exchange_seed`](MultiRoundSession::with_exchange_seed);
+//! * the collector merges each arriving partial into the accumulator
+//!   and, once all `k − 1` are in, finishes it into the exact uplink
+//!   vector `referee_step` expects.
+//!
+//! At `k = 1` nothing crosses the transport for the exchange, so a
+//! session sends exactly the node and referee traffic of the protocol.
+//! The round stamp travels on the envelope *and* inside each encoded
+//! partial, so a partial replayed into another round fails the merge.
+//! The frugality stats count node traffic only; exchange overhead is
+//! reported as [`MultiRoundReport::exchange_bits`].
+//!
+//! # Delivery semantics
 //!
 //! * **Out-of-order arrivals** are fine: envelopes are round-stamped and
 //!   buffered until their consumer phase runs (the early-message cache).
 //! * **Duplicates** are fine *if identical*: at-least-once delivery is
 //!   made idempotent by content comparison; the copy is counted as
 //!   `stale`. A duplicate that *differs* from the recorded original
-//!   **and arrives while its round is still open** is evidence of
-//!   tampering and fails the session with
-//!   [`DecodeError::Inconsistent`]; duplicates straggling in after
-//!   their round committed are dropped uncompared (the original was
-//!   already consumed, so they can no longer influence any outcome).
-//! * **Stray round stamps** fail the session: an envelope stamped `0`
-//!   or past the round cap can belong to no round of this session, so
-//!   it is rejected with [`DecodeError::Invalid`] instead of being
-//!   counted stale or parked — the future-round buffers stay bounded by
-//!   the round cap.
+//!   fails the session with [`DecodeError::Inconsistent`] while its
+//!   round is open.
+//! * **Stragglers.** A late uplink is compared against its shard while
+//!   the round collects, and against the merged uplink vector the
+//!   referee stepped on (kept when the referee continues) until the
+//!   round advances: identical is `stale`, conflicting fails the
+//!   session. The only window without a comparison is while `k ≥ 2`
+//!   partials are in flight, where a late uplink is dropped uncompared
+//!   (its shard already shipped). Traffic of rounds the session has
+//!   advanced past is committed history: counted stale, dropped.
+//! * **Stray senders and stamps** fail the session: an envelope stamped
+//!   `0` or past the round cap can belong to no round of this session
+//!   ([`DecodeError::Invalid`]); a sender past `n` that is not a
+//!   shipping shard of a round that has run its exchange is an unknown
+//!   node ([`DecodeError::OutOfRange`]) — in particular `n + 1`, shard
+//!   0's ID, never sends. The future-round buffers stay bounded by the
+//!   round cap.
 //! * **Loss** is detected when the transport reports itself empty while
 //!   the session still expects traffic — a session never hangs.
 //! * **Corruption** is *not* detected here. Flipped bits flow unchanged
@@ -47,8 +80,13 @@
 use crate::clock::{real_clock, SharedClock};
 use crate::metrics::SessionMetrics;
 use crate::transport::{Envelope, SessionId, Transport, REFEREE};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::multiround::{MultiRoundProtocol, MultiRoundStats, RefereeStep};
+use referee_protocol::shard::multiround::{RoundPartialState, RoundShard};
+use referee_protocol::shard::{shard_of, Arrival};
 use referee_protocol::{DecodeError, Message, NodeView};
 use std::collections::BTreeMap;
 
@@ -61,33 +99,53 @@ pub enum Step {
     Done,
 }
 
-/// The buffer rule both session engines share: a per-node slot vector
-/// is allocated on first use, so a round that never needs it (the
-/// downlinks and inboxes of the round a referee ends on, the link-seen
-/// table of a protocol without link messages) costs nothing.
-pub(crate) fn lazy_slots<T: Clone + Default>(slots: &mut Vec<T>, len: usize) -> &mut [T] {
+/// A per-node slot vector allocated on first use, so a round that never
+/// needs it (the downlinks and inboxes of the round a referee ends on,
+/// the link-seen table of a protocol without link messages) costs
+/// nothing.
+fn lazy_slots<T: Clone + Default>(slots: &mut Vec<T>, len: usize) -> &mut [T] {
     if slots.is_empty() {
         slots.resize(len, T::default());
     }
     slots
 }
 
-/// One round's mailboxes. `downlinks` and `inbox` follow
+/// Where a round's uplinks are in the referee's wait.
+enum Uplinks {
+    /// Arriving: each lands in the shard owning its sender — shard 0,
+    /// which sits with the collector, or one of shards `1..k`.
+    Collecting { first: RoundShard, rest: Vec<RoundShard> },
+    /// Shard 0's partial, merging the `k − 1` shipped ones.
+    Merging(RoundPartialState),
+    /// The uplink vector the referee stepped on.
+    Committed(Vec<Message>),
+}
+
+/// One round's mailboxes. `partials`, `downlinks` and `inbox` follow
 /// [`lazy_slots`].
-struct RoundBuf {
-    uplinks: Vec<Option<Message>>,
+struct Mailboxes {
+    uplinks: Uplinks,
     uplinks_filled: usize,
+    /// Exchange payloads absorbed, by shipping shard (`partials[i - 1]`
+    /// for shard `i`), so re-deliveries compare by content.
+    partials: Vec<Option<Message>>,
+    merged: usize,
     downlinks: Vec<Option<Message>>,
     downlinks_filled: usize,
     inbox: Vec<Vec<(VertexId, Message)>>,
     inbox_count: usize,
 }
 
-impl RoundBuf {
-    fn new(n: usize) -> Self {
-        RoundBuf {
-            uplinks: vec![None; n],
+impl Mailboxes {
+    fn new(n: usize, k: usize, round: u32) -> Self {
+        Mailboxes {
+            uplinks: Uplinks::Collecting {
+                first: RoundShard::new(n, k, 0, round),
+                rest: (1..k).map(|i| RoundShard::new(n, k, i, round)).collect(),
+            },
             uplinks_filled: 0,
+            partials: Vec::new(),
+            merged: 0,
             downlinks: Vec::new(),
             downlinks_filled: 0,
             inbox: Vec::new(),
@@ -96,30 +154,34 @@ impl RoundBuf {
     }
 }
 
-enum MultiRoundPhase {
+enum Phase {
     NodeSend,
     AwaitUplinks,
     AwaitReceive,
     Finished,
 }
 
-/// A single execution of a [`MultiRoundProtocol`] as a state machine.
+/// A single execution of a [`MultiRoundProtocol`] as a state machine,
+/// its referee wait split across `k` shards (see the module docs).
 pub struct MultiRoundSession<'a, P: MultiRoundProtocol> {
     protocol: &'a P,
     graph: &'a LabelledGraph,
     session: SessionId,
     clock: SharedClock,
     max_rounds: usize,
+    k: usize,
+    exchange_seed: u64,
+    exchange_bits: usize,
     node_states: Vec<P::NodeState>,
     referee_state: P::RefereeState,
     round: u32,
-    phase: MultiRoundPhase,
+    phase: Phase,
     /// The current round's mailboxes.
-    current: RoundBuf,
+    current: Mailboxes,
     /// Mailboxes of later rounds, by round: the early-message cache that
     /// makes reordering across round boundaries harmless. The round-stamp
     /// rule bounds it to `max_rounds` entries.
-    early: BTreeMap<u32, RoundBuf>,
+    early: BTreeMap<u32, Mailboxes>,
     /// Node→node envelopes sent this round (recorded at send time: the
     /// session knows the ground truth of what was transmitted, so loss is
     /// distinguishable from "that neighbour simply did not send").
@@ -140,8 +202,8 @@ pub struct MultiRoundSession<'a, P: MultiRoundProtocol> {
 }
 
 impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
-    /// A fresh session; `max_rounds` is the safety stop, mirroring
-    /// [`referee_protocol::multiround::run_multiround`].
+    /// A fresh one-shard session; `max_rounds` is the safety stop,
+    /// mirroring [`referee_protocol::multiround::run_multiround`].
     pub fn new(protocol: &'a P, graph: &'a LabelledGraph, max_rounds: usize) -> Self {
         let n = graph.n();
         let node_states: Vec<P::NodeState> = (1..=n as u32)
@@ -156,11 +218,14 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             round_started: clock.now(),
             clock,
             max_rounds,
+            k: 1,
+            exchange_seed: 0,
+            exchange_bits: 0,
             node_states,
             referee_state,
             round: 1,
-            phase: MultiRoundPhase::NodeSend,
-            current: RoundBuf::new(n),
+            phase: Phase::NodeSend,
+            current: Mailboxes::new(n, 1, 1),
             early: BTreeMap::new(),
             links_expected: 0,
             link_seen: Vec::new(),
@@ -175,6 +240,22 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                 max_link_bits: 0,
             },
         }
+    }
+
+    /// Split the referee's wait across `shards` shards (clamped to at
+    /// least 1). Call before the first step.
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        self.k = shards.max(1);
+        self.current = Mailboxes::new(self.graph.n(), self.k, self.round);
+        self
+    }
+
+    /// Scramble the per-round order shards `1..k` ship their partials
+    /// with `seed` — merge is commutative, and a seeded shuffle proves
+    /// the exchange order immaterial on every run.
+    pub fn with_exchange_seed(mut self, seed: u64) -> Self {
+        self.exchange_seed = seed;
+        self
     }
 
     /// Tag this session's envelopes with `id` (multiplexing). Inbound
@@ -195,10 +276,10 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
     /// Advance as far as deliverable traffic allows.
     pub fn step(&mut self, transport: &mut impl Transport) -> Step {
         match self.phase {
-            MultiRoundPhase::NodeSend => self.step_send(transport),
-            MultiRoundPhase::AwaitUplinks => self.step_uplinks(transport),
-            MultiRoundPhase::AwaitReceive => self.step_receive(transport),
-            MultiRoundPhase::Finished => Step::Done,
+            Phase::NodeSend => self.step_send(transport),
+            Phase::AwaitUplinks => self.step_uplinks(transport),
+            Phase::AwaitReceive => self.step_receive(transport),
+            Phase::Finished => Step::Done,
         }
     }
 
@@ -213,16 +294,22 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
     pub fn into_report(mut self, transport: &impl Transport) -> MultiRoundReport<P::Output> {
         let outcome = self.outcome.take().expect("session not finished");
         self.metrics.transport.merge(&transport.counters());
-        MultiRoundReport { outcome, metrics: self.metrics, stats: self.mr_stats }
+        MultiRoundReport {
+            outcome,
+            metrics: self.metrics,
+            stats: self.mr_stats,
+            shards: self.k,
+            exchange_bits: self.exchange_bits,
+        }
     }
 
     /// The mailboxes of `round`, the current round or a later one.
-    fn buf(&mut self, round: u32) -> &mut RoundBuf {
+    fn buf(&mut self, round: u32) -> &mut Mailboxes {
         if round == self.round {
             return &mut self.current;
         }
-        let n = self.graph.n();
-        self.early.entry(round).or_insert_with(|| RoundBuf::new(n))
+        let (n, k) = (self.graph.n(), self.k);
+        self.early.entry(round).or_insert_with(|| Mailboxes::new(n, k, round))
     }
 
     /// Classify one arrival into its round buffer. Rounds older than the
@@ -273,29 +360,18 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             return Ok(());
         }
         if env.from as usize > n {
-            return Err(DecodeError::OutOfRange(format!(
-                "message from unknown node {} (n = {n})",
-                env.from
-            )));
+            // Shards 1..k ship from n+2..=n+k; shard 0 (n+1) never
+            // sends, and anything else is an unknown sender.
+            if env.to == REFEREE
+                && env.from as usize >= n + 2
+                && env.from as usize <= n + self.k
+            {
+                return self.classify_partial(env);
+            }
+            return Err(unknown_sender(env.from, n));
         }
         if env.to == REFEREE {
-            // Uplink.
-            let buf = self.buf(env.round);
-            let slot = &mut buf.uplinks[(env.from - 1) as usize];
-            match slot {
-                None => {
-                    *slot = Some(env.payload);
-                    buf.uplinks_filled += 1;
-                }
-                Some(existing) if *existing == env.payload => self.metrics.transport.stale += 1,
-                Some(_) => {
-                    return Err(DecodeError::Inconsistent(format!(
-                        "conflicting duplicate uplink from node {}",
-                        env.from
-                    )))
-                }
-            }
-            return Ok(());
+            return self.classify_uplink(env);
         }
         // Node → node link message.
         if env.to as usize > n {
@@ -327,12 +403,98 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
         Ok(())
     }
 
+    /// Absorb one node uplink (the straggler rule of the module docs).
+    #[inline(always)]
+    fn classify_uplink(&mut self, env: Envelope) -> Result<(), DecodeError> {
+        let (n, k) = (self.graph.n(), self.k);
+        let buf = self.buf(env.round);
+        let identical = match &mut buf.uplinks {
+            Uplinks::Collecting { first, rest } => {
+                let shard = if first.range().contains(env.from) {
+                    first
+                } else {
+                    &mut rest[shard_of(n, k, env.from) - 1]
+                };
+                match shard.ingest(env.from, env.payload) {
+                    Ok(Arrival::Fresh) => {
+                        buf.uplinks_filled += 1;
+                        return Ok(());
+                    }
+                    Ok(Arrival::Duplicate { identical }) => identical,
+                    // Out-of-range senders were rejected by the caller; a
+                    // routing error here is a bug in this session, surfaced
+                    // loudly.
+                    Ok(Arrival::OutOfRange) | Err(_) => {
+                        return Err(DecodeError::Invalid(format!(
+                            "misrouted arrival from node {}",
+                            env.from
+                        )))
+                    }
+                }
+            }
+            // The straggler's shard already shipped its partial.
+            Uplinks::Merging(_) => true,
+            Uplinks::Committed(uplinks) => uplinks[(env.from - 1) as usize] == env.payload,
+        };
+        if !identical {
+            return Err(DecodeError::Inconsistent(format!(
+                "conflicting duplicate uplink from node {}",
+                env.from
+            )));
+        }
+        self.metrics.transport.stale += 1;
+        Ok(())
+    }
+
+    /// Absorb one cross-shard exchange partial from shard `from − n − 1`.
+    fn classify_partial(&mut self, env: Envelope) -> Result<(), DecodeError> {
+        let n = self.graph.n();
+        let idx = env.from as usize - n - 1;
+        // Partials exist only once their round has run its exchange;
+        // before that a shard sender is a forged node ID. Only the
+        // current round can have exchanged.
+        let buf = &mut self.current;
+        if env.round != self.round || matches!(buf.uplinks, Uplinks::Collecting { .. }) {
+            return Err(unknown_sender(env.from, n));
+        }
+        let seen = &mut lazy_slots(&mut buf.partials, self.k - 1)[idx - 1];
+        match seen {
+            Some(existing) if *existing == env.payload => {
+                self.metrics.transport.stale += 1;
+                return Ok(());
+            }
+            Some(_) => {
+                return Err(DecodeError::Inconsistent(format!(
+                    "conflicting duplicate partial from shard {idx}"
+                )));
+            }
+            None => {}
+        }
+        // Every shipped partial is absorbed before the round commits, so
+        // a fresh one finds the accumulator.
+        let Uplinks::Merging(acc) = &mut buf.uplinks else {
+            unreachable!("an unseen partial after commit")
+        };
+        let partial = RoundPartialState::decode(n, &env.payload)?;
+        if partial.round() != env.round {
+            return Err(DecodeError::Invalid(format!(
+                "round-{} partial delivered in a round-{} envelope",
+                partial.round(),
+                env.round
+            )));
+        }
+        acc.merge(partial)?;
+        *seen = Some(env.payload);
+        buf.merged += 1;
+        Ok(())
+    }
+
     /// Pull envelopes until `ready` holds or the transport drains.
     /// Returns `Ok(true)` when ready, `Ok(false)` on starvation.
     fn pump(
         &mut self,
         transport: &mut impl Transport,
-        ready: impl Fn(&RoundBuf, usize) -> bool,
+        ready: impl Fn(&Mailboxes, usize) -> bool,
     ) -> Result<bool, DecodeError> {
         loop {
             if ready(&self.current, self.links_expected) {
@@ -406,10 +568,12 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             }
         }
         self.metrics.stats.local_seconds += self.clock.now() - t0;
-        self.phase = MultiRoundPhase::AwaitUplinks;
+        self.phase = Phase::AwaitUplinks;
         Step::Running
     }
 
+    /// Collect the round's uplinks, run the exchange, merge the shipped
+    /// partials and step the referee on the merged uplink vector.
     fn step_uplinks(&mut self, transport: &mut impl Transport) -> Step {
         let n = self.graph.n();
         match self.pump(transport, |buf, _| buf.uplinks_filled == n) {
@@ -422,15 +586,29 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             }
             Ok(true) => {}
         }
-        // The uplinks move into the referee step and back into their
-        // slots only if the round continues, where later duplicates are
-        // still compared against them.
-        let uplinks: Vec<Message> = self
-            .current
-            .uplinks
-            .iter_mut()
-            .map(|s| s.take().expect("uplink present"))
-            .collect();
+        self.exchange(transport);
+        let shipped = self.k - 1;
+        match self.pump(transport, |buf, _| buf.merged == shipped) {
+            Err(e) => return self.finish(Err(e)),
+            Ok(false) => {
+                let missing = shipped - self.current.merged;
+                return self.finish(Err(DecodeError::Inconsistent(format!(
+                    "transport drained with {missing} of {shipped} round-{} shard partials \
+                     missing",
+                    self.round
+                ))));
+            }
+            Ok(true) => {}
+        }
+        let Uplinks::Merging(acc) =
+            std::mem::replace(&mut self.current.uplinks, Uplinks::Committed(Vec::new()))
+        else {
+            unreachable!("the exchange leaves the round merging")
+        };
+        let uplinks = match acc.finish() {
+            Ok(u) => u,
+            Err(e) => return self.finish(Err(e)),
+        };
         let t0 = self.clock.now();
         let step = self.protocol.referee_step(
             &mut self.referee_state,
@@ -448,9 +626,8 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                         downlinks.len()
                     ))));
                 }
-                for (slot, uplink) in self.current.uplinks.iter_mut().zip(uplinks) {
-                    *slot = Some(uplink);
-                }
+                // Late uplinks of this round compare against these.
+                self.current.uplinks = Uplinks::Committed(uplinks);
                 for (i, payload) in downlinks.into_iter().enumerate() {
                     self.mr_stats.max_downlink_bits =
                         self.mr_stats.max_downlink_bits.max(payload.len_bits());
@@ -463,9 +640,36 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                         payload,
                     });
                 }
-                self.phase = MultiRoundPhase::AwaitReceive;
+                self.phase = Phase::AwaitReceive;
                 Step::Running
             }
+        }
+    }
+
+    /// The round's exchange: shard 0's partial becomes the accumulator,
+    /// shards `1..k` ship theirs in a seeded order from `n + 1 + index`.
+    fn exchange(&mut self, transport: &mut impl Transport) {
+        let n = self.graph.n();
+        let round = self.round;
+        let Uplinks::Collecting { first, rest } =
+            std::mem::replace(&mut self.current.uplinks, Uplinks::Committed(Vec::new()))
+        else {
+            unreachable!("the exchange runs once per round")
+        };
+        self.current.uplinks = Uplinks::Merging(first.into_partial());
+        let mut shipped: Vec<(usize, RoundShard)> = (1..).zip(rest).collect();
+        let seed = self.exchange_seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        shipped.shuffle(&mut StdRng::seed_from_u64(seed));
+        for (idx, shard) in shipped {
+            let payload = shard.into_partial().encode();
+            self.exchange_bits += payload.len_bits();
+            transport.send(Envelope {
+                session: self.session,
+                round,
+                from: (n + 1 + idx) as u32,
+                to: REFEREE,
+                payload,
+            });
         }
     }
 
@@ -483,7 +687,9 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             }
             Ok(true) => {}
         }
-        let next = self.early.remove(&(self.round + 1)).unwrap_or_else(|| RoundBuf::new(n));
+        let (k, next_round) = (self.k, self.round + 1);
+        let next =
+            self.early.remove(&next_round).unwrap_or_else(|| Mailboxes::new(n, k, next_round));
         let mut buf = std::mem::replace(&mut self.current, next);
         let inbox = lazy_slots(&mut buf.inbox, n);
         let t0 = self.clock.now();
@@ -503,7 +709,7 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
         self.metrics.stats.local_seconds += self.clock.now() - t0;
         self.metrics.round_seconds.push(self.clock.now() - self.round_started);
         self.round += 1;
-        self.phase = MultiRoundPhase::NodeSend;
+        self.phase = Phase::NodeSend;
         Step::Running
     }
 
@@ -519,9 +725,13 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             .max(self.mr_stats.max_downlink_bits)
             .max(self.mr_stats.max_link_bits);
         self.outcome = Some(outcome);
-        self.phase = MultiRoundPhase::Finished;
+        self.phase = Phase::Finished;
         Step::Done
     }
+}
+
+fn unknown_sender(from: VertexId, n: usize) -> DecodeError {
+    DecodeError::OutOfRange(format!("message from unknown node {from} (n = {n})"))
 }
 
 /// Outcome of a one-round session: the [`From`] view of a cap-1
@@ -534,23 +744,27 @@ pub struct OneRoundReport<O> {
     pub outcome: Result<O, DecodeError>,
     /// Everything measured along the way.
     pub metrics: SessionMetrics,
+    /// Shard count the session ran with.
+    pub shards: usize,
+    /// Total bits of serialized partials shipped in the exchange.
+    pub exchange_bits: usize,
 }
 
 impl<O> From<MultiRoundReport<O>> for OneRoundReport<O> {
+    /// A referee that did not finish in round 1 is a typed failure,
+    /// never a panic.
     fn from(report: MultiRoundReport<O>) -> Self {
-        OneRoundReport { outcome: cap1_outcome(report.outcome), metrics: report.metrics }
+        OneRoundReport {
+            outcome: report.outcome.and_then(|out| {
+                out.ok_or_else(|| {
+                    DecodeError::Inconsistent("referee did not finish in round 1".into())
+                })
+            }),
+            metrics: report.metrics,
+            shards: report.shards,
+            exchange_bits: report.exchange_bits,
+        }
     }
-}
-
-/// The one-round view of a cap-1 engine outcome, shared by both
-/// engines' one-round reports: a referee that did not finish in round 1
-/// is a typed failure, never a panic.
-pub(crate) fn cap1_outcome<O>(
-    outcome: Result<Option<O>, DecodeError>,
-) -> Result<O, DecodeError> {
-    outcome.and_then(|out| {
-        out.ok_or_else(|| DecodeError::Inconsistent("referee did not finish in round 1".into()))
-    })
 }
 
 /// Outcome of a multi-round session.
@@ -559,10 +773,16 @@ pub struct MultiRoundReport<O> {
     /// `Ok(Some(out))` when the referee finished, `Ok(None)` when the
     /// round cap was hit, `Err` on decode/delivery failure.
     pub outcome: Result<Option<O>, DecodeError>,
-    /// Runtime metrics.
+    /// Runtime metrics. The frugality stats count node traffic only,
+    /// whatever the shard count.
     pub metrics: SessionMetrics,
     /// Legacy-compatible per-link-class message-size stats.
     pub stats: MultiRoundStats,
+    /// Shard count the session ran with.
+    pub shards: usize,
+    /// Total bits of serialized round partials shipped in the exchanges
+    /// (all rounds; 0 at one shard, whose partial merges by value).
+    pub exchange_bits: usize,
 }
 
 #[cfg(test)]
@@ -634,6 +854,97 @@ mod tests {
         let err = report.outcome.unwrap_err();
         assert!(
             matches!(&err, DecodeError::Invalid(m) if m.contains("outside rounds 1..=64")),
+            "{err}"
+        );
+    }
+
+    /// On the first round-1 downlink, delivers `extra(uplinks, n)`
+    /// first, where `uplinks` are the round-1 uplinks sent so far.
+    struct BeforeFirstDownlink {
+        inner: PerfectTransport,
+        uplinks: Vec<Envelope>,
+        extra: fn(&[Envelope], usize) -> Envelope,
+        n: usize,
+        done: bool,
+    }
+
+    impl BeforeFirstDownlink {
+        fn new(n: usize, extra: fn(&[Envelope], usize) -> Envelope) -> Self {
+            BeforeFirstDownlink {
+                inner: PerfectTransport::new(),
+                uplinks: Vec::new(),
+                extra,
+                n,
+                done: false,
+            }
+        }
+    }
+
+    impl Transport for BeforeFirstDownlink {
+        fn send(&mut self, env: Envelope) {
+            if env.round == 1 && env.to == REFEREE && (1..=self.n as u32).contains(&env.from) {
+                self.uplinks.push(env.clone());
+            }
+            if !self.done && env.from == REFEREE {
+                self.done = true;
+                self.inner.send((self.extra)(&self.uplinks, self.n));
+            }
+            self.inner.send(env);
+        }
+        fn recv(&mut self) -> Option<Envelope> {
+            self.inner.recv()
+        }
+        fn counters(&self) -> TransportCounters {
+            self.inner.counters()
+        }
+    }
+
+    #[test]
+    fn conflicting_straggler_fails_after_the_referee_step() {
+        // Node 1's round-1 uplink, re-delivered with a flipped bit while
+        // the round's downlinks are in flight: the session compares it
+        // against the uplink vector the referee stepped on, at any k.
+        let g = generators::path(8);
+        for k in [1, 3] {
+            let mut t = BeforeFirstDownlink::new(g.n(), |uplinks, _| {
+                let mut twin = uplinks[0].clone();
+                twin.payload = twin.payload.with_bit_flipped(0);
+                twin
+            });
+            let report =
+                MultiRoundSession::new(&BoruvkaConnectivity, &g, 64).with_shards(k).run(&mut t);
+            let err = report.outcome.unwrap_err();
+            assert!(
+                matches!(&err, DecodeError::Inconsistent(m)
+                    if m.contains("conflicting duplicate uplink from node 1")),
+                "k={k}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn shard_zero_never_sends() {
+        // Shard 0's round-1 partial, encoded and re-delivered from its
+        // synthetic ID n + 1 after the exchange: shard 0 merges by
+        // value, so that ID is an unknown sender.
+        let g = generators::path(9);
+        let mut t = BeforeFirstDownlink::new(g.n(), |uplinks, n| {
+            let mut shard = RoundShard::new(n, 3, 0, 1);
+            let range = shard.range();
+            for env in uplinks.iter().filter(|e| range.contains(e.from)) {
+                shard.ingest(env.from, env.payload.clone()).unwrap();
+            }
+            Envelope {
+                from: n as u32 + 1,
+                payload: shard.into_partial().encode(),
+                ..uplinks[0].clone()
+            }
+        });
+        let report =
+            MultiRoundSession::new(&BoruvkaConnectivity, &g, 64).with_shards(3).run(&mut t);
+        let err = report.outcome.unwrap_err();
+        assert!(
+            matches!(&err, DecodeError::OutOfRange(m) if m.contains("unknown node 10")),
             "{err}"
         );
     }

@@ -368,7 +368,7 @@ pub use metrics::{
 pub use multiround::{
     boruvka_connectivity_service, decode_bool_output, decode_graph_output, encode_bool_output,
     encode_graph_output, ProtocolReferee, RefereeStepper, ServiceCatalog, WireReferee,
-    MAX_SERVICE_NAME_BYTES,
+    MAX_SERVICE_NAME_BYTES, MAX_SESSION_NODES,
 };
 pub use placement::{
     link_key, link_key_path, shard_key, HostId, PlacementPolicy, RemotePlacement, ShardHost,

@@ -7,8 +7,9 @@
 //! keys its per-session state by (connection, session), with the
 //! service resolved at announce time, so one listener serves
 //! heterogeneous protocols concurrently — each client names its
-//! service in the MAC'd `Announce`, and an unknown name fails closed
-//! with a typed error verdict instead of hanging.
+//! service in the MAC'd `Announce`, and an unknown name — or a network
+//! larger than [`MAX_SESSION_NODES`] — fails closed with a typed error
+//! verdict instead of hanging.
 //!
 //! # Topology
 //!
@@ -97,6 +98,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The largest network size a session may announce. Workers size
+/// per-session state by `n` (the range partition, a protocol's referee
+/// state such as Borůvka's union–find), so the router refuses larger
+/// claims with a typed `Invalid` verdict before any worker hears of the
+/// session.
+pub const MAX_SESSION_NODES: usize = 1 << 20;
 
 /// Domain-separation tweak for the shard-exchange key.
 const MR_EXCHANGE_TWEAK: u64 = 0x6d72_7368_6172_6478; // "mrshardx"
@@ -625,24 +633,33 @@ fn mr_route(
                         }
                         // Resolve the requested service (a bare
                         // announce is index 0 — the pre-catalog wire
-                        // format). An unknown name fails *closed*: the
+                        // format). An unknown name, or a network larger
+                        // than `MAX_SESSION_NODES`, fails *closed*: the
                         // session is born finished with a typed error
                         // verdict already queued, so the client gets a
                         // canonical rejection instead of a hang, the
                         // connection stays usable, and no worker ever
-                        // hears of the session.
+                        // hears of the session (nor sizes state by its
+                        // claimed `n`).
                         let service = match &name {
-                            None if !catalog.is_empty() => 0,
+                            _ if n > MAX_SESSION_NODES => Err(format!(
+                                "network size {n} exceeds the limit of {MAX_SESSION_NODES} nodes"
+                            )),
+                            None if !catalog.is_empty() => Ok(0),
                             Some(name) if catalog.index_of(name).is_some() => {
-                                catalog.index_of(name).expect("checked") as u32
+                                Ok(catalog.index_of(name).expect("checked") as u32)
                             }
-                            _ => {
+                            _ => Err(format!(
+                                "unknown catalog service {:?}",
+                                name.as_deref().unwrap_or("")
+                            )),
+                        };
+                        let service = match service {
+                            Ok(service) => service,
+                            Err(why) => {
                                 metrics.decode_rejects(1);
                                 let payload =
-                                    encode_mr_verdict(&Err(DecodeError::Invalid(format!(
-                                        "unknown catalog service {:?}",
-                                        name.as_deref().unwrap_or("")
-                                    ))));
+                                    encode_mr_verdict(&Err(DecodeError::Invalid(why)));
                                 let verdict_env = Envelope {
                                     session: env.session,
                                     round: 0,

@@ -2,7 +2,8 @@
 //! exact wire bytes pre-catalog clients sent) must keep selecting
 //! catalog entry 0 and produce bit-for-bit the verdict a name-selected
 //! entry-0 session gets — while malformed announces (truncated name,
-//! name no catalog can hold) fail closed instead of hanging.
+//! name no catalog can hold, a network size past the server's limit)
+//! fail closed instead of hanging.
 
 use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::easy::EdgeCountProtocol;
@@ -11,7 +12,7 @@ use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::{
     decode_frame, encode_bool_output, encode_wire_frame, AuthKey, FleetClient, FleetServer,
-    FrameKind, ServiceCatalog, MAX_SERVICE_NAME_BYTES,
+    FrameKind, ServiceCatalog, MAX_SERVICE_NAME_BYTES, MAX_SESSION_NODES,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -228,4 +229,38 @@ fn oversize_name_announce_fails_closed_with_typed_verdict() {
     assert!(matches!(err, DecodeError::Invalid(_)), "typed rejection expected, got {err:?}");
 
     server.stop();
+}
+
+/// A client-claimed `n` must not size server memory: an announce past
+/// [`MAX_SESSION_NODES`] — up to the 32-bit field's maximum — comes back
+/// at once as a typed `Invalid` verdict, for the one-round digest
+/// service and a catalog alike, and the connection keeps serving other
+/// sessions afterwards.
+#[test]
+fn oversize_network_announce_fails_closed_with_typed_verdict() {
+    let base = AuthKey::from_seed(64);
+    let digest = FleetServer::spawn_sharded(base, 2).expect("bind");
+    let catalog =
+        FleetServer::builder(base).shards(2).catalog(test_catalog()).spawn().expect("bind");
+    for server in [digest, catalog] {
+        let (mut stream, key, mut buf) = raw_connect(&server, &base);
+        for (session, n) in [(1, u64::from(u32::MAX)), (2, MAX_SESSION_NODES as u64 + 1)] {
+            let verdict = announce_and_await_verdict(
+                &mut stream,
+                &key,
+                &mut buf,
+                session,
+                bare_announce(n),
+            );
+            let mut r = verdict.reader();
+            assert!(!r.read_bit().unwrap(), "n = {n} must reject, got an Ok verdict");
+            assert_eq!(r.read_bits(2).unwrap(), 3, "n = {n}: expected the Invalid class");
+        }
+        // The connection survived: an n = 0 session is judged at once.
+        let ok = announce_and_await_verdict(&mut stream, &key, &mut buf, 3, bare_announce(0));
+        assert!(ok.reader().read_bit().unwrap(), "n = 0 session after the rejections");
+        drop(stream);
+        let stats = server.stop();
+        assert_eq!(stats.decode_rejects, 2, "one reject per oversize announce");
+    }
 }
