@@ -7,7 +7,9 @@
 //! either way); remote placement pays one extra socket hop per shard
 //! partial, so throughput lands below in-process but stays in the same
 //! order of magnitude — that gap is the price of shards that can live
-//! on other machines.
+//! on other machines. The remote rows self-assert that every host
+//! partial decodes and that the coordinator forwards exactly one per
+//! non-empty shard range per session.
 //!
 //! Run: `cargo run --release -p referee-bench --bin exp_placement`
 
@@ -17,6 +19,7 @@ use referee_bench::{render_table, section, write_bench_json, BenchRecord, Percen
 use referee_graph::{generators, LabelledGraph};
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::referee::local_phase;
+use referee_protocol::shard::nonempty_shards;
 use referee_protocol::HistSnapshot;
 use referee_simnet::{Scheduler, SessionId};
 use referee_wirenet::{
@@ -102,6 +105,10 @@ fn main() {
         assert_eq!(digests, truth, "remote digests must pin the sent vectors");
         let s = server.stop();
         assert_eq!(s.mac_rejects, 0);
+        assert_eq!(s.decode_rejects, 0, "every host partial must decode");
+        // One forwarded partial per non-empty shard range per session.
+        let ranges: usize = graphs.iter().map(|g| nonempty_shards(g.n(), shards)).sum();
+        assert_eq!(s.partial_frames as usize, ranges, "k={shards}: forwarded partials");
         records.push(
             BenchRecord::new("remote", shards, sessions as f64 / wall)
                 .with_percentiles(Percentiles::from_hist(c.stage(Stage::Verdict))),

@@ -31,7 +31,10 @@
 //! exact input `referee_step` would have seen —
 //! [`run_multiround`](crate::multiround::run_multiround) is the
 //! one-shard special case of
-//! [`run_multiround_sharded`](multiround::run_multiround_sharded).
+//! [`run_multiround_sharded`](multiround::run_multiround_sharded). Its
+//! round core — [`RangeWait`](multiround::RangeWait) per range,
+//! [`RoundMerge`](multiround::RoundMerge) per collector — is the one
+//! copy of the sharded round rule every runtime layer drives.
 //!
 //! Two further submodules serve cross-host deployments of this split:
 //! [`placement`] assigns shards to hosts (the same balanced-contiguous
@@ -136,6 +139,13 @@ pub fn shard_range(n: usize, shards: usize, index: usize) -> ShardRange {
     let lo = (index * n).div_ceil(shards) + 1;
     let hi = ((index + 1) * n).div_ceil(shards);
     ShardRange { lo: lo as VertexId, hi: hi as VertexId }
+}
+
+/// Shards with non-empty ranges under a `shards`-way split of `1..=n` —
+/// the per-round merge quorum of a deployment whose empty ranges never
+/// emit partials.
+pub fn nonempty_shards(n: usize, shards: usize) -> usize {
+    (0..shards).filter(|&i| !shard_range(n, shards, i).is_empty()).count()
 }
 
 /// How [`RefereeShard::ingest`] classified one arrival.
@@ -244,25 +254,16 @@ impl PartialState {
             .filter_map(move |(i, slot)| slot.as_ref().map(|m| (lo + i as VertexId, m)))
     }
 
+    /// The recorded message of `sender`, if any.
+    pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
+        let i = sender.checked_sub(self.lo)?;
+        self.window.get(i as usize)?.as_ref()
+    }
+
     /// Whether a fault (out-of-range or duplicated sender) has been
     /// recorded — the finish verdict is already known to be an error.
     pub fn poisoned(&self) -> bool {
         self.oor_min.is_some() || self.dup_min.is_some()
-    }
-
-    /// Record an out-of-range sender directly (min-tracked). Routers use
-    /// this when they observe a stray arrival *after* the shard that
-    /// would have recorded it already shipped its partial.
-    pub fn note_out_of_range(&mut self, sender: VertexId) {
-        self.oor_min = min_opt(self.oor_min, Some(sender));
-    }
-
-    /// Record a duplicated sender directly (min-tracked). An arrival for
-    /// a shard whose partial already shipped is by definition a
-    /// duplicate (the shard only ships once its range is fully
-    /// recorded), so routers report it here.
-    pub fn note_duplicate(&mut self, sender: VertexId) {
-        self.dup_min = min_opt(self.dup_min, Some(sender));
     }
 
     /// The single-fault summary for a straggler behind an
@@ -273,12 +274,16 @@ impl PartialState {
     /// so the fail-fast verdict cannot drift between them.
     pub fn poison_notice(n: usize, sender: VertexId) -> PartialState {
         let mut p = PartialState::new(n);
-        if sender == 0 || sender as usize > n {
-            p.note_out_of_range(sender);
-        } else {
-            p.note_duplicate(sender);
-        }
+        p.note_fault(sender);
         p
+    }
+
+    /// Record `sender` (min-tracked) as the fault a straggler proves:
+    /// out of range (0 or `> n`) or, in range, a duplicate.
+    fn note_fault(&mut self, sender: VertexId) {
+        let stray = sender == 0 || sender as usize > self.n;
+        let min = if stray { &mut self.oor_min } else { &mut self.dup_min };
+        *min = min_opt(*min, Some(sender));
     }
 
     /// Fold `other` into `self`. Commutative and associative up to the
@@ -524,12 +529,6 @@ impl RefereeShard {
         self.state.poisoned()
     }
 
-    /// The recorded message of `sender`, if any.
-    pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
-        let i = sender.checked_sub(self.state.lo)?;
-        self.state.window.get(i as usize)?.as_ref()
-    }
-
     /// Absorb one arrival, classifying it (the caller picks the
     /// duplicate policy — see [`Arrival`]). Out-of-range senders are
     /// recorded no matter which shard they were routed to; an in-range
@@ -577,7 +576,7 @@ impl RefereeShard {
     #[inline(never)]
     fn ingest_foreign(&mut self, sender: VertexId) -> Result<Arrival, DecodeError> {
         if sender == 0 || sender as usize > self.state.n {
-            self.state.note_out_of_range(sender);
+            self.state.note_fault(sender);
             return Ok(Arrival::OutOfRange);
         }
         Err(DecodeError::Invalid(format!(
@@ -589,7 +588,7 @@ impl RefereeShard {
     /// Record `sender` as duplicated (the monolithic assembler's policy
     /// for every [`Arrival::Duplicate`]).
     pub fn note_duplicate(&mut self, sender: VertexId) {
-        self.state.note_duplicate(sender);
+        self.state.dup_min = min_opt(self.state.dup_min, Some(sender));
     }
 
     /// The shard's summary, ready to exchange and merge.
@@ -798,7 +797,7 @@ mod tests {
         assert_eq!(s.ingest(1, msg(7, 8)).unwrap(), Arrival::Fresh);
         assert_eq!(s.ingest(1, msg(7, 8)).unwrap(), Arrival::Duplicate { identical: true });
         assert_eq!(s.ingest(1, msg(8, 8)).unwrap(), Arrival::Duplicate { identical: false });
-        assert_eq!(s.message_for(1), Some(&msg(7, 8)));
+        assert_eq!(s.into_partial().message_for(1), Some(&msg(7, 8)));
     }
 
     #[test]
@@ -839,6 +838,15 @@ mod tests {
         let shard = RefereeShard::new(0, 3, 2);
         assert!(shard.range().is_empty());
         assert!(shard.is_complete());
+    }
+
+    #[test]
+    fn nonempty_shard_quorums() {
+        assert_eq!(nonempty_shards(0, 4), 0);
+        assert_eq!(nonempty_shards(1, 4), 1);
+        assert_eq!(nonempty_shards(3, 8), 3);
+        assert_eq!(nonempty_shards(10, 4), 4);
+        assert_eq!(nonempty_shards(10, 1), 1);
     }
 
     #[test]

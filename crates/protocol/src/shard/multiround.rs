@@ -23,6 +23,21 @@
 //!   runs on it. [`run_multiround`](crate::multiround::run_multiround)
 //!   is literally the `k = 1` special case of this function.
 //!
+//! # The round core
+//!
+//! Runtimes whose arrivals come in any order, to ranges on other
+//! threads or hosts, run the same rule as two sans-I/O state machines:
+//! a round finalizes once it holds enough messages, and yields a
+//! result, a provable error, or "continue".
+//!
+//! * [`RangeWait`] — one range's wait across rounds: each arrival fills
+//!   the collecting round or is a [`Fault`] poisoning the round
+//!   [`fault_round`] names; a complete or poisoned range ships its
+//!   partial. `wirenet`'s workers, shard hosts and proxy run it.
+//! * [`RoundMerge`] — the collector: it absorbs partials and poison
+//!   notices of any round and names the round to judge next. `wirenet`'s
+//!   worker 0 and every `simnet` session run it.
+//!
 //! The wire layout of a [`RoundPartialState`] is its round (32 bits)
 //! followed by the one-round [`PartialState`] layout, so cross-shard
 //! exchanges (simnet envelopes, wirenet `Partial` frames) carry the
@@ -30,9 +45,11 @@
 //! replayed into a different round undetected.
 
 use super::{shard_of, Arrival, PartialState, RefereeShard, ShardRange};
+use crate::evidence::ProvableError;
 use crate::multiround::{MultiRoundProtocol, MultiRoundStats, RefereeStep};
 use crate::{DecodeError, Message, NodeView};
 use referee_graph::{LabelledGraph, VertexId};
+use std::collections::BTreeMap;
 
 /// One shard of a single round's referee wait: a
 /// [`RefereeShard`] plus the round it collects for.
@@ -91,7 +108,7 @@ impl RoundShard {
     /// accountability layer signs as the original of an equivocation
     /// pair — see [`crate::evidence`]).
     pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
-        self.inner.message_for(sender)
+        self.inner.state.message_for(sender)
     }
 
     /// The shard's per-round summary, ready to exchange and merge.
@@ -135,14 +152,18 @@ impl RoundPartialState {
         self.inner.poisoned()
     }
 
-    /// Record an out-of-range sender directly (min-tracked).
-    pub fn note_out_of_range(&mut self, sender: VertexId) {
-        self.inner.note_out_of_range(sender);
+    /// The uplink recorded for `sender`, if any.
+    pub fn message_for(&self, sender: VertexId) -> Option<&Message> {
+        self.inner.message_for(sender)
     }
 
-    /// Record a duplicated sender directly (min-tracked).
-    pub fn note_duplicate(&mut self, sender: VertexId) {
-        self.inner.note_duplicate(sender);
+    /// The single-fault summary of round `round` that poisons it at the
+    /// collector: `from` recorded as an out-of-range sender (0 or `> n`)
+    /// or as a duplicate — see [`PartialState::poison_notice`]. Every
+    /// deployment that reports a fault behind a shipped partial ships
+    /// exactly this notice.
+    pub fn poison_notice(n: usize, round: u32, from: VertexId) -> RoundPartialState {
+        RoundPartialState { round, inner: PartialState::poison_notice(n, from) }
     }
 
     /// Fold `other` into `self` — commutative and associative up to the
@@ -187,6 +208,242 @@ impl RoundPartialState {
         let round = r.read_bits(32)? as u32;
         let inner = PartialState::decode_from(expected_n, &mut r)?;
         Ok(RoundPartialState { round, inner })
+    }
+}
+
+/// The round a fault stamped `stamp` poisons, for a range collecting
+/// round `collecting` under round cap `cap`: the stamped round if its
+/// partial already shipped, else the collecting round (the last round,
+/// once every round up to the cap has shipped).
+pub fn fault_round(stamp: u32, collecting: u32, cap: u32) -> u32 {
+    if (1..collecting).contains(&stamp) {
+        stamp
+    } else {
+        collecting.min(cap)
+    }
+}
+
+/// A provable violation one arrival at a [`RangeWait`] exhibits: the
+/// class, plus — for an [`Equivocation`](ProvableError::Equivocation) —
+/// the recorded original the arrival conflicts with. An accountability
+/// layer signs the arrival (and the original) into evidence records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fault {
+    /// The violation's class.
+    pub error: ProvableError,
+    /// The recorded original of an equivocation pair.
+    pub original: Option<Message>,
+}
+
+/// What one arrival did at a [`RangeWait`] besides filling its range.
+#[derive(Debug, Default)]
+pub struct Ingested {
+    /// A provable violation the arrival exhibits.
+    pub fault: Option<Fault>,
+    /// A poison notice for a round whose partial already shipped: the
+    /// collector fails the session unless it already judged that round.
+    pub notice: Option<RoundPartialState>,
+}
+
+/// One range's share of a session's multi-round uplink wait: the round
+/// the range collects, under a round cap, plus a copy of the last round
+/// it shipped, so an arrival behind that partial is still provable. A
+/// deployment's range owners — in-process workers and remote shard
+/// hosts alike — all run this state machine.
+#[derive(Debug, Clone)]
+pub struct RangeWait {
+    n: usize,
+    cap: u32,
+    shard: RoundShard,
+    /// The last shipped round's shard, still recording.
+    shipped: Option<RoundShard>,
+}
+
+impl RangeWait {
+    /// Shard `index` of `shards` of a size-`n` session, collecting from
+    /// round `round` under round cap `cap`.
+    pub fn new(n: usize, shards: usize, index: usize, round: u32, cap: u32) -> RangeWait {
+        RangeWait { n, cap, shard: RoundShard::new(n, shards, index, round), shipped: None }
+    }
+
+    /// The session's network size.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The session's round cap.
+    pub fn cap(&self) -> u32 {
+        self.cap
+    }
+
+    /// Absorb one routed uplink from `from` stamped `round`. A fresh
+    /// arrival fills its round; anything else poisons the round
+    /// [`fault_round`] names — in place when that is the collecting
+    /// round, else through the returned notice. The [`Fault`] is
+    /// provable for an out-of-range sender, a stamp outside `1..=cap`,
+    /// and a repeat within the collecting round or behind the last
+    /// shipped partial (a duplicate if bit-identical, else an
+    /// equivocation); an arrival behind an older round, or racing ahead,
+    /// poisons without proof. A first arrival behind the last shipped
+    /// partial (which shipped poisoned: its verdict is already an error)
+    /// is recorded there and poisons nothing, so merged verdicts name the
+    /// monolithic assembler's offender.
+    ///
+    /// Errors only for an in-range sender owned by another shard (a
+    /// router bug, not wire data).
+    pub fn ingest(
+        &mut self,
+        from: VertexId,
+        round: u32,
+        payload: &Message,
+    ) -> Result<Ingested, DecodeError> {
+        let collecting = self.shard.round();
+        let repeat = |prev: &Message| {
+            if prev == payload {
+                Fault { error: ProvableError::DuplicateSender, original: None }
+            } else {
+                Fault { error: ProvableError::Equivocation, original: Some(prev.clone()) }
+            }
+        };
+        let fault = if from == 0 || from as usize > self.n {
+            Some(Fault { error: ProvableError::OutOfRangeSender, original: None })
+        } else if round == 0 || round > self.cap {
+            Some(Fault { error: ProvableError::WrongRound, original: None })
+        } else {
+            let recording = if round == collecting {
+                Some(&mut self.shard)
+            } else {
+                self.shipped.as_mut().filter(|s| s.round() == round)
+            };
+            match recording {
+                Some(shard) => {
+                    if shard.ingest(from, payload.clone())? == Arrival::Fresh {
+                        return Ok(Ingested::default());
+                    }
+                    shard.message_for(from).map(repeat)
+                }
+                None => None,
+            }
+        };
+        let poisoned = fault_round(round, collecting, self.cap);
+        let notice = if poisoned == collecting {
+            self.shard.inner.state.note_fault(from);
+            None
+        } else {
+            Some(RoundPartialState::poison_notice(self.n, poisoned, from))
+        };
+        Ok(Ingested { fault, notice })
+    }
+
+    /// The collecting round's partial, once the range is complete or
+    /// poisoned (and the round within the cap); the wait then advances
+    /// to the next round and keeps a copy of the shipped round.
+    pub fn take_ready(&mut self) -> Option<RoundPartialState> {
+        let s = &self.shard;
+        if s.range().is_empty() || !(s.is_complete() || s.is_poisoned()) || s.round() > self.cap
+        {
+            return None;
+        }
+        let next = RoundShard::new(self.n, s.inner.shards(), s.inner.index(), s.round() + 1);
+        let shipped = std::mem::replace(&mut self.shard, next);
+        let partial = shipped.clone().into_partial();
+        self.shipped = Some(shipped);
+        Some(partial)
+    }
+}
+
+/// The collector of a sharded multi-round referee: merges the range
+/// partials of every round — in any order, from any mix of shards and
+/// poison notices — and names the round the referee judges next.
+///
+/// The current round's accumulator is a plain field, so a collector
+/// that only ever sees current-round partials allocates nothing of its
+/// own; partials of later rounds wait in a per-round map.
+#[derive(Debug, Clone)]
+pub struct RoundMerge {
+    quorum: usize,
+    cap: usize,
+    /// The current round's accumulator and its partial count.
+    current: (RoundPartialState, usize),
+    /// Accumulators of later rounds, with their partial counts.
+    later: BTreeMap<u32, (RoundPartialState, usize)>,
+}
+
+impl RoundMerge {
+    /// A collector for a size-`n` session whose rounds are complete at
+    /// `quorum` partials, judging rounds `1..=cap`.
+    pub fn new(n: usize, quorum: usize, cap: usize) -> RoundMerge {
+        RoundMerge {
+            quorum,
+            cap,
+            current: (RoundPartialState::new(n, 1), 0),
+            later: BTreeMap::new(),
+        }
+    }
+
+    /// The round the referee is judging.
+    pub fn round(&self) -> u32 {
+        self.current.0.round()
+    }
+
+    /// Partials absorbed into the current round.
+    pub fn absorbed(&self) -> usize {
+        self.current.1
+    }
+
+    /// Merge one partial into its round's accumulator. `Ok(false)` means
+    /// the partial is an orphan — its round was already judged — and was
+    /// dropped. A round past the cap is refused with
+    /// [`DecodeError::Invalid`], so no source can grow the collector
+    /// without bound; a partial that does not merge (another network
+    /// size) is refused with the merge's error.
+    pub fn absorb(&mut self, partial: RoundPartialState) -> Result<bool, DecodeError> {
+        let round = partial.round();
+        if round as usize > self.cap {
+            return Err(DecodeError::Invalid(format!(
+                "round-{round} partial past the {}-round cap",
+                self.cap
+            )));
+        }
+        if round < self.round() {
+            return Ok(false);
+        }
+        let n = self.current.0.n();
+        let (acc, absorbed) = if round == self.round() {
+            &mut self.current
+        } else {
+            self.later.entry(round).or_insert_with(|| (RoundPartialState::new(n, round), 0))
+        };
+        acc.merge(partial)?;
+        *absorbed += 1;
+        Ok(true)
+    }
+
+    /// The partial to judge next, taken out of the collector: the
+    /// current round's once its quorum is in or it is poisoned (no
+    /// further partial can turn its `Err` verdict into an `Ok`), else a
+    /// poisoned later round's, which already fixes the session's `Err`
+    /// verdict. `None` while the current round waits. After judging
+    /// the current round to `Continue`, call
+    /// [`advance`](RoundMerge::advance).
+    // Not an `Iterator`: `None` means "wait for more partials", not "done".
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<RoundPartialState> {
+        let (acc, absorbed) = &self.current;
+        if *absorbed >= self.quorum || acc.poisoned() {
+            let empty = (RoundPartialState::new(acc.n(), acc.round()), 0);
+            return Some(std::mem::replace(&mut self.current, empty).0);
+        }
+        let (&round, _) = self.later.iter().find(|(_, (p, _))| p.poisoned())?;
+        self.later.remove(&round).map(|(p, _)| p)
+    }
+
+    /// Move on to the next round, picking up any partials that raced
+    /// ahead into it.
+    pub fn advance(&mut self) {
+        let (round, n) = (self.round() + 1, self.current.0.n());
+        self.current =
+            self.later.remove(&round).unwrap_or_else(|| (RoundPartialState::new(n, round), 0));
     }
 }
 
@@ -385,6 +642,115 @@ mod tests {
             }
             assert!(RoundPartialState::decode(5, &Message::from_writer(w)).is_err());
         }
+    }
+
+    /// A full round `round` partial of shard `index` of 2 over `n = 4`.
+    fn half(index: usize, round: u32) -> RoundPartialState {
+        let mut s = RoundShard::new(4, 2, index, round);
+        for v in s.range().lo..=s.range().hi {
+            s.ingest(v, msg(v as u64, 4)).unwrap();
+        }
+        s.into_partial()
+    }
+
+    #[test]
+    fn round_merge_refuses_rounds_past_the_cap() {
+        let mut merge = RoundMerge::new(4, 2, 3);
+        for round in [4, u32::MAX] {
+            match merge.absorb(RoundPartialState::new(4, round)) {
+                Err(DecodeError::Invalid(m)) => assert!(m.contains("3-round cap"), "{m}"),
+                other => panic!("round {round} past the cap must be refused, got {other:?}"),
+            }
+        }
+        assert_eq!(merge.absorb(half(0, 3)), Ok(true));
+        assert!(merge.next().is_none(), "round 1 still waits for its quorum");
+    }
+
+    #[test]
+    fn round_merge_judges_quorum_poison_and_orphans() {
+        let mut merge = RoundMerge::new(4, 2, 3);
+        assert_eq!(merge.absorb(half(1, 1)), Ok(true));
+        assert!(merge.next().is_none());
+        assert_eq!(merge.absorb(half(0, 1)), Ok(true));
+        let judged = merge.next().expect("round 1 has its quorum");
+        assert_eq!(judged.finish().unwrap(), (1..=4).map(|v| msg(v, 4)).collect::<Vec<_>>());
+        merge.advance();
+        assert_eq!(merge.round(), 2);
+        // A notice for the judged round is an orphan.
+        assert_eq!(merge.absorb(RoundPartialState::poison_notice(4, 1, 2)), Ok(false));
+        // A poisoned later round is judged while round 2 waits.
+        assert_eq!(merge.absorb(half(0, 2)), Ok(true));
+        assert_eq!(merge.absorb(RoundPartialState::poison_notice(4, 3, 9)), Ok(true));
+        let judged = merge.next().expect("a poisoned later round fixes the verdict");
+        assert_eq!(judged.round(), 3);
+        assert!(matches!(judged.finish(), Err(DecodeError::OutOfRange(_))));
+        // A poisoned current round is judged without its quorum.
+        assert_eq!(merge.absorb(RoundPartialState::poison_notice(4, 2, 3)), Ok(true));
+        assert_eq!(merge.absorb(half(1, 3)), Ok(true));
+        let judged = merge.next().expect("a poisoned round is judged at once");
+        assert_eq!(judged.round(), 2);
+        match judged.finish() {
+            Err(DecodeError::Inconsistent(m)) => assert!(m.contains("node 3"), "{m}"),
+            other => panic!("expected the duplicate verdict, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn range_wait_proves_repeats_behind_a_shipped_partial() {
+        // Shard 1 of 2 over n = 4 owns 3..=4, cap 2.
+        let mut wait = RangeWait::new(4, 2, 1, 1, 2);
+        for v in [3, 4] {
+            let ingested = wait.ingest(v, 1, &msg(v as u64, 4)).unwrap();
+            assert!(ingested.fault.is_none() && ingested.notice.is_none());
+        }
+        assert_eq!(wait.take_ready(), Some(half(1, 1)));
+        assert_eq!(wait.take_ready(), None, "round 2 collects");
+        let behind = wait.ingest(3, 1, &msg(3, 4)).unwrap();
+        assert_eq!(
+            behind.fault,
+            Some(Fault { error: ProvableError::DuplicateSender, original: None })
+        );
+        assert_eq!(behind.notice, Some(RoundPartialState::poison_notice(4, 1, 3)));
+        let behind = wait.ingest(4, 1, &msg(0, 4)).unwrap();
+        assert_eq!(
+            behind.fault,
+            Some(Fault { error: ProvableError::Equivocation, original: Some(msg(4, 4)) })
+        );
+        // Behind a partial that shipped poisoned, a first arrival is
+        // recorded, not reported; its repeat is.
+        let mut early = RangeWait::new(4, 2, 1, 1, 1);
+        early.ingest(3, 1, &msg(3, 4)).unwrap();
+        early.ingest(3, 1, &msg(3, 4)).unwrap();
+        assert!(early.take_ready().expect("poisoned").poisoned());
+        let first = early.ingest(4, 1, &msg(4, 4)).unwrap();
+        assert!(first.fault.is_none() && first.notice.is_none());
+        let again = early.ingest(4, 1, &msg(4, 4)).unwrap();
+        assert_eq!(again.notice, Some(RoundPartialState::poison_notice(4, 1, 4)));
+        // A stamp past the cap poisons the collecting round in place.
+        let wrong = wait.ingest(3, 7, &msg(3, 4)).unwrap();
+        assert_eq!(
+            wrong.fault,
+            Some(Fault { error: ProvableError::WrongRound, original: None })
+        );
+        assert!(wrong.notice.is_none());
+        let poisoned = wait.take_ready().expect("a poisoned range ships at once");
+        assert_eq!((poisoned.round(), poisoned.poisoned()), (2, true));
+        // Every round has shipped: faults now poison the last one.
+        let stray = wait.ingest(9, 2, &msg(0, 1)).unwrap();
+        assert_eq!(stray.notice, Some(RoundPartialState::poison_notice(4, 2, 9)));
+        // Node 1 belongs to shard 0: a router bug, not a fault.
+        let mut fresh = RangeWait::new(4, 2, 1, 1, 2);
+        assert!(matches!(fresh.ingest(1, 1, &msg(0, 1)), Err(DecodeError::Invalid(_))));
+    }
+
+    #[test]
+    fn fault_rounds_follow_the_collecting_round() {
+        assert_eq!(fault_round(2, 3, 5), 2, "behind: the stamped round");
+        assert_eq!(fault_round(3, 3, 5), 3, "current: the collecting round");
+        assert_eq!(fault_round(4, 3, 5), 3, "ahead: the collecting round");
+        assert_eq!(fault_round(0, 3, 5), 3);
+        assert_eq!(fault_round(9, 3, 5), 3);
+        assert_eq!(fault_round(9, 6, 5), 5, "all shipped: the last round");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   full encode/decode round trip of every partial;
 //! * faulty per-round streams (duplicates, strays, missing nodes) yield
 //!   the same canonical verdict as the monolithic one-round assembler,
-//!   with the round stamp preserved through the wire layout.
+//!   with the round stamp preserved through the wire layout;
+//! * the lifted round core — `k` [`RangeWait`]s feeding one
+//!   [`RoundMerge`] — judges those streams like the monolithic
+//!   assembler, and its fail-fast judgement never fabricates a fault.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,10 +24,10 @@ use referee_protocol::multiround::{
 };
 use referee_protocol::referee::assemble_from_arrivals;
 use referee_protocol::shard::multiround::{
-    run_multiround_sharded, RoundPartialState, RoundShard,
+    run_multiround_sharded, RangeWait, RoundMerge, RoundPartialState, RoundShard,
 };
-use referee_protocol::shard::{route_arrival, Arrival};
-use referee_protocol::{BitWriter, Message};
+use referee_protocol::shard::{nonempty_shards, route_arrival, Arrival};
+use referee_protocol::{BitWriter, DecodeError, Message};
 
 fn msg(value: u64, width: u32) -> Message {
     let mut w = BitWriter::new();
@@ -116,12 +119,66 @@ fn sharded_round_assembly(
     }
 }
 
+/// The lifted round core on one round's arrivals, treating any repeat
+/// as a fault: each arrival goes to the [`RangeWait`] of its shard
+/// (stragglers behind a shipped range become poison notices), and the
+/// shipped partials and notices are absorbed into one [`RoundMerge`]
+/// that has already judged rounds `1..round`, in a seeded order.
+/// Returns `(deferred, eager, late_notices)`: the verdict judged once
+/// everything is absorbed (`None` while a range starves), the verdict
+/// judged at the first ready `next()` (`None` if none is), and whether
+/// only notices were absorbed after that first judgement.
+fn waited_round_assembly(
+    n: usize,
+    k: usize,
+    round: u32,
+    arrivals: &[(u32, Message)],
+    seed: u64,
+) -> (Option<Verdict>, Option<Verdict>, bool) {
+    let mut waits: Vec<RangeWait> =
+        (0..k).map(|i| RangeWait::new(n, k, i, round, round)).collect();
+    let mut items: Vec<(RoundPartialState, bool)> = Vec::new();
+    for (sender, m) in arrivals {
+        let wait = &mut waits[route_arrival(n, k, *sender)];
+        let ingested = wait.ingest(*sender, round, m).expect("routed");
+        items.extend(ingested.notice.map(|notice| (notice, true)));
+        items.extend(wait.take_ready().map(|partial| (partial, false)));
+    }
+    items.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x3a17));
+    let merge = || {
+        let mut merge = RoundMerge::new(n, nonempty_shards(n, k), round as usize);
+        for _ in 1..round {
+            merge.advance();
+        }
+        merge
+    };
+    let mut deferred = merge();
+    let mut eager = merge();
+    let mut judged = None;
+    let mut late_notices = true;
+    for (item, notice) in items {
+        deferred.absorb(item.clone()).expect("within the cap");
+        match judged {
+            None => {
+                eager.absorb(item).expect("within the cap");
+                judged = eager.next().map(RoundPartialState::finish);
+            }
+            Some(_) => late_notices &= notice,
+        }
+    }
+    let judged = judged.or_else(|| eager.next().map(RoundPartialState::finish));
+    (deferred.next().map(RoundPartialState::finish), judged, late_notices)
+}
+
+type Verdict = Result<Vec<Message>, referee_protocol::DecodeError>;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// One round's sharded assembly — any shard count, any arrival
     /// interleaving, any merge shape, with and without the wire codec —
-    /// equals the monolithic one-round assembler exactly.
+    /// equals the monolithic one-round assembler exactly; so does the
+    /// round core's, judged once everything is absorbed.
     #[test]
     fn round_assembly_equals_monolithic(
         n in 0usize..40,
@@ -135,6 +192,30 @@ proptest! {
         let tree = sharded_round_assembly(n, k, round, &arr, seed.wrapping_add(1), true, true);
         prop_assert_eq!(&fold, &mono, "left-fold merge diverged (n={}, k={})", n, k);
         prop_assert_eq!(&tree, &mono, "pairwise-tree merge diverged (n={}, k={})", n, k);
+        let (deferred, eager, late_notices) = waited_round_assembly(n, k, round, &arr, seed);
+        if n == 0 {
+            // No range to wait for: judged at once, before any stray.
+            prop_assert_eq!(deferred, Some(Ok(Vec::new())));
+            return Ok(());
+        }
+        match &deferred {
+            Some(verdict) => prop_assert_eq!(verdict, &mono, "range waits diverged (k={})", k),
+            None => prop_assert!(
+                matches!(&mono, Err(DecodeError::Inconsistent(m)) if m.starts_with("no message")),
+                "a starved round must be missing a node, oracle {:?}", mono
+            ),
+        }
+        match eager {
+            None => prop_assert!(deferred.is_none(), "an eager merge starved alone"),
+            Some(Err(_)) => prop_assert!(mono.is_err(), "the eager verdict fabricated a fault"),
+            // Ok only when the oracle agrees, or when every fault it saw
+            // reached the merge as a notice after the round was judged
+            // (an orphan in a deployment).
+            Some(Ok(v)) => prop_assert!(
+                mono.as_ref() == Ok(&v) || (mono.is_err() && late_notices),
+                "eager Ok diverged from {:?}", mono
+            ),
+        }
     }
 
     /// The sharded multi-round driver is bit-for-bit the monolithic

@@ -103,13 +103,6 @@ pub mod scheduler;
 pub mod session;
 pub mod transport;
 
-/// Test-only: the `k`-shard exchange tests of [`MultiRoundSession`].
-/// No `shard` module exists outside tests; the name keeps the test IDs
-/// these tests had when the sharded engine was its own module.
-#[cfg(test)]
-#[path = "shard_tests.rs"]
-mod shard;
-
 pub use byzantine::{ByzantineConfig, InjectionCounts, Misbehaving};
 pub use clock::{real_clock, Clock, ManualClock, RealClock, SharedClock};
 pub use fault::{FaultConfig, FaultyTransport};

@@ -24,15 +24,17 @@
 //! `referee_protocol::shard`). Once a round's uplinks are all in, the
 //! round runs its exchange:
 //!
-//! * shard 0 sits with the collector, so its partial is merged **by
-//!   value** — it *becomes* the round's accumulator;
+//! * the collector is a [`RoundMerge`] with quorum `k` — the round rule
+//!   of `referee_protocol::shard`, shared with `wirenet`;
+//! * shard 0 sits with the collector, so its partial is absorbed **by
+//!   value**;
 //! * shards `1..k` serialize their [`RoundPartialState`]s and ship them
 //!   through the transport as same-round envelopes from the synthetic
 //!   senders `n + 2..=n + k` (outside the node ID space), in an order
 //!   scrambled by [`with_exchange_seed`](MultiRoundSession::with_exchange_seed);
-//! * the collector merges each arriving partial into the accumulator
-//!   and, once all `k − 1` are in, finishes it into the exact uplink
-//!   vector `referee_step` expects.
+//!   the collector absorbs each decoded partial and, once its quorum is
+//!   in, yields the round's merged state, which finishes into the exact
+//!   uplink vector `referee_step` expects.
 //!
 //! At `k = 1` nothing crosses the transport for the exchange, so a
 //! session sends exactly the node and referee traffic of the protocol.
@@ -85,7 +87,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::multiround::{MultiRoundProtocol, MultiRoundStats, RefereeStep};
-use referee_protocol::shard::multiround::{RoundPartialState, RoundShard};
+use referee_protocol::shard::multiround::{RoundMerge, RoundPartialState, RoundShard};
 use referee_protocol::shard::{shard_of, Arrival};
 use referee_protocol::{DecodeError, Message, NodeView};
 use std::collections::BTreeMap;
@@ -115,9 +117,8 @@ enum Uplinks {
     /// Arriving: each lands in the shard owning its sender — shard 0,
     /// which sits with the collector, or one of shards `1..k`.
     Collecting { first: RoundShard, rest: Vec<RoundShard> },
-    /// Shard 0's partial, merging the `k − 1` shipped ones.
-    Merging(RoundPartialState),
-    /// The uplink vector the referee stepped on.
+    /// Handed to the collector: empty while the shipped partials merge,
+    /// then the uplink vector the referee stepped on.
     Committed(Vec<Message>),
 }
 
@@ -129,7 +130,6 @@ struct Mailboxes {
     /// Exchange payloads absorbed, by shipping shard (`partials[i - 1]`
     /// for shard `i`), so re-deliveries compare by content.
     partials: Vec<Option<Message>>,
-    merged: usize,
     downlinks: Vec<Option<Message>>,
     downlinks_filled: usize,
     inbox: Vec<Vec<(VertexId, Message)>>,
@@ -145,7 +145,6 @@ impl Mailboxes {
             },
             uplinks_filled: 0,
             partials: Vec::new(),
-            merged: 0,
             downlinks: Vec::new(),
             downlinks_filled: 0,
             inbox: Vec::new(),
@@ -172,6 +171,8 @@ pub struct MultiRoundSession<'a, P: MultiRoundProtocol> {
     k: usize,
     exchange_seed: u64,
     exchange_bits: usize,
+    /// The collector of every round's partials; quorum `k`.
+    merge: RoundMerge,
     node_states: Vec<P::NodeState>,
     referee_state: P::RefereeState,
     round: u32,
@@ -221,6 +222,7 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             k: 1,
             exchange_seed: 0,
             exchange_bits: 0,
+            merge: RoundMerge::new(n, 1, max_rounds),
             node_states,
             referee_state,
             round: 1,
@@ -247,6 +249,7 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.k = shards.max(1);
         self.current = Mailboxes::new(self.graph.n(), self.k, self.round);
+        self.merge = RoundMerge::new(self.graph.n(), self.k, self.max_rounds);
         self
     }
 
@@ -432,9 +435,11 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                     }
                 }
             }
-            // The straggler's shard already shipped its partial.
-            Uplinks::Merging(_) => true,
-            Uplinks::Committed(uplinks) => uplinks[(env.from - 1) as usize] == env.payload,
+            // Empty while the partials merge: the straggler's shard
+            // already shipped.
+            Uplinks::Committed(uplinks) => {
+                uplinks.get((env.from - 1) as usize).is_none_or(|u| *u == env.payload)
+            }
         };
         if !identical {
             return Err(DecodeError::Inconsistent(format!(
@@ -470,11 +475,6 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             }
             None => {}
         }
-        // Every shipped partial is absorbed before the round commits, so
-        // a fresh one finds the accumulator.
-        let Uplinks::Merging(acc) = &mut buf.uplinks else {
-            unreachable!("an unseen partial after commit")
-        };
         let partial = RoundPartialState::decode(n, &env.payload)?;
         if partial.round() != env.round {
             return Err(DecodeError::Invalid(format!(
@@ -483,9 +483,8 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                 env.round
             )));
         }
-        acc.merge(partial)?;
+        self.merge.absorb(partial)?;
         *seen = Some(env.payload);
-        buf.merged += 1;
         Ok(())
     }
 
@@ -587,23 +586,21 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
             Ok(true) => {}
         }
         self.exchange(transport);
-        let shipped = self.k - 1;
-        match self.pump(transport, |buf, _| buf.merged == shipped) {
-            Err(e) => return self.finish(Err(e)),
-            Ok(false) => {
-                let missing = shipped - self.current.merged;
+        let acc = loop {
+            if let Some(acc) = self.merge.next() {
+                break acc;
+            }
+            let Some(env) = transport.recv() else {
+                let (shipped, missing) = (self.k - 1, self.k - self.merge.absorbed());
                 return self.finish(Err(DecodeError::Inconsistent(format!(
                     "transport drained with {missing} of {shipped} round-{} shard partials \
                      missing",
                     self.round
                 ))));
+            };
+            if let Err(e) = self.classify(env) {
+                return self.finish(Err(e));
             }
-            Ok(true) => {}
-        }
-        let Uplinks::Merging(acc) =
-            std::mem::replace(&mut self.current.uplinks, Uplinks::Committed(Vec::new()))
-        else {
-            unreachable!("the exchange leaves the round merging")
         };
         let uplinks = match acc.finish() {
             Ok(u) => u,
@@ -628,6 +625,7 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
                 }
                 // Late uplinks of this round compare against these.
                 self.current.uplinks = Uplinks::Committed(uplinks);
+                self.merge.advance();
                 for (i, payload) in downlinks.into_iter().enumerate() {
                     self.mr_stats.max_downlink_bits =
                         self.mr_stats.max_downlink_bits.max(payload.len_bits());
@@ -646,7 +644,7 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
         }
     }
 
-    /// The round's exchange: shard 0's partial becomes the accumulator,
+    /// The round's exchange: shard 0's partial is absorbed by value,
     /// shards `1..k` ship theirs in a seeded order from `n + 1 + index`.
     fn exchange(&mut self, transport: &mut impl Transport) {
         let n = self.graph.n();
@@ -656,7 +654,7 @@ impl<'a, P: MultiRoundProtocol> MultiRoundSession<'a, P> {
         else {
             unreachable!("the exchange runs once per round")
         };
-        self.current.uplinks = Uplinks::Merging(first.into_partial());
+        self.merge.absorb(first.into_partial()).expect("the collector judges this round");
         let mut shipped: Vec<(usize, RoundShard)> = (1..).zip(rest).collect();
         let seed = self.exchange_seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         shipped.shuffle(&mut StdRng::seed_from_u64(seed));
@@ -788,12 +786,13 @@ pub struct MultiRoundReport<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultConfig, FaultyTransport};
     use crate::metrics::TransportCounters;
     use crate::transport::PerfectTransport;
-    use referee_graph::generators;
+    use referee_graph::{algo, generators};
     use referee_protocol::combinators::OneRoundAsMultiRound;
     use referee_protocol::easy::EdgeCountProtocol;
-    use referee_protocol::multiround::BoruvkaConnectivity;
+    use referee_protocol::multiround::{run_multiround, BoruvkaConnectivity};
 
     /// Delivers node 1's first uplink twice: as sent, then stamped
     /// `round`.
@@ -947,6 +946,288 @@ mod tests {
             matches!(&err, DecodeError::OutOfRange(m) if m.contains("unknown node 10")),
             "{err}"
         );
+    }
+
+    /// Delivers everything except exchange partials (senders above `n`).
+    struct DropPartials<T: Transport>(T, usize);
+
+    impl<T: Transport> Transport for DropPartials<T> {
+        fn send(&mut self, env: Envelope) {
+            if (env.from as usize) <= self.1 {
+                self.0.send(env);
+            }
+        }
+        fn recv(&mut self) -> Option<Envelope> {
+            self.0.recv()
+        }
+        fn counters(&self) -> TransportCounters {
+            self.0.counters()
+        }
+    }
+
+    /// Flips bit `.2` of every exchange partial (senders above `n`).
+    struct CorruptPartials<T: Transport>(T, usize, usize);
+
+    impl<T: Transport> Transport for CorruptPartials<T> {
+        fn send(&mut self, mut env: Envelope) {
+            if (env.from as usize) > self.1 {
+                env.payload = env.payload.with_bit_flipped(self.2);
+            }
+            self.0.send(env);
+        }
+        fn recv(&mut self) -> Option<Envelope> {
+            self.0.recv()
+        }
+        fn counters(&self) -> TransportCounters {
+            self.0.counters()
+        }
+    }
+
+    /// The one-round session with `k` shards: EdgeCount at a round cap
+    /// of 1, seen through its one-round report.
+    fn run_edge_count<T: Transport>(
+        g: &LabelledGraph,
+        k: usize,
+        seed: u64,
+        t: &mut T,
+    ) -> OneRoundReport<<EdgeCountProtocol as referee_protocol::OneRoundProtocol>::Output> {
+        let adapted = OneRoundAsMultiRound(EdgeCountProtocol);
+        let report = MultiRoundSession::new(&adapted, g, 1)
+            .with_shards(k)
+            .with_exchange_seed(seed)
+            .run(t);
+        OneRoundReport::from(report)
+    }
+
+    #[test]
+    fn sharded_one_round_matches_the_legacy_simulator() {
+        for g in [
+            generators::petersen(),
+            generators::grid(4, 7),
+            generators::path(1),
+            LabelledGraph::new(0),
+            generators::complete(9),
+        ] {
+            // The spec oracle: the legacy synchronous simulator.
+            let mono = referee_protocol::run_protocol(&EdgeCountProtocol, &g);
+            let mono_out = mono.output;
+            for k in 1..=8usize {
+                let mut t = PerfectTransport::new();
+                let sharded = run_edge_count(&g, k, k as u64 * 77, &mut t);
+                assert_eq!(sharded.outcome.unwrap(), mono_out, "k={k}, n={}", g.n());
+                assert_eq!(
+                    sharded.metrics.stats.max_message_bits, mono.stats.max_message_bits,
+                    "k={k}: frugality accounting must ignore the exchange"
+                );
+                assert_eq!(
+                    sharded.metrics.stats.total_message_bits,
+                    mono.stats.total_message_bits
+                );
+                assert_eq!(sharded.shards, k);
+                // Shard 0 merges by value: only shards 1..k ship, and
+                // every shipped partial carries a header.
+                assert_eq!(sharded.exchange_bits > 0, k > 1, "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_round_exchange_order_is_immaterial() {
+        let g = generators::grid(5, 5);
+        let mut outputs = Vec::new();
+        for seed in 0..16u64 {
+            let mut t = PerfectTransport::new();
+            outputs.push(run_edge_count(&g, 5, seed, &mut t).outcome.unwrap());
+        }
+        assert!(outputs.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn sharded_one_round_never_fabricates() {
+        // Under loss/dup/reorder (no corruption) every completed outcome
+        // is exact; loss of node traffic or partials rejects cleanly.
+        let mut completed = 0usize;
+        let mut rejected = 0usize;
+        for seed in 0..60u64 {
+            let g = generators::gnp(
+                14 + (seed % 9) as usize,
+                0.25,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let cfg = FaultConfig {
+                seed,
+                loss: 0.02,
+                duplication: 0.15,
+                reorder: 0.35,
+                corruption: 0.0,
+            };
+            let mut t = FaultyTransport::new(PerfectTransport::new(), cfg);
+            match run_edge_count(&g, 4, seed, &mut t).outcome {
+                Ok(out) => {
+                    assert_eq!(out, Ok(g.m()), "seed {seed} fabricated an edge count");
+                    completed += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(completed > 0, "some runs must survive 2% loss");
+        assert!(rejected > 0, "some runs must lose an envelope");
+    }
+
+    #[test]
+    fn one_round_lost_partial_starves() {
+        // Drop every exchange envelope: the referee must starve loudly,
+        // never hang or fabricate.
+        let g = generators::grid(3, 3);
+        let mut t = DropPartials(PerfectTransport::new(), g.n());
+        let err = run_edge_count(&g, 3, 0, &mut t).outcome.unwrap_err();
+        assert!(format!("{err}").contains("shard partials missing"), "{err}");
+    }
+
+    #[test]
+    fn corrupted_partial_structure_is_rejected() {
+        // Flip a bit inside the `n` field of every exchange payload: the
+        // partial decoder must reject, the session must fail closed.
+        let g = generators::grid(3, 4);
+        let mut t = CorruptPartials(PerfectTransport::new(), g.n(), 42);
+        let r = run_edge_count(&g, 2, 0, &mut t);
+        assert!(r.outcome.is_err(), "structurally corrupted partial must reject");
+    }
+
+    #[test]
+    fn sharded_multi_round_matches_the_legacy_simulator() {
+        for g in [
+            generators::petersen(),
+            generators::path(17),
+            generators::path(4).disjoint_union(&generators::path(5)),
+            generators::grid(3, 6),
+            LabelledGraph::new(0),
+            LabelledGraph::new(1),
+        ] {
+            // The spec oracle: the legacy synchronous simulator.
+            let (mono_out, mono_stats) = run_multiround(&BoruvkaConnectivity, &g, 64);
+            let mut total_bits = None;
+            for k in 1..=8usize {
+                let mut t = PerfectTransport::new();
+                let sharded = MultiRoundSession::new(&BoruvkaConnectivity, &g, 64)
+                    .with_shards(k)
+                    .with_exchange_seed(k as u64 * 131)
+                    .run(&mut t);
+                assert_eq!(sharded.outcome.unwrap(), mono_out, "k={k}, n={}", g.n());
+                assert_eq!(sharded.stats, mono_stats, "k={k}: stats must be identical");
+                assert_eq!(
+                    *total_bits.get_or_insert(sharded.metrics.stats.total_message_bits),
+                    sharded.metrics.stats.total_message_bits,
+                    "k={k}: frugality accounting must ignore the exchange"
+                );
+                assert_eq!(sharded.shards, k);
+                // Shard 0 merges by value: only shards 1..k ship.
+                assert_eq!(sharded.exchange_bits > 0, k > 1, "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_round_exchange_order_is_immaterial() {
+        let g = generators::grid(4, 4);
+        let mut outcomes = Vec::new();
+        for seed in 0..12u64 {
+            let mut t = PerfectTransport::new();
+            let r = MultiRoundSession::new(&BoruvkaConnectivity, &g, 64)
+                .with_shards(5)
+                .with_exchange_seed(seed)
+                .run(&mut t);
+            outcomes.push(r.outcome.unwrap());
+        }
+        assert!(outcomes.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn dup_and_reorder_are_absorbed_bit_for_bit() {
+        // No loss, no corruption: duplication and cross-round reordering
+        // must be invisible — the spec oracle's verdict.
+        for seed in 0..24u64 {
+            let g = generators::gnp(
+                10 + (seed % 7) as usize,
+                0.22,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let (mono, _) = run_multiround(&BoruvkaConnectivity, &g, 64);
+            let cfg = FaultConfig {
+                seed,
+                loss: 0.0,
+                duplication: 0.2,
+                reorder: 0.3,
+                corruption: 0.0,
+            };
+            let mut t = FaultyTransport::new(PerfectTransport::new(), cfg);
+            let r = MultiRoundSession::new(&BoruvkaConnectivity, &g, 64)
+                .with_shards(3)
+                .with_exchange_seed(seed)
+                .run(&mut t);
+            assert_eq!(r.outcome.unwrap(), mono, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sharded_multi_round_never_fabricates() {
+        // Under loss every completed run is exact; lost traffic rejects.
+        let mut completed = 0usize;
+        let mut rejected = 0usize;
+        for seed in 0..60u64 {
+            let g = generators::gnp(
+                9 + (seed % 8) as usize,
+                0.25,
+                &mut StdRng::seed_from_u64(seed ^ 0xabc),
+            );
+            let cfg = FaultConfig {
+                seed,
+                loss: 0.004,
+                duplication: 0.1,
+                reorder: 0.2,
+                corruption: 0.0,
+            };
+            let mut t = FaultyTransport::new(PerfectTransport::new(), cfg);
+            let r = MultiRoundSession::new(&BoruvkaConnectivity, &g, 64)
+                .with_shards(4)
+                .with_exchange_seed(seed)
+                .run(&mut t);
+            match r.outcome {
+                Ok(out) => {
+                    let verdict = out.expect("cap is generous").expect("honest bits decode");
+                    assert_eq!(verdict, algo::is_connected(&g), "seed {seed} fabricated");
+                    completed += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(completed > 0, "some runs must survive 0.4% loss");
+        assert!(rejected > 0, "some runs must lose an envelope");
+    }
+
+    #[test]
+    fn multi_round_lost_partial_starves() {
+        // Drop every exchange envelope: the collector must starve
+        // loudly, never hang or fabricate.
+        let g = generators::grid(3, 3);
+        let mut t = DropPartials(PerfectTransport::new(), g.n());
+        let r = MultiRoundSession::new(&BoruvkaConnectivity, &g, 64).with_shards(3).run(&mut t);
+        let err = r.outcome.unwrap_err();
+        assert!(format!("{err}").contains("shard partials missing"), "{err}");
+    }
+
+    #[test]
+    fn corrupted_partial_is_rejected() {
+        // Flip one bit of every exchange payload — the round stamp's LSB
+        // (bit 31) or a bit inside the embedded `n` field (bit 42): the
+        // decoder (round mismatch or structural damage) must reject.
+        let g = generators::grid(3, 4);
+        for bit in [31, 42] {
+            let mut t = CorruptPartials(PerfectTransport::new(), g.n(), bit);
+            let r =
+                MultiRoundSession::new(&BoruvkaConnectivity, &g, 64).with_shards(2).run(&mut t);
+            assert!(r.outcome.is_err(), "bit {bit}: corrupted partial must reject");
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! * **Referee service** ([`FleetServer::spawn_sharded`],
 //!   [`FleetServer::spawn_multiround`], [`FleetServerBuilder::catalog`]):
 //!   the server runs the referee itself on one session engine, split
-//!   across shard workers that exchange per-round partial-state frames
-//!   and reply with verdicts — see [`crate::multiround`]. The one-round
-//!   verifier behind [`FleetClient::verify_session`] is that engine's
-//!   cap-1 digest service ([`crate::shard`]).
+//!   across shard workers that hand per-round partial states to one
+//!   collector and reply with verdicts — see [`crate::multiround`].
+//!   The one-round verifier behind [`FleetClient::verify_session`] is
+//!   that engine's cap-1 digest service ([`crate::shard`]).
 //!
 //! # Per-connection keys
 //!

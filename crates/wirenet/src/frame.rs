@@ -52,9 +52,9 @@ pub enum FrameKind {
     /// (`n` in the payload) before any data, so frames can be routed to
     /// shard workers by node range.
     Announce = 2,
-    /// Shard → shard: a serialized
-    /// [`PartialState`](referee_protocol::shard::PartialState); `from`
-    /// names the emitting shard.
+    /// Shard host → coordinator: a serialized
+    /// [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState);
+    /// `from` names the emitting shard.
     Partial = 3,
     /// Sharded server → client: the referee's verdict for a session
     /// (ok + message-vector digest, or a rejection class).

@@ -42,10 +42,10 @@
 //! * [`multiround`] — the **referee session engine**, one for every
 //!   service: authenticated frames are routed to shard workers by
 //!   session + node range (`referee_protocol::shard`), each round's
-//!   ranges ship
-//!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)
-//!   `Partial` frames over the same MAC'd codec (epoch-fenced, round
-//!   carried inside the authenticated payload), and worker 0 runs the
+//!   ranges hand their
+//!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)s
+//!   to worker 0 by value (epoch-fenced; MAC'd `Partial` frames only
+//!   where a range lives on a remote shard host), and worker 0 runs the
 //!   served protocol's `referee_step` once per round, streaming MAC'd
 //!   downlinks back and the encoded final output as the verdict. A
 //!   [`ServiceCatalog`] names the protocols one server hosts;

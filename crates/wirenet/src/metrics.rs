@@ -389,8 +389,9 @@ pub struct WireSnapshot {
     pub orphan_frames: u64,
     /// Connections ever opened.
     pub connections: u64,
-    /// Sharded referee only: cross-shard `PartialState` frames
-    /// exchanged between shard workers.
+    /// Sharded referee only: range partials handed to the collector —
+    /// by value from in-process workers, or forwarded by a proxy from
+    /// its shard host (a host counts the `Partial` frames it sends).
     pub partial_frames: u64,
     /// Sharded referee only: session verdicts issued.
     pub verdict_frames: u64,

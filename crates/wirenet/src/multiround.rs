@@ -14,9 +14,10 @@
 //! # Topology
 //!
 //! One **router** thread owns the listener and every client connection;
-//! `k` **shard workers** each own the
-//! [`RoundShard`]
-//! states for their slice of every session's ID space. Per session:
+//! `k` **shard workers** each own the [`RangeWait`] of their slice of
+//! every session's ID space, and worker 0 also runs the session's
+//! [`RoundMerge`] — the round rule of `referee_protocol::shard`, which
+//! this module only drives. Per session:
 //!
 //! 1. the client announces `(session, n, service name)`
 //!    ([`Announce`](FrameKind::Announce)); the router resolves the name
@@ -24,16 +25,15 @@
 //!    under that service's referee and round cap;
 //! 2. round-stamped [`Data`](FrameKind::Data) uplink frames are routed
 //!    to workers by sender range; a worker whose range completes for
-//!    round `r` ships its
-//!    [`RoundPartialState`]
-//!    as a [`Partial`](FrameKind::Partial) frame — MAC'd by the same
-//!    wire codec under the exchange-domain key, its envelope stamped
-//!    with the session's announce **epoch** and the round carried
-//!    *inside* the authenticated payload — and advances to round `r+1`;
-//! 3. worker 0 merges each round's partials (any order; empty-range
-//!    shards are implied — they never emit) and, once round `r`'s
-//!    quorum is complete (or poisoned, which fixes the verdict's `Err`
-//!    shape), runs the protocol's
+//!    round `r` hands its [`RoundPartialState`] to worker 0 **by value**
+//!    over the in-process channel, stamped with the session's announce
+//!    **epoch** (the round travels inside the partial), and advances to
+//!    round `r+1` — nothing between threads of one process is encoded
+//!    or MAC'd;
+//! 3. worker 0's collector absorbs each round's partials (any order;
+//!    empty-range shards are implied — they never emit) and, once round
+//!    `r`'s quorum is complete (or poisoned, which fixes the verdict's
+//!    `Err` shape), runs the protocol's
 //!    [`referee_step`](referee_protocol::multiround::MultiRoundProtocol::referee_step);
 //! 4. `Continue` streams one MAC'd downlink [`Data`](FrameKind::Data)
 //!    frame per node back to the client (from = referee, round `r`);
@@ -44,7 +44,9 @@
 //! With a [`RemotePlacement`] the ranges live on
 //! [`ShardHost`](crate::placement::ShardHost) peers instead, each fed by
 //! a coordinator-side proxy, and worker 0 keeps only the referee and
-//! the merge accumulators (see [`crate::placement`]).
+//! the collector (see [`crate::placement`]). Host partials cross a real
+//! socket as MAC'd [`Partial`](FrameKind::Partial) frames; the proxy
+//! decodes each one and hands the decoded value on.
 //!
 //! [`FleetClient::run_multiround_session`](crate::FleetClient::run_multiround_session)
 //! drives the node half of the same protocol against this service:
@@ -62,37 +64,39 @@
 //! their connection at the router's MAC check.
 //!
 //! Faulty sessions fail fast under one rule for every round, the same
-//! on in-process workers and shard hosts: an out-of-range sender, a duplicate, a round
+//! on in-process workers and shard hosts because both run
+//! [`RangeWait::ingest`]: an out-of-range sender, a duplicate, a round
 //! stamp outside `1..=cap` or an uplink racing ahead of the protocol
 //! poisons the round it hit. An arrival behind a range partial that
-//! already shipped is checked against the retained transcript of that
-//! round — a repeat is still provable — and reported to worker 0 as a
+//! already shipped is checked against the retained copy of that round —
+//! a repeat is still provable — and reported to worker 0 as a
 //! round-stamped poison notice. Worker 0 judges a poisoned round
-//! without waiting for quorum, and drops a notice for a round it
-//! already consumed. The client receives the canonical rejection class
-//! instead of hanging (bounded further by the client's
+//! without waiting for quorum and drops a notice for a round it already
+//! judged ([`RoundMerge::next`]). The client receives the canonical
+//! rejection class instead of hanging (bounded further by the client's
 //! [`WireTimeouts::verdict`](crate::WireTimeouts) round deadline). A
 //! round cap on the server ([`WireReferee::round_cap`]) bounds referee
-//! state even against a client that stalls mid-protocol, and a range
-//! partial too large for a frame ends its session with a typed
-//! `Invalid` verdict.
+//! state even against a client that stalls mid-protocol, and the
+//! collector refuses a partial for a round past the cap — say from a
+//! hostile shard host — with a typed `Invalid` verdict, as it refuses an
+//! undecodable host partial with its decode error.
 
 use crate::auth::AuthKey;
 use crate::fleet::accept_conn;
-use crate::frame::{decode_frame, encode_wire_frame, FrameKind, WireError};
+use crate::frame::{FrameKind, WireError};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics};
-use crate::placement::{fits_frame, run_proxy, ProxyConfig, RemotePlacement};
+use crate::placement::{run_proxy, ProxyConfig, RemotePlacement};
 use crate::poll::{fd_of, Poller, PollerBackend, Readiness, Waker};
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
-use crate::shard::{build_evidence, evidence_record, repeat_evidence};
-use referee_protocol::evidence::{EvidenceRecord, ProvableError};
+use crate::shard::build_evidence;
+use referee_protocol::evidence::SessionParams;
 use referee_protocol::multiround::RefereeStep;
-use referee_protocol::shard::multiround::{RoundPartialState, RoundShard};
-use referee_protocol::shard::{route_arrival, shard_range, Arrival};
+use referee_protocol::shard::multiround::{Fault, RangeWait, RoundMerge, RoundPartialState};
+use referee_protocol::shard::{nonempty_shards, route_arrival, shard_range};
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -105,9 +109,6 @@ use std::time::{Duration, Instant};
 /// claims with a typed `Invalid` verdict before any worker hears of the
 /// session.
 pub const MAX_SESSION_NODES: usize = 1 << 20;
-
-/// Domain-separation tweak for the shard-exchange key.
-const MR_EXCHANGE_TWEAK: u64 = 0x6d72_7368_6172_6478; // "mrshardx"
 
 /// How many finished session routes the router remembers (FIFO). A
 /// finished route only exists to classify short-lived stragglers behind
@@ -213,11 +214,18 @@ pub(crate) enum MrMsg {
     /// An authenticated round-stamped uplink routed to this worker's
     /// range.
     Data { conn: u32, env: Envelope },
-    /// A wire-encoded [`FrameKind::Partial`] frame (worker 0 only): a
-    /// range partial or a poison notice. The envelope's `round` carries
-    /// the session's announce epoch — the protocol round travels inside
-    /// the authenticated payload.
-    Partial(Vec<u8>),
+    /// A range partial or a poison notice for worker 0, by value, from
+    /// range `from`, stamped with the session's announce `epoch`. A
+    /// proxy forwards a shard host's partial as it decoded it: an
+    /// undecodable one arrives as its decode error and fails the
+    /// session closed.
+    Partial {
+        conn: u32,
+        session: u64,
+        epoch: u32,
+        from: u32,
+        partial: Result<RoundPartialState, DecodeError>,
+    },
     /// A session's verdict shipped: drop its state everywhere.
     Finish { conn: u32, session: u64 },
     /// A connection died: drop its sessions.
@@ -256,170 +264,6 @@ struct SessionRoute {
     finished: bool,
 }
 
-/// One range's share of a session's uplink wait — the same state on an
-/// in-process worker and on a [`ShardHost`](crate::placement::ShardHost):
-/// the round the range is collecting, plus the transcript that keeps an
-/// arrival behind an already-shipped partial provable.
-pub(crate) struct RangeWait {
-    pub n: usize,
-    shards: usize,
-    index: usize,
-    pub cap: u32,
-    shard: RoundShard,
-    /// Fresh uplinks of the collecting round.
-    collecting: Vec<(u32, Message)>,
-    /// Fresh uplinks of the last round whose partial shipped.
-    shipped: Vec<(u32, Message)>,
-}
-
-/// What one uplink did besides filling its range.
-#[derive(Default)]
-pub(crate) struct Ingested {
-    /// A provable violation and the records proving it.
-    pub evidence: Option<(ProvableError, Vec<EvidenceRecord>)>,
-    /// A poison notice for a round whose partial already shipped: the
-    /// accumulator fails the session unless it consumed that round.
-    pub late: Option<RoundPartialState>,
-}
-
-impl RangeWait {
-    /// Shard `index` of `shards` of a size-`n` session, collecting from
-    /// round `round` under round cap `cap`.
-    pub(crate) fn new(
-        n: usize,
-        shards: usize,
-        index: usize,
-        round: u32,
-        cap: u32,
-    ) -> RangeWait {
-        RangeWait {
-            n,
-            shards,
-            index,
-            cap,
-            shard: RoundShard::new(n, shards, index, round),
-            collecting: Vec::new(),
-            shipped: Vec::new(),
-        }
-    }
-
-    /// Absorb one routed uplink under the engine's single round rule.
-    /// Faults poison the round they hit:
-    ///
-    /// * an out-of-range sender poisons its claimed round if that
-    ///   round's partial already shipped, else the collecting round;
-    /// * a stamp outside `1..=cap`, a repeat within the collecting
-    ///   round, and an uplink racing ahead of the collecting round
-    ///   poison the collecting round;
-    /// * an arrival for a round whose partial already shipped poisons
-    ///   that round, proven against the retained transcript when it is
-    ///   the last shipped round.
-    ///
-    /// Once every round up to the cap has shipped, "the collecting
-    /// round" is the last shipped one. `conn` and `base` sign the
-    /// evidence records; `env` must be the frame as the client sent it.
-    pub(crate) fn ingest(
-        &mut self,
-        base: &AuthKey,
-        conn: u32,
-        env: Envelope,
-        metrics: &WireMetrics,
-    ) -> Ingested {
-        let current = self.shard.round();
-        let stray = env.from == 0 || env.from as usize > self.n;
-        let behind = (1..current).contains(&env.round);
-        let (evidence, poisoned_round) = if stray {
-            let rec = evidence_record(base, conn, &env);
-            (Some((ProvableError::OutOfRangeSender, vec![rec])), behind.then_some(env.round))
-        } else if env.round == 0 || env.round > self.cap {
-            let rec = evidence_record(base, conn, &env);
-            (Some((ProvableError::WrongRound, vec![rec])), None)
-        } else if env.round == current {
-            match self.shard.ingest(env.from, env.payload.clone()) {
-                Ok(Arrival::Fresh) => {
-                    self.collecting.push((env.from, env.payload));
-                    return Ingested::default();
-                }
-                Ok(Arrival::Duplicate { .. }) => {
-                    let prev = self.shard.message_for(env.from);
-                    (prev.map(|prev| repeat_evidence(base, conn, &env, prev)), None)
-                }
-                Ok(Arrival::OutOfRange) => return Ingested::default(),
-                Err(_) => {
-                    // Router/worker range disagreement — a bug, not
-                    // wire data; surfaced in metrics.
-                    metrics.decode_rejects(1);
-                    return Ingested::default();
-                }
-            }
-        } else if behind {
-            let prev = (env.round + 1 == current)
-                .then(|| self.shipped.iter().find(|(from, _)| *from == env.from))
-                .flatten();
-            (prev.map(|(_, prev)| repeat_evidence(base, conn, &env, prev)), Some(env.round))
-        } else {
-            // An uplink for a round whose downlinks were never issued.
-            (None, None)
-        };
-        let late = self.poison(poisoned_round, env.from, env.payload);
-        Ingested { evidence, late }
-    }
-
-    /// Record `from` as the fault of `round` — a shipped round, or the
-    /// collecting one when `None`. Returns the notice to ship when the
-    /// poisoned round's partial already left.
-    fn poison(
-        &mut self,
-        round: Option<u32>,
-        from: u32,
-        payload: Message,
-    ) -> Option<RoundPartialState> {
-        let round = match round {
-            Some(round) => round,
-            None if self.shard.round() <= self.cap => {
-                if from == 0 || from as usize > self.n {
-                    let _ = self.shard.ingest(from, payload); // records the stray
-                } else {
-                    self.shard.note_duplicate(from);
-                }
-                return None;
-            }
-            None => self.cap,
-        };
-        Some(poison_notice(self.n, round, from))
-    }
-
-    /// The collecting round's partial, once the range is complete or
-    /// poisoned (and the round within the cap); the wait then advances
-    /// to the next round and the shipped round's transcript is kept.
-    pub(crate) fn take_ready(&mut self) -> Option<RoundPartialState> {
-        let s = &self.shard;
-        if s.range().is_empty() || !(s.is_complete() || s.is_poisoned()) || s.round() > self.cap
-        {
-            return None;
-        }
-        let next = RoundShard::new(self.n, self.shards, self.index, s.round() + 1);
-        self.shipped = std::mem::take(&mut self.collecting);
-        Some(std::mem::replace(&mut self.shard, next).into_partial())
-    }
-}
-
-/// The single-fault summary of round `round` that poisons it at the
-/// accumulator: `from` recorded as an out-of-range sender (0 or `> n`)
-/// or as a duplicate. Every deployment that reports a fault behind a
-/// shipped partial — the in-process worker, the shard host, the
-/// placement proxy — ships exactly this notice, so the fail-fast
-/// verdict cannot drift between them.
-pub(crate) fn poison_notice(n: usize, round: u32, from: u32) -> RoundPartialState {
-    let mut notice = RoundPartialState::new(n, round);
-    if from == 0 || from as usize > n {
-        notice.note_out_of_range(from);
-    } else {
-        notice.note_duplicate(from);
-    }
-    notice
-}
-
 /// Per-session state inside one worker — keyed by (conn, session) in
 /// the worker's map. The stepper and round cap are those of the catalog
 /// service resolved at announce time (a re-announced id may land on a
@@ -431,15 +275,12 @@ struct MrSession {
     /// This worker's range wait; `None` on a remote-placement
     /// accumulator, whose ranges live on shard hosts.
     wait: Option<RangeWait>,
-    /// Worker 0 only: the referee, its next round, and per-round merge
-    /// accumulators `(state, quorum)`.
+    /// Worker 0 only: the referee and the collector of its rounds'
+    /// partials, whose quorum is the shards with non-empty ranges for
+    /// this `n` (empty-range shards never emit; their empty partials
+    /// are implied).
     stepper: Option<Box<dyn RefereeStepper>>,
-    referee_round: u32,
-    pending: BTreeMap<u32, (RoundPartialState, usize)>,
-    /// Shards with non-empty ranges for this `n` — the per-round merge
-    /// quorum (empty-range shards never emit; their empty partials are
-    /// implied).
-    needed: usize,
+    merge: RoundMerge,
     /// Server-side round cap.
     cap: usize,
     /// When this worker saw the announce — the zero point for the
@@ -468,7 +309,6 @@ pub(crate) fn run_catalog_server(
     metrics: &WireMetrics,
     poller: Poller,
 ) {
-    let exchange_key = key.derive(MR_EXCHANGE_TWEAK);
     let (out_tx, out_rx) = std::sync::mpsc::channel::<MrOutbound>();
     // One lane per shard, plus the accumulator's (last) when the
     // ranges are remote; the router broadcasts control traffic to all.
@@ -478,14 +318,13 @@ pub(crate) fn run_catalog_server(
         (0..lanes).map(|_| std::sync::mpsc::channel()).unzip();
     thread::scope(|scope| {
         for (i, rx) in worker_rxs.into_iter().enumerate() {
-            let (base, exchange_key) = (&key, &exchange_key);
+            let base = &key;
             match &placement {
                 Some((placement, backoff)) if i != acc => {
                     let cfg = ProxyConfig {
                         index: i,
                         shards,
                         base,
-                        exchange_key,
                         placement,
                         metrics,
                         backoff: *backoff,
@@ -502,16 +341,7 @@ pub(crate) fn run_catalog_server(
                     let index = if owns_range { i } else { 0 };
                     scope.spawn(move || {
                         mr_worker(
-                            index,
-                            shards,
-                            rx,
-                            tx0,
-                            otx,
-                            exchange_key,
-                            base,
-                            catalog,
-                            metrics,
-                            owns_range,
+                            index, shards, rx, tx0, otx, base, catalog, metrics, owns_range,
                         )
                     });
                 }
@@ -881,43 +711,30 @@ fn mr_route(
     }
 }
 
-/// Shards with non-empty ranges under a `shards`-way split of `1..=n` —
-/// the per-round merge quorum (empty ranges never emit partials).
-fn nonempty_shards(n: usize, shards: usize) -> usize {
-    (0..shards).filter(|&i| !shard_range(n, shards, i).is_empty()).count()
-}
-
-/// Build, self-verify, and ship an evidence bundle. The bundle rides
-/// the worker→router outbound channel as an [`MrOutbound::Evidence`]
-/// and reaches the client as a [`FrameKind::Evidence`] frame; it never
-/// touches round/verdict bookkeeping.
-#[allow(clippy::too_many_arguments)]
+/// Build, self-verify, and ship the evidence bundle proving `fault`.
+/// The bundle rides the worker→router outbound channel as an
+/// [`MrOutbound::Evidence`] and reaches the client as a
+/// [`FrameKind::Evidence`] frame; it never touches round/verdict
+/// bookkeeping.
 fn mr_evidence(
     index: usize,
     base: &AuthKey,
-    session: u64,
     ws: &MrSession,
-    error: ProvableError,
-    records: Vec<EvidenceRecord>,
+    env: &Envelope,
+    fault: Fault,
     otx: &OutTx,
     metrics: &WireMetrics,
 ) {
-    let Some(bundle) = build_evidence(
-        base,
-        ws.conn,
-        session,
-        ws.n,
-        ws.cap as u32,
-        error,
-        records,
-        trace_endpoint::worker(index as u32),
-        metrics,
-    ) else {
+    let (session, n) = (env.session.0, ws.n as u32);
+    let params = SessionParams { session, n, round_cap: ws.cap as u32 };
+    let endpoint = trace_endpoint::worker(index as u32);
+    let Some(bundle) = build_evidence(base, ws.conn, params, env, fault, endpoint, metrics)
+    else {
         return;
     };
     otx.send(MrOutbound::Evidence {
         conn: ws.conn,
-        session: SessionId(session),
+        session: env.session,
         from: bundle.accused.unwrap_or(0),
         payload: bundle.encode(),
     });
@@ -934,7 +751,6 @@ fn mr_worker(
     rx: Receiver<MrMsg>,
     tx0: Option<Sender<MrMsg>>,
     otx: OutTx,
-    exchange_key: &AuthKey,
     base: &AuthKey,
     catalog: &ServiceCatalog,
     metrics: &WireMetrics,
@@ -962,14 +778,12 @@ fn mr_worker(
                     epoch,
                     wait: owns_range.then(|| RangeWait::new(n, shards, index, 1, cap as u32)),
                     stepper: (index == 0).then(|| entry.open(n)),
-                    referee_round: 1,
-                    pending: BTreeMap::new(),
-                    needed: nonempty_shards(n, shards),
+                    merge: RoundMerge::new(n, nonempty_shards(n, shards), cap),
                     cap,
                     opened: Instant::now(),
                     round_opened: Instant::now(),
                 };
-                emit_ready_rounds(index, session, &mut ws, &tx0, &otx, exchange_key, metrics);
+                emit_ready_rounds(index, session, &mut ws, &tx0, metrics);
                 if index == 0 && try_advance(session, &mut ws, &otx, metrics) {
                     continue; // e.g. n = 0: judged straight from announce
                 }
@@ -985,70 +799,52 @@ fn mr_worker(
                     metrics.decode_rejects(1); // a range this worker does not own
                     continue;
                 };
-                let from = env.from;
-                let ingested = wait.ingest(base, conn, env, metrics);
-                if let Some((error, records)) = ingested.evidence {
-                    mr_evidence(index, base, session, ws, error, records, &otx, metrics);
+                let Ok(ingested) = wait.ingest(env.from, env.round, &env.payload) else {
+                    // Router/worker range disagreement — a bug, not wire
+                    // data; surfaced in metrics.
+                    metrics.decode_rejects(1);
+                    continue;
+                };
+                if let Some(fault) = ingested.fault {
+                    mr_evidence(index, base, ws, &env, fault, &otx, metrics);
                 }
-                if let Some(notice) = ingested.late {
+                if let Some(notice) = ingested.notice {
                     let endpoint = trace_endpoint::worker(index as u32);
-                    metrics.trace(session, endpoint, TraceKind::Poison, u64::from(from));
-                    // A poison notice is a few bits — never oversized.
-                    let _ = ship(index, session, ws, notice, &tx0, exchange_key, metrics);
+                    metrics.trace(session, endpoint, TraceKind::Poison, u64::from(env.from));
+                    ship(index, session, ws, notice, &tx0, metrics);
                 }
-                emit_ready_rounds(index, session, ws, &tx0, &otx, exchange_key, metrics);
+                emit_ready_rounds(index, session, ws, &tx0, metrics);
                 if index == 0 && try_advance(session, ws, &otx, metrics) {
                     sessions.remove(&(conn, session));
                 }
             }
-            MrMsg::Partial(bytes) => {
-                // Worker 0 only: authenticate and decode a sibling
-                // shard's round partial through the wire codec.
-                let decoded = match decode_frame(exchange_key, &bytes) {
-                    Ok(Some(d)) if d.kind == FrameKind::Partial => d,
-                    Ok(_) => {
-                        metrics.decode_rejects(1);
-                        continue;
-                    }
-                    Err(WireError::BadMac) => {
-                        metrics.mac_rejects(1);
-                        continue;
-                    }
-                    Err(_) => {
-                        metrics.decode_rejects(1);
-                        continue;
-                    }
-                };
-                let session = decoded.envelope.session.0;
-                let conn = decoded.envelope.to;
+            MrMsg::Partial { conn, session, epoch, from, partial } => {
                 let Some(ws) = sessions.get_mut(&(conn, session)) else {
                     metrics.orphan_frames(1); // finished or retired in flight
                     continue;
                 };
-                // The envelope's round field carries the announce epoch:
-                // a stale partial from a previous run of this (conn,
+                // A stale partial from a previous run of this (conn,
                 // session) key must not merge into the current one.
-                if decoded.envelope.round != ws.epoch {
+                if epoch != ws.epoch {
                     metrics.orphan_frames(1);
                     continue;
                 }
-                let merged = RoundPartialState::decode(ws.n, &decoded.envelope.payload)
-                    .and_then(|p| accumulate(ws, p, metrics));
-                match merged {
+                match absorb(ws, partial, metrics) {
                     Ok(()) => {
+                        let endpoint = trace_endpoint::worker(0);
                         metrics.trace(
                             session,
-                            trace_endpoint::worker(0),
+                            endpoint,
                             TraceKind::PartialMerge,
-                            u64::from(decoded.envelope.from),
+                            u64::from(from),
                         );
                         if try_advance(session, ws, &otx, metrics) {
                             sessions.remove(&(conn, session));
                         }
                     }
                     Err(e) => {
-                        // A partial that does not decode or merge is an
-                        // internal fault; fail the session closed.
+                        // A partial that does not decode or merge fails
+                        // the session closed.
                         send_mr_verdict(session, ws, Err(e), &otx, metrics);
                         sessions.remove(&(conn, session));
                     }
@@ -1064,172 +860,102 @@ fn mr_worker(
     }
 }
 
-/// Route one partial — a range partial or a poison notice — toward the
-/// accumulator: worker 0 merges in place, every other worker ships a
-/// MAC'd [`FrameKind::Partial`] frame stamped with the session's
-/// announce epoch. `false` if the partial is too large for the wire
-/// codec's frame cap.
-#[must_use]
+/// Hand one partial — a range partial or a poison notice — to the
+/// collector by value: worker 0 absorbs it in place, every other worker
+/// sends it to worker 0 stamped with the session's announce epoch.
 fn ship(
     index: usize,
     session: u64,
     ws: &mut MrSession,
     partial: RoundPartialState,
     tx0: &Option<Sender<MrMsg>>,
-    exchange_key: &AuthKey,
     metrics: &WireMetrics,
-) -> bool {
-    let Some(tx) = tx0 else {
-        accumulate(ws, partial, metrics).expect("same-n partials always merge");
-        return true;
-    };
-    let payload = partial.encode();
-    if !fits_frame(&payload) {
-        return false;
+) {
+    match tx0 {
+        Some(tx) => {
+            let (conn, epoch, from) = (ws.conn, ws.epoch, index as u32);
+            let _ =
+                tx.send(MrMsg::Partial { conn, session, epoch, from, partial: Ok(partial) });
+        }
+        None => absorb(ws, Ok(partial), metrics).expect("own partials stay within the cap"),
     }
-    let env = Envelope {
-        session: SessionId(session),
-        round: ws.epoch,
-        from: index as u32,
-        to: ws.conn,
-        payload,
-    };
-    let _ = tx.send(MrMsg::Partial(encode_wire_frame(exchange_key, FrameKind::Partial, &env)));
-    true
 }
 
-/// Ship every partial this worker's range has ready. A partial beyond
-/// the frame cap (a session far outside frugal message sizes) ends the
-/// session with a typed `Invalid` verdict — never a worker panic, and
-/// never a starved wait.
+/// Ship every partial this worker's range has ready.
 fn emit_ready_rounds(
     index: usize,
     session: u64,
     ws: &mut MrSession,
     tx0: &Option<Sender<MrMsg>>,
-    otx: &OutTx,
-    exchange_key: &AuthKey,
     metrics: &WireMetrics,
 ) {
     while let Some(partial) = ws.wait.as_mut().and_then(RangeWait::take_ready) {
         let endpoint = trace_endpoint::worker(index as u32);
         metrics.trace(session, endpoint, TraceKind::PartialEmit, u64::from(partial.round()));
-        if !ship(index, session, ws, partial, tx0, exchange_key, metrics) {
-            let e = DecodeError::Invalid("shard partial exceeds the wire frame cap".into());
-            send_mr_verdict(session, ws, Err(e), otx, metrics);
-            return;
-        }
+        ship(index, session, ws, partial, tx0, metrics);
         if tx0.is_some() {
             metrics.partial_frames(1);
         }
     }
 }
 
-/// Worker 0: merge one partial into its round's accumulator. A partial
-/// for a round the referee already consumed — only ever a late poison
+/// Worker 0: absorb one partial into the session's collector. A partial
+/// for a round the referee already judged — only ever a late poison
 /// notice — is dropped as an orphan.
-fn accumulate(
+fn absorb(
     ws: &mut MrSession,
-    partial: RoundPartialState,
+    partial: Result<RoundPartialState, DecodeError>,
     metrics: &WireMetrics,
 ) -> Result<(), DecodeError> {
-    let round = partial.round();
-    if round < ws.referee_round {
+    if !ws.merge.absorb(partial?)? {
         metrics.orphan_frames(1);
-        return Ok(());
     }
-    let (mut acc, quorum) =
-        ws.pending.remove(&round).unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
-    acc.merge(partial)?;
-    ws.pending.insert(round, (acc, quorum + 1));
     Ok(())
 }
 
-/// Worker 0: consume every round whose quorum is complete (or whose
-/// accumulator is poisoned — no further partial can turn an `Err` into
-/// an `Ok`), stepping the referee in round order. While the current
-/// round waits, a poisoned later round already fixes the verdict's
-/// `Err` shape and is judged at once. Returns whether the session is
-/// done (verdict sent).
+/// Worker 0: judge every round the collector has ready, stepping the
+/// referee in round order (see [`RoundMerge::next`]). Returns whether
+/// the session is done (verdict sent).
 fn try_advance(session: u64, ws: &mut MrSession, otx: &OutTx, metrics: &WireMetrics) -> bool {
-    loop {
-        if ws.referee_round as usize > ws.cap {
-            send_mr_verdict(
-                session,
-                ws,
-                Err(DecodeError::Invalid(format!(
-                    "no verdict within the {}-round cap",
-                    ws.cap
-                ))),
-                otx,
-                metrics,
-            );
-            return true;
+    let verdict = loop {
+        if ws.merge.round() as usize > ws.cap {
+            break Err(DecodeError::Invalid(format!(
+                "no verdict within the {}-round cap",
+                ws.cap
+            )));
         }
-        let round = ws.referee_round;
-        let (mut acc, quorum) = ws
-            .pending
-            .remove(&round)
-            .unwrap_or_else(|| (RoundPartialState::new(ws.n, round), 0));
-        if quorum < ws.needed && !acc.poisoned() {
-            ws.pending.insert(round, (acc, quorum));
-            let Some(later) =
-                ws.pending.iter().find(|(_, (p, _))| p.poisoned()).map(|(r, _)| *r)
-            else {
-                return false;
-            };
-            acc = ws.pending.remove(&later).expect("found above").0;
-        }
+        let Some(acc) = ws.merge.next() else { return false };
+        let round = ws.merge.round();
         metrics.record_stage(Stage::PartialMerge, ws.round_opened.elapsed());
-        match acc.finish() {
-            Err(e) => {
-                send_mr_verdict(session, ws, Err(e), otx, metrics);
-                return true;
+        let uplinks = match acc.finish() {
+            Ok(uplinks) => uplinks,
+            Err(e) => break Err(e),
+        };
+        let stepper = ws.stepper.as_mut().expect("worker 0 owns the referee");
+        let stepped = Instant::now();
+        let step = stepper.step(ws.n, round as usize, &uplinks);
+        metrics.record_stage(Stage::RefereeStep, stepped.elapsed());
+        let endpoint = trace_endpoint::worker(0);
+        metrics.trace(session, endpoint, TraceKind::RefereeStep, u64::from(round));
+        match step {
+            RefereeStep::Done(out) => break Ok(out),
+            RefereeStep::Continue(downlinks) if downlinks.len() != ws.n => {
+                break Err(DecodeError::Inconsistent(format!(
+                    "referee produced {} downlinks for {} nodes",
+                    downlinks.len(),
+                    ws.n
+                )));
             }
-            Ok(uplinks) => {
-                let stepper = ws.stepper.as_mut().expect("worker 0 owns the referee");
-                let stepped = Instant::now();
-                let step = stepper.step(ws.n, round as usize, &uplinks);
-                metrics.record_stage(Stage::RefereeStep, stepped.elapsed());
-                metrics.trace(
-                    session,
-                    trace_endpoint::worker(0),
-                    TraceKind::RefereeStep,
-                    u64::from(round),
-                );
-                match step {
-                    RefereeStep::Done(out) => {
-                        send_mr_verdict(session, ws, Ok(out), otx, metrics);
-                        return true;
-                    }
-                    RefereeStep::Continue(downlinks) => {
-                        if downlinks.len() != ws.n {
-                            send_mr_verdict(
-                                session,
-                                ws,
-                                Err(DecodeError::Inconsistent(format!(
-                                    "referee produced {} downlinks for {} nodes",
-                                    downlinks.len(),
-                                    ws.n
-                                ))),
-                                otx,
-                                metrics,
-                            );
-                            return true;
-                        }
-                        otx.send(MrOutbound::Downlinks {
-                            conn: ws.conn,
-                            session: SessionId(session),
-                            round,
-                            msgs: downlinks,
-                        });
-                        ws.referee_round += 1;
-                        ws.round_opened = Instant::now();
-                    }
-                }
+            RefereeStep::Continue(msgs) => {
+                let (conn, session) = (ws.conn, SessionId(session));
+                otx.send(MrOutbound::Downlinks { conn, session, round, msgs });
+                ws.merge.advance();
+                ws.round_opened = Instant::now();
             }
         }
-    }
+    };
+    send_mr_verdict(session, ws, verdict, otx, metrics);
+    true
 }
 
 fn send_mr_verdict(
@@ -1332,14 +1058,5 @@ mod tests {
         w.write_bits(1, 8);
         w.write_bits(0xff, 8);
         assert_eq!(decode_mr_announce(&Message::from_writer(w)), None);
-    }
-
-    #[test]
-    fn nonempty_shard_quorums() {
-        assert_eq!(nonempty_shards(0, 4), 0);
-        assert_eq!(nonempty_shards(1, 4), 1);
-        assert_eq!(nonempty_shards(3, 8), 3);
-        assert_eq!(nonempty_shards(10, 4), 4);
-        assert_eq!(nonempty_shards(10, 1), 1);
     }
 }

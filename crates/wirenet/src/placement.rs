@@ -1,9 +1,10 @@
 //! Cross-host shard placement: shard workers as first-class network
 //! peers.
 //!
-//! The referee session engine ([`crate::multiround`]) already pushes
-//! every cross-shard partial through the full MAC'd wire codec — this module swaps the in-process channel under that codec for
-//! a real socket, so shards can live on separate hosts:
+//! The referee session engine ([`crate::multiround`]) hands range
+//! partials between its threads by value; this module moves the ranges
+//! onto real sockets, so shards can live on separate hosts — and only
+//! there do partials become MAC'd wire frames:
 //!
 //! * [`PlacementPolicy`] (re-exported from
 //!   `referee_protocol::shard::placement`) assigns every shard index to
@@ -19,7 +20,7 @@
 //!   connections, each registered as one shard of a placement by a
 //!   MAC'd [`Register`](FrameKind::Register) handshake, ingests routed
 //!   uplinks into the engine's per-round range waits (the same
-//!   `RoundShard` rules an in-process worker runs), and ships
+//!   [`RangeWait`] an in-process worker runs), and ships
 //!   [`Partial`](FrameKind::Partial) frames back over the same
 //!   authenticated codec the rest of the system speaks.
 //! * The coordinator runs one **proxy** per shard (spawned by the
@@ -28,7 +29,10 @@
 //!   still need ([`ShardJournal`]), and on disconnect redials,
 //!   re-registers and replays — so a shard-host kill/restart is
 //!   invisible to honest sessions (pinned bit-for-bit by the chaos
-//!   tests).
+//!   tests). It decodes each host partial — to commit its journal —
+//!   and hands the decoded value, or the decode error, to the collector
+//!   by value, so an undecodable host partial fails its session closed
+//!   with the decoder's error class.
 //!
 //! # Per-shard keys
 //!
@@ -63,20 +67,22 @@
 //! fleet drain.
 //!
 //! An uplink for a round the journal has already committed never
-//! reaches the host: the proxy itself ships the round-stamped poison
-//! notice the host would have sent, as it does for a round stamp
-//! outside `1..=cap` — so fail-fast verdicts do not depend on whether
-//! the host is alive.
+//! reaches the host: the proxy itself hands over the round-stamped
+//! poison notice the host would have sent, as it does for a round stamp
+//! outside `1..=cap`, choosing the round with the same [`fault_round`]
+//! a [`RangeWait`] uses — so fail-fast verdicts do not depend on
+//! whether the host is alive.
 
 use crate::auth::AuthKey;
 use crate::frame::{
     encode_wire_frame, FrameKind, WireError, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES,
 };
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
-use crate::multiround::{poison_notice, MrMsg, RangeWait, ServiceCatalog};
+use crate::multiround::{MrMsg, ServiceCatalog};
 use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
 use crate::shard::build_evidence;
-use referee_protocol::shard::multiround::RoundPartialState;
+use referee_protocol::evidence::SessionParams;
+use referee_protocol::shard::multiround::{fault_round, RangeWait, RoundPartialState};
 use referee_protocol::shard::replay::{decode_resume, encode_resume, Recorded, ShardJournal};
 use referee_protocol::shard::shard_range;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
@@ -208,8 +214,8 @@ pub fn register_frame(base: &AuthKey, index: usize, shards: usize, generation: u
     )
 }
 
-/// Whether a partial payload fits the wire codec's frame cap.
-pub(crate) fn fits_frame(payload: &Message) -> bool {
+/// Whether a payload fits the wire codec's frame cap.
+fn fits_frame(payload: &Message) -> bool {
     HEADER_BYTES + payload.len_bits().div_ceil(8) + TAG_BYTES <= MAX_BODY_BYTES
 }
 
@@ -541,15 +547,19 @@ fn host_frame(
             };
             let (session, from) = (env.session, env.from);
             metrics.trace(session.0, endpoint, TraceKind::Uplink, u64::from(from));
-            let ingested = hs.wait.ingest(base, conn, Envelope { to: 0, ..env }, metrics);
-            if let Some((error, records)) = ingested.evidence {
-                let (n, cap) = (hs.wait.n, hs.wait.cap);
+            let env = Envelope { to: 0, ..env };
+            let Ok(ingested) = hs.wait.ingest(from, env.round, &env.payload) else {
+                // Coordinator/host range disagreement: surfaced in metrics.
+                metrics.decode_rejects(1);
+                return Ok(());
+            };
+            if let Some(fault) = ingested.fault {
+                let n = hs.wait.n() as u32;
+                let params = SessionParams { session: session.0, n, round_cap: hs.wait.cap() };
                 // Logged host-side only: the host has no client link.
-                let _ = build_evidence(
-                    base, conn, session.0, n, cap, error, records, endpoint, metrics,
-                );
+                let _ = build_evidence(base, conn, params, &env, fault, endpoint, metrics);
             }
-            if let Some(notice) = ingested.late {
+            if let Some(notice) = ingested.notice {
                 // Fail fast instead of wedging a sibling range's wait.
                 metrics.trace(session.0, endpoint, TraceKind::Poison, u64::from(from));
                 let payload = notice.encode();
@@ -671,7 +681,6 @@ pub(crate) struct ProxyConfig<'a> {
     pub index: usize,
     pub shards: usize,
     pub base: &'a AuthKey,
-    pub exchange_key: &'a AuthKey,
     pub placement: &'a RemotePlacement,
     pub metrics: &'a WireMetrics,
     /// How long to wait before redialling a dead shard-host link.
@@ -693,9 +702,9 @@ struct ProxySession {
 }
 
 /// One shard's coordinator proxy: forwards the router's traffic to the
-/// shard host, journals for replay, redials on disconnect, and pipes the
-/// host's partials (re-MAC'd under the exchange key) to the
-/// accumulator. Runs until its inbox disconnects.
+/// shard host, journals for replay, redials on disconnect, and hands
+/// the host's decoded partials to the accumulator by value. Runs until
+/// its inbox disconnects.
 pub(crate) fn run_proxy(
     cfg: ProxyConfig<'_>,
     rx: Receiver<MrMsg>,
@@ -847,28 +856,14 @@ fn proxy_event(
             // and committed rounds are not replayed), and the fail-fast
             // verdict must not depend on host liveness.
             let resume = ps.journal.resume_round();
-            let poisoned = if env.round == 0 || env.round > ps.cap {
-                Some(resume.min(ps.cap))
-            } else {
-                (env.round < resume).then_some(env.round)
-            };
-            if let Some(round) = poisoned {
-                let from = env.from;
-                cfg.metrics.trace(
-                    env.session.0,
-                    cfg.endpoint(),
-                    TraceKind::Poison,
-                    u64::from(from),
-                );
-                let notice = Envelope {
-                    session: env.session,
-                    round: ps.epoch,
-                    from: cfg.index as u32,
-                    to: conn,
-                    payload: poison_notice(ps.journal.n(), round, from).encode(),
-                };
-                let frame = encode_wire_frame(cfg.exchange_key, FrameKind::Partial, &notice);
-                let _ = acc.send(MrMsg::Partial(frame));
+            if env.round == 0 || env.round > ps.cap || env.round < resume {
+                let (session, from) = (env.session.0, env.from);
+                cfg.metrics.trace(session, cfg.endpoint(), TraceKind::Poison, u64::from(from));
+                let round = fault_round(env.round, resume, ps.cap);
+                let notice = Ok(RoundPartialState::poison_notice(ps.journal.n(), round, from));
+                let (epoch, from) = (ps.epoch, cfg.index as u32);
+                let _ =
+                    acc.send(MrMsg::Partial { conn, session, epoch, from, partial: notice });
             } else if ps.journal.record(env.round, env.from, env.payload.clone())
                 == Recorded::Forward
             {
@@ -913,12 +908,12 @@ fn proxy_event(
             }
         }
         // Partials flow toward the accumulator, never into a proxy.
-        MrMsg::Partial(_) => {}
+        MrMsg::Partial { .. } => {}
     }
 }
 
 /// Read the shard host's partials off the link, commit their rounds in
-/// the journal, and forward them (re-MAC'd under the exchange key) to
+/// the journal, and hand them — decoded, or as their decode error — to
 /// the accumulator.
 fn pump_partials(
     cfg: &ProxyConfig<'_>,
@@ -950,15 +945,16 @@ fn pump_partials(
                     cfg.metrics.orphan_frames(1); // stale announce run
                     continue;
                 }
-                // Commit the emitted round; a malformed payload is still
-                // forwarded — the accumulator's decode fails the session
-                // closed.
-                if let Ok(p) = RoundPartialState::decode(ps.journal.n(), &env.payload) {
+                // Commit the emitted round; an undecodable or past-cap
+                // partial is still forwarded — the accumulator fails the
+                // session closed.
+                let partial = RoundPartialState::decode(ps.journal.n(), &env.payload);
+                if let Some(p) = partial.as_ref().ok().filter(|p| p.round() <= ps.cap) {
                     ps.journal.commit(p.round());
                 }
                 cfg.metrics.partial_frames(1);
-                let frame = encode_wire_frame(cfg.exchange_key, FrameKind::Partial, &env);
-                let _ = acc.send(MrMsg::Partial(frame));
+                let (conn, session, epoch, from) = (env.to, env.session.0, env.round, env.from);
+                let _ = acc.send(MrMsg::Partial { conn, session, epoch, from, partial });
             }
             Ok(Some((FrameKind::Trace, env))) => {
                 // A trace segment the host shipped on Finish/Retire:

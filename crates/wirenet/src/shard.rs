@@ -31,6 +31,7 @@ use referee_protocol::evidence::{
     SessionParams,
 };
 use referee_protocol::multiround::RefereeStep;
+use referee_protocol::shard::multiround::Fault;
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::Envelope;
@@ -100,7 +101,7 @@ pub(crate) fn decode_digest_verdict(msg: &Message) -> Result<u64, DecodeError> {
 /// body, and the record key path `[conn]` folds to the connection key
 /// both ends already derived — so a record cut from a decoded arrival
 /// carries exactly the tag the client's frame did (pinned by tests).
-pub(crate) fn evidence_record_for(
+fn evidence_record_for(
     base: &AuthKey,
     conn: u32,
     env: &Envelope,
@@ -118,56 +119,40 @@ pub(crate) fn evidence_record_for(
     EvidenceRecord::sign(base.mac_key(), vec![u64::from(conn)], body)
 }
 
-/// [`evidence_record_for`] over the arrival's own payload.
-pub(crate) fn evidence_record(base: &AuthKey, conn: u32, env: &Envelope) -> EvidenceRecord {
-    evidence_record_for(base, conn, env, &env.payload)
-}
-
-/// The proof that `env` repeats a sender whose uplink `prev` was
-/// already recorded for the same round: a bit-identical repeat is a
-/// [`DuplicateSender`](ProvableError::DuplicateSender) (provable, but an
-/// at-least-once network does that too, so it accuses nobody), a
-/// different payload an [`Equivocation`](ProvableError::Equivocation)
-/// pairing the recorded original with the conflicting arrival.
-pub(crate) fn repeat_evidence(
-    base: &AuthKey,
-    conn: u32,
-    env: &Envelope,
-    prev: &Message,
-) -> (ProvableError, Vec<EvidenceRecord>) {
-    let rec = evidence_record(base, conn, env);
-    if *prev == env.payload {
-        (ProvableError::DuplicateSender, vec![rec.clone(), rec])
-    } else {
-        (ProvableError::Equivocation, vec![evidence_record_for(base, conn, env, prev), rec])
-    }
-}
-
-/// Assemble and self-verify one evidence bundle accusing `conn` (when
-/// the error is attributable). `None` means the offending frame's
-/// fields fall outside the self-contained shape rules (say, a data
-/// frame addressed off the referee) and prove nothing to a third party
-/// — the accountability layer never ships a bundle `verify_bundle`
-/// would bounce. Also logs the bundle on `metrics` and traces the
-/// emission.
-#[allow(clippy::too_many_arguments)]
+/// Sign `fault` — a violation the arrival `env` on `conn` exhibits at
+/// a range wait — into one self-verified evidence bundle, accusing
+/// `conn` when the error is attributable. The records are the arrival
+/// itself, twice for a bit-identical repeat (a
+/// [`DuplicateSender`](ProvableError::DuplicateSender): provable, but an
+/// at-least-once network does that too, so it accuses nobody), and
+/// after the recorded original for an
+/// [`Equivocation`](ProvableError::Equivocation). `None` means the
+/// offending frame's fields fall outside the self-contained shape rules
+/// (say, a data frame addressed off the referee) and prove nothing to a
+/// third party — the accountability layer never ships a bundle
+/// `verify_bundle` would bounce. Also logs the bundle on `metrics` and
+/// traces the emission.
 pub(crate) fn build_evidence(
     base: &AuthKey,
     conn: u32,
-    session: u64,
-    n: usize,
-    round_cap: u32,
-    error: ProvableError,
-    records: Vec<EvidenceRecord>,
+    params: SessionParams,
+    env: &Envelope,
+    fault: Fault,
     endpoint: u32,
     metrics: &WireMetrics,
 ) -> Option<EvidenceBundle> {
-    let accused = error.attributable().then_some(conn);
-    let bundle = EvidenceBundle { error, accused, records };
-    let params = SessionParams { session, n: n as u32, round_cap };
+    let rec = evidence_record_for(base, conn, env, &env.payload);
+    let records = match (fault.error, fault.original) {
+        (_, Some(original)) => vec![evidence_record_for(base, conn, env, &original), rec],
+        (ProvableError::DuplicateSender, None) => vec![rec.clone(), rec],
+        (_, None) => vec![rec],
+    };
+    let accused = fault.error.attributable().then_some(conn);
+    let bundle = EvidenceBundle { error: fault.error, accused, records };
     verify_bundle(base.mac_key(), &params, &bundle).ok()?;
     metrics.record_evidence(&bundle);
-    metrics.trace(session, endpoint, TraceKind::Evidence, u64::from(accused.unwrap_or(0)));
+    let payload = u64::from(accused.unwrap_or(0));
+    metrics.trace(params.session, endpoint, TraceKind::Evidence, payload);
     Some(bundle)
 }
 

@@ -12,17 +12,33 @@ use referee_graph::{algo, generators, LabelledGraph};
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_protocol::referee::local_phase;
-use referee_protocol::shard::multiround::run_multiround_sharded;
-use referee_simnet::SessionId;
-use referee_wirenet::{
-    boruvka_connectivity_service, decode_bool_output, vector_digest, AuthKey, FleetClient,
-    FleetServer, PlacementPolicy, RemotePlacement, ShardHost, TamperConfig,
+use referee_protocol::shard::multiround::{
+    run_multiround_sharded, RoundPartialState, RoundShard,
 };
+use referee_protocol::shard::replay::decode_resume;
+use referee_protocol::{BitWriter, DecodeError, Message};
+use referee_simnet::{Envelope, SessionId};
+use referee_wirenet::placement::{link_key, register_frame};
+use referee_wirenet::{
+    boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame,
+    vector_digest, AuthKey, FleetClient, FleetServer, FrameKind, PlacementPolicy,
+    RemotePlacement, ShardHost, TamperConfig, WireTimeouts,
+};
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 const CAP: usize = 64;
+
+fn bits(v: u64, w: u32) -> Message {
+    let mut wr = BitWriter::new();
+    wr.write_bits(v, w);
+    Message::from_writer(wr)
+}
 
 fn graphs(count: usize, seed: u64) -> Vec<LabelledGraph> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -228,4 +244,126 @@ fn remote_trivial_sizes() {
     }
     server.stop();
     drop(hosts);
+}
+
+/// How a fake shard host answers one announced session.
+#[derive(Clone, Copy, Debug)]
+enum HostPlay {
+    /// A `Partial` whose payload does not decode.
+    Undecodable,
+    /// A well-formed partial for the round past the session's cap.
+    PastCap,
+    /// The honest range partial, once every uplink is in.
+    Honest,
+}
+
+/// A fake shard host for a one-shard placement: it accepts the
+/// coordinator's link, checks the `register_frame` handshake, then
+/// answers the `i`-th announced session as `plays[i]` says, under the
+/// link key — authenticated traffic from a host that is hostile.
+fn fake_shard_host(key: AuthKey, plays: Vec<HostPlay>) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard host");
+    let addr = listener.local_addr().expect("bound address");
+    let host = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("the proxy dials");
+        stream.set_read_timeout(Some(Duration::from_millis(50))).expect("read timeout");
+        let register = register_frame(&key, 0, 1, 1);
+        let mut buf = vec![0u8; register.len()];
+        stream.read_exact(&mut buf).expect("the proxy registers");
+        assert_eq!(buf, register, "shard 0 of 1, generation 1");
+        let link = link_key(&key, 0, 1);
+        let mut sessions: HashMap<(u32, u64), (u32, RoundShard)> = HashMap::new();
+        let mut plays = plays.into_iter();
+        let mut scratch = [0u8; 4096];
+        buf.clear();
+        let until = Instant::now() + Duration::from_secs(60);
+        while Instant::now() < until {
+            match stream.read(&mut scratch) {
+                Ok(0) => return, // the coordinator stopped
+                Ok(got) => buf.extend_from_slice(&scratch[..got]),
+                Err(_) => continue, // read timeout
+            }
+            while let Some(frame) = decode_frame(&link, &buf).expect("MAC'd under the link key")
+            {
+                buf.drain(..frame.consumed);
+                let env = frame.envelope;
+                let (conn, round, partial) = match frame.kind {
+                    FrameKind::Announce => {
+                        let (n, _, cap) = decode_resume(&env.payload).expect("resume layout");
+                        let partial = match plays.next().expect("one play per session") {
+                            HostPlay::Undecodable => bits(0b101, 3),
+                            HostPlay::PastCap => RoundPartialState::new(n, cap + 1).encode(),
+                            HostPlay::Honest => {
+                                let shard = RoundShard::new(n, 1, 0, 1);
+                                sessions.insert((env.from, env.session.0), (env.round, shard));
+                                continue;
+                            }
+                        };
+                        (env.from, env.round, partial)
+                    }
+                    FrameKind::Data => {
+                        let Some((epoch, shard)) = sessions.get_mut(&(env.to, env.session.0))
+                        else {
+                            continue; // a hostile session's uplinks
+                        };
+                        shard.ingest(env.from, env.payload).expect("in range");
+                        if !shard.is_complete() {
+                            continue;
+                        }
+                        let epoch = *epoch;
+                        let (_, shard) =
+                            sessions.remove(&(env.to, env.session.0)).expect("present");
+                        (env.to, epoch, shard.into_partial().encode())
+                    }
+                    _ => continue,
+                };
+                let reply = Envelope {
+                    session: env.session,
+                    round,
+                    from: 0,
+                    to: conn,
+                    payload: partial,
+                };
+                stream
+                    .write_all(&encode_wire_frame(&link, FrameKind::Partial, &reply))
+                    .expect("reply");
+            }
+        }
+    });
+    (addr, host)
+}
+
+/// A shard host that passed the link MAC but ships an undecodable or a
+/// past-cap partial fails its session closed with a typed verdict well
+/// inside the client's deadline — never a starved wait, never unbounded
+/// collector state — and the coordinator then serves an honest session.
+#[test]
+fn hostile_shard_host_partials_fail_closed_and_bounded() {
+    let key = AuthKey::from_seed(1717);
+    let plays = vec![HostPlay::Undecodable, HostPlay::PastCap, HostPlay::Honest];
+    let (addr, host) = fake_shard_host(key, plays);
+    let placement =
+        RemotePlacement::new(PlacementPolicy::balanced(1, &[0]), [(0, addr)]).expect("cover");
+    let server =
+        FleetServer::builder(key).placement(placement).spawn().expect("bind coordinator");
+    let deadline = Duration::from_secs(20);
+    let timeouts = WireTimeouts { hello: Duration::from_secs(10), verdict: deadline };
+    let client = FleetClient::connect_with(server.addr(), 1, key, timeouts).expect("connect");
+    let g = generators::gnp(9, 0.3, &mut StdRng::seed_from_u64(5));
+    let messages = local_phase(&EdgeCountProtocol, &g);
+    let verify = |i: u64| {
+        let arrivals = messages.iter().cloned().enumerate().map(|(j, m)| (j as u32 + 1, m));
+        let started = Instant::now();
+        let verdict = client.verify_session(SessionId(i), g.n(), arrivals);
+        assert!(started.elapsed() < deadline / 2, "session {i} waited out the deadline");
+        verdict
+    };
+    assert_eq!(verify(0), Err(DecodeError::Truncated), "undecodable partial");
+    match verify(1) {
+        Err(DecodeError::Invalid(_)) => {}
+        other => panic!("a past-cap partial must be refused as Invalid, got {other:?}"),
+    }
+    assert_eq!(verify(2), Ok(vector_digest(&key, &messages)), "honest session");
+    server.stop();
+    host.join().expect("fake host exits cleanly");
 }

@@ -7,15 +7,16 @@
 //!   multiplexed TCP connections. Every verdict carries a keyed digest
 //!   of the assembled message vector, cross-checked against the locally
 //!   computed vector — so the referee provably assembled *exactly* what
-//!   each session sent, with shard partials exchanged as MAC'd frames.
+//!   each session sent, with shard partials handed to the collector by
+//!   value.
 //! * **Multi-round, honest:** a `FleetServer` in multi-round mode (4
 //!   shard workers) runs the referee half of Borůvka for 600 sessions
 //!   over 8 connections: round-stamped uplinks route to shard workers
-//!   by ID range, per-round partials cross shards as MAC'd `Partial`
-//!   frames, and each round's downlinks stream back before the next
-//!   round fires. Every wire verdict is cross-checked against an
-//!   in-process `run_multiround` run *and* the centralized BFS truth;
-//!   the p99 verdict latency is SLO-gated by `REFEREE_SLO_P99_US`.
+//!   by ID range, per-round partials reach the collector by value, and
+//!   each round's downlinks stream back before the next round fires.
+//!   Every wire verdict is cross-checked against an in-process
+//!   `run_multiround` run *and* the centralized BFS truth; the p99
+//!   verdict latency is SLO-gated by `REFEREE_SLO_P99_US`.
 //! * **Tamper phases:** one bit flipped in every third frame, after MAC
 //!   computation, against a 2-shard server of each kind — every
 //!   tampered frame is MAC-rejected, affected sessions fail closed, and
