@@ -13,6 +13,8 @@
 
 pub mod experiments;
 
+use std::env::VarError;
+
 /// Render aligned rows (first row = header) as a markdown-ish table.
 pub fn render_table(rows: &[Vec<String>]) -> String {
     if rows.is_empty() {
@@ -217,6 +219,12 @@ pub fn write_bench_json(
     write_bench_json_in(std::path::Path::new("."), name, records)
 }
 
+/// Environment variable arming [`SloCheck::p99_us`].
+const SLO_P99_ENV: &str = "REFEREE_SLO_P99_US";
+
+/// Environment variable arming [`SloCheck::p999_us`].
+const SLO_P999_ENV: &str = "REFEREE_SLO_P999_US";
+
 /// A tail-latency SLO assertion for soak runs: ceilings (µs) on the
 /// p99 and/or p999 session latency. Disabled bounds are `None`, so a
 /// default `SloCheck` passes everything — soak examples call
@@ -232,10 +240,30 @@ pub struct SloCheck {
 
 impl SloCheck {
     /// Build from `REFEREE_SLO_P99_US` / `REFEREE_SLO_P999_US`.
-    /// Unset or unparsable variables leave that bound disabled.
+    /// An unset or empty variable leaves that bound disabled; any other
+    /// value must be a `u64` microsecond count.
+    ///
+    /// # Panics
+    ///
+    /// If a variable is set to anything else (`5s`, a non-Unicode
+    /// value, ...): a typo must fail the gate, not disarm it.
     pub fn from_env() -> SloCheck {
-        let read = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
-        SloCheck { p99_us: read("REFEREE_SLO_P99_US"), p999_us: read("REFEREE_SLO_P999_US") }
+        SloCheck::from_values(std::env::var(SLO_P99_ENV), std::env::var(SLO_P999_ENV))
+    }
+
+    /// [`SloCheck::from_env`] over the two lookup results, passed as
+    /// parameters so unit tests never mutate the process environment.
+    fn from_values(p99: Result<String, VarError>, p999: Result<String, VarError>) -> SloCheck {
+        let bound = |var: &str, value: Result<String, VarError>| match value {
+            Err(VarError::NotPresent) => None,
+            Ok(v) if v.is_empty() => None,
+            Ok(v) => Some(
+                v.parse::<u64>()
+                    .unwrap_or_else(|e| panic!("{var}={v:?} is not a microsecond count: {e}")),
+            ),
+            Err(VarError::NotUnicode(v)) => panic!("{var}={v:?} is not valid Unicode"),
+        };
+        SloCheck { p99_us: bound(SLO_P99_ENV, p99), p999_us: bound(SLO_P999_ENV, p999) }
     }
 
     /// Whether any bound is armed.
@@ -378,6 +406,34 @@ mod tests {
         let both = SloCheck { p99_us: Some(1), p999_us: Some(2) };
         let err = both.check("s", &p).unwrap_err();
         assert!(err.contains("p99 ") && err.contains("p999 "), "{err}");
+    }
+
+    #[test]
+    fn slo_from_values_arms_parses_and_disarms() {
+        let set = |v: &str| Ok(v.to_string());
+        let unset = || Err(VarError::NotPresent);
+        assert_eq!(SloCheck::from_values(unset(), unset()), SloCheck::default());
+        // An empty variable disarms its bound like an unset one.
+        assert_eq!(SloCheck::from_values(set(""), unset()), SloCheck::default());
+        assert_eq!(
+            SloCheck::from_values(set("5000000"), set("60000000")),
+            SloCheck { p99_us: Some(5_000_000), p999_us: Some(60_000_000) }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "REFEREE_SLO_P99_US=\"5s\"")]
+    fn slo_from_values_rejects_a_typo() {
+        SloCheck::from_values(Ok("5s".to_string()), Err(VarError::NotPresent));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    #[should_panic(expected = "REFEREE_SLO_P999_US")]
+    fn slo_from_values_rejects_non_unicode() {
+        use std::os::unix::ffi::OsStringExt;
+        let raw = std::ffi::OsString::from_vec(vec![b'5', 0xff]);
+        SloCheck::from_values(Err(VarError::NotPresent), Err(VarError::NotUnicode(raw)));
     }
 
     #[test]

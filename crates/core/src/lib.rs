@@ -32,6 +32,25 @@
 //! | [`referee_wirenet`] | real-socket reactor: multiplexed, MAC-authenticated wire frames for simnet fleets |
 //! | [`referee_reductions`] | Theorems 1–3 as executable reductions, Lemma 1 counting, collision witnesses, §IV bipartiteness reduction |
 //! | this crate | prelude, high-level helpers, §IV partition-connectivity |
+//!
+//! # Configuration
+//!
+//! Every environment variable the workspace reads. Each has two values
+//! in use or names a deployment address or path; every other setting
+//! is a constant. `tests/configuration.rs` pins this table to the
+//! `"REFEREE_…"` string literals in the source, so a new variable has
+//! to add a row here.
+//!
+//! | variable | read by | default | set by |
+//! |----------|---------|---------|--------|
+//! | `REFEREE_WIRENET_BIND` | [`FleetServerBuilder::spawn`](referee_wirenet::FleetServerBuilder::spawn) (an explicit `.bind()` wins) | `127.0.0.1:0` | cross-host deployments |
+//! | `REFEREE_SHARDHOST_BIND` | [`ShardHost::spawn_env`](referee_wirenet::ShardHost::spawn_env) | `127.0.0.1:0` | shard-host role processes |
+//! | `REFEREE_WIRENET_POLLER` | wire servers, clients and shard hosts (an explicit `.poller()` wins) | `epoll` (`sweep` off Linux) | CI's sweep-poller `exp_wirenet` step |
+//! | `REFEREE_TRACE_CAPACITY` | [`WireMetrics::default`](referee_wirenet::WireMetrics) | 8192 events | perfbench and `exp_wirenet` (`0`) |
+//! | `REFEREE_TRACE_DUMP` | [`dump_if_armed`](referee_protocol::trace::dump_if_armed) | off | CI's `cross_host_shards` step |
+//! | `REFEREE_SLO_P99_US` | `referee_bench::SloCheck::from_env` | unchecked | CI's soak steps |
+//! | `REFEREE_SLO_P999_US` | `referee_bench::SloCheck::from_env` | unchecked | CI's `cross_host_shards` step |
+//! | `REFEREE_EVIDENCE_DIR` | `examples/byzantine_fleet.rs` | no dump | CI's `byzantine_fleet` step |
 
 pub mod api;
 pub mod catalog;

@@ -20,38 +20,24 @@ use std::time::Instant;
 /// spawn overhead dominates under ~10k cheap local calls).
 const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 
-/// 0 = "not yet initialised from the environment".
-static PARALLEL_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
+static PARALLEL_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PARALLEL_THRESHOLD);
 
 /// The current local-phase parallelism threshold: simulators fan the
 /// local phase out across threads only for graphs with at least this
 /// many vertices.
 ///
-/// Resolution order: the last [`set_parallel_threshold`] call, else the
-/// `REFEREE_PARALLEL_THRESHOLD` environment variable, else 2048. Callers
-/// that drive *many* protocol runs concurrently (e.g. the `simnet`
-/// scheduler) set this to `usize::MAX` so per-run parallelism does not
-/// oversubscribe their worker pool.
+/// It is 2048 until a [`set_parallel_threshold`] call changes it.
+/// Callers that drive *many* protocol runs concurrently (e.g. the
+/// `simnet` scheduler) set this to `usize::MAX` so per-run parallelism
+/// does not oversubscribe their worker pool.
 pub fn parallel_threshold() -> usize {
-    match PARALLEL_THRESHOLD.load(Ordering::Relaxed) {
-        0 => {
-            let v = std::env::var("REFEREE_PARALLEL_THRESHOLD")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .unwrap_or(DEFAULT_PARALLEL_THRESHOLD)
-                .max(1);
-            PARALLEL_THRESHOLD.store(v, Ordering::Relaxed);
-            v
-        }
-        v => v,
-    }
+    PARALLEL_THRESHOLD.load(Ordering::Relaxed)
 }
 
 /// Override the local-phase parallelism threshold process-wide.
-/// `usize::MAX` disables nested parallelism entirely; values are clamped
-/// to at least 1 (0 would mean "re-read the environment").
+/// `usize::MAX` disables nested parallelism entirely.
 pub fn set_parallel_threshold(threshold: usize) {
-    PARALLEL_THRESHOLD.store(threshold.max(1), Ordering::Relaxed);
+    PARALLEL_THRESHOLD.store(threshold, Ordering::Relaxed);
 }
 
 /// Measurements from one protocol run.

@@ -67,7 +67,7 @@ use crate::multiround::{
     decode_mr_verdict, encode_mr_announce, run_catalog_server, ServiceCatalog, WireReferee,
     MAX_SERVICE_NAME_BYTES,
 };
-use crate::placement::{default_redial_backoff, RemotePlacement};
+use crate::placement::RemotePlacement;
 use crate::poll::{
     default_backend, fd_of, resolve_poller, Poller, PollerBackend, Readiness, POLLER_ENV,
 };
@@ -79,17 +79,13 @@ use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message, NodeView};
 use referee_simnet::{Envelope, SessionId, Transport, TransportCounters};
 use std::collections::{HashMap, VecDeque};
+use std::env::VarError;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// The sweep backend's sleep between pump sweeps that made no progress
-/// (also the floor for the epoll wait cap). Overridable per server via
-/// [`FleetServerBuilder::idle_sleep`].
-pub(crate) const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
 /// Client write-buffer occupancy that triggers an eager flush inside
 /// `send_kind` instead of waiting for the next pump: big-burst senders
@@ -102,57 +98,27 @@ const FLUSH_COALESCE_BYTES: usize = 16 * 1024;
 /// and will notify sooner on any readiness).
 const FOLLOWER_WAIT: Duration = Duration::from_millis(2);
 
-/// Environment variable overriding the Hello handshake deadline, in
-/// milliseconds (see [`WireTimeouts::hello`]).
-pub const HELLO_TIMEOUT_ENV: &str = "REFEREE_WIRENET_HELLO_TIMEOUT_MS";
-
-/// Environment variable overriding the verdict/round deadline, in
-/// milliseconds (see [`WireTimeouts::verdict`]).
-pub const VERDICT_TIMEOUT_ENV: &str = "REFEREE_WIRENET_VERDICT_TIMEOUT_MS";
-
-/// The client-side wire deadlines, configurable per
-/// [`FleetClient::connect_with`] or process-wide via environment
-/// variables (the same pattern as [`BIND_ENV`]). These used to be
-/// hardcoded consts; a slow CI host or a long multi-round session could
-/// spuriously trip the fixed 30 s verdict deadline with no recourse —
-/// now the defaults are only defaults.
+/// The client-side wire deadlines: [`WireTimeouts::default`] for
+/// [`FleetClient::connect`], explicit ones per
+/// [`FleetClient::connect_with`] (tests substitute short deadlines to
+/// exercise the timeout paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireTimeouts {
     /// How long a connecting client waits for the server's Hello
-    /// (default 10 s, or [`HELLO_TIMEOUT_ENV`]).
+    /// (default 10 s).
     pub hello: Duration,
     /// How long a client waits for a sharded referee's verdict after
     /// streaming a complete session — and, in multi-round mode, for
     /// each round's downlinks. The server judges in microseconds per
     /// step; this bound only exists so a server-side fault (a dead
     /// shard worker, a dropped verdict) surfaces as an error instead of
-    /// a hang (default 30 s, or [`VERDICT_TIMEOUT_ENV`]).
+    /// a hang (default 30 s).
     pub verdict: Duration,
 }
 
 impl Default for WireTimeouts {
-    /// The defaults, with environment overrides applied.
     fn default() -> WireTimeouts {
-        WireTimeouts::resolve(
-            std::env::var(HELLO_TIMEOUT_ENV).ok().as_deref(),
-            std::env::var(VERDICT_TIMEOUT_ENV).ok().as_deref(),
-        )
-    }
-}
-
-impl WireTimeouts {
-    /// Deadline precedence: a parseable positive millisecond value from
-    /// the environment, else the historical default. Split out (with
-    /// the env values as parameters) so it is unit-testable without
-    /// mutating the process environment; unparseable values fall back
-    /// to the default rather than failing a connect.
-    fn resolve(hello_env: Option<&str>, verdict_env: Option<&str>) -> WireTimeouts {
-        let parse = |env: Option<&str>, default_ms: u64| {
-            env.and_then(|s| s.trim().parse::<u64>().ok())
-                .filter(|&ms| ms > 0)
-                .map_or(Duration::from_millis(default_ms), Duration::from_millis)
-        };
-        WireTimeouts { hello: parse(hello_env, 10_000), verdict: parse(verdict_env, 30_000) }
+        WireTimeouts { hello: Duration::from_secs(10), verdict: Duration::from_secs(30) }
     }
 }
 
@@ -161,7 +127,8 @@ impl WireTimeouts {
 pub const BIND_ENV: &str = "REFEREE_WIRENET_BIND";
 
 /// The default bind address: loopback, ephemeral port.
-const DEFAULT_BIND: &str = "127.0.0.1:0";
+pub(crate) const DEFAULT_BIND: SocketAddr =
+    SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0));
 
 // ---------------------------------------------------------------------------
 // Server
@@ -188,9 +155,7 @@ pub struct FleetServerBuilder {
     bind: Option<SocketAddr>,
     catalog: Option<ServiceCatalog>,
     placement: Option<RemotePlacement>,
-    redial_backoff: Option<Duration>,
     poller: Option<PollerBackend>,
-    idle_sleep: Option<Duration>,
 }
 
 impl std::fmt::Debug for FleetServerBuilder {
@@ -200,9 +165,7 @@ impl std::fmt::Debug for FleetServerBuilder {
             .field("bind", &self.bind)
             .field("catalog", &self.catalog.is_some())
             .field("placement", &self.placement.is_some())
-            .field("redial_backoff", &self.redial_backoff)
             .field("poller", &self.poller)
-            .field("idle_sleep", &self.idle_sleep)
             .finish_non_exhaustive()
     }
 }
@@ -262,16 +225,6 @@ impl FleetServerBuilder {
         self
     }
 
-    /// How long a shard proxy waits between redial attempts to a dead
-    /// or restarting [`ShardHost`](crate::placement::ShardHost)
-    /// (remote placement only). Defaults to the historical 20 ms, or
-    /// the [`REDIAL_BACKOFF_ENV`](crate::placement::REDIAL_BACKOFF_ENV)
-    /// environment value — this builder knob wins over both.
-    pub fn redial_backoff(mut self, backoff: Duration) -> FleetServerBuilder {
-        self.redial_backoff = Some(backoff);
-        self
-    }
-
     /// Bind to `addr` instead of the default. For cross-host fleets
     /// bind a routable address (e.g. `0.0.0.0:7431`) and point clients
     /// at it; the [`BIND_ENV`] environment variable does the same
@@ -292,18 +245,9 @@ impl FleetServerBuilder {
         self
     }
 
-    /// Override the idle interval between no-progress pump sweeps
-    /// (default `50 µs`): the sweep backend sleeps it,
-    /// the epoll backend uses it (floored at 2 ms — `epoll_wait`
-    /// granularity) as the wait cap.
-    pub fn idle_sleep(mut self, idle: Duration) -> FleetServerBuilder {
-        self.idle_sleep = Some(idle);
-        self
-    }
-
     /// Bind, spawn the server thread(s) and start serving.
     pub fn spawn(self) -> io::Result<FleetServer> {
-        let addr = resolve_bind(self.bind, std::env::var(BIND_ENV).ok().as_deref())?;
+        let addr = resolve_bind(BIND_ENV, self.bind, std::env::var(BIND_ENV))?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -317,11 +261,9 @@ impl FleetServerBuilder {
             (None, 0, None) => None,
             (catalog, _, _) => Some(catalog.unwrap_or_else(|| digest_catalog(key))),
         };
-        let placement = self
-            .placement
-            .map(|p| (p, self.redial_backoff.unwrap_or_else(default_redial_backoff)));
+        let placement = self.placement;
         let backend = resolve_poller(self.poller, std::env::var(POLLER_ENV).ok().as_deref());
-        let poller = Poller::new(backend, self.idle_sleep.unwrap_or(IDLE_SLEEP));
+        let poller = Poller::new(backend);
         let thread = {
             let shutdown = Arc::clone(&shutdown);
             let metrics = Arc::clone(&metrics);
@@ -338,22 +280,28 @@ impl FleetServerBuilder {
     }
 }
 
-/// Bind-address precedence: explicit builder address, else the
-/// [`BIND_ENV`] environment value, else loopback-ephemeral. Split out
-/// (with the env value as a parameter) so it is unit-testable without
-/// mutating the process environment.
-fn resolve_bind(explicit: Option<SocketAddr>, env: Option<&str>) -> io::Result<SocketAddr> {
-    if let Some(addr) = explicit {
-        return Ok(addr);
-    }
-    match env {
-        Some(s) => s.parse().map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{BIND_ENV}={s} is not an ip:port address: {e}"),
-            )
-        }),
-        None => Ok(DEFAULT_BIND.parse().expect("constant address parses")),
+/// Bind-address precedence for a server ([`BIND_ENV`]) or a shard host
+/// ([`SHARD_HOST_BIND_ENV`](crate::placement::SHARD_HOST_BIND_ENV)):
+/// the explicit address, else the value of the environment variable
+/// `var`, else [`DEFAULT_BIND`]. The lookup result `env` is a parameter
+/// so unit tests never mutate the process environment. A set variable
+/// that is not an `ip:port` address, or not Unicode, is an
+/// `InvalidInput` error naming `var`, never a silent loopback bind.
+pub(crate) fn resolve_bind(
+    var: &str,
+    explicit: Option<SocketAddr>,
+    env: Result<String, VarError>,
+) -> io::Result<SocketAddr> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    match (explicit, env) {
+        (Some(addr), _) => Ok(addr),
+        (None, Ok(s)) => {
+            s.parse().map_err(|e| invalid(format!("{var}={s} is not an ip:port address: {e}")))
+        }
+        (None, Err(VarError::NotPresent)) => Ok(DEFAULT_BIND),
+        (None, Err(VarError::NotUnicode(s))) => {
+            Err(invalid(format!("{var}={s:?} is not valid Unicode")))
+        }
     }
 }
 
@@ -367,9 +315,7 @@ impl FleetServer {
             bind: None,
             catalog: None,
             placement: None,
-            redial_backoff: None,
             poller: None,
-            idle_sleep: None,
         }
     }
 
@@ -409,7 +355,8 @@ impl FleetServer {
     }
 
     /// Every evidence bundle the server's workers cut (up to the
-    /// `REFEREE_EVIDENCE_CAP` retention cap), in emission order. Each
+    /// [`DEFAULT_EVIDENCE_CAP`](crate::metrics::DEFAULT_EVIDENCE_CAP)
+    /// retained), in emission order. Each
     /// one is self-contained: verify it with
     /// [`verify_bundle`](referee_protocol::evidence::verify_bundle)
     /// against the fleet key and the session's parameters alone.
@@ -1077,8 +1024,8 @@ impl FleetClient {
     /// complete the per-connection key handshake on each. Both ends must
     /// hold the same base `key`; a mismatch fails here (the server's
     /// Hello does not authenticate), before any data is sent. Deadlines
-    /// come from [`WireTimeouts::default`] (environment-overridable);
-    /// use [`connect_with`](FleetClient::connect_with) to pass explicit
+    /// are [`WireTimeouts::default`]; use
+    /// [`connect_with`](FleetClient::connect_with) to pass explicit
     /// ones.
     pub fn connect(addr: SocketAddr, conns: usize, key: AuthKey) -> io::Result<FleetClient> {
         FleetClient::connect_with(addr, conns, key, WireTimeouts::default())
@@ -1094,7 +1041,7 @@ impl FleetClient {
     ) -> io::Result<FleetClient> {
         assert!(conns >= 1, "a fleet needs at least one connection");
         let metrics = Arc::new(WireMetrics::default());
-        let poller = Poller::new(default_backend(), IDLE_SLEEP);
+        let poller = Poller::new(default_backend());
         let mut scratch = vec![0u8; SCRATCH_BYTES];
         let mut pool = Vec::with_capacity(conns);
         for _ in 0..conns {
@@ -1422,7 +1369,8 @@ impl FleetClient {
     }
 
     /// Every evidence bundle the server shipped to this client (up to
-    /// the `REFEREE_EVIDENCE_CAP` retention cap), in arrival order —
+    /// [`DEFAULT_EVIDENCE_CAP`](crate::metrics::DEFAULT_EVIDENCE_CAP)
+    /// retained), in arrival order —
     /// the operator-side copy of the server's accountability log.
     pub fn evidence(&self) -> Vec<referee_protocol::evidence::EvidenceBundle> {
         self.core.metrics.evidence()
@@ -1540,34 +1488,42 @@ mod tests {
 
     #[test]
     fn bind_resolution_precedence() {
-        // Explicit beats env beats default; the env value is passed as
-        // a parameter so no test ever mutates the process environment.
+        // Explicit beats env beats default; the env lookup result is a
+        // parameter so no test ever mutates the process environment.
+        use crate::placement::SHARD_HOST_BIND_ENV;
+        let env = |s: &str| Ok(s.to_string());
         let explicit: SocketAddr = "10.0.0.1:7431".parse().unwrap();
-        assert_eq!(resolve_bind(Some(explicit), Some("0.0.0.0:9999")).unwrap(), explicit);
         assert_eq!(
-            resolve_bind(None, Some("0.0.0.0:9999")).unwrap(),
+            resolve_bind(BIND_ENV, Some(explicit), env("0.0.0.0:9999")).unwrap(),
+            explicit
+        );
+        assert_eq!(
+            resolve_bind(BIND_ENV, None, env("0.0.0.0:9999")).unwrap(),
             "0.0.0.0:9999".parse::<SocketAddr>().unwrap()
         );
-        let default = resolve_bind(None, None).unwrap();
+        let default = resolve_bind(BIND_ENV, None, Err(VarError::NotPresent)).unwrap();
         assert!(default.ip().is_loopback());
         assert_eq!(default.port(), 0);
-        let err = resolve_bind(None, Some("not-an-address")).unwrap_err();
+        let err = resolve_bind(BIND_ENV, None, env("not-an-address")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn timeout_resolution_precedence() {
-        // Env values (milliseconds) override; the historical consts stay
-        // the defaults. Env values are parameters here so no test ever
-        // mutates the process environment.
-        let d = WireTimeouts::resolve(None, None);
-        assert_eq!(d.hello, Duration::from_secs(10));
-        assert_eq!(d.verdict, Duration::from_secs(30));
-        let e = WireTimeouts::resolve(Some("250"), Some("90000"));
-        assert_eq!(e.hello, Duration::from_millis(250));
-        assert_eq!(e.verdict, Duration::from_secs(90));
-        // Garbage or zero falls back to the default instead of failing
-        // every connect on a typo'd environment.
-        assert_eq!(WireTimeouts::resolve(Some("zebra"), Some("0")), d);
+        assert!(err.to_string().contains(BIND_ENV), "{err}");
+        // A set but non-UTF-8 value is an error, not a loopback bind.
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStringExt;
+            let raw = std::ffi::OsString::from_vec(vec![b'1', 0xff, b':', b'7']);
+            let err = resolve_bind(BIND_ENV, None, Err(VarError::NotUnicode(raw))).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(BIND_ENV), "{err}");
+        }
+        // The shard-host variable resolves through the same function
+        // and names itself in its errors.
+        assert_eq!(
+            resolve_bind(SHARD_HOST_BIND_ENV, None, env("0.0.0.0:7432")).unwrap(),
+            "0.0.0.0:7432".parse::<SocketAddr>().unwrap()
+        );
+        let err = resolve_bind(SHARD_HOST_BIND_ENV, None, env("shard-host")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(SHARD_HOST_BIND_ENV), "{err}");
     }
 }

@@ -52,9 +52,8 @@
 //!   [`FleetClient::run_multiround_session`] drives the node half
 //!   client-side, so Borůvka-style protocols run against a live wire
 //!   referee. Client-side deadlines (Hello handshake, verdict/round
-//!   waits) are configurable via [`WireTimeouts`] and the
-//!   `REFEREE_WIRENET_{HELLO,VERDICT}_TIMEOUT_MS` environment
-//!   variables.
+//!   waits) default to 10 s and 30 s; [`FleetClient::connect_with`]
+//!   takes explicit [`WireTimeouts`].
 //! * [`shard`] — the **one-round verifier** is not a second engine but
 //!   the cap-1 catalog service on this one: its round-1 step answers
 //!   with a keyed [`vector_digest`] of the assembled vector, which
@@ -163,10 +162,7 @@
 //!    Clients connect exactly as before — remote placement is invisible
 //!    to them.
 //! 4. **Reconnect semantics** — if a shard host dies, its proxy redials
-//!    (20 ms backoff by default — tune with
-//!    [`FleetServerBuilder::redial_backoff`] or the
-//!    `REFEREE_WIRENET_REDIAL_BACKOFF_MS` environment variable),
-//!    re-registers under a fresh generation, and
+//!    (every 20 ms), re-registers under a fresh generation, and
 //!    replays the journal: uncommitted sessions are re-announced at
 //!    their resume round and their buffered uplinks resent, so the
 //!    rebuilt shard re-emits bit-identical partials and verdicts are
@@ -258,8 +254,8 @@
 //! [`WireSnapshot::evidence_bundles`] metric, stamped as
 //! `TraceKind::Evidence` on the flight recorder, and retained at both
 //! ends — [`FleetServer::evidence`] / [`FleetClient::evidence`] — up
-//! to the `REFEREE_EVIDENCE_CAP` retention cap ([`EVIDENCE_CAP_ENV`],
-//! default 1024; `0` disables retention, never emission). The
+//! to [`DEFAULT_EVIDENCE_CAP`](metrics::DEFAULT_EVIDENCE_CAP) (1024)
+//! bundles per endpoint; emission never stops. The
 //! `byzantine_fleet` example additionally dumps each retained bundle
 //! to `EVIDENCE_<k>_<i>.bin` when `REFEREE_EVIDENCE_DIR` names a
 //! directory, and CI re-uploads those as artifacts.
@@ -356,15 +352,13 @@ pub mod shard;
 pub use auth::AuthKey;
 pub use fleet::{
     FleetClient, FleetServer, FleetServerBuilder, SocketTransport, TamperConfig, WireTimeouts,
-    BIND_ENV, HELLO_TIMEOUT_ENV, VERDICT_TIMEOUT_ENV,
+    BIND_ENV,
 };
 pub use frame::{
     decode_frame, decode_frames, encode_frame, encode_frame_into, encode_wire_frame,
     DecodedFrame, FrameKind, WireError, HEADER_BYTES, TAG_BYTES, WIRE_VERSION,
 };
-pub use metrics::{
-    trace_endpoint, Stage, WireMetrics, WireSnapshot, EVIDENCE_CAP_ENV, TRACE_CAPACITY_ENV,
-};
+pub use metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot, TRACE_CAPACITY_ENV};
 pub use multiround::{
     boruvka_connectivity_service, decode_bool_output, decode_graph_output, encode_bool_output,
     encode_graph_output, ProtocolReferee, RefereeStepper, ServiceCatalog, WireReferee,
@@ -372,7 +366,7 @@ pub use multiround::{
 };
 pub use placement::{
     link_key, link_key_path, shard_key, HostId, PlacementPolicy, RemotePlacement, ShardHost,
-    DEFAULT_REDIAL_BACKOFF, REDIAL_BACKOFF_ENV, SHARD_HOST_BIND_ENV,
+    SHARD_HOST_BIND_ENV,
 };
 pub use poll::{PollerBackend, POLLER_ENV};
 pub use shard::vector_digest;

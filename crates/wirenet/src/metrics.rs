@@ -16,29 +16,17 @@ use referee_protocol::trace::{self, FlightRecorder, TraceKind, TraceSnapshot};
 /// [`DEFAULT_TRACE_CAPACITY`](referee_protocol::trace::DEFAULT_TRACE_CAPACITY).
 pub const TRACE_CAPACITY_ENV: &str = "REFEREE_TRACE_CAPACITY";
 
-/// Environment variable capping the per-endpoint evidence-bundle log
-/// (bundles retained in memory; the `evidence_bundles` counter keeps
-/// counting past the cap). `0` disables retention entirely; unset or
-/// unparsable keeps [`DEFAULT_EVIDENCE_CAP`].
-pub const EVIDENCE_CAP_ENV: &str = "REFEREE_EVIDENCE_CAP";
-
-/// Default number of [`EvidenceBundle`]s retained per endpoint. Bundles
-/// are a few dozen bytes each, and a healthy fleet emits none, so the
-/// cap only guards against a hostile peer grinding out violations.
+/// Number of [`EvidenceBundle`]s retained per endpoint (the
+/// `evidence_bundles` counter keeps counting past it). Bundles are a
+/// few dozen bytes each, and a healthy fleet emits none, so the cap
+/// only guards against a hostile peer grinding out violations.
 pub const DEFAULT_EVIDENCE_CAP: usize = 1024;
 
 /// Resolve a recorder capacity from the env value (passed as a
-/// parameter so unit tests never mutate the process environment —
-/// the same discipline as [`WireTimeouts`](crate::WireTimeouts)).
+/// parameter so unit tests never mutate the process environment).
 pub(crate) fn resolve_trace_capacity(env: Option<&str>) -> usize {
     env.and_then(|v| v.trim().parse::<usize>().ok())
         .unwrap_or(referee_protocol::trace::DEFAULT_TRACE_CAPACITY)
-}
-
-/// Resolve the evidence-log cap from the env value (same parameter
-/// discipline as [`resolve_trace_capacity`]).
-pub(crate) fn resolve_evidence_cap(env: Option<&str>) -> usize {
-    env.and_then(|v| v.trim().parse::<usize>().ok()).unwrap_or(DEFAULT_EVIDENCE_CAP)
 }
 
 /// Endpoint-id conventions for [`TraceEvent`](referee_protocol::TraceEvent)s
@@ -182,7 +170,7 @@ pub struct WireMetrics {
     /// and post-mortem time, so a mutex is fine here.
     remote_trace: Mutex<TraceSnapshot>,
     /// Evidence bundles cut (or received) by this endpoint, capped at
-    /// `evidence_cap` ([`EVIDENCE_CAP_ENV`]). Violations are rare and
+    /// `evidence_cap` ([`DEFAULT_EVIDENCE_CAP`]). Violations are rare and
     /// off the hot path, so a mutex is fine here too.
     evidence_log: Mutex<Vec<EvidenceBundle>>,
     evidence_cap: usize,
@@ -241,7 +229,7 @@ impl WireMetrics {
             )),
             remote_trace: Mutex::new(TraceSnapshot::new()),
             evidence_log: Mutex::new(Vec::new()),
-            evidence_cap: resolve_evidence_cap(std::env::var(EVIDENCE_CAP_ENV).ok().as_deref()),
+            evidence_cap: DEFAULT_EVIDENCE_CAP,
         }
     }
 
@@ -312,7 +300,7 @@ impl WireMetrics {
 
     /// Log one [`EvidenceBundle`] cut (or received) by this endpoint:
     /// bumps the `evidence_bundles` counter unconditionally and retains
-    /// the bundle up to the [`EVIDENCE_CAP_ENV`] cap.
+    /// the bundle up to the [`DEFAULT_EVIDENCE_CAP`] cap.
     pub fn record_evidence(&self, bundle: &EvidenceBundle) {
         self.evidence_bundles.fetch_add(1, Ordering::Relaxed);
         let mut log = self.evidence_log.lock().expect("evidence log lock");
@@ -624,16 +612,6 @@ mod tests {
         // Delta isolates phases for the evidence counter too.
         m.record_evidence(&bundle);
         assert_eq!(m.snapshot().delta(&s).evidence_bundles, 1);
-    }
-
-    #[test]
-    fn evidence_cap_resolution_precedence() {
-        assert_eq!(resolve_evidence_cap(None), DEFAULT_EVIDENCE_CAP);
-        assert_eq!(resolve_evidence_cap(Some("16")), 16);
-        assert_eq!(resolve_evidence_cap(Some(" 8 ")), 8);
-        // 0 is a *valid* setting: it disables retention (not counting).
-        assert_eq!(resolve_evidence_cap(Some("0")), 0);
-        assert_eq!(resolve_evidence_cap(Some("junk")), DEFAULT_EVIDENCE_CAP);
     }
 
     #[test]

@@ -101,7 +101,7 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The largest network size a session may announce. Workers size
 /// per-session state by `n` (the range partition, a protocol's referee
@@ -304,7 +304,7 @@ pub(crate) fn run_catalog_server(
     key: AuthKey,
     catalog: &ServiceCatalog,
     shards: usize,
-    placement: Option<(RemotePlacement, Duration)>,
+    placement: Option<RemotePlacement>,
     shutdown: &AtomicBool,
     metrics: &WireMetrics,
     poller: Poller,
@@ -320,15 +320,8 @@ pub(crate) fn run_catalog_server(
         for (i, rx) in worker_rxs.into_iter().enumerate() {
             let base = &key;
             match &placement {
-                Some((placement, backoff)) if i != acc => {
-                    let cfg = ProxyConfig {
-                        index: i,
-                        shards,
-                        base,
-                        placement,
-                        metrics,
-                        backoff: *backoff,
-                    };
+                Some(placement) if i != acc => {
+                    let cfg = ProxyConfig { index: i, shards, base, placement, metrics };
                     let acc_tx = worker_txs[acc].clone();
                     scope.spawn(move || run_proxy(cfg, rx, acc_tx, catalog));
                 }

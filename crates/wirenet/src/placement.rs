@@ -74,6 +74,7 @@
 //! whether the host is alive.
 
 use crate::auth::AuthKey;
+use crate::fleet::{resolve_bind, DEFAULT_BIND};
 use crate::frame::{
     encode_wire_frame, FrameKind, WireError, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES,
 };
@@ -102,30 +103,9 @@ pub use referee_protocol::shard::placement::{HostId, PlacementPolicy};
 /// Domain-separation tweak for the placement key hierarchy.
 const PLACEMENT_TWEAK: u64 = 0x706c_6163_655f_6b79; // "place_ky"
 
-/// Default proxy redial backoff after a shard-host link dies (see
-/// [`REDIAL_BACKOFF_ENV`] and
-/// [`FleetServerBuilder::redial_backoff`](crate::fleet::FleetServerBuilder::redial_backoff)).
-pub const DEFAULT_REDIAL_BACKOFF: Duration = Duration::from_millis(20);
-
-/// Environment variable overriding the proxy redial backoff, in
-/// milliseconds. Unset, unparsable or zero keeps
-/// [`DEFAULT_REDIAL_BACKOFF`]; the builder knob takes precedence.
-pub const REDIAL_BACKOFF_ENV: &str = "REFEREE_WIRENET_REDIAL_BACKOFF_MS";
-
-/// Resolve the redial backoff from an env *value* (passed as a
-/// parameter so unit tests never mutate the process environment — the
-/// same discipline as [`WireTimeouts`](crate::WireTimeouts)).
-pub(crate) fn resolve_redial_backoff(env: Option<&str>) -> Duration {
-    env.and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map_or(DEFAULT_REDIAL_BACKOFF, Duration::from_millis)
-}
-
-/// The redial backoff a builder starts from: [`REDIAL_BACKOFF_ENV`] if
-/// set, else [`DEFAULT_REDIAL_BACKOFF`].
-pub(crate) fn default_redial_backoff() -> Duration {
-    resolve_redial_backoff(std::env::var(REDIAL_BACKOFF_ENV).ok().as_deref())
-}
+/// How long a proxy waits between redial attempts to a dead or
+/// restarting shard host.
+const REDIAL_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Dial timeout for one connection attempt to a shard host.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
@@ -334,23 +314,16 @@ impl ShardHost {
     /// Spawn on loopback with an ephemeral port (tests, single-machine
     /// fleets).
     pub fn spawn(key: AuthKey) -> io::Result<ShardHost> {
-        ShardHost::spawn_at("127.0.0.1:0".parse().expect("constant address parses"), key)
+        ShardHost::spawn_at(DEFAULT_BIND, key)
     }
 
     /// Spawn on the address named by [`SHARD_HOST_BIND_ENV`] (falling
-    /// back to loopback-ephemeral) — the entry point for a dedicated
-    /// shard-host role process.
+    /// back to loopback-ephemeral when it is unset) — the entry point
+    /// for a dedicated shard-host role process. A set value that is not
+    /// an `ip:port` address, or not Unicode, fails with `InvalidInput`.
     pub fn spawn_env(key: AuthKey) -> io::Result<ShardHost> {
-        let addr = match std::env::var(SHARD_HOST_BIND_ENV) {
-            Ok(s) => s.parse().map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{SHARD_HOST_BIND_ENV}={s} is not an ip:port address: {e}"),
-                )
-            })?,
-            Err(_) => "127.0.0.1:0".parse().expect("constant address parses"),
-        };
-        ShardHost::spawn_at(addr, key)
+        let var = SHARD_HOST_BIND_ENV;
+        ShardHost::spawn_at(resolve_bind(var, None, std::env::var(var))?, key)
     }
 
     /// The address coordinators register at.
@@ -414,8 +387,7 @@ fn run_shard_host(
     metrics: &WireMetrics,
 ) {
     let reg_key = registration_key(&key);
-    let poller =
-        crate::poll::Poller::new(crate::poll::default_backend(), crate::fleet::IDLE_SLEEP);
+    let poller = crate::poll::Poller::new(crate::poll::default_backend());
     poller.register(crate::poll::fd_of(&listener));
     let mut links: Vec<HostLink> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH_BYTES];
@@ -683,8 +655,6 @@ pub(crate) struct ProxyConfig<'a> {
     pub base: &'a AuthKey,
     pub placement: &'a RemotePlacement,
     pub metrics: &'a WireMetrics,
-    /// How long to wait before redialling a dead shard-host link.
-    pub backoff: Duration,
 }
 
 impl ProxyConfig<'_> {
@@ -733,7 +703,7 @@ pub(crate) fn run_proxy(
         }
         // Keep the link alive: dial, register, replay.
         if !link.as_ref().is_some_and(Conn::is_open) {
-            let backoff_over = last_dial.is_none_or(|t| t.elapsed() >= cfg.backoff);
+            let backoff_over = last_dial.is_none_or(|t| t.elapsed() >= REDIAL_BACKOFF);
             if backoff_over {
                 last_dial = Some(Instant::now());
                 link = dial(&cfg, host, &mut generation, &sessions);
@@ -995,24 +965,5 @@ fn pump_partials(
                 return;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn redial_backoff_resolution_precedence() {
-        // Env values (milliseconds) override; the historical 20 ms stays
-        // the default. Env values are parameters here so no test ever
-        // mutates the process environment.
-        assert_eq!(resolve_redial_backoff(None), DEFAULT_REDIAL_BACKOFF);
-        assert_eq!(resolve_redial_backoff(Some("5")), Duration::from_millis(5));
-        assert_eq!(resolve_redial_backoff(Some(" 250 ")), Duration::from_millis(250));
-        // Garbage or zero falls back to the default instead of spinning
-        // the proxy dial loop hot on a typo'd environment.
-        assert_eq!(resolve_redial_backoff(Some("0")), DEFAULT_REDIAL_BACKOFF);
-        assert_eq!(resolve_redial_backoff(Some("fast")), DEFAULT_REDIAL_BACKOFF);
     }
 }

@@ -16,7 +16,7 @@
 //!   — e.g. a shard worker that just queued a verdict for the router to
 //!   flush.
 //! * [`PollerBackend::Sweep`] is the previous behavior (sleep
-//!   `idle`), kept as the non-Linux fallback and selectable everywhere
+//!   `IDLE_SLEEP`), kept as the non-Linux fallback and selectable everywhere
 //!   for A/B runs via [`POLLER_ENV`] or
 //!   [`FleetServerBuilder::poller`](crate::fleet::FleetServerBuilder::poller).
 //!
@@ -31,13 +31,22 @@
 //! `Readiness::All`: probe everything, the historical behavior.
 //! Edge-triggered registration is safe here because every pumped
 //! socket is drained to `WouldBlock` before the loop returns to the
-//! wait; the wait is additionally capped (milliseconds) and reports
+//! wait; the wait is additionally capped (`EPOLL_CAP`) and reports
 //! `All` on timeout, so a hypothetical missed or dropped edge degrades
 //! to the old sweep cadence instead of a hang, and shutdown flags are
 //! observed promptly.
 
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The sweep backend's sleep between pump sweeps that made no progress.
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
+
+/// The epoll wait cap: long enough to make idle CPU negligible, short
+/// enough that a (theoretically) missed edge or an unwoken channel send
+/// degrades to sweep cadence rather than a stall. `epoll_wait` timeouts
+/// have millisecond granularity.
+const EPOLL_CAP: Duration = Duration::from_millis(2);
 
 /// Environment variable selecting the poller backend (`epoll` or
 /// `sweep`, case-insensitive). The builder knob
@@ -271,21 +280,13 @@ enum Imp {
 /// kernel cannot see (shard workers queueing verdicts for the router).
 pub(crate) struct Poller {
     imp: Arc<Imp>,
-    idle: Duration,
-    /// The epoll wait cap: long enough to make idle CPU negligible,
-    /// short enough that a (theoretically) missed edge or an unwoken
-    /// channel send degrades to sweep cadence rather than a stall.
-    cap: Duration,
 }
 
 impl Poller {
     /// Build a poller for `backend`, falling back to sweep when epoll
-    /// is unavailable. `idle` is the sweep-backend sleep (the
-    /// historical `IDLE_SLEEP`); the epoll wait is capped at
-    /// `max(idle, 2 ms)` since `epoll_wait` timeouts have millisecond
-    /// granularity anyway.
-    pub(crate) fn new(backend: PollerBackend, idle: Duration) -> Poller {
-        let cap = idle.max(Duration::from_millis(2));
+    /// is unavailable. The sweep backend sleeps `IDLE_SLEEP` (50 µs)
+    /// per idle wait; the epoll wait is capped at `EPOLL_CAP` (2 ms).
+    pub(crate) fn new(backend: PollerBackend) -> Poller {
         let imp = match backend {
             #[cfg(target_os = "linux")]
             PollerBackend::Epoll => match Epoll::new() {
@@ -296,7 +297,7 @@ impl Poller {
             PollerBackend::Epoll => Imp::Sweep,
             PollerBackend::Sweep => Imp::Sweep,
         };
-        Poller { imp: Arc::new(imp), idle, cap }
+        Poller { imp: Arc::new(imp) }
     }
 
     /// The backend actually in effect (after any fallback).
@@ -327,9 +328,9 @@ impl Poller {
         match &*self.imp {
             #[cfg(target_os = "linux")]
             Imp::Epoll(ep) => {
-                ep.wait(self.cap, None);
+                ep.wait(EPOLL_CAP, None);
             }
-            Imp::Sweep => std::thread::sleep(self.idle),
+            Imp::Sweep => std::thread::sleep(IDLE_SLEEP),
         }
     }
 
@@ -345,9 +346,9 @@ impl Poller {
         ready.clear();
         match &*self.imp {
             #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.wait(self.cap, Some(ready)),
+            Imp::Epoll(ep) => ep.wait(EPOLL_CAP, Some(ready)),
             Imp::Sweep => {
-                std::thread::sleep(self.idle);
+                std::thread::sleep(IDLE_SLEEP);
                 Readiness::All
             }
         }
@@ -360,9 +361,9 @@ impl Poller {
         match &*self.imp {
             #[cfg(target_os = "linux")]
             Imp::Epoll(ep) => {
-                ep.wait(cap.min(self.cap), None);
+                ep.wait(cap.min(EPOLL_CAP), None);
             }
-            Imp::Sweep => std::thread::sleep(self.idle.min(cap)),
+            Imp::Sweep => std::thread::sleep(IDLE_SLEEP.min(cap)),
         }
     }
 
@@ -387,10 +388,7 @@ impl Poller {
 
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Poller")
-            .field("backend", &self.backend())
-            .field("idle", &self.idle)
-            .finish()
+        f.debug_struct("Poller").field("backend", &self.backend()).finish()
     }
 }
 
@@ -451,11 +449,11 @@ mod tests {
 
     #[test]
     fn sweep_backend_waits_the_idle_interval() {
-        let p = Poller::new(PollerBackend::Sweep, Duration::from_millis(5));
+        let p = Poller::new(PollerBackend::Sweep);
         assert_eq!(p.backend(), PollerBackend::Sweep);
         let t = Instant::now();
         p.wait();
-        assert!(t.elapsed() >= Duration::from_millis(5));
+        assert!(t.elapsed() >= IDLE_SLEEP);
         // wake() is a no-op, not a panic.
         p.wake();
         p.waker().wake();
@@ -464,7 +462,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_wake_interrupts_wait() {
-        let p = Poller::new(PollerBackend::Epoll, Duration::from_micros(50));
+        let p = Poller::new(PollerBackend::Epoll);
         assert_eq!(p.backend(), PollerBackend::Epoll, "epoll must be available on linux CI");
         // A pre-posted wake makes the wait return immediately even
         // with a long cap.
@@ -498,7 +496,7 @@ mod tests {
         let (rx, _) = listener.accept().unwrap();
         rx.set_nonblocking(true).unwrap();
 
-        let p = Poller::new(PollerBackend::Epoll, Duration::from_micros(50));
+        let p = Poller::new(PollerBackend::Epoll);
         assert_eq!(p.backend(), PollerBackend::Epoll);
         p.register(fd_of(&rx));
         // Drain the initial edge (registration reports the current

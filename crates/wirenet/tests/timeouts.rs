@@ -1,10 +1,9 @@
 //! Wire-deadline regression tests: a stalled or silent server must
 //! surface as an **error within the configured deadline**, never as a
-//! hang. The deadlines used to be hardcoded consts
-//! (`HELLO_TIMEOUT`/`VERDICT_TIMEOUT`); they are now client
-//! configuration ([`WireTimeouts`]) with environment overrides, so slow
-//! CI hosts and long multi-round sessions can widen them — and these
-//! tests can narrow them to prove the bound is real.
+//! hang. The deadlines are client configuration ([`WireTimeouts`],
+//! 10 s Hello / 30 s verdict by default), passed per
+//! [`FleetClient::connect_with`], so these tests can narrow them to
+//! prove the bound is real.
 
 use referee_protocol::{BitWriter, Message};
 use referee_simnet::{Envelope, SessionId};
