@@ -56,7 +56,9 @@ pub enum TraceKind {
     Redial = 1,
     /// A session announce was sent or accepted (payload: `n`).
     Announce = 2,
-    /// One uplink frame crossed the endpoint (payload: sender vertex).
+    /// Uplinks crossed the endpoint: servers and proxies record one
+    /// event per frame (payload: sender vertex); a wire client records
+    /// one event per round burst (payload: the round).
     Uplink = 3,
     /// A shard emitted its partial state (payload: shard index).
     PartialEmit = 4,

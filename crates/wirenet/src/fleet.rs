@@ -20,8 +20,11 @@
 //!   the server runs the referee itself on one session engine, split
 //!   across shard workers that hand per-round partial states to one
 //!   collector and reply with verdicts — see [`crate::multiround`].
-//!   The one-round verifier behind [`FleetClient::verify_session`] is
-//!   that engine's cap-1 digest service ([`crate::shard`]).
+//!   The one-round verifier is that engine's cap-1 digest service
+//!   ([`crate::shard`]). The client side is one session driver as
+//!   well: [`FleetClient::run_multiround_session`] runs a protocol's
+//!   node half through it, and [`FleetClient::verify_session`] is a
+//!   cap-1 session of it whose round 1 sends the given arrivals.
 //!
 //! # Per-connection keys
 //!
@@ -76,7 +79,7 @@ use crate::shard::{decode_digest_verdict, digest_catalog};
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::multiround::MultiRoundProtocol;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
-use referee_protocol::{BitWriter, DecodeError, Message, NodeView};
+use referee_protocol::{DecodeError, Message, NodeView};
 use referee_simnet::{Envelope, SessionId, Transport, TransportCounters};
 use std::collections::{HashMap, VecDeque};
 use std::env::VarError;
@@ -107,12 +110,13 @@ pub struct WireTimeouts {
     /// How long a connecting client waits for the server's Hello
     /// (default 10 s).
     pub hello: Duration,
-    /// How long a client waits for a sharded referee's verdict after
-    /// streaming a complete session — and, in multi-round mode, for
-    /// each round's downlinks. The server judges in microseconds per
-    /// step; this bound only exists so a server-side fault (a dead
-    /// shard worker, a dropped verdict) surfaces as an error instead of
-    /// a hang (default 30 s).
+    /// How long a client session waits, after sending a round's
+    /// uplinks, for that round's downlinks or the verdict. One rule
+    /// for every session: each round's wait is bounded by it, and a
+    /// cap-1 session ([`FleetClient::verify_session`]) has one round.
+    /// The server judges in microseconds per step; this bound only
+    /// exists so a server-side fault (a dead shard worker, a dropped
+    /// verdict) surfaces as an error instead of a hang (default 30 s).
     pub verdict: Duration,
 }
 
@@ -555,7 +559,7 @@ struct Lane {
     conn: usize,
     inbound: VecDeque<Envelope>,
     in_flight: u64,
-    /// The sharded referee's verdict payload, once it arrives.
+    /// The referee's verdict payload, once it arrives.
     verdict: Option<Message>,
 }
 
@@ -899,35 +903,11 @@ impl FleetCore {
         }
     }
 
-    /// Block until the sharded referee's verdict for `session` arrives,
-    /// its connection dies, or [`WireTimeouts::verdict`] elapses.
-    pub(crate) fn await_verdict(&self, session: SessionId) -> Result<Message, DecodeError> {
-        let deadline = Instant::now() + self.timeouts.verdict;
-        loop {
-            let mut st = self.lock();
-            let ci = st.lanes.get(&session.0).expect("session registered").conn;
-            self.pump_conn(&mut st, ci);
-            let lane = st.lanes.get_mut(&session.0).expect("session registered");
-            if let Some(v) = lane.verdict.take() {
-                return Ok(v);
-            }
-            if !st.conns[ci].is_open() {
-                return Err(DecodeError::Inconsistent(
-                    "connection poisoned while awaiting the shard verdict".into(),
-                ));
-            }
-            if Instant::now() > deadline {
-                return Err(DecodeError::Inconsistent(
-                    "no verdict from the sharded referee within the deadline".into(),
-                ));
-            }
-            self.wait_pump(st);
-        }
-    }
-
     /// Block until either round `round`'s complete downlink vector or
     /// the session's verdict arrives — or the connection dies, or
-    /// [`WireTimeouts::verdict`] elapses (the per-round deadline).
+    /// [`WireTimeouts::verdict`] elapses (the per-round deadline). Only
+    /// a network with nodes has downlinks, so a verdict is the only
+    /// thing that ends an empty network's wait.
     fn await_round(
         &self,
         session: SessionId,
@@ -935,7 +915,9 @@ impl FleetCore {
         round: u32,
     ) -> Result<RoundWait, DecodeError> {
         let deadline = Instant::now() + self.timeouts.verdict;
-        let mut downlinks: Vec<Option<Message>> = vec![None; n];
+        // Slots are allocated on the first downlink: a round that ends
+        // in the verdict (every cap-1 session's) allocates nothing.
+        let mut downlinks: Vec<Option<Message>> = Vec::new();
         let mut filled = 0usize;
         loop {
             let mut st = self.lock();
@@ -958,6 +940,9 @@ impl FleetCore {
                         env.round
                     )));
                 }
+                if downlinks.is_empty() {
+                    downlinks.resize(n, None);
+                }
                 let slot = &mut downlinks[(env.to - 1) as usize];
                 if slot.is_some() {
                     return Err(DecodeError::Inconsistent(format!(
@@ -968,7 +953,7 @@ impl FleetCore {
                 *slot = Some(env.payload);
                 filled += 1;
             }
-            if filled == n {
+            if n > 0 && filled == n {
                 let msgs = downlinks.into_iter().map(|d| d.expect("all filled")).collect();
                 return Ok(RoundWait::Downlinks(msgs));
             }
@@ -979,8 +964,7 @@ impl FleetCore {
             }
             if Instant::now() > deadline {
                 return Err(DecodeError::Inconsistent(format!(
-                    "no round-{round} downlinks from the multi-round referee within the \
-                     deadline"
+                    "no round-{round} downlinks or verdict from the referee within the deadline"
                 )));
             }
             self.wait_pump(st);
@@ -1103,35 +1087,29 @@ impl FleetClient {
 
     /// Have a **sharded** [`FleetServer`] assemble and verify one
     /// session: announce the network size, stream the `(sender,
-    /// message)` arrivals, and block for the referee's verdict.
+    /// message)` arrivals, and block for the referee's verdict. This is
+    /// a cap-1 session of the multi-round driver
+    /// ([`run_multiround_session`](FleetClient::run_multiround_session))
+    /// whose round 1 sends the arrivals verbatim, so it speaks to the
+    /// server's cap-1 digest service (see [`crate::shard`]).
     ///
     /// `Ok(digest)` is the server's keyed digest of the assembled
     /// message vector (compare against
     /// [`vector_digest`](crate::shard::vector_digest) of the locally
     /// known vector to rule out any silent reordering or substitution);
-    /// `Err` carries the canonical rejection verdict, or the delivery
-    /// failure if the connection died first. Faulty sessions fail
-    /// *fast*: a duplicate or out-of-range sender fixes the verdict's
-    /// `Err` shape, so the server judges without waiting for the rest
-    /// of the vector, and supplying anything other than exactly `n`
-    /// arrivals errors client-side before a single frame is sent (so an
-    /// aborted call leaves no session state behind). Panics if `session` is already
+    /// `Err` carries the canonical rejection verdict, the delivery
+    /// failure if the connection died first, a deadline miss, or the
+    /// 1-round cap error if the service answered round 1 with downlinks
+    /// instead of a verdict. Faulty sessions fail *fast*: a duplicate or
+    /// out-of-range sender fixes the verdict's `Err` shape, so the
+    /// server judges without waiting for the rest of the vector, and
+    /// supplying anything other than exactly `n` arrivals errors
+    /// client-side before a single frame is sent (so an aborted call
+    /// leaves no session state behind). Panics if `session` is already
     /// registered, like [`transport`](FleetClient::transport); once the
     /// verdict returns, the id is reusable — the server retires judged
     /// sessions from every shard worker.
     pub fn verify_session(
-        &self,
-        session: SessionId,
-        n: usize,
-        arrivals: impl IntoIterator<Item = (u32, Message)>,
-    ) -> Result<u64, DecodeError> {
-        self.core.register(session);
-        let result = self.verify_inner(session, n, arrivals);
-        self.core.release(session);
-        result
-    }
-
-    fn verify_inner(
         &self,
         session: SessionId,
         n: usize,
@@ -1143,49 +1121,21 @@ impl FleetClient {
         // duplicate or stray — and a trailing extra could race the
         // verdict. Rejecting up front means an aborted call leaves no
         // wedged session state on the server.
-        let arrivals: Vec<(u32, Message)> = arrivals.into_iter().collect();
+        let mut arrivals: Vec<(u32, Message)> = arrivals.into_iter().collect();
         if arrivals.len() != n {
             return Err(DecodeError::Inconsistent(format!(
                 "a size-{n} session needs exactly {n} arrivals, got {}",
                 arrivals.len()
             )));
         }
-        let opened = Instant::now();
-        let mut w = BitWriter::new();
-        w.write_bits(n as u64, 32);
-        let announce =
-            Envelope { session, round: 0, from: 0, to: 0, payload: Message::from_writer(w) };
-        if !self.core.send_kind(FrameKind::Announce, &announce) {
-            return Err(DecodeError::Inconsistent(
-                "connection died announcing the session".into(),
-            ));
-        }
-        self.core.metrics.record_stage(Stage::Announce, opened.elapsed());
-        self.core.metrics.trace(
-            session.0,
-            trace_endpoint::CLIENT,
-            TraceKind::Announce,
-            n as u64,
-        );
-        for (sender, payload) in arrivals {
-            let env = Envelope { session, round: 1, from: sender, to: 0, payload };
-            if !self.core.send_kind(FrameKind::Data, &env) {
-                return Err(DecodeError::Inconsistent(format!(
-                    "connection died sending the message of node {sender}"
-                )));
-            }
-        }
-        self.core.metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
-        self.core.metrics.trace(session.0, trace_endpoint::CLIENT, TraceKind::Uplink, n as u64);
-        let verdict = decode_digest_verdict(&self.core.await_verdict(session)?);
-        self.core.metrics.record_stage(Stage::Verdict, opened.elapsed());
-        self.core.metrics.trace(
-            session.0,
-            trace_endpoint::CLIENT,
-            TraceKind::Verdict,
-            verdict.is_ok() as u64,
-        );
-        verdict
+        // Duplicate and out-of-range senders go out as given: judging
+        // them is the server's round rules' job.
+        let verdict = self.run_session(session, n, None, 1, |round, _| {
+            std::mem::take(&mut arrivals)
+                .into_iter()
+                .try_for_each(|(from, payload)| self.send_uplink(session, round, from, payload))
+        })?;
+        decode_digest_verdict(&verdict)
     }
 
     /// Drive one multi-round session against a **multi-round**
@@ -1193,17 +1143,19 @@ impl FleetClient {
     /// *node half* of `protocol` — node sends, node→node CONGEST links
     /// (kept local; they never involve the referee), node receives —
     /// while the server runs `referee_step` per round over its sharded
-    /// uplink wait and streams MAC'd downlinks back.
+    /// uplink wait and streams MAC'd downlinks back. An empty graph
+    /// sends no uplinks: its one wait ends at the server's verdict.
     ///
     /// `Ok` carries the server's **encoded** final output (decode with
     /// the helper matching the served referee, e.g.
     /// [`decode_bool_output`](crate::multiround::decode_bool_output));
-    /// `Err` is the canonical rejection class, a delivery failure, or a
+    /// `Err` is the canonical rejection class, a delivery failure, a
     /// deadline miss ([`WireTimeouts::verdict`] bounds every round's
-    /// wait, so a stalled server errors instead of hanging). Panics if
-    /// `session` is registered on a live transport, like
-    /// [`transport`](FleetClient::transport); the id is reusable once
-    /// the call returns.
+    /// wait, so a stalled server errors instead of hanging), or the
+    /// cap error once `max_rounds` rounds brought downlinks but no
+    /// verdict. Panics if `session` is registered on a live transport,
+    /// like [`transport`](FleetClient::transport); the id is reusable
+    /// once the call returns.
     pub fn run_multiround_session<P: MultiRoundProtocol>(
         &self,
         session: SessionId,
@@ -1211,10 +1163,7 @@ impl FleetClient {
         g: &LabelledGraph,
         max_rounds: usize,
     ) -> Result<Message, DecodeError> {
-        self.core.register(session);
-        let result = self.run_multiround_inner(session, None, protocol, g, max_rounds);
-        self.core.release(session);
-        result
+        self.run_multiround_inner(session, None, protocol, g, max_rounds)
     }
 
     /// Like [`run_multiround_session`](FleetClient::run_multiround_session),
@@ -1233,10 +1182,7 @@ impl FleetClient {
         g: &LabelledGraph,
         max_rounds: usize,
     ) -> Result<Message, DecodeError> {
-        self.core.register(session);
-        let result = self.run_multiround_inner(session, Some(service), protocol, g, max_rounds);
-        self.core.release(session);
-        result
+        self.run_multiround_inner(session, Some(service), protocol, g, max_rounds)
     }
 
     fn run_multiround_inner<P: MultiRoundProtocol>(
@@ -1248,66 +1194,25 @@ impl FleetClient {
         max_rounds: usize,
     ) -> Result<Message, DecodeError> {
         let n = g.n();
-        if service.is_some_and(|s| s.is_empty() || s.len() > MAX_SERVICE_NAME_BYTES) {
-            return Err(DecodeError::Invalid(format!(
-                "service names must be 1..={MAX_SERVICE_NAME_BYTES} bytes"
-            )));
-        }
-        if max_rounds == 0 {
-            // Mirror `run_multiround`'s contract: a zero-round cap runs
-            // no protocol at all. The local API reports "referee never
-            // finished" as `Ok(None)`; this wire API's analogue is the
-            // cap error — returned before anything is announced, so the
-            // server sees no session state either.
-            return Err(DecodeError::Invalid(
-                "no verdict within the client's 0-round cap".into(),
-            ));
-        }
-        let opened = Instant::now();
-        let announce = Envelope {
-            session,
-            round: 0,
-            from: 0,
-            to: 0,
-            payload: encode_mr_announce(n, service),
-        };
-        if !self.core.send_kind(FrameKind::Announce, &announce) {
-            return Err(DecodeError::Inconsistent(
-                "connection died announcing the session".into(),
-            ));
-        }
-        self.core.metrics.record_stage(Stage::Announce, opened.elapsed());
-        self.core.metrics.trace(
-            session.0,
-            trace_endpoint::CLIENT,
-            TraceKind::Announce,
-            n as u64,
-        );
-        if n == 0 {
-            // No nodes, no rounds to drive: the server steps the empty
-            // uplink vectors itself and judges.
-            let verdict = decode_mr_verdict(&self.core.await_verdict(session)?);
-            self.core.metrics.record_stage(Stage::Verdict, opened.elapsed());
-            return verdict;
-        }
-        let mut node_states: Vec<P::NodeState> = (1..=n as u32)
-            .map(|v| protocol.node_init(NodeView::new(n, v, g.neighbourhood(v))))
-            .collect();
-        for round in 1..=max_rounds as u32 {
-            let round_opened = Instant::now();
-            // Phase 1: node sends. Uplinks cross the wire; link
-            // messages are delivered locally, one per edge per round.
-            let mut inbox: Vec<Vec<(VertexId, Message)>> = vec![Vec::new(); n];
+        let view = |v: u32| NodeView::new(n, v, g.neighbourhood(v));
+        let mut states: Vec<P::NodeState> =
+            (1..=n as u32).map(|v| protocol.node_init(view(v))).collect();
+        // Each node's link messages of the current round.
+        let mut inbox: Vec<Vec<(VertexId, Message)>> = vec![Vec::new(); n];
+        let node_half = |round: u32, downlinks: Vec<Message>| {
+            // The previous round's node receives (none before round 1).
+            for (i, down) in downlinks.iter().enumerate() {
+                let (v, prev) = (i as u32 + 1, round as usize - 1);
+                inbox[i].sort_by_key(|&(from, _)| from);
+                protocol.node_receive(&mut states[i], view(v), prev, &inbox[i], down);
+                inbox[i].clear();
+            }
+            // Node sends: uplinks cross the wire; link messages are
+            // delivered locally, one per edge per round.
             for v in 1..=n as u32 {
-                let view = NodeView::new(n, v, g.neighbourhood(v));
                 let (to_nbrs, uplink) =
-                    protocol.node_send(&node_states[(v - 1) as usize], view, round as usize);
-                let env = Envelope { session, round, from: v, to: 0, payload: uplink };
-                if !self.core.send_kind(FrameKind::Data, &env) {
-                    return Err(DecodeError::Inconsistent(format!(
-                        "connection died sending the round-{round} uplink of node {v}"
-                    )));
-                }
+                    protocol.node_send(&states[(v - 1) as usize], view(v), round as usize);
+                self.send_uplink(session, round, v, uplink)?;
                 for (target, payload) in to_nbrs {
                     if !g.has_edge(v, target) {
                         return Err(DecodeError::Invalid(format!(
@@ -1323,43 +1228,106 @@ impl FleetClient {
                     inbox[(target - 1) as usize].push((v, payload));
                 }
             }
-            self.core.metrics.record_stage(Stage::UplinksComplete, round_opened.elapsed());
-            self.core.metrics.trace(
-                session.0,
-                trace_endpoint::CLIENT,
-                TraceKind::Uplink,
-                u64::from(round),
-            );
-            // Phase 2: the referee's word — downlinks or the verdict.
-            let downlinks = match self.core.await_round(session, n, round)? {
-                RoundWait::Verdict(v) => {
-                    self.core.metrics.record_stage(Stage::Verdict, opened.elapsed());
-                    self.core.metrics.trace(
-                        session.0,
-                        trace_endpoint::CLIENT,
-                        TraceKind::Verdict,
-                        u64::from(round),
-                    );
-                    return decode_mr_verdict(&v);
-                }
+            Ok(())
+        };
+        let verdict = self.run_session(session, n, service, max_rounds, node_half)?;
+        decode_mr_verdict(&verdict)
+    }
+
+    /// The one client session driver behind every entry point: register
+    /// the lane, announce `n` (and `service`), then per round let
+    /// `node_half` deliver the previous round's downlinks (none in
+    /// round 1) and send this round's uplinks, and wait once for the
+    /// referee's word. Returns the raw verdict payload; each caller
+    /// decodes its service's shape.
+    fn run_session(
+        &self,
+        session: SessionId,
+        n: usize,
+        service: Option<&str>,
+        max_rounds: usize,
+        node_half: impl FnMut(u32, Vec<Message>) -> Result<(), DecodeError>,
+    ) -> Result<Message, DecodeError> {
+        self.core.register(session);
+        let result = self.run_rounds(session, n, service, max_rounds, node_half);
+        self.core.release(session);
+        result
+    }
+
+    fn run_rounds(
+        &self,
+        session: SessionId,
+        n: usize,
+        service: Option<&str>,
+        max_rounds: usize,
+        mut node_half: impl FnMut(u32, Vec<Message>) -> Result<(), DecodeError>,
+    ) -> Result<Message, DecodeError> {
+        if service.is_some_and(|s| s.is_empty() || s.len() > MAX_SERVICE_NAME_BYTES) {
+            return Err(DecodeError::Invalid(format!(
+                "service names must be 1..={MAX_SERVICE_NAME_BYTES} bytes"
+            )));
+        }
+        if max_rounds == 0 {
+            // Mirror `run_multiround`'s contract: a zero-round cap runs
+            // no protocol at all. The local API reports "referee never
+            // finished" as `Ok(None)`; this wire API's analogue is the
+            // cap error — returned before anything is announced, so the
+            // server sees no session state either.
+            return Err(DecodeError::Invalid(
+                "no verdict within the client's 0-round cap".into(),
+            ));
+        }
+        let metrics = &self.core.metrics;
+        let trace =
+            |kind, payload| metrics.trace(session.0, trace_endpoint::CLIENT, kind, payload);
+        let opened = Instant::now();
+        let announce = Envelope {
+            session,
+            round: 0,
+            from: 0,
+            to: 0,
+            payload: encode_mr_announce(n, service),
+        };
+        if !self.core.send_kind(FrameKind::Announce, &announce) {
+            return Err(DecodeError::Inconsistent(
+                "connection died announcing the session".into(),
+            ));
+        }
+        metrics.record_stage(Stage::Announce, opened.elapsed());
+        trace(TraceKind::Announce, n as u64);
+        let mut downlinks = Vec::new();
+        for round in 1..=max_rounds as u32 {
+            let round_opened = Instant::now();
+            node_half(round, downlinks)?;
+            metrics.record_stage(Stage::UplinksComplete, round_opened.elapsed());
+            trace(TraceKind::Uplink, u64::from(round));
+            downlinks = match self.core.await_round(session, n, round)? {
                 RoundWait::Downlinks(d) => d,
+                RoundWait::Verdict(v) => {
+                    metrics.record_stage(Stage::Verdict, opened.elapsed());
+                    trace(TraceKind::Verdict, v.len_bits() as u64);
+                    return Ok(v);
+                }
             };
-            // Phase 3: node receives.
-            for v in 1..=n as u32 {
-                let i = (v - 1) as usize;
-                inbox[i].sort_by_key(|&(from, _)| from);
-                let view = NodeView::new(n, v, g.neighbourhood(v));
-                protocol.node_receive(
-                    &mut node_states[i],
-                    view,
-                    round as usize,
-                    &inbox[i],
-                    &downlinks[i],
-                );
-            }
         }
         Err(DecodeError::Invalid(format!(
             "no verdict within the client's {max_rounds}-round cap"
+        )))
+    }
+
+    /// Frame node `from`'s round-`round` uplink onto `session`'s lane.
+    fn send_uplink(
+        &self,
+        session: SessionId,
+        round: u32,
+        from: u32,
+        payload: Message,
+    ) -> Result<(), DecodeError> {
+        if self.core.send(&Envelope { session, round, from, to: 0, payload }) {
+            return Ok(());
+        }
+        Err(DecodeError::Inconsistent(format!(
+            "connection died sending the round-{round} uplink of node {from}"
         )))
     }
 

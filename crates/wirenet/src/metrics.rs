@@ -66,8 +66,8 @@ pub enum Stage {
     ConnectHello,
     /// Session open → announce frame queued and flushed.
     Announce,
-    /// Announce → the session's last uplink queued (per round in
-    /// multi-round mode).
+    /// A round's start → its last uplink queued on a client, or its
+    /// range's uplinks complete on a shard host (once per round).
     UplinksComplete,
     /// Server side: a session (or round) opening → its partial states
     /// fully merged across shards.

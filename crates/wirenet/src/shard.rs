@@ -10,8 +10,9 @@
 //! else is needed:
 //!
 //! * [`FleetClient::verify_session`](crate::FleetClient::verify_session)
+//!   is a cap-1 session of the client's one session driver: it
 //!   announces with the bare 32-bit payload, which selects catalog
-//!   entry 0, and stamps its uplinks round 1;
+//!   entry 0, and sends its arrivals as round 1's uplinks;
 //! * the verdict is the engine's — `1` plus the 64-bit digest, or `0`
 //!   plus the 2-bit rejection class — and the client cross-checks the
 //!   digest against the vector it sent, so a referee that reordered,

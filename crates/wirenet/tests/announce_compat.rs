@@ -15,7 +15,7 @@ use referee_wirenet::{
     FrameKind, ServiceCatalog, MAX_SERVICE_NAME_BYTES, MAX_SESSION_NODES,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 const CAP: usize = 64;
@@ -263,4 +263,63 @@ fn oversize_network_announce_fails_closed_with_typed_verdict() {
         let stats = server.stop();
         assert_eq!(stats.decode_rejects, 2, "one reject per oversize announce");
     }
+}
+
+/// The client's wire bytes, pinned: `verify_session` writes a round-0
+/// `Announce` carrying exactly the bare 32-bit `n`, then one round-1
+/// `Data` frame per arrival in the order given — non-ID order and a
+/// duplicate sender included — each MAC'd under the connection's
+/// derived key. A raw listener plays the server's Hello and captures
+/// what the client writes.
+#[test]
+fn verify_session_writes_the_bare_announce_and_arrivals_verbatim() {
+    const CONN_ID: u32 = 5;
+    let base = AuthKey::from_seed(65);
+    let session = SessionId(7);
+    let msg = |v: u64| {
+        let mut w = BitWriter::new();
+        w.write_bits(v, 8);
+        Message::from_writer(w)
+    };
+    let arrivals = vec![(3, msg(30)), (1, msg(10)), (3, msg(31))];
+
+    let key = base.derive(u64::from(CONN_ID));
+    let announce = Envelope { session, round: 0, from: 0, to: 0, payload: bare_announce(3) };
+    let mut expected = encode_wire_frame(&key, FrameKind::Announce, &announce);
+    for (from, payload) in arrivals.clone() {
+        let env = Envelope { session, round: 1, from, to: 0, payload };
+        expected.extend_from_slice(&encode_wire_frame(&key, FrameKind::Data, &env));
+    }
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let want = expected.len();
+    let capture = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = Envelope {
+            session: SessionId(0),
+            round: 0,
+            from: CONN_ID,
+            to: 0,
+            payload: Message::empty(),
+        };
+        stream.write_all(&encode_wire_frame(&base, FrameKind::Hello, &hello)).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut got = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while got.len() < want {
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => break,
+                Ok(k) => got.extend_from_slice(&chunk[..k]),
+            }
+        }
+        // Closing here ends the client's wait with a delivery failure.
+        got
+    });
+
+    let client = FleetClient::connect(addr, 1, base).expect("connect");
+    let result = client.verify_session(session, 3, arrivals);
+    let got = capture.join().unwrap();
+    assert_eq!(got, expected, "the client's bytes differ from the hand-built frames");
+    assert!(result.is_err(), "a capture-only server judges nothing: {result:?}");
 }

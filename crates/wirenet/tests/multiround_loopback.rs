@@ -8,17 +8,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use referee_graph::{algo, generators, LabelledGraph};
 use referee_protocol::evidence::{verify_bundle, EvidenceBundle, ProvableError, SessionParams};
-use referee_protocol::multiround::{run_multiround, BoruvkaConnectivity};
+use referee_protocol::multiround::{run_multiround, BoruvkaConnectivity, RefereeStep};
 use referee_protocol::shard::replay::encode_resume;
-use referee_protocol::{BitWriter, Message};
+use referee_protocol::trace::TraceKind;
+use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, Scheduler, SessionId};
 use referee_wirenet::placement::{link_key, register_frame, shard_key};
 use referee_wirenet::{
-    boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame, AuthKey,
-    FleetClient, FleetServer, FrameKind, ShardHost, TamperConfig, WireError,
+    boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame,
+    trace_endpoint, AuthKey, FleetClient, FleetServer, FrameKind, RefereeStepper, ShardHost,
+    TamperConfig, WireError, WireReferee, WireTimeouts,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn graphs(count: usize, seed: u64) -> Vec<LabelledGraph> {
@@ -166,6 +169,110 @@ fn zero_round_cap_runs_nothing() {
     let stats = server.stop();
     assert_eq!(stats.frames_received, 0);
     assert_eq!(stats.verdict_frames, 0);
+}
+
+/// A referee that never finishes: every round answers each node with
+/// an empty downlink.
+struct AlwaysContinue;
+
+impl RefereeStepper for AlwaysContinue {
+    fn step(&mut self, n: usize, _round: usize, _uplinks: &[Message]) -> RefereeStep<Message> {
+        RefereeStep::Continue(vec![Message::empty(); n])
+    }
+}
+
+impl WireReferee for AlwaysContinue {
+    fn open(&self, _n: usize) -> Box<dyn RefereeStepper> {
+        Box::new(AlwaysContinue)
+    }
+
+    fn round_cap(&self, _n: usize) -> usize {
+        CAP
+    }
+}
+
+/// `verify_session` is a 1-round session: against a service that
+/// answers round 1 with downlinks instead of a verdict it returns the
+/// client's cap error as soon as those downlinks arrive, well inside
+/// the verdict deadline.
+#[test]
+fn verify_session_against_a_continuing_service_fails_fast() {
+    let key = AuthKey::from_seed(58);
+    let server = FleetServer::spawn_multiround(key, 2, Arc::new(AlwaysContinue)).unwrap();
+    let timeouts =
+        WireTimeouts { hello: Duration::from_secs(5), verdict: Duration::from_secs(10) };
+    let client = FleetClient::connect_with(server.addr(), 1, key, timeouts).unwrap();
+    let arrivals = (1..=4u32).map(|v| (v, bits(u64::from(v), 8)));
+    let t0 = Instant::now();
+    let err = client
+        .verify_session(SessionId(1), 4, arrivals)
+        .expect_err("a service that never judges cannot verify");
+    let elapsed = t0.elapsed();
+    match &err {
+        DecodeError::Invalid(m) => assert!(m.contains("1-round cap"), "{m}"),
+        other => panic!("expected the client's cap error, got {other:?}"),
+    }
+    assert!(elapsed < Duration::from_secs(1), "waited {elapsed:?} for a verdict");
+    drop(client);
+    server.stop();
+}
+
+/// Every client session leaves the same trace at the client endpoint:
+/// one `Announce` (payload `n`), one `Uplink` per round sent (payload:
+/// the round) and exactly one `Verdict` (payload: the raw verdict's bit
+/// length) — for a verify session, a multi-round Borůvka session and an
+/// empty network alike.
+#[test]
+fn every_client_session_leaves_the_same_trace_shape() {
+    let key = AuthKey::from_seed(59);
+    let verifier = FleetServer::spawn_sharded(key, 2).unwrap();
+    let multiround =
+        FleetServer::spawn_multiround(key, 2, boruvka_connectivity_service()).unwrap();
+    let vclient = FleetClient::connect(verifier.addr(), 1, key).unwrap();
+    let mclient = FleetClient::connect(multiround.addr(), 1, key).unwrap();
+    let client_events = |client: &FleetClient, session: u64| {
+        let trace = client.stitched_trace();
+        let mut events: Vec<_> = trace
+            .session_events(session)
+            .filter(|e| e.endpoint == trace_endpoint::CLIENT)
+            .map(|e| (e.seq, e.kind, e.payload))
+            .collect();
+        events.sort();
+        events.into_iter().map(|(_, kind, payload)| (kind, payload)).collect::<Vec<_>>()
+    };
+    let shape = |n: usize, rounds: usize, verdict_bits: usize| {
+        let mut shape = vec![(TraceKind::Announce, n as u64)];
+        shape.extend((1..=rounds as u64).map(|r| (TraceKind::Uplink, r)));
+        shape.push((TraceKind::Verdict, verdict_bits as u64));
+        shape
+    };
+
+    // Verify: one round; the digest verdict is `1` plus 64 digest bits.
+    let arrivals = vec![(2, bits(2, 8)), (1, bits(1, 8)), (3, bits(3, 8))];
+    vclient.verify_session(SessionId(1), 3, arrivals).expect("honest session verifies");
+    assert_eq!(client_events(&vclient, 1), shape(3, 1, 65), "verify session");
+
+    // Borůvka: one Uplink per round the in-process run takes; the raw
+    // verdict is `1` plus the encoded output.
+    let g = generators::grid(3, 3);
+    let out = mclient
+        .run_multiround_session(SessionId(2), &BoruvkaConnectivity, &g, CAP)
+        .expect("honest session completes");
+    let (_, stats) = run_multiround(&BoruvkaConnectivity, &g, CAP);
+    assert_eq!(
+        client_events(&mclient, 2),
+        shape(9, stats.rounds, 1 + out.len_bits()),
+        "Borůvka"
+    );
+
+    // The empty network: no uplinks, but round 1 is still its one wait.
+    let out = mclient
+        .run_multiround_session(SessionId(3), &BoruvkaConnectivity, &LabelledGraph::new(0), CAP)
+        .expect("the empty network completes");
+    assert_eq!(client_events(&mclient, 3), shape(0, 1, 1 + out.len_bits()), "empty network");
+
+    verifier.stop();
+    multiround.stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@
 //! [`FleetClient::connect_with`], so these tests can narrow them to
 //! prove the bound is real.
 
+use referee_graph::{generators, LabelledGraph};
+use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_protocol::{BitWriter, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::{encode_wire_frame, AuthKey, FleetClient, FrameKind, WireTimeouts};
 use std::io::Write;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A server that accepts but never speaks: `connect` must fail with
@@ -33,19 +36,17 @@ fn silent_server_trips_the_hello_deadline() {
     drop(listener);
 }
 
-/// A server that completes the Hello handshake and then stalls forever:
-/// `verify_session` must error once the (short) verdict deadline
-/// passes — the old fixed 30 s wait is now configurable, and the bound
-/// is proven tight here.
-#[test]
-fn stalled_server_trips_the_verdict_deadline() {
-    let key = AuthKey::from_seed(41);
+/// A server that completes the Hello handshake like a real one (Hello
+/// under the base key, naming connection 1) and then stalls: it
+/// discards whatever arrives and answers nothing, but keeps the
+/// connection open until the client closes it (or 20 s pass), so the
+/// client cannot blame a dead socket. Returns the address and the
+/// stalling thread, which ends once the client is dropped.
+fn stalled_server(key: AuthKey) -> (SocketAddr, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let stall = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
-        // Speak the handshake like a real server (Hello under the base
-        // key, naming connection 1) …
         let hello = Envelope {
             session: SessionId(0),
             round: 0,
@@ -54,11 +55,20 @@ fn stalled_server_trips_the_verdict_deadline() {
             payload: Message::empty(),
         };
         stream.write_all(&encode_wire_frame(&key, FrameKind::Hello, &hello)).unwrap();
-        // … then stall: read nothing, answer nothing, but keep the
-        // connection open so the client cannot blame a dead socket.
-        std::thread::sleep(Duration::from_secs(20));
-        drop(stream);
+        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let _ = std::io::copy(&mut stream, &mut std::io::sink());
     });
+    (addr, stall)
+}
+
+/// A server that completes the Hello handshake and then stalls forever:
+/// `verify_session` must error once the (short) verdict deadline
+/// passes — the old fixed 30 s wait is now configurable, and the bound
+/// is proven tight here.
+#[test]
+fn stalled_server_trips_the_verdict_deadline() {
+    let key = AuthKey::from_seed(41);
+    let (addr, stall) = stalled_server(key);
 
     let timeouts =
         WireTimeouts { hello: Duration::from_secs(5), verdict: Duration::from_millis(300) };
@@ -77,6 +87,38 @@ fn stalled_server_trips_the_verdict_deadline() {
     assert!(elapsed >= Duration::from_millis(300), "returned before the deadline");
     assert!(elapsed < Duration::from_secs(10), "deadline not honoured: {elapsed:?}");
     drop(client);
-    // The stalling thread is joined on its own schedule; detach it.
-    drop(stall);
+    stall.join().unwrap();
+}
+
+/// The same stalled server bounds every multi-round session's round
+/// wait: a Borůvka session (its round-1 downlinks never come) and an
+/// empty network (its verdict never comes) each error once the
+/// (short) deadline passes.
+#[test]
+fn stalled_server_trips_the_round_deadline() {
+    let key = AuthKey::from_seed(42);
+    let (addr, stall) = stalled_server(key);
+
+    let timeouts =
+        WireTimeouts { hello: Duration::from_secs(5), verdict: Duration::from_millis(300) };
+    let client = FleetClient::connect_with(addr, 1, key, timeouts).unwrap();
+    for (id, g) in [(1, generators::path(4)), (2, LabelledGraph::new(0))] {
+        let t0 = Instant::now();
+        let err = client
+            .run_multiround_session(SessionId(id), &BoruvkaConnectivity, &g, 64)
+            .expect_err("a stalled server must not judge anything");
+        let elapsed = t0.elapsed();
+        let n = g.n();
+        assert!(
+            format!("{err}").contains("deadline"),
+            "n = {n}: expected a deadline error: {err}"
+        );
+        assert!(elapsed >= Duration::from_millis(300), "n = {n}: returned before the deadline");
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "n = {n}: deadline not honoured: {elapsed:?}"
+        );
+    }
+    drop(client);
+    stall.join().unwrap();
 }
