@@ -60,14 +60,16 @@ pub enum TraceKind {
     /// event per frame (payload: sender vertex); a wire client records
     /// one event per round burst (payload: the round).
     Uplink = 3,
-    /// A shard emitted its partial state (payload: shard index).
+    /// A shard emitted its partial state (payload: the partial's
+    /// protocol round; a one-round session's partials are round 1's).
     PartialEmit = 4,
     /// A partial state merged into an accumulator (payload: shard index).
     PartialMerge = 5,
     /// One referee invocation — the global phase or one multi-round
     /// step (payload: protocol round).
     RefereeStep = 6,
-    /// A frame failed MAC verification (payload: frame byte length).
+    /// A frame failed MAC verification and its connection closed
+    /// (payload: always 0).
     MacReject = 7,
     /// A session was poisoned / a poison notice was synthesized
     /// (payload: offending sender when known).
@@ -75,7 +77,8 @@ pub enum TraceKind {
     /// A journaled frame was replayed to a restarted shard host
     /// (payload: sender vertex).
     Replay = 9,
-    /// A verdict was issued or observed (payload: verdict bit length).
+    /// A verdict was issued or observed (payload: the bit length of
+    /// the verdict payload on the wire).
     Verdict = 10,
     /// A host/process was killed by a chaos schedule (payload: host id).
     Kill = 11,

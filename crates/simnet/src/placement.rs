@@ -180,11 +180,12 @@ impl PlacementSim {
                 let ready = slot.as_ref().is_some_and(|s| s.is_complete() || s.is_poisoned());
                 if ready {
                     let partial = slot.take().expect("checked above").into_partial();
+                    // One-round sessions: every partial is round 1's.
                     tr(
                         tracer,
                         host_endpoint(policy.host_of_shard(i)),
                         TraceKind::PartialEmit,
-                        i as u64,
+                        1,
                     );
                     acc.merge(partial).expect("same-n partials always merge");
                     tr(tracer, COORDINATOR, TraceKind::PartialMerge, i as u64);
@@ -246,19 +247,17 @@ impl PlacementSim {
         // ending early).
         for (i, slot) in shards.iter_mut().enumerate() {
             if let Some(shard) = slot.take() {
-                tr(
-                    tracer,
-                    host_endpoint(policy.host_of_shard(i)),
-                    TraceKind::PartialEmit,
-                    i as u64,
-                );
+                tr(tracer, host_endpoint(policy.host_of_shard(i)), TraceKind::PartialEmit, 1);
                 acc.merge(shard.into_partial()).expect("same-n partials always merge");
                 tr(tracer, COORDINATOR, TraceKind::PartialMerge, i as u64);
                 journals[i].commit(1);
             }
         }
         report.verdict = acc.finish();
-        tr(tracer, COORDINATOR, TraceKind::Verdict, report.verdict.is_ok() as u64);
+        // The bit length of the verdict the wire's digest service ships:
+        // `1` + the 64-bit digest, or `0` + the 2-bit rejection class.
+        let verdict_bits = if report.verdict.is_ok() { 65 } else { 3 };
+        tr(tracer, COORDINATOR, TraceKind::Verdict, verdict_bits);
         report
     }
 
@@ -417,6 +416,19 @@ mod tests {
         assert_eq!(count(TraceKind::Uplink), arrivals.len());
         assert_eq!(count(TraceKind::PartialEmit), count(TraceKind::PartialMerge));
         assert_eq!(count(TraceKind::Verdict), 1);
+        // One payload meaning per kind: a partial carries its round (a
+        // one-round session has only round 1), a verdict the bit length
+        // the digest service ships (`1` + a 64-bit digest when honest).
+        let payloads = |kind: TraceKind| {
+            snap.events()
+                .iter()
+                .filter(|e| e.kind == kind)
+                .map(|e| e.payload)
+                .collect::<Vec<_>>()
+        };
+        assert!(traced.verdict.is_ok());
+        assert!(payloads(TraceKind::PartialEmit).iter().all(|&round| round == 1));
+        assert_eq!(payloads(TraceKind::Verdict), [65]);
         // ManualClock hands every event its own tick, so the timeline is
         // causally ordered: all stamps distinct, and within each
         // endpoint's lane seq order and time order agree.

@@ -45,26 +45,32 @@
 //! so outcomes are bit-for-bit identical to in-memory runs (pinned by
 //! the loopback tests).
 //!
-//! Failure model: any MAC or decode failure poisons its connection on
-//! the spot (a length-prefixed stream cannot resynchronize, and a
-//! tampering peer must not keep talking). Sessions bound to a poisoned
-//! connection starve, observe an empty transport, and reject with the
-//! *existing* `DecodeError` delivery-failure paths — no new failure
-//! oracle is introduced.
+//! Failure model: server and client drain frames through the reactor's
+//! one drain under one reject rule — a MAC failure (counted in
+//! `mac_rejects`, traced as `MacReject` at the endpoint), an
+//! undecodable frame or a frame kind the endpoint does not accept
+//! (both counted in `decode_rejects`) poisons its connection on the
+//! spot (a length-prefixed stream cannot resynchronize, and a tampering
+//! peer must not keep talking). Sessions bound to a poisoned connection
+//! starve, observe an empty transport, and reject with the *existing*
+//! `DecodeError` delivery-failure paths — no new failure oracle is
+//! introduced.
 //!
 //! Backpressure: client senders stall (and count the stall) whenever a
 //! connection's write buffer exceeds the reactor's high-water mark, and
-//! pump the reactor until it drains; the server stops *reading* from any
-//! connection whose outbound buffer is over the mark, letting TCP push
-//! back on the peer — so memory stays bounded on both ends no matter how
-//! bursty (or slow-reading) the fleet is.
+//! pump the reactor until it drains; every server role (echo mailbox,
+//! router, shard host) runs the reactor's one server loop, which stops
+//! *reading* from any connection whose outbound buffer is over the mark
+//! (one latched stall per episode), letting TCP push back on the peer —
+//! so memory stays bounded on both ends no matter how bursty (or
+//! slow-reading) the fleet is.
 //!
 //! Lifecycle: dropping a [`SocketTransport`] retires its session's
 //! demux lane; echoes still in flight are counted as `orphan_frames`
 //! and discarded, and the session id becomes reusable.
 
 use crate::auth::AuthKey;
-use crate::frame::{FrameKind, WireError};
+use crate::frame::FrameKind;
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
 use crate::multiround::{
     decode_mr_verdict, encode_mr_announce, run_catalog_server, ServiceCatalog, WireReferee,
@@ -72,9 +78,9 @@ use crate::multiround::{
 };
 use crate::placement::RemotePlacement;
 use crate::poll::{
-    default_backend, fd_of, resolve_poller, Poller, PollerBackend, Readiness, POLLER_ENV,
+    default_backend, resolve_poller, Poller, PollerBackend, Readiness, POLLER_ENV,
 };
-use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
+use crate::reactor::{send_hello, serve, Conn, Role, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
 use crate::shard::{decode_digest_verdict, digest_catalog};
 use referee_graph::{LabelledGraph, VertexId};
 use referee_protocol::multiround::MultiRoundProtocol;
@@ -273,7 +279,7 @@ impl FleetServerBuilder {
             let metrics = Arc::clone(&metrics);
             thread::Builder::new().name("wirenet-server".into()).spawn(
                 move || match catalog {
-                    None => run_server(listener, key, &shutdown, &metrics, &poller),
+                    None => serve(listener, key, &mut Echo(key), &shutdown, &metrics, &poller),
                     Some(catalog) => run_catalog_server(
                         listener, key, &catalog, shards, placement, &shutdown, &metrics, poller,
                     ),
@@ -394,146 +400,38 @@ impl Drop for FleetServer {
     }
 }
 
-/// Accept one pending connection, if any: assign the next connection
-/// id, queue the Hello (MAC'd with the base key — the only frame that
-/// ever crosses under it), and switch the connection to its derived
-/// key. Hello frames are handshake overhead and deliberately absent
-/// from the frame metrics.
-pub(crate) fn accept_conn(
-    listener: &TcpListener,
-    base: &AuthKey,
-    next_id: &mut u32,
-) -> Option<(u32, Conn)> {
-    let (stream, _) = listener.accept().ok()?;
-    let mut conn = Conn::new(stream, *base).ok()?;
-    let id = *next_id;
-    *next_id += 1;
-    conn.queue_frame(
-        FrameKind::Hello,
-        &Envelope {
-            session: SessionId(0),
-            round: 0,
-            from: id,
-            to: 0,
-            payload: Message::empty(),
-        },
-    );
-    conn.set_key(base.derive(id as u64));
-    Some((id, conn))
-}
+/// The echo mailbox role of the server loop: every authenticated
+/// `Data` frame goes straight back; any other kind is rejected.
+struct Echo(AuthKey);
 
-fn run_server(
-    listener: TcpListener,
-    key: AuthKey,
-    shutdown: &AtomicBool,
-    metrics: &WireMetrics,
-    poller: &Poller,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut next_id: u32 = 1;
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let listener_fd = fd_of(&listener);
-    poller.register(listener_fd);
-    let mut ready: Vec<i32> = Vec::new();
-    let mut readiness = Readiness::All;
-    while !shutdown.load(Ordering::Relaxed) {
-        let mut progress = false;
-        // Accept when the listener edged (or on a full sweep — the
-        // degraded path every non-Fds readiness answer takes). An Err
-        // is WouldBlock or a transient failure: try again next sweep.
-        if readiness == Readiness::All || ready.contains(&listener_fd) {
-            while let Some((id, mut conn)) = accept_conn(&listener, &key, &mut next_id) {
-                metrics.connections(1);
-                conn.meter_with(metrics.syscall_meter());
-                conn.trace_with(metrics.recorder_arc(), trace_endpoint::SERVER);
-                metrics.trace(0, trace_endpoint::SERVER, TraceKind::Dial, u64::from(id));
-                poller.register(conn.fd());
-                conns.push(conn);
-                progress = true;
+impl Role for Echo {
+    type Link = ();
+
+    fn accept(&mut self, conn: &mut Conn, id: u32, metrics: &WireMetrics) {
+        send_hello(conn, &self.0, id, metrics);
+    }
+
+    fn pump(
+        &mut self,
+        conn: &mut Conn,
+        _: &mut (),
+        scratch: &mut [u8],
+        m: &WireMetrics,
+    ) -> bool {
+        // `echo_frame` authenticates and requeues the raw bytes in
+        // place: no envelope build, no intermediate copy — the server
+        // never looks inside a Data frame, so per frame it pays one MAC
+        // and one memcpy, nothing else. Control frames have no business
+        // at an echo mailbox; a peer sending them is confused or
+        // hostile.
+        conn.drain(scratch, m, Conn::echo_frame, |_, (kind, wire_len)| {
+            if kind != FrameKind::Data {
+                return false;
             }
-        }
-        // Pump the connections the kernel flagged (all of them when
-        // readiness degraded): flush echoes, read frames, validate,
-        // echo back.
-        let pump_list: Vec<usize> = match readiness {
-            Readiness::All => (0..conns.len()).collect(),
-            Readiness::Fds => {
-                ready.iter().filter_map(|fd| conns.iter().position(|c| c.fd() == *fd)).collect()
-            }
-        };
-        for ci in pump_list {
-            let conn = &mut conns[ci];
-            conn.flush();
-            // Backpressure: a peer that writes but never reads would
-            // otherwise grow our echo buffer without bound. Stop
-            // reading until the buffer drains — TCP then pushes back on
-            // the peer's sends. Counted once per episode (latched), not
-            // once per 50 µs sweep.
-            if conn.pending_write() > WRITE_BACKPRESSURE_BYTES {
-                if !conn.stalled {
-                    conn.stalled = true;
-                    metrics.backpressure_stalls(1);
-                }
-                continue;
-            }
-            conn.stalled = false;
-            let got = conn.fill(&mut scratch);
-            metrics.bytes_received(got as u64);
-            progress |= got > 0;
-            loop {
-                // `echo_frame` authenticates and requeues the raw bytes
-                // in place: no envelope build, no intermediate copy —
-                // the server never looks inside a Data frame, so per
-                // frame it pays one MAC and one memcpy, nothing else.
-                match conn.echo_frame() {
-                    Ok(None) => break,
-                    Ok(Some((FrameKind::Data, wire_len))) => {
-                        metrics.frames_received(1);
-                        metrics.frames_sent(1);
-                        metrics.bytes_sent(wire_len as u64);
-                    }
-                    Ok(Some((kind, _))) => {
-                        // Control frames have no business at an echo
-                        // mailbox; a peer sending them is confused or
-                        // hostile.
-                        let _ = kind;
-                        metrics.decode_rejects(1);
-                        conn.close();
-                        break;
-                    }
-                    Err(WireError::BadMac) => {
-                        // Tamper-evident fail-fast: a connection that
-                        // carried one corrupted frame is dead to us.
-                        metrics.mac_rejects(1);
-                        metrics.trace(0, trace_endpoint::SERVER, TraceKind::MacReject, 0);
-                        conn.close();
-                        break;
-                    }
-                    Err(_) => {
-                        metrics.decode_rejects(1);
-                        conn.close();
-                        break;
-                    }
-                }
-            }
-            // One batched flush per connection per sweep: every echo
-            // queued by the decode loop above leaves in a single
-            // `write(2)` (frames_per_write > 1 under load).
-            conn.flush();
-        }
-        conns.retain(Conn::is_open);
-        // Under epoll, every pumped socket was drained to `WouldBlock`
-        // and anything new arrives as a fresh readiness edge, so go
-        // straight back to the wait (whose capped timeout reports
-        // `All`, re-probing stalled or missed sockets at sweep
-        // cadence). The sweep backend has no edges: keep the
-        // historical behavior of re-sweeping immediately while traffic
-        // flows, sleeping only when a sweep moves nothing.
-        if progress && poller.backend() == PollerBackend::Sweep {
-            readiness = Readiness::All;
-            continue;
-        }
-        readiness = poller.wait_ready(&mut ready);
+            m.frames_sent(1);
+            m.bytes_sent(wire_len as u64);
+            true
+        })
     }
 }
 
@@ -712,87 +610,52 @@ impl FleetCore {
             return false;
         }
         let mut progress = conn.flush() > 0;
-        // Only probe the socket while the kernel may have bytes for us:
-        // under the epoll backend the leader re-arms `readable` from
-        // real readiness events, so an idle lane's pump costs zero
-        // `read(2)`s instead of one guaranteed `EAGAIN` per call. The
-        // sweep backend never clears the flag (no event source).
-        if conn.readable {
-            let got = conn.fill(scratch);
-            self.metrics.bytes_received(got as u64);
-            progress |= got > 0;
-            if self.poller.backend() == PollerBackend::Epoll {
-                // `fill` drained to a short read or `EAGAIN`: the
-                // socket is empty until the next readiness edge.
-                conn.readable = false;
-            }
-        }
-        loop {
-            match conn.next_frame() {
-                Ok(None) => break,
-                Ok(Some((FrameKind::Data, env))) => {
-                    self.metrics.frames_received(1);
-                    match lanes.get_mut(&env.session.0) {
-                        Some(lane) => {
-                            lane.in_flight = lane.in_flight.saturating_sub(1);
-                            lane.inbound.push_back(env);
-                        }
-                        None => {
-                            // A late echo for a lane already retired
-                            // (the transport was dropped with frames
-                            // still in flight) — count and discard.
-                            self.metrics.orphan_frames(1);
-                        }
+        let metrics = &self.metrics;
+        progress |= conn.drain(scratch, metrics, Conn::next_frame, |_, (kind, env)| {
+            match kind {
+                FrameKind::Data => match lanes.get_mut(&env.session.0) {
+                    Some(lane) => {
+                        lane.in_flight = lane.in_flight.saturating_sub(1);
+                        lane.inbound.push_back(env);
                     }
-                    progress = true;
-                }
-                Ok(Some((FrameKind::Verdict, env))) => {
-                    self.metrics.frames_received(1);
-                    match lanes.get_mut(&env.session.0) {
-                        Some(lane) => lane.verdict = Some(env.payload),
-                        None => self.metrics.orphan_frames(1),
-                    }
-                    progress = true;
-                }
-                Ok(Some((FrameKind::Evidence, env))) => {
+                    // A late echo for a lane already retired (the
+                    // transport was dropped with frames still in
+                    // flight) — count and discard.
+                    None => metrics.orphan_frames(1),
+                },
+                FrameKind::Verdict => match lanes.get_mut(&env.session.0) {
+                    Some(lane) => lane.verdict = Some(env.payload),
+                    None => metrics.orphan_frames(1),
+                },
+                FrameKind::Evidence => {
                     // The server cut a bundle proving a protocol
                     // violation on this fleet: log it (counter + capped
                     // retention) so operators can pull it via
                     // [`FleetClient::evidence`] and verify it
                     // third-party against the session key schedule.
-                    self.metrics.frames_received(1);
                     match referee_protocol::evidence::EvidenceBundle::decode(&env.payload) {
                         Ok(bundle) => {
-                            self.metrics.record_evidence(&bundle);
-                            self.metrics.trace(
-                                env.session.0,
-                                trace_endpoint::CLIENT,
-                                TraceKind::Evidence,
-                                u64::from(env.from),
-                            );
+                            metrics.record_evidence(&bundle);
+                            let (session, from) = (env.session.0, u64::from(env.from));
+                            let endpoint = trace_endpoint::CLIENT;
+                            metrics.trace(session, endpoint, TraceKind::Evidence, from);
                         }
-                        Err(_) => self.metrics.decode_rejects(1),
+                        Err(_) => metrics.decode_rejects(1),
                     }
-                    progress = true;
                 }
-                Ok(Some((_, _))) => {
-                    // Hello was consumed at connect; Announce and
-                    // Partial never flow server → client.
-                    self.metrics.decode_rejects(1);
-                    conn.close();
-                    break;
-                }
-                Err(WireError::BadMac) => {
-                    self.metrics.mac_rejects(1);
-                    conn.close();
-                    break;
-                }
-                Err(_) => {
-                    self.metrics.decode_rejects(1);
-                    conn.close();
-                    break;
-                }
+                // Hello was consumed at connect; Announce and Partial
+                // never flow server → client.
+                _ => return false,
             }
+            true
+        });
+        // Under epoll the drain emptied the socket (a short read or
+        // `EAGAIN`): skip the probe until the leader re-arms `readable`
+        // from a readiness edge, so an idle lane's pump costs zero
+        // `read(2)`s instead of one guaranteed `EAGAIN`. The sweep
+        // backend has no event source and never clears the flag.
+        if self.poller.backend() == PollerBackend::Epoll {
+            conn.readable = false;
         }
         progress
     }

@@ -27,11 +27,14 @@
 //!   [`POLLER_ENV`]-selectable fallback), outbound frames coalesced
 //!   into one reused buffer per connection (MAC computed in place,
 //!   zero per-frame allocation, one `write(2)` per flush) and inbound
-//!   bytes drained once then batch-decoded. The epoll wait hands the
-//!   hot loops the *set* of fds that edged, so they pump exactly the
-//!   flagged connections (any degraded answer falls back to probing
-//!   the whole pool); the echo server authenticates and requeues Data
-//!   frames in place without ever materializing an envelope. The
+//!   bytes drained once then batch-decoded. The echo mailbox, the
+//!   router and the shard host run one server loop, and every endpoint
+//!   reads frames through one drain under one reject rule. The epoll
+//!   wait hands the loops the *set* of fds that edged, so they pump
+//!   exactly the flagged connections (any degraded answer falls back to
+//!   probing the whole pool); the echo mailbox authenticates and
+//!   requeues Data frames in place without ever materializing an
+//!   envelope. The
 //!   `write_syscalls`/`read_syscalls` counters and
 //!   [`WireSnapshot::frames_per_write`] make the batching measurable.
 //! * [`fleet`] — the referee-side acceptor ([`FleetServer`]: echo

@@ -82,12 +82,11 @@
 //! undecodable host partial with its decode error.
 
 use crate::auth::AuthKey;
-use crate::fleet::accept_conn;
-use crate::frame::{FrameKind, WireError};
+use crate::frame::FrameKind;
 use crate::metrics::{trace_endpoint, Stage, WireMetrics};
 use crate::placement::{run_proxy, ProxyConfig, RemotePlacement};
-use crate::poll::{fd_of, Poller, PollerBackend, Readiness, Waker};
-use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
+use crate::poll::{Poller, Waker};
+use crate::reactor::{send_hello, serve, Conn, Role};
 use crate::shard::build_evidence;
 use referee_protocol::evidence::SessionParams;
 use referee_protocol::multiround::RefereeStep;
@@ -98,7 +97,7 @@ use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread;
 use std::time::Instant;
@@ -341,17 +340,17 @@ pub(crate) fn run_catalog_server(
             }
         }
         drop(out_tx);
-        mr_route(
-            listener,
+        let mut router = Router {
             key,
             catalog,
             shards,
-            shutdown,
-            metrics,
-            &worker_txs,
-            &out_rx,
-            &poller,
-        );
+            worker_txs: &worker_txs,
+            out_rx: &out_rx,
+            announced: HashMap::new(),
+            finished_fifo: VecDeque::new(),
+            next_epoch: 1,
+        };
+        serve(listener, key, &mut router, shutdown, metrics, &poller);
         // Dropping the senders disconnects every worker inbox; the scope
         // then joins the workers.
         drop(worker_txs);
@@ -374,334 +373,240 @@ fn acc_first_order(len: usize, shards: usize) -> impl Iterator<Item = usize> {
     std::iter::once(acc).chain((0..len).filter(move |i| *i != acc))
 }
 
-/// The router: accepts, authenticates, routes round-stamped uplinks by
-/// session + node range, and streams downlink and verdict frames back.
-/// Like the echo server's pump, it rides the poller's readiness *sets*:
-/// only the connections the kernel flagged are filled and parsed each
-/// wake (a full probe sweep of the pool happens only when readiness
-/// degrades to `All` — the sweep backend, or the capped wait timeout).
-#[allow(clippy::too_many_arguments)]
-fn mr_route(
-    listener: TcpListener,
+/// The router role of the server loop: authenticates, routes
+/// round-stamped uplinks by session + node range, and streams downlink
+/// and verdict frames back. Each connection's link is its id.
+struct Router<'a> {
     key: AuthKey,
-    catalog: &ServiceCatalog,
+    catalog: &'a ServiceCatalog,
     shards: usize,
-    shutdown: &AtomicBool,
-    metrics: &WireMetrics,
-    worker_txs: &[Sender<MrMsg>],
-    out_rx: &Receiver<MrOutbound>,
-    poller: &Poller,
-) {
-    let listener_fd = fd_of(&listener);
-    poller.register(listener_fd);
-    let mut gates: Vec<(u32, Conn)> = Vec::new();
-    let mut announced: HashMap<(u32, u64), SessionRoute> = HashMap::new();
-    let mut finished_fifo: VecDeque<(u32, u64)> = VecDeque::new();
-    let mut next_id: u32 = 1;
-    let mut next_epoch: u32 = 1;
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut ready: Vec<i32> = Vec::new();
-    let mut readiness = Readiness::All;
-    while !shutdown.load(Ordering::Relaxed) {
-        let mut progress = false;
-        if readiness == Readiness::All || ready.contains(&listener_fd) {
-            while let Some((id, mut conn)) = accept_conn(&listener, &key, &mut next_id) {
-                metrics.connections(1);
-                conn.trace_with(metrics.recorder_arc(), trace_endpoint::SERVER);
-                conn.meter_with(metrics.syscall_meter());
-                poller.register(conn.fd());
-                metrics.trace(0, trace_endpoint::SERVER, TraceKind::Dial, u64::from(id));
-                gates.push((id, conn));
-                progress = true;
+    worker_txs: &'a [Sender<MrMsg>],
+    out_rx: &'a Receiver<MrOutbound>,
+    announced: HashMap<(u32, u64), SessionRoute>,
+    /// Finished routes, oldest first (at most [`FINISHED_ROUTE_CAP`]).
+    finished_fifo: VecDeque<(u32, u64)>,
+    next_epoch: u32,
+}
+
+impl Router<'_> {
+    /// Send `msg()` to every worker, accumulator first: see
+    /// [`acc_first_order`] — a partial must never overtake the control
+    /// message that caused it into the accumulator's inbox.
+    fn broadcast(&self, msg: impl Fn() -> MrMsg) {
+        for wi in acc_first_order(self.worker_txs.len(), self.shards) {
+            let _ = self.worker_txs[wi].send(msg());
+        }
+    }
+
+    /// Remember the finished route `key` in the bounded FIFO, evicting
+    /// the oldest finished routes beyond [`FINISHED_ROUTE_CAP`].
+    fn remember_finished(&mut self, key: (u32, u64)) {
+        self.finished_fifo.push_back(key);
+        while self.finished_fifo.len() > FINISHED_ROUTE_CAP {
+            let old = self.finished_fifo.pop_front().expect("len > cap > 0");
+            if self.announced.get(&old).is_some_and(|r| r.finished) {
+                self.announced.remove(&old);
             }
         }
-        let pump_list: Vec<usize> = match readiness {
-            Readiness::All => (0..gates.len()).collect(),
-            Readiness::Fds => ready
-                .iter()
-                .filter_map(|fd| gates.iter().position(|(_, c)| c.fd() == *fd))
-                .collect(),
-        };
-        for gi in pump_list {
-            let (id, conn) = &mut gates[gi];
-            progress |= conn.flush() > 0;
-            if conn.pending_write() > WRITE_BACKPRESSURE_BYTES {
-                if !conn.stalled {
-                    conn.stalled = true;
-                    metrics.backpressure_stalls(1);
+    }
+
+    /// Handle one authenticated frame from client connection `id`;
+    /// `false` rejects it (the drain closes the connection).
+    fn frame(
+        &mut self,
+        id: u32,
+        conn: &mut Conn,
+        kind: FrameKind,
+        env: Envelope,
+        metrics: &WireMetrics,
+    ) -> bool {
+        let key = (id, env.session.0);
+        match kind {
+            FrameKind::Announce => {
+                let Some((n, name)) = decode_mr_announce(&env.payload) else { return false };
+                if self.announced.get(&key).is_some_and(|route| !route.finished) {
+                    return false;
                 }
-                continue;
+                // Resolve the requested service (a bare announce is
+                // index 0 — the pre-catalog wire format). An unknown
+                // name, or a network larger than `MAX_SESSION_NODES`,
+                // fails *closed*: the session is born finished with a
+                // typed error verdict already queued, so the client
+                // gets a canonical rejection instead of a hang, the
+                // connection stays usable, and no worker ever hears of
+                // the session (nor sizes state by its claimed `n`).
+                let catalog = self.catalog;
+                let service = match &name {
+                    _ if n > MAX_SESSION_NODES => Err(format!(
+                        "network size {n} exceeds the limit of {MAX_SESSION_NODES} nodes"
+                    )),
+                    None if !catalog.is_empty() => Ok(0),
+                    Some(name) if catalog.index_of(name).is_some() => {
+                        Ok(catalog.index_of(name).expect("checked") as u32)
+                    }
+                    _ => Err(format!(
+                        "unknown catalog service {:?}",
+                        name.as_deref().unwrap_or("")
+                    )),
+                };
+                let service = match service {
+                    Ok(service) => service,
+                    Err(why) => {
+                        metrics.decode_rejects(1);
+                        metrics.verdict_frames(1);
+                        let payload = encode_mr_verdict(&Err(DecodeError::Invalid(why)));
+                        let bits = payload.len_bits() as u64;
+                        let verdict = Envelope {
+                            session: env.session,
+                            round: 0,
+                            from: 0,
+                            to: 0,
+                            payload,
+                        };
+                        queue_counted(conn, FrameKind::Verdict, &verdict, metrics);
+                        metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Verdict, bits);
+                        self.announced.insert(key, SessionRoute { n, finished: true });
+                        self.remember_finished(key);
+                        return true;
+                    }
+                };
+                let epoch = self.next_epoch & 0x7fff_ffff;
+                self.next_epoch = self.next_epoch.wrapping_add(1);
+                metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Announce, n as u64);
+                self.announced.insert(key, SessionRoute { n, finished: false });
+                let session = key.1;
+                self.broadcast(|| MrMsg::Announce { conn: id, session, n, epoch, service });
+                true
             }
-            conn.stalled = false;
-            let got = conn.fill(&mut scratch);
-            metrics.bytes_received(got as u64);
-            progress |= got > 0;
-            loop {
-                match conn.next_frame() {
-                    Ok(None) => break,
-                    Ok(Some((FrameKind::Announce, env))) => {
-                        metrics.frames_received(1);
-                        let Some((n, name)) = decode_mr_announce(&env.payload) else {
-                            metrics.decode_rejects(1);
-                            conn.close();
-                            break;
-                        };
-                        if announced
-                            .get(&(*id, env.session.0))
-                            .is_some_and(|route| !route.finished)
-                        {
-                            metrics.decode_rejects(1);
-                            conn.close();
-                            break;
-                        }
-                        // Resolve the requested service (a bare
-                        // announce is index 0 — the pre-catalog wire
-                        // format). An unknown name, or a network larger
-                        // than `MAX_SESSION_NODES`, fails *closed*: the
-                        // session is born finished with a typed error
-                        // verdict already queued, so the client gets a
-                        // canonical rejection instead of a hang, the
-                        // connection stays usable, and no worker ever
-                        // hears of the session (nor sizes state by its
-                        // claimed `n`).
-                        let service = match &name {
-                            _ if n > MAX_SESSION_NODES => Err(format!(
-                                "network size {n} exceeds the limit of {MAX_SESSION_NODES} nodes"
-                            )),
-                            None if !catalog.is_empty() => Ok(0),
-                            Some(name) if catalog.index_of(name).is_some() => {
-                                Ok(catalog.index_of(name).expect("checked") as u32)
-                            }
-                            _ => Err(format!(
-                                "unknown catalog service {:?}",
-                                name.as_deref().unwrap_or("")
-                            )),
-                        };
-                        let service = match service {
-                            Ok(service) => service,
-                            Err(why) => {
-                                metrics.decode_rejects(1);
-                                let payload =
-                                    encode_mr_verdict(&Err(DecodeError::Invalid(why)));
-                                let verdict_env = Envelope {
-                                    session: env.session,
-                                    round: 0,
-                                    from: 0,
-                                    to: 0,
-                                    payload,
-                                };
-                                let frame_len = conn
-                                    .queue_frame_mut(FrameKind::Verdict, &verdict_env)
-                                    .len();
-                                metrics.frames_sent(1);
-                                metrics.verdict_frames(1);
-                                metrics.bytes_sent(frame_len as u64);
-                                metrics.trace(
-                                    env.session.0,
-                                    trace_endpoint::SERVER,
-                                    TraceKind::Verdict,
-                                    u64::from(*id),
-                                );
-                                announced.insert(
-                                    (*id, env.session.0),
-                                    SessionRoute { n, finished: true },
-                                );
-                                finished_fifo.push_back((*id, env.session.0));
-                                while finished_fifo.len() > FINISHED_ROUTE_CAP {
-                                    let key = finished_fifo.pop_front().expect("len > cap > 0");
-                                    if announced.get(&key).is_some_and(|r| r.finished) {
-                                        announced.remove(&key);
-                                    }
-                                }
-                                progress = true;
-                                continue;
-                            }
-                        };
-                        let epoch = next_epoch & 0x7fff_ffff;
-                        next_epoch = next_epoch.wrapping_add(1);
-                        metrics.trace(
-                            env.session.0,
-                            trace_endpoint::SERVER,
-                            TraceKind::Announce,
-                            n as u64,
-                        );
-                        announced
-                            .insert((*id, env.session.0), SessionRoute { n, finished: false });
-                        // Accumulator-first: see `acc_first_order` — a
-                        // partial must never overtake its announce into
-                        // the accumulator's inbox.
-                        for wi in acc_first_order(worker_txs.len(), shards) {
-                            let _ = worker_txs[wi].send(MrMsg::Announce {
-                                conn: *id,
-                                session: env.session.0,
-                                n,
-                                epoch,
-                                service,
-                            });
-                        }
-                        progress = true;
-                    }
-                    Ok(Some((FrameKind::Data, env))) => {
-                        metrics.frames_received(1);
-                        match announced.get(&(*id, env.session.0)) {
-                            Some(route) if route.finished => {
-                                metrics.orphan_frames(1);
-                            }
-                            Some(route) => {
-                                let target = route_arrival(route.n, shards, env.from);
-                                metrics.trace(
-                                    env.session.0,
-                                    trace_endpoint::SERVER,
-                                    TraceKind::Uplink,
-                                    u64::from(env.from),
-                                );
-                                let _ = worker_txs[target].send(MrMsg::Data { conn: *id, env });
-                            }
-                            None => {
-                                metrics.decode_rejects(1);
-                                conn.close();
-                                break;
-                            }
-                        }
-                        progress = true;
-                    }
-                    Ok(Some(_)) => {
-                        metrics.decode_rejects(1);
-                        conn.close();
-                        break;
-                    }
-                    Err(WireError::BadMac) => {
-                        metrics.mac_rejects(1);
-                        metrics.trace(0, trace_endpoint::SERVER, TraceKind::MacReject, 0);
-                        conn.close();
-                        break;
-                    }
-                    Err(_) => {
-                        metrics.decode_rejects(1);
-                        conn.close();
-                        break;
-                    }
+            FrameKind::Data => match self.announced.get(&key) {
+                Some(route) if route.finished => {
+                    metrics.orphan_frames(1);
+                    true
                 }
-            }
-            // Anything the parse loop queued directly (an unknown-
-            // service verdict) leaves before the conn drops off the
-            // readiness radar.
-            conn.flush();
+                Some(route) => {
+                    let target = route_arrival(route.n, self.shards, env.from);
+                    let from = u64::from(env.from);
+                    metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Uplink, from);
+                    let _ = self.worker_txs[target].send(MrMsg::Data { conn: id, env });
+                    true
+                }
+                None => false,
+            },
+            _ => false,
         }
+    }
+}
+
+impl Role for Router<'_> {
+    type Link = u32;
+
+    fn accept(&mut self, conn: &mut Conn, id: u32, metrics: &WireMetrics) -> u32 {
+        send_hello(conn, &self.key, id, metrics);
+        id
+    }
+
+    fn pump(
+        &mut self,
+        conn: &mut Conn,
+        id: &mut u32,
+        scratch: &mut [u8],
+        m: &WireMetrics,
+    ) -> bool {
+        let id = *id;
+        conn.drain(scratch, m, Conn::next_frame, |conn, (kind, env)| {
+            self.frame(id, conn, kind, env, m)
+        })
+    }
+
+    /// Drain the workers' outbound traffic onto the client connections.
+    fn after_pump(&mut self, conns: &mut [(Conn, u32)], metrics: &WireMetrics) -> bool {
         // Worker traffic queues frames on connections the kernel never
         // flagged, so track which conns the drain touched and flush
         // exactly those afterwards (one batched `write(2)` per conn per
         // burst — a whole round's downlinks coalesce first).
         let mut touched: Vec<u32> = Vec::new();
-        while let Ok(out) = out_rx.try_recv() {
+        let mut progress = false;
+        while let Ok(out) = self.out_rx.try_recv() {
+            progress = true;
             match out {
-                MrOutbound::Downlinks { conn: cid, session, round, msgs } => {
-                    match gates.iter_mut().find(|(id, c)| *id == cid && c.is_open()) {
-                        Some((_, conn)) => {
-                            // A whole round's downlinks coalesce in the
-                            // write buffer; the post-drain flush of the
-                            // touched conns ships them in one write.
-                            if !touched.contains(&cid) {
-                                touched.push(cid);
-                            }
-                            for (i, payload) in msgs.into_iter().enumerate() {
-                                let env = Envelope {
-                                    session,
-                                    round,
-                                    from: 0, // the referee
-                                    to: (i + 1) as u32,
-                                    payload,
-                                };
-                                let frame_len =
-                                    conn.queue_frame_mut(FrameKind::Data, &env).len();
-                                metrics.frames_sent(1);
-                                metrics.downlink_frames(1);
-                                metrics.bytes_sent(frame_len as u64);
-                            }
-                        }
-                        None => metrics.orphan_frames(1),
+                MrOutbound::Downlinks { conn, session, round, msgs } => {
+                    let count = msgs.len() as u64;
+                    let frames = msgs.into_iter().enumerate().map(|(i, payload)| {
+                        // From the referee to node i + 1.
+                        Envelope { session, round, from: 0, to: i as u32 + 1, payload }
+                    });
+                    if queue_out(conns, &mut touched, conn, FrameKind::Data, frames, metrics) {
+                        metrics.downlink_frames(count);
                     }
                 }
-                MrOutbound::Verdict { conn: cid, session, payload } => {
-                    match gates.iter_mut().find(|(id, c)| *id == cid && c.is_open()) {
-                        Some((_, conn)) => {
-                            if !touched.contains(&cid) {
-                                touched.push(cid);
-                            }
-                            let env = Envelope { session, round: 0, from: 0, to: 0, payload };
-                            let frame_len =
-                                conn.queue_frame_mut(FrameKind::Verdict, &env).len();
-                            metrics.frames_sent(1);
-                            metrics.bytes_sent(frame_len as u64);
-                            metrics.trace(
-                                session.0,
-                                trace_endpoint::SERVER,
-                                TraceKind::Verdict,
-                                u64::from(cid),
-                            );
-                        }
-                        None => metrics.orphan_frames(1),
+                MrOutbound::Verdict { conn, session, payload } => {
+                    let bits = payload.len_bits() as u64;
+                    let env = Envelope { session, round: 0, from: 0, to: 0, payload };
+                    if queue_out(conns, &mut touched, conn, FrameKind::Verdict, [env], metrics)
+                    {
+                        metrics.trace(
+                            session.0,
+                            trace_endpoint::SERVER,
+                            TraceKind::Verdict,
+                            bits,
+                        );
                     }
-                    if let Some(route) = announced.get_mut(&(cid, session.0)) {
+                    let key = (conn, session.0);
+                    if let Some(route) = self.announced.get_mut(&key) {
                         route.finished = true;
-                        finished_fifo.push_back((cid, session.0));
-                        while finished_fifo.len() > FINISHED_ROUTE_CAP {
-                            let key = finished_fifo.pop_front().expect("len > cap > 0");
-                            if announced.get(&key).is_some_and(|r| r.finished) {
-                                announced.remove(&key);
-                            }
-                        }
+                        self.remember_finished(key);
                     }
-                    for wi in acc_first_order(worker_txs.len(), shards) {
-                        let _ = worker_txs[wi]
-                            .send(MrMsg::Finish { conn: cid, session: session.0 });
-                    }
+                    self.broadcast(|| MrMsg::Finish { conn, session: session.0 });
                 }
-                MrOutbound::Evidence { conn: cid, session, from, payload } => {
-                    match gates.iter_mut().find(|(id, c)| *id == cid && c.is_open()) {
-                        Some((_, conn)) => {
-                            if !touched.contains(&cid) {
-                                touched.push(cid);
-                            }
-                            let env = Envelope { session, round: 0, from, to: 0, payload };
-                            let frame_len =
-                                conn.queue_frame_mut(FrameKind::Evidence, &env).len();
-                            metrics.frames_sent(1);
-                            metrics.bytes_sent(frame_len as u64);
-                        }
-                        None => metrics.orphan_frames(1),
-                    }
+                MrOutbound::Evidence { conn, session, from, payload } => {
+                    let env = Envelope { session, round: 0, from, to: 0, payload };
+                    queue_out(conns, &mut touched, conn, FrameKind::Evidence, [env], metrics);
                 }
             }
-            progress = true;
         }
-        for cid in touched {
-            if let Some((_, conn)) = gates.iter_mut().find(|(id, _)| *id == cid) {
+        for (conn, id) in conns.iter_mut() {
+            if touched.contains(id) {
                 conn.flush();
             }
         }
-        let closed: Vec<u32> =
-            gates.iter().filter(|(_, c)| !c.is_open()).map(|(id, _)| *id).collect();
-        for cid in &closed {
-            announced.retain(|(owner, _), _| owner != cid);
-            for wi in acc_first_order(worker_txs.len(), shards) {
-                let _ = worker_txs[wi].send(MrMsg::Retire { conn: *cid });
-            }
-        }
-        if !closed.is_empty() {
-            gates.retain(|(_, c)| c.is_open());
-        }
-        // Epoll: pumped sockets drained to WouldBlock; new bytes arrive
-        // as readiness edges and worker traffic wakes the poller via
-        // the out channel's waker, so wait (the capped timeout reports
-        // `All`, re-probing stalled conns at sweep cadence). Sweep: no
-        // edges — re-sweep immediately while traffic flows.
-        if progress && poller.backend() == PollerBackend::Sweep {
-            readiness = Readiness::All;
-            continue;
-        }
-        readiness = poller.wait_ready(&mut ready);
+        progress
     }
+
+    fn closed(&mut self, id: u32) {
+        self.announced.retain(|(owner, _), _| *owner != id);
+        self.broadcast(|| MrMsg::Retire { conn: id });
+    }
+}
+
+/// Queue one frame on `conn`, counting it sent.
+fn queue_counted(conn: &mut Conn, kind: FrameKind, env: &Envelope, metrics: &WireMetrics) {
+    let frame_len = conn.queue_frame_mut(kind, env).len();
+    metrics.frames_sent(1);
+    metrics.bytes_sent(frame_len as u64);
+}
+
+/// Queue `frames` on the open connection `cid`, marking it `touched`
+/// for the post-drain flush and counting each frame sent. `false` (one
+/// orphan counted) when the connection is gone.
+fn queue_out(
+    conns: &mut [(Conn, u32)],
+    touched: &mut Vec<u32>,
+    cid: u32,
+    kind: FrameKind,
+    frames: impl IntoIterator<Item = Envelope>,
+    metrics: &WireMetrics,
+) -> bool {
+    let Some((conn, _)) = conns.iter_mut().find(|(c, id)| *id == cid && c.is_open()) else {
+        metrics.orphan_frames(1);
+        return false;
+    };
+    if !touched.contains(&cid) {
+        touched.push(cid);
+    }
+    for env in frames {
+        queue_counted(conn, kind, &env, metrics);
+    }
+    true
 }
 
 /// Build, self-verify, and ship the evidence bundle proving `fault`.

@@ -22,17 +22,22 @@
 //!   uplinks into the engine's per-round range waits (the same
 //!   [`RangeWait`] an in-process worker runs), and ships
 //!   [`Partial`](FrameKind::Partial) frames back over the same
-//!   authenticated codec the rest of the system speaks.
+//!   authenticated codec the rest of the system speaks. It is a role of
+//!   the reactor's one server loop, as the echo mailbox and the router
+//!   are: it pumps only the links the poller flagged, stops reading a
+//!   link over the write high-water mark, and rejects frames under the
+//!   one reject rule.
 //! * The coordinator runs one **proxy** per shard (spawned by the
 //!   catalog server in [`crate::multiround`]): it forwards the router's
 //!   traffic to its shard host, journals everything a live shard may
 //!   still need ([`ShardJournal`]), and on disconnect redials,
 //!   re-registers and replays — so a shard-host kill/restart is
 //!   invisible to honest sessions (pinned bit-for-bit by the chaos
-//!   tests). It decodes each host partial — to commit its journal —
-//!   and hands the decoded value, or the decode error, to the collector
-//!   by value, so an undecodable host partial fails its session closed
-//!   with the decoder's error class.
+//!   tests). It reads its link through the reactor's one frame drain,
+//!   decodes each host partial — to commit its journal — and hands the
+//!   decoded value, or the decode error, to the collector by value, so
+//!   an undecodable host partial fails its session closed with the
+//!   decoder's error class.
 //!
 //! # Per-shard keys
 //!
@@ -75,12 +80,11 @@
 
 use crate::auth::AuthKey;
 use crate::fleet::{resolve_bind, DEFAULT_BIND};
-use crate::frame::{
-    encode_wire_frame, FrameKind, WireError, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES,
-};
+use crate::frame::{encode_wire_frame, FrameKind, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
 use crate::multiround::{MrMsg, ServiceCatalog};
-use crate::reactor::{Conn, SCRATCH_BYTES, WRITE_BACKPRESSURE_BYTES};
+use crate::poll::{default_backend, Poller};
+use crate::reactor::{serve, Conn, Role, SCRATCH_BYTES};
 use crate::shard::build_evidence;
 use referee_protocol::evidence::SessionParams;
 use referee_protocol::shard::multiround::{fault_round, RangeWait, RoundPartialState};
@@ -304,9 +308,11 @@ impl ShardHost {
         let thread = {
             let shutdown = Arc::clone(&shutdown);
             let metrics = Arc::clone(&metrics);
-            thread::Builder::new()
-                .name("wirenet-shard-host".into())
-                .spawn(move || run_shard_host(listener, key, &shutdown, &metrics))?
+            thread::Builder::new().name("wirenet-shard-host".into()).spawn(move || {
+                let poller = Poller::new(default_backend());
+                let reg_key = registration_key(&key);
+                serve(listener, reg_key, &mut Host(key), &shutdown, &metrics, &poller)
+            })?
         };
         Ok(ShardHost { addr, shutdown, metrics, thread: Some(thread) })
     }
@@ -355,9 +361,9 @@ impl Drop for ShardHost {
     }
 }
 
-/// One registered coordinator link on a shard host.
+/// The per-link state of one coordinator link on a shard host.
+#[derive(Default)]
 struct HostLink {
-    conn: Conn,
     /// `(shard index, shard count)`, once registered.
     role: Option<(usize, usize)>,
     /// Shard state keyed by (coordinator client-connection id, session).
@@ -379,84 +385,30 @@ struct HostSession {
     opened: Instant,
 }
 
-/// The shard-host accept/pump loop.
-fn run_shard_host(
-    listener: TcpListener,
-    key: AuthKey,
-    shutdown: &AtomicBool,
-    metrics: &WireMetrics,
-) {
-    let reg_key = registration_key(&key);
-    let poller = crate::poll::Poller::new(crate::poll::default_backend());
-    poller.register(crate::poll::fd_of(&listener));
-    let mut links: Vec<HostLink> = Vec::new();
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    while !shutdown.load(Ordering::Relaxed) {
-        let mut progress = false;
-        while let Ok((stream, _)) = listener.accept() {
-            if let Ok(mut conn) = Conn::new(stream, reg_key) {
-                metrics.connections(1);
-                conn.meter_with(metrics.syscall_meter());
-                poller.register(conn.fd());
-                links.push(HostLink {
-                    conn,
-                    role: None,
-                    sessions: HashMap::new(),
-                    shipped_seq: 0,
-                });
-                progress = true;
-            }
-        }
-        for link in &mut links {
-            progress |= link.conn.flush() > 0;
-            if link.conn.pending_write() > WRITE_BACKPRESSURE_BYTES {
-                if !link.conn.stalled {
-                    link.conn.stalled = true;
-                    metrics.backpressure_stalls(1);
-                }
-                continue;
-            }
-            link.conn.stalled = false;
-            let got = link.conn.fill(&mut scratch);
-            metrics.bytes_received(got as u64);
-            progress |= got > 0;
-            loop {
-                match link.conn.next_frame() {
-                    Ok(None) => break,
-                    Ok(Some((kind, env))) => {
-                        metrics.frames_received(1);
-                        if host_frame(link, kind, env, &key, metrics).is_err() {
-                            metrics.decode_rejects(1);
-                            link.conn.close();
-                            break;
-                        }
-                        progress = true;
-                    }
-                    Err(WireError::BadMac) => {
-                        // Wrong base key, a sibling shard's key, or a
-                        // stale-generation frame: fail the link closed.
-                        metrics.mac_rejects(1);
-                        if let Some((index, _)) = link.role {
-                            let ep = trace_endpoint::shard_host(index as u32);
-                            metrics.trace(0, ep, TraceKind::MacReject, 0);
-                        }
-                        link.conn.close();
-                        break;
-                    }
-                    Err(_) => {
-                        metrics.decode_rejects(1);
-                        link.conn.close();
-                        break;
-                    }
-                }
-            }
-        }
-        // A dead coordinator link takes its shard state with it — the
-        // coordinator's journal is the durable copy.
-        links.retain(|l| l.conn.is_open());
-        if !progress {
-            poller.wait();
-        }
+/// The shard-host role of the server loop: every link starts under the
+/// registration key, and a dead coordinator link takes its shard state
+/// with it — the coordinator's journal is the durable copy.
+struct Host(AuthKey);
+
+impl Role for Host {
+    type Link = HostLink;
+
+    fn accept(&mut self, _: &mut Conn, _: u32, _: &WireMetrics) -> HostLink {
+        HostLink::default()
+    }
+
+    fn pump(
+        &mut self,
+        conn: &mut Conn,
+        link: &mut HostLink,
+        scratch: &mut [u8],
+        m: &WireMetrics,
+    ) -> bool {
+        // Wrong base key, a sibling shard's key, or a stale-generation
+        // frame fails the MAC; a protocol violation is a reject.
+        conn.drain(scratch, m, Conn::next_frame, |conn, (kind, env)| {
+            host_frame(link, conn, kind, env, &self.0, m).is_ok()
+        })
     }
 }
 
@@ -464,6 +416,7 @@ fn run_shard_host(
 /// poisons the link (protocol violation).
 fn host_frame(
     link: &mut HostLink,
+    conn: &mut Conn,
     kind: FrameKind,
     env: Envelope,
     base: &AuthKey,
@@ -476,9 +429,9 @@ fn host_frame(
             _ => return Err(()),
         };
         link.role = Some((index, shards));
-        link.conn.set_key(link_key(base, index, generation));
+        conn.set_key(link_key(base, index, generation));
         let ep = trace_endpoint::shard_host(index as u32);
-        link.conn.trace_with(metrics.recorder_arc(), ep);
+        conn.trace_with(metrics.recorder_arc(), ep);
         metrics.trace(0, ep, TraceKind::Dial, u64::from(generation));
         return Ok(());
     };
@@ -486,7 +439,7 @@ fn host_frame(
     match kind {
         FrameKind::Announce => {
             let (n, resume, cap) = decode_resume(&env.payload).map_err(|_| ())?;
-            let conn = env.from;
+            let cconn = env.from;
             let session = env.session.0;
             let epoch = env.round;
             metrics.trace(session, endpoint, TraceKind::Announce, n as u64);
@@ -503,16 +456,16 @@ fn host_frame(
             // A re-announce of a live key only happens when the
             // coordinator re-registered (its journal replay is about to
             // rebuild the state): start fresh.
-            link.sessions.insert((conn, session), hs);
-            emit_ready(link, (conn, session), index, metrics);
+            link.sessions.insert((cconn, session), hs);
+            emit_ready(link, conn, (cconn, session), index, metrics);
             Ok(())
         }
         FrameKind::Data => {
             // The proxy carries the client connection in `to`; client
             // uplinks address the referee (0), the only address an
             // evidence record accepts.
-            let conn = env.to;
-            let key = (conn, env.session.0);
+            let cconn = env.to;
+            let key = (cconn, env.session.0);
             let Some(hs) = link.sessions.get_mut(&key) else {
                 metrics.orphan_frames(1); // finished or retired in flight
                 return Ok(());
@@ -529,33 +482,24 @@ fn host_frame(
                 let n = hs.wait.n() as u32;
                 let params = SessionParams { session: session.0, n, round_cap: hs.wait.cap() };
                 // Logged host-side only: the host has no client link.
-                let _ = build_evidence(base, conn, params, &env, fault, endpoint, metrics);
+                let _ = build_evidence(base, cconn, params, &env, fault, endpoint, metrics);
             }
             if let Some(notice) = ingested.notice {
                 // Fail fast instead of wedging a sibling range's wait.
                 metrics.trace(session.0, endpoint, TraceKind::Poison, u64::from(from));
-                let payload = notice.encode();
-                queue_partial(
-                    &mut link.conn,
-                    session,
-                    hs.epoch,
-                    index,
-                    conn,
-                    &payload,
-                    metrics,
-                );
+                queue_partial(conn, session, hs.epoch, index, cconn, &notice, metrics);
             }
-            emit_ready(link, key, index, metrics);
+            emit_ready(link, conn, key, index, metrics);
             Ok(())
         }
         FrameKind::Finish => {
             link.sessions.remove(&(env.from, env.session.0));
-            ship_trace(link, index, metrics);
+            ship_trace(link, conn, index, metrics);
             Ok(())
         }
         FrameKind::Retire => {
-            link.sessions.retain(|(conn, _), _| *conn != env.from);
-            ship_trace(link, index, metrics);
+            link.sessions.retain(|(cconn, _), _| *cconn != env.from);
+            ship_trace(link, conn, index, metrics);
             Ok(())
         }
         _ => Err(()),
@@ -570,7 +514,7 @@ fn host_frame(
 /// segment too large for a frame is skipped (the events stay in the
 /// ring for a later, smaller increment… or are eventually dropped-oldest
 /// and surface in `trace_drops`).
-fn ship_trace(link: &mut HostLink, index: usize, metrics: &WireMetrics) {
+fn ship_trace(link: &mut HostLink, conn: &mut Conn, index: usize, metrics: &WireMetrics) {
     let recorder = metrics.recorder();
     if !recorder.is_enabled() {
         return;
@@ -587,59 +531,53 @@ fn ship_trace(link: &mut HostLink, index: usize, metrics: &WireMetrics) {
     link.shipped_seq = mark;
     let env = Envelope { session: SessionId(0), round: 0, from: index as u32, to: 0, payload };
     metrics.frames_sent(1);
-    // No eager flush: the host loop's per-link flush ships this
-    // alongside whatever else the sweep queued, in one write.
-    link.conn.queue_frame(FrameKind::Trace, &env);
+    // No eager flush: the server loop's per-link flush ships this
+    // alongside whatever else the pass queued, in one write.
+    conn.queue_frame(FrameKind::Trace, &env);
 }
 
 /// Ship every partial this session's range wait has ready, advancing
 /// the round each time.
-fn emit_ready(link: &mut HostLink, key: (u32, u64), index: usize, metrics: &WireMetrics) {
+fn emit_ready(
+    link: &mut HostLink,
+    conn: &mut Conn,
+    key: (u32, u64),
+    index: usize,
+    metrics: &WireMetrics,
+) {
     let Some(hs) = link.sessions.get_mut(&key) else { return };
-    let (conn, session) = key;
+    let (cconn, session) = key;
     while let Some(partial) = hs.wait.take_ready() {
         metrics.record_stage(Stage::UplinksComplete, hs.opened.elapsed());
         hs.opened = Instant::now();
-        let payload = partial.encode();
-        queue_partial(
-            &mut link.conn,
-            SessionId(session),
-            hs.epoch,
-            index,
-            conn,
-            &payload,
-            metrics,
-        );
+        queue_partial(conn, SessionId(session), hs.epoch, index, cconn, &partial, metrics);
     }
 }
 
-/// Queue one `Partial` frame on a shard-host link (dropping payloads
-/// beyond the frame cap — the session then starves and the client's
-/// deadline rejects it, never a host panic).
+/// Queue `partial` as one `Partial` frame on a shard-host link, stamped
+/// with the session's announce `epoch` (dropping payloads beyond the
+/// frame cap — the session then starves and the client's deadline
+/// rejects it, never a host panic).
 fn queue_partial(
     conn: &mut Conn,
     session: SessionId,
-    round: u32,
+    epoch: u32,
     index: usize,
     cconn: u32,
-    payload: &Message,
+    partial: &RoundPartialState,
     metrics: &WireMetrics,
 ) {
-    if !fits_frame(payload) {
+    let payload = partial.encode();
+    if !fits_frame(&payload) {
         metrics.decode_rejects(1);
         return;
     }
-    let env =
-        Envelope { session, round, from: index as u32, to: cconn, payload: payload.clone() };
+    let env = Envelope { session, round: epoch, from: index as u32, to: cconn, payload };
     metrics.frames_sent(1);
     metrics.partial_frames(1);
-    metrics.trace(
-        session.0,
-        trace_endpoint::shard_host(index as u32),
-        TraceKind::PartialEmit,
-        u64::from(round),
-    );
-    // No eager flush: the host loop's per-link flush batches partials
+    let endpoint = trace_endpoint::shard_host(index as u32);
+    metrics.trace(session.0, endpoint, TraceKind::PartialEmit, u64::from(partial.round()));
+    // No eager flush: the server loop's per-link flush batches partials
     // (a session's whole burst leaves in one write).
     conn.queue_frame(FrameKind::Partial, &env);
 }
@@ -893,27 +831,22 @@ fn pump_partials(
     acc: &Sender<MrMsg>,
 ) {
     conn.flush();
-    let got = conn.fill(scratch);
-    cfg.metrics.bytes_received(got as u64);
-    loop {
-        match conn.next_frame() {
-            Ok(None) => return,
-            Ok(Some((FrameKind::Partial, env))) => {
-                if env.from as usize != cfg.index {
-                    // A host answering for a shard it was not
-                    // registered as — fail the link closed.
-                    cfg.metrics.decode_rejects(1);
-                    conn.close();
-                    return;
-                }
-                let key = (env.to, env.session.0);
-                let Some(ps) = sessions.get_mut(&key) else {
+    // A stale-generation (pre-epoch) or cross-shard-keyed frame fails
+    // the MAC and drops the link — it never merges. A host answering
+    // for a shard it was not registered as fails the link closed.
+    conn.drain(scratch, cfg.metrics, Conn::next_frame, |_, (kind, env)| {
+        if env.from as usize != cfg.index {
+            return false;
+        }
+        match kind {
+            FrameKind::Partial => {
+                let Some(ps) = sessions.get_mut(&(env.to, env.session.0)) else {
                     cfg.metrics.orphan_frames(1); // judged while in flight
-                    continue;
+                    return true;
                 };
                 if env.round != ps.epoch {
                     cfg.metrics.orphan_frames(1); // stale announce run
-                    continue;
+                    return true;
                 }
                 // Commit the emitted round; an undecodable or past-cap
                 // partial is still forwarded — the accumulator fails the
@@ -925,45 +858,19 @@ fn pump_partials(
                 cfg.metrics.partial_frames(1);
                 let (conn, session, epoch, from) = (env.to, env.session.0, env.round, env.from);
                 let _ = acc.send(MrMsg::Partial { conn, session, epoch, from, partial });
+                true
             }
-            Ok(Some((FrameKind::Trace, env))) => {
-                // A trace segment the host shipped on Finish/Retire:
-                // stitch it into the coordinator's timeline. A host
-                // answering for a shard it was not registered as, or a
-                // malformed segment, fails the link closed like any
-                // other protocol violation.
-                if env.from as usize != cfg.index {
-                    cfg.metrics.decode_rejects(1);
-                    conn.close();
-                    return;
+            // A trace segment the host shipped on Finish/Retire: stitch
+            // it into the coordinator's timeline; a malformed segment
+            // fails the link closed like any other protocol violation.
+            FrameKind::Trace => match TraceSnapshot::decode(&env.payload) {
+                Ok(segment) => {
+                    cfg.metrics.absorb_trace(&segment);
+                    true
                 }
-                match TraceSnapshot::decode(&env.payload) {
-                    Ok(segment) => cfg.metrics.absorb_trace(&segment),
-                    Err(_) => {
-                        cfg.metrics.decode_rejects(1);
-                        conn.close();
-                        return;
-                    }
-                }
-            }
-            Ok(Some(_)) => {
-                cfg.metrics.decode_rejects(1);
-                conn.close();
-                return;
-            }
-            Err(WireError::BadMac) => {
-                // A stale-generation (pre-epoch) or cross-shard-keyed
-                // frame: reject and drop the link — never merge it.
-                cfg.metrics.mac_rejects(1);
-                cfg.metrics.trace(0, cfg.endpoint(), TraceKind::MacReject, 0);
-                conn.close();
-                return;
-            }
-            Err(_) => {
-                cfg.metrics.decode_rejects(1);
-                conn.close();
-                return;
-            }
+                Err(_) => false,
+            },
+            _ => false,
         }
-    }
+    });
 }

@@ -1,10 +1,11 @@
 //! Kernel readiness for the wire reactors: an `epoll`-backed poller
 //! with a wakeup fd, plus the portable sweep fallback.
 //!
-//! Every pump loop in this crate ([`crate::fleet`], [`crate::shard`],
-//! [`crate::multiround`], [`crate::placement`]) has the same shape:
-//! sweep all connections, and when a sweep makes no progress, wait for
-//! something to change. Historically that wait was
+//! Every pump loop in this crate (the reactor's one server loop, which
+//! the echo mailbox, the router and the shard host run, and the
+//! client's pump in [`crate::fleet`]) has the same shape: sweep the
+//! connections, and when a sweep makes no progress, wait for something
+//! to change. Historically that wait was
 //! `thread::sleep(IDLE_SLEEP)` — a readiness *poll* that burned a
 //! syscall-and-sleep cycle per 50 µs of idleness and capped wire
 //! throughput far below what the sockets can carry. `Poller` replaces
@@ -24,8 +25,8 @@
 //! crate — the symbols resolve against the C library `std` already
 //! links). Waits come in two grades: `Poller::wait` reports only
 //! *that* something is ready, while `Poller::wait_ready` also hands
-//! back *which* fds edged (`Readiness::Fds`) so the hottest loops
-//! (echo server, fleet client) pump exactly the flagged connections
+//! back *which* fds edged (`Readiness::Fds`) so the loops (the server
+//! loop, the fleet client) pump exactly the flagged connections
 //! instead of probing the whole pool. Any degraded answer — a wakeup,
 //! a timeout, an overflowing event buffer, the sweep backend — is
 //! `Readiness::All`: probe everything, the historical behavior.

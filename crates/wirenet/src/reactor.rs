@@ -1,10 +1,10 @@
 //! The reactor substrate: nonblocking connections with explicit
-//! read/write buffers, pumped by kernel-readiness sweeps.
+//! read/write buffers, the one frame drain every wire endpoint runs,
+//! and the one server loop every listening role runs.
 //!
-//! Every connection is `O_NONBLOCK`, and a *pump* sweep attempts to
-//! flush each write buffer and drain each socket into its read buffer,
-//! reporting whether anything moved. When a whole sweep makes no
-//! progress, callers (the server loops,
+//! Every connection is `O_NONBLOCK`; a *pump* flushes its write buffer
+//! and drains its socket into its read buffer, reporting whether
+//! anything moved. When a pass moves nothing, callers (the server loop,
 //! [`FleetClient`](crate::FleetClient) transports) block in a
 //! [`Poller`](crate::poll) wait — `epoll_wait(2)` on every registered
 //! socket plus a wakeup fd on Linux, the historical sleep-and-sweep
@@ -23,19 +23,43 @@
 //! `Conn::meter_with`) and the derived `frames_per_write` ratio in
 //! [`WireSnapshot`](crate::WireSnapshot) make the batching observable.
 //!
-//! Frame extraction (`Conn::next_frame`) runs the streaming decoder
-//! over the read buffer; a decode or MAC failure poisons the connection
-//! (a corrupted length-prefixed stream cannot be resynchronized), which
-//! the fleet layer converts into session-level
+//! **One drain.** `Conn::drain` is the only place a frame is read: it
+//! fills the read buffer (when `readable`), extracts every complete
+//! frame, counts each authenticated one in `frames_received` and hands
+//! it to the caller's handler, which keeps or rejects the connection.
+//! One reject rule holds at every endpoint — the echo mailbox, the
+//! catalog router, a shard host, a placement proxy and a client: a
+//! handler reject or a decode error counts `decode_rejects`, a MAC
+//! failure counts `mac_rejects` and records a [`TraceKind::MacReject`]
+//! through the connection's trace hook, and all three close the
+//! connection (a corrupted length-prefixed stream cannot be
+//! resynchronized, and a tampering peer must not keep talking). The
+//! fleet layer turns a closed connection into session-level
 //! [`DecodeError`](referee_protocol::DecodeError) rejections.
+//!
+//! **One server loop.** `serve` owns everything a listening endpoint
+//! does with its sockets: it accepts when the listener edged, meters
+//! and registers each new connection, pumps exactly the connections the
+//! poller flagged (every one when readiness degrades), flushes, applies
+//! the latched backpressure gate (a connection whose write buffer is
+//! over the high-water mark is not read until it drains, so TCP pushes
+//! back on its peer), drops closed connections, and waits — straight
+//! back to the kernel under epoll, an immediate re-sweep under the
+//! sweep backend while traffic flows. A `Role` supplies only what
+//! differs: the accept handshake, the frame handler, an after-pump hook
+//! and a closed hook. The echo mailbox, the catalog router and the
+//! shard host are its three roles.
 
 use crate::auth::AuthKey;
 use crate::frame::{decode_frame, encode_frame_into, verify_frame, FrameKind, WireError};
-use crate::metrics::SyscallMeter;
+use crate::metrics::{trace_endpoint, SyscallMeter, WireMetrics};
+use crate::poll::{fd_of, Poller, PollerBackend, Readiness};
 use referee_protocol::trace::{wall_clock_us, FlightRecorder, TraceKind};
-use referee_simnet::Envelope;
+use referee_protocol::Message;
+use referee_simnet::{Envelope, SessionId};
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Size of the stack-free read scratch buffer.
@@ -67,18 +91,18 @@ pub(crate) struct Conn {
     /// per poll sweep.
     pub(crate) stalled: bool,
     /// Kernel-readiness hint: `true` when the socket may have unread
-    /// bytes. Loops that get per-fd readiness from an epoll poller
-    /// clear this after draining to `WouldBlock` and re-set it when the
-    /// kernel flags the fd again, skipping the speculative (always
-    /// `EAGAIN`) probe `read(2)` per idle pump. Loops without per-fd
-    /// readiness (sweep backend, routers) leave it `true` — `fill`
-    /// then probes unconditionally, exactly the historical behavior.
+    /// bytes; `Conn::drain` fills only while it is set. The client pool
+    /// clears it under epoll after draining to `WouldBlock` and re-sets
+    /// it when the kernel flags the fd again, skipping the speculative
+    /// (always `EAGAIN`) probe `read(2)` per idle pump. Every other
+    /// loop leaves it `true`, so the drain probes unconditionally.
     pub(crate) readable: bool,
     /// Connection-level trace hook: `(recorder, endpoint id)`. When
     /// set, any close — poison, EOF, or socket error — records a
     /// [`TraceKind::Kill`] attributed to `endpoint`, so a chaos kill
     /// shows up in the trace of every peer that observed the
-    /// connection die.
+    /// connection die; a MAC failure in `Conn::drain` records a
+    /// [`TraceKind::MacReject`] first.
     trace: Option<(Arc<FlightRecorder>, u32)>,
     /// Syscall meter: counts every `write(2)`/`read(2)` this connection
     /// issues, proving (or disproving) that frames batch per syscall.
@@ -129,12 +153,17 @@ impl Conn {
         self.trace = Some((recorder, endpoint));
     }
 
+    /// Record `kind` (payload 0) through the trace hook, if attached.
+    fn trace(&self, kind: TraceKind) {
+        if let Some((recorder, endpoint)) = &self.trace {
+            recorder.record(wall_clock_us(), 0, *endpoint, kind, 0);
+        }
+    }
+
     /// Record the connection's death once, at the open → closed edge.
     fn mark_closed(&mut self) {
         if self.open {
-            if let Some((recorder, endpoint)) = &self.trace {
-                recorder.record(wall_clock_us(), 0, *endpoint, TraceKind::Kill, 0);
-            }
+            self.trace(TraceKind::Kill);
         }
         self.open = false;
     }
@@ -241,7 +270,8 @@ impl Conn {
     }
 
     /// Decode the next complete frame out of the read buffer, if any,
-    /// under this connection's key.
+    /// under this connection's key — the extractor `Conn::drain` runs
+    /// everywhere but the echo mailbox.
     ///
     /// An `Err` is terminal: the caller must [`Conn::close`] (this
     /// method does not, so the caller can count the rejection first).
@@ -267,8 +297,8 @@ impl Conn {
     /// and minus the envelope's two allocations per frame that
     /// `next_frame` would build just to be thrown away. Returns the
     /// frame's kind and wire length; non-`Data` kinds are consumed but
-    /// *not* echoed (callers reject them anyway). An `Err` is terminal,
-    /// as for [`Conn::next_frame`].
+    /// *not* echoed (the echo handler rejects them). An `Err` is
+    /// terminal, as for [`Conn::next_frame`].
     pub fn echo_frame(&mut self) -> Result<Option<(FrameKind, usize)>, WireError> {
         match verify_frame(&self.key, &self.rbuf[self.rpos..])? {
             None => {
@@ -282,6 +312,49 @@ impl Conn {
                 self.consume(consumed);
                 Ok(Some((kind, consumed)))
             }
+        }
+    }
+
+    /// The one frame drain (see the module docs): fill the read buffer
+    /// when `readable`, then pull every complete frame out with
+    /// `extract` ([`Conn::next_frame`], or [`Conn::echo_frame`] at the
+    /// echo mailbox), count it in `frames_received` and hand it to
+    /// `handle`, which returns whether the connection may stay open.
+    /// A reject, a MAC failure or a decode error ends the drain and
+    /// closes the connection under the one reject rule. Returns whether
+    /// bytes were read or a frame was handled.
+    pub(crate) fn drain<T>(
+        &mut self,
+        scratch: &mut [u8],
+        metrics: &WireMetrics,
+        mut extract: impl FnMut(&mut Conn) -> Result<Option<T>, WireError>,
+        mut handle: impl FnMut(&mut Conn, T) -> bool,
+    ) -> bool {
+        let mut moved = false;
+        if self.readable {
+            let got = self.fill(scratch);
+            metrics.bytes_received(got as u64);
+            moved = got > 0;
+        }
+        loop {
+            match extract(self) {
+                Ok(None) => return moved,
+                Ok(Some(frame)) => {
+                    metrics.frames_received(1);
+                    moved = true;
+                    if handle(self, frame) {
+                        continue;
+                    }
+                    metrics.decode_rejects(1);
+                }
+                Err(WireError::BadMac) => {
+                    metrics.mac_rejects(1);
+                    self.trace(TraceKind::MacReject);
+                }
+                Err(_) => metrics.decode_rejects(1),
+            }
+            self.close();
+            return moved;
         }
     }
 
@@ -314,13 +387,149 @@ impl std::fmt::Debug for Conn {
     }
 }
 
+/// The accept-side handshake of the echo mailbox and the router: queue
+/// the Hello naming connection `id` (MAC'd with the base key — the only
+/// frame that ever crosses under it), switch the connection to
+/// `base.derive(id)`, and attach the server's trace hook. Hello frames
+/// are handshake overhead and deliberately absent from the frame
+/// metrics.
+pub(crate) fn send_hello(conn: &mut Conn, base: &AuthKey, id: u32, metrics: &WireMetrics) {
+    let payload = Message::empty();
+    let hello = Envelope { session: SessionId(0), round: 0, from: id, to: 0, payload };
+    conn.queue_frame(FrameKind::Hello, &hello);
+    conn.set_key(base.derive(u64::from(id)));
+    conn.trace_with(metrics.recorder_arc(), trace_endpoint::SERVER);
+    metrics.trace(0, trace_endpoint::SERVER, TraceKind::Dial, u64::from(id));
+}
+
+/// What one listening endpoint supplies to [`serve`]; the loop owns
+/// the sockets. Dispatch is static: the per-frame handler is an
+/// ordinary (inlinable) method call.
+pub(crate) trait Role {
+    /// Per-connection state kept beside each [`Conn`].
+    type Link;
+
+    /// Adopt a freshly accepted connection (already metered and
+    /// registered with the poller), numbered `id` from 1 upwards.
+    fn accept(&mut self, conn: &mut Conn, id: u32, metrics: &WireMetrics) -> Self::Link;
+
+    /// Drain the connection's frames through [`Conn::drain`] with this
+    /// role's extractor and frame handler. Returns progress.
+    fn pump(
+        &mut self,
+        conn: &mut Conn,
+        link: &mut Self::Link,
+        scratch: &mut [u8],
+        metrics: &WireMetrics,
+    ) -> bool;
+
+    /// Runs once per pass, after the flagged connections were pumped
+    /// (the router's outbound drain). Returns progress.
+    fn after_pump(
+        &mut self,
+        _conns: &mut [(Conn, Self::Link)],
+        _metrics: &WireMetrics,
+    ) -> bool {
+        false
+    }
+
+    /// A connection closed and is being dropped, with its link.
+    fn closed(&mut self, _link: Self::Link) {}
+}
+
+/// The one server loop (see the module docs): serve `role` on
+/// `listener` until `shutdown`, starting every accepted connection
+/// under `key`.
+pub(crate) fn serve<R: Role>(
+    listener: TcpListener,
+    key: AuthKey,
+    role: &mut R,
+    shutdown: &AtomicBool,
+    metrics: &WireMetrics,
+    poller: &Poller,
+) {
+    let listener_fd = fd_of(&listener);
+    poller.register(listener_fd);
+    let mut conns: Vec<(Conn, R::Link)> = Vec::new();
+    let mut next_id: u32 = 1;
+    let mut scratch = vec![0u8; SCRATCH_BYTES];
+    let (mut ready, mut pump_list) = (Vec::new(), Vec::new());
+    let mut readiness = Readiness::All;
+    while !shutdown.load(Ordering::Relaxed) {
+        let mut progress = false;
+        // Accept when the listener edged (or on a full sweep — the
+        // degraded path every non-Fds readiness answer takes). An Err
+        // is WouldBlock or a transient failure: try again next pass.
+        if readiness == Readiness::All || ready.contains(&listener_fd) {
+            while let Ok((stream, _)) = listener.accept() {
+                let Ok(mut conn) = Conn::new(stream, key) else { continue };
+                metrics.connections(1);
+                conn.meter_with(metrics.syscall_meter());
+                poller.register(conn.fd());
+                let link = role.accept(&mut conn, next_id, metrics);
+                next_id += 1;
+                conns.push((conn, link));
+                progress = true;
+            }
+        }
+        // Pump the connections the kernel flagged (all of them when
+        // readiness degraded).
+        pump_list.clear();
+        match readiness {
+            Readiness::All => pump_list.extend(0..conns.len()),
+            Readiness::Fds => pump_list.extend(
+                ready.iter().filter_map(|fd| conns.iter().position(|(c, _)| c.fd() == *fd)),
+            ),
+        }
+        for &ci in &pump_list {
+            let (conn, link) = &mut conns[ci];
+            progress |= conn.flush() > 0;
+            // Backpressure: a peer that writes but never reads would
+            // otherwise grow our write buffer without bound. Stop
+            // reading until the buffer drains — TCP then pushes back on
+            // the peer's sends. Counted once per episode (latched), not
+            // once per pass.
+            if conn.pending_write() > WRITE_BACKPRESSURE_BYTES {
+                if !conn.stalled {
+                    conn.stalled = true;
+                    metrics.backpressure_stalls(1);
+                }
+                continue;
+            }
+            conn.stalled = false;
+            progress |= role.pump(conn, link, &mut scratch, metrics);
+            // One batched flush per connection per pass: everything the
+            // handler queued leaves in a single `write(2)`.
+            conn.flush();
+        }
+        progress |= role.after_pump(&mut conns, metrics);
+        let mut ci = 0;
+        while ci < conns.len() {
+            if conns[ci].0.is_open() {
+                ci += 1;
+            } else {
+                role.closed(conns.remove(ci).1);
+            }
+        }
+        // Under epoll, every pumped socket was drained to `WouldBlock`
+        // and anything new arrives as a fresh readiness edge (or, for
+        // channel traffic, a `Waker` wake), so go straight back to the
+        // wait, whose capped timeout reports `All` and re-probes
+        // stalled or missed sockets at sweep cadence. The sweep backend
+        // has no edges: re-sweep immediately while traffic flows,
+        // sleeping only when a pass moves nothing.
+        if progress && poller.backend() == PollerBackend::Sweep {
+            readiness = Readiness::All;
+            continue;
+        }
+        readiness = poller.wait_ready(&mut ready);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::encode_frame;
-    use referee_protocol::Message;
-    use referee_simnet::SessionId;
-    use std::net::TcpListener;
 
     fn pair(key: AuthKey) -> (Conn, Conn) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

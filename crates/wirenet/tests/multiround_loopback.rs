@@ -10,7 +10,7 @@ use referee_graph::{algo, generators, LabelledGraph};
 use referee_protocol::evidence::{verify_bundle, EvidenceBundle, ProvableError, SessionParams};
 use referee_protocol::multiround::{run_multiround, BoruvkaConnectivity, RefereeStep};
 use referee_protocol::shard::replay::encode_resume;
-use referee_protocol::trace::TraceKind;
+use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, Scheduler, SessionId};
 use referee_wirenet::placement::{link_key, register_frame, shard_key};
@@ -273,6 +273,47 @@ fn every_client_session_leaves_the_same_trace_shape() {
 
     verifier.stop();
     multiround.stop();
+}
+
+/// One payload meaning per trace kind, on the server too: across
+/// several Borůvka sessions on one connection (so announce epochs run
+/// ahead of rounds), each session's one server `Verdict` carries the
+/// same verdict bit length as the client's, and every worker
+/// `PartialEmit` carries a round the session ran.
+#[test]
+fn server_trace_payloads_match_the_client() {
+    let key = AuthKey::from_seed(60);
+    let server = FleetServer::spawn_multiround(key, 3, boruvka_connectivity_service()).unwrap();
+    let client = FleetClient::connect(server.addr(), 1, key).unwrap();
+    let fleet = [generators::grid(3, 3), generators::path(5), generators::cycle(6).unwrap()];
+    for round in 0..2u64 {
+        for (i, g) in fleet.iter().enumerate() {
+            let session = round * fleet.len() as u64 + i as u64;
+            client
+                .run_multiround_session(SessionId(session), &BoruvkaConnectivity, g, CAP)
+                .expect("honest session completes");
+        }
+    }
+    // The server's trace holds its router's and workers' events only.
+    let (client_trace, server_trace) = (client.stitched_trace(), server.stitched_trace());
+    let payloads = |trace: &TraceSnapshot, session: u64, kind: TraceKind| {
+        let events = trace.session_events(session).filter(|e| e.kind == kind);
+        events.map(|e| e.payload).collect::<Vec<_>>()
+    };
+    for session in 0..2 * fleet.len() as u64 {
+        let g = &fleet[session as usize % fleet.len()];
+        let (_, stats) = run_multiround(&BoruvkaConnectivity, g, CAP);
+        let client_verdict = payloads(&client_trace, session, TraceKind::Verdict);
+        assert_eq!(client_verdict.len(), 1, "session {session}");
+        let server_verdict = payloads(&server_trace, session, TraceKind::Verdict);
+        assert_eq!(server_verdict, client_verdict, "session {session}");
+        let emits = payloads(&server_trace, session, TraceKind::PartialEmit);
+        assert!(!emits.is_empty(), "session {session}");
+        for round in emits {
+            assert!((1..=stats.rounds as u64).contains(&round), "session {session}: {round}");
+        }
+    }
+    server.stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use referee_graph::{algo, generators, LabelledGraph};
+use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_protocol::referee::local_phase;
-use referee_simnet::SessionId;
+use referee_simnet::{MultiRoundSession, OneRoundReport, SessionId};
 use referee_wirenet::{
     boruvka_connectivity_service, decode_bool_output, vector_digest, AuthKey, FleetClient,
     FleetServer, PollerBackend, TamperConfig,
@@ -141,5 +142,45 @@ fn tamper_outcomes_match_across_backends() {
                 assert_eq!(*digest, want, "k={k}: tampered session {i} was accepted");
             }
         }
+    }
+}
+
+/// The echo mailbox under both pollers: `SocketTransport` sessions
+/// (one-round EdgeCount, the protocol running client-side) give the
+/// same outcomes honest and under the deterministic tamper schedule,
+/// and every honest outcome is the edge count.
+#[test]
+fn echo_outcomes_match_across_backends() {
+    let key = AuthKey::from_seed(64);
+    let fleet = graphs(8, 644);
+    let run = |client: &FleetClient| -> Vec<Option<usize>> {
+        let protocol = OneRoundAsMultiRound(EdgeCountProtocol);
+        let sessions = fleet.iter().enumerate().map(|(i, g)| {
+            let id = SessionId(i as u64);
+            let mut transport = client.transport(id);
+            let session = MultiRoundSession::new(&protocol, g, 1).with_session(id);
+            OneRoundReport::from(session.run(&mut transport)).outcome.ok().and_then(Result::ok)
+        });
+        sessions.collect()
+    };
+    let mut per_backend = Vec::new();
+    for backend in BACKENDS {
+        let server = FleetServer::builder(key).poller(backend).spawn().unwrap();
+        let honest = run(&FleetClient::connect(server.addr(), 2, key).unwrap());
+        // One connection per session, so a tampered frame poisons only
+        // its own session.
+        let tampered = run(&FleetClient::connect(server.addr(), fleet.len(), key)
+            .unwrap()
+            .with_tamper(TamperConfig { flip_every: 3 }));
+        let stats = server.stop();
+        assert!(stats.mac_rejects > 0, "{backend:?}: no corruption reached MAC");
+        assert_eq!(stats.frames_received, stats.frames_sent, "{backend:?}: echo is exact");
+        per_backend.push((honest, tampered));
+    }
+    assert_eq!(per_backend[0], per_backend[1], "sweep vs epoll echo outcomes diverge");
+    let (honest, tampered) = &per_backend[0];
+    for (i, g) in fleet.iter().enumerate() {
+        assert_eq!(honest[i], Some(g.m()), "honest session {i}");
+        assert!(tampered[i].is_none_or(|m| m == g.m()), "tampered session {i} was accepted");
     }
 }

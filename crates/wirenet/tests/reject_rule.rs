@@ -1,0 +1,183 @@
+//! One reject rule at every wire endpoint. The echo mailbox, the catalog
+//! router, a registered shard host and a client all read frames through
+//! the reactor's one drain, so a frame MAC'd under the wrong key costs
+//! exactly one `mac_rejects` and one `MacReject` trace event at that
+//! endpoint's id, and closes the connection; an authenticated frame of a
+//! kind the endpoint does not accept is counted received, rejected once,
+//! and closes the connection too.
+
+use referee_protocol::trace::{TraceKind, TraceSnapshot};
+use referee_protocol::Message;
+use referee_simnet::{Envelope, SessionId};
+use referee_wirenet::placement::{link_key, register_frame};
+use referee_wirenet::{
+    decode_frame, encode_wire_frame, trace_endpoint, AuthKey, FleetClient, FleetServer,
+    FrameKind, ShardHost, WireTimeouts,
+};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
+
+fn env(session: u64, from: u32) -> Envelope {
+    Envelope { session: SessionId(session), round: 1, from, to: 0, payload: Message::empty() }
+}
+
+/// Read one frame authenticated under `key` off a raw stream.
+fn read_frame(
+    stream: &mut TcpStream,
+    key: &AuthKey,
+    buf: &mut Vec<u8>,
+) -> (FrameKind, Envelope) {
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(d) = decode_frame(key, buf).expect("frame authenticates") {
+            buf.drain(..d.consumed);
+            return (d.kind, d.envelope);
+        }
+        let k = stream.read(&mut chunk).expect("read from the endpoint");
+        assert!(k > 0, "the endpoint closed the connection");
+        buf.extend_from_slice(&chunk[..k]);
+    }
+}
+
+/// The endpoint hangs up on `stream` within 5 s.
+fn assert_closed(stream: &mut TcpStream) {
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(_) => {} // frames queued before the close
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                panic!("the endpoint kept the connection open")
+            }
+            Err(_) => return, // reset
+        }
+    }
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The endpoints of every `MacReject` event in `trace`.
+fn mac_reject_endpoints(trace: &TraceSnapshot) -> Vec<u32> {
+    trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == TraceKind::MacReject)
+        .map(|e| e.endpoint)
+        .collect()
+}
+
+/// The echo mailbox and the catalog router: after the Hello the
+/// connection runs on `base.derive(id)`, so a base-keyed frame fails the
+/// MAC.
+#[test]
+fn wrong_key_frame_is_rejected_once_at_each_server_role() {
+    let key = AuthKey::from_seed(90);
+    for (role, server) in [
+        ("echo mailbox", FleetServer::spawn(key).unwrap()),
+        ("catalog router", FleetServer::spawn_sharded(key, 2).unwrap()),
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut buf = Vec::new();
+        let (kind, _) = read_frame(&mut stream, &key, &mut buf);
+        assert_eq!(kind, FrameKind::Hello, "{role}");
+        stream.write_all(&encode_wire_frame(&key, FrameKind::Data, &env(1, 1))).unwrap();
+        wait_until("the MAC reject", || server.metrics().mac_rejects > 0);
+        assert_closed(&mut stream);
+        let endpoints = mac_reject_endpoints(&server.stitched_trace());
+        assert_eq!(endpoints, [trace_endpoint::SERVER], "{role}");
+        let stats = server.stop();
+        assert_eq!(stats.mac_rejects, 1, "{role}");
+        assert_eq!(stats.decode_rejects, 0, "{role}");
+        assert_eq!(stats.frames_received, 0, "{role}");
+    }
+}
+
+/// A registered shard host: a frame under another registration
+/// generation's link key fails the MAC. The host's trace reaches a
+/// coordinator only as shipped segments, so a second registered link's
+/// `Retire` fetches everything it recorded.
+#[test]
+fn wrong_key_frame_is_rejected_once_at_a_shard_host() {
+    let key = AuthKey::from_seed(91);
+    let host = ShardHost::spawn(key).unwrap();
+    let mut stale = TcpStream::connect(host.addr()).unwrap();
+    stale.write_all(&register_frame(&key, 0, 1, 1)).unwrap();
+    let wrong = link_key(&key, 0, 2);
+    stale.write_all(&encode_wire_frame(&wrong, FrameKind::Finish, &env(1, 1))).unwrap();
+    wait_until("the MAC reject", || host.metrics().mac_rejects > 0);
+    assert_closed(&mut stale);
+
+    let mut probe = TcpStream::connect(host.addr()).unwrap();
+    probe.write_all(&register_frame(&key, 0, 1, 3)).unwrap();
+    let probe_key = link_key(&key, 0, 3);
+    probe.write_all(&encode_wire_frame(&probe_key, FrameKind::Retire, &env(0, 9))).unwrap();
+    let (kind, segment) = read_frame(&mut probe, &probe_key, &mut Vec::new());
+    assert_eq!(kind, FrameKind::Trace);
+    let trace = TraceSnapshot::decode(&segment.payload).unwrap();
+    assert_eq!(mac_reject_endpoints(&trace), [trace_endpoint::shard_host(0)]);
+    let stats = host.stop();
+    assert_eq!(stats.mac_rejects, 1);
+    assert_eq!(stats.decode_rejects, 0);
+}
+
+/// A client: a fake server sends a valid Hello, then a frame under the
+/// base key instead of the connection's derived one. The client's pump
+/// rejects it, traces it and fails the session on the closed connection.
+#[test]
+fn wrong_key_frame_is_rejected_once_at_a_client() {
+    let key = AuthKey::from_seed(92);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.write_all(&encode_wire_frame(&key, FrameKind::Hello, &env(0, 5))).unwrap();
+        stream.write_all(&encode_wire_frame(&key, FrameKind::Verdict, &env(1, 0))).unwrap();
+        // Hold the connection until the client hangs up.
+        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut sink = [0u8; 4096];
+        while matches!(stream.read(&mut sink), Ok(k) if k > 0) {}
+    });
+    let timeouts =
+        WireTimeouts { hello: Duration::from_secs(5), verdict: Duration::from_secs(5) };
+    let client = FleetClient::connect_with(addr, 1, key, timeouts).unwrap();
+    let t0 = Instant::now();
+    client
+        .verify_session(SessionId(1), 1, [(1, Message::empty())])
+        .expect_err("a poisoned connection cannot verify");
+    assert!(t0.elapsed() < Duration::from_secs(4), "the reject must fail the session fast");
+    let stats = client.metrics();
+    assert_eq!(stats.mac_rejects, 1);
+    assert_eq!(stats.decode_rejects, 0);
+    assert_eq!(mac_reject_endpoints(&client.stitched_trace()), [trace_endpoint::CLIENT]);
+    drop(client);
+    fake.join().unwrap();
+}
+
+/// An authenticated `Partial` — a kind only shard-host links carry — at
+/// the router is counted received, rejected once, and closes the
+/// connection.
+#[test]
+fn router_counts_then_rejects_an_authenticated_wrong_kind_frame() {
+    let key = AuthKey::from_seed(93);
+    let server = FleetServer::spawn_sharded(key, 2).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut buf = Vec::new();
+    let (_, hello) = read_frame(&mut stream, &key, &mut buf);
+    let conn_key = key.derive(u64::from(hello.from));
+    stream.write_all(&encode_wire_frame(&conn_key, FrameKind::Partial, &env(1, 0))).unwrap();
+    wait_until("the reject", || server.metrics().decode_rejects > 0);
+    assert_closed(&mut stream);
+    let stats = server.stop();
+    assert_eq!(stats.frames_received, 1);
+    assert_eq!(stats.decode_rejects, 1);
+    assert_eq!(stats.mac_rejects, 0);
+}

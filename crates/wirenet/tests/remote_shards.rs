@@ -16,13 +16,14 @@ use referee_protocol::shard::multiround::{
     run_multiround_sharded, RoundPartialState, RoundShard,
 };
 use referee_protocol::shard::replay::decode_resume;
+use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::placement::{link_key, register_frame};
 use referee_wirenet::{
     boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame,
-    vector_digest, AuthKey, FleetClient, FleetServer, FrameKind, PlacementPolicy,
-    RemotePlacement, ShardHost, TamperConfig, WireTimeouts,
+    trace_endpoint, vector_digest, AuthKey, FleetClient, FleetServer, FrameKind,
+    PlacementPolicy, RemotePlacement, ShardHost, TamperConfig, WireTimeouts,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -366,4 +367,52 @@ fn hostile_shard_host_partials_fail_closed_and_bounded() {
     assert_eq!(verify(2), Ok(vector_digest(&key, &messages)), "honest session");
     server.stop();
     host.join().expect("fake host exits cleanly");
+}
+
+/// Shard hosts trace each emitted partial with its round, not the
+/// session's announce epoch: over eight Borůvka sessions (announce
+/// epochs 1..=8, well past any session's round count), every shard-host
+/// `PartialEmit` the coordinator stitched carries a round the session
+/// ran.
+#[test]
+fn shard_host_partial_emits_carry_the_round() {
+    let key = AuthKey::from_seed(4343);
+    let (hosts, placement) = placed(key, 2);
+    let server = FleetServer::builder(key)
+        .placement(placement)
+        .multiround(boruvka_connectivity_service())
+        .spawn()
+        .expect("bind coordinator");
+    let client = FleetClient::connect(server.addr(), 1, key).expect("connect");
+    let fleet: Vec<LabelledGraph> = (0..8).map(|i| generators::path(4 + i % 3)).collect();
+    for (i, g) in fleet.iter().enumerate() {
+        client
+            .run_multiround_session(SessionId(i as u64), &BoruvkaConnectivity, g, CAP)
+            .expect("honest session completes");
+    }
+    // Hosts ship their trace on `Finish`, right behind each verdict.
+    let is_host =
+        |e: u32| (trace_endpoint::shard_host(0)..trace_endpoint::worker(0)).contains(&e);
+    let emits = |session: u64| {
+        let trace = server.stitched_trace();
+        let payloads = trace
+            .session_events(session)
+            .filter(|e| e.kind == TraceKind::PartialEmit && is_host(e.endpoint))
+            .map(|e| e.payload);
+        payloads.collect::<Vec<_>>()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for (i, g) in fleet.iter().enumerate() {
+        let session = i as u64;
+        while emits(session).is_empty() {
+            assert!(Instant::now() < deadline, "session {session}: no host trace arrived");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let (_, stats) = run_multiround_sharded(&BoruvkaConnectivity, g, 2, CAP);
+        for round in emits(session) {
+            assert!((1..=stats.rounds as u64).contains(&round), "session {session}: {round}");
+        }
+    }
+    server.stop();
+    drop(hosts);
 }
