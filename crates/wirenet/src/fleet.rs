@@ -424,14 +424,20 @@ impl Role for Echo {
         // and one memcpy, nothing else. Control frames have no business
         // at an echo mailbox; a peer sending them is confused or
         // hostile.
-        conn.drain(scratch, m, Conn::echo_frame, |_, (kind, wire_len)| {
-            if kind != FrameKind::Data {
-                return false;
-            }
-            m.frames_sent(1);
-            m.bytes_sent(wire_len as u64);
-            true
-        })
+        let (mut frames, mut bytes) = (0, 0);
+        let moved = conn.drain(scratch, m, Conn::echo_frame, |_, (kind, wire_len)| {
+            frames += 1;
+            bytes += wire_len as u64;
+            kind == FrameKind::Data
+        });
+        // A reject closes the connection, and a closed connection
+        // flushes nothing: the echoes this drain queued are never
+        // written, so they are counted sent only if it stayed open.
+        if conn.is_open() {
+            m.frames_sent(frames);
+            m.bytes_sent(bytes);
+        }
+        moved
     }
 }
 

@@ -233,15 +233,13 @@ fn be_u32(bytes: &[u8]) -> u32 {
 }
 
 /// Authenticate the frame at the front of `buf` without materializing
-/// its [`Envelope`]: the echo fast path. Runs exactly the checks of
-/// [`decode_frame`] — length bounds, MAC, version, kind, length
-/// cross-check, payload canonicality — and returns only the frame's
-/// kind and total wire length (prefix + body). Accept/reject behavior
-/// is identical to [`decode_frame`] on every input (pinned by tests);
-/// skipped is only the envelope construction (two heap allocations and
-/// a field parse per frame), which matters to a server echoing
-/// hundreds of thousands of frames per second that never looks inside
-/// them.
+/// its [`Envelope`]: the echo fast path, and the accept rules of every
+/// frame — length bounds, MAC, version, kind, length cross-check,
+/// payload canonicality. Returns only the frame's kind and total wire
+/// length (prefix + body); [`decode_frame`] is this plus the envelope
+/// parse (two heap allocations and a field parse per frame, which a
+/// server echoing hundreds of thousands of frames per second that
+/// never looks inside them skips).
 pub fn verify_frame(
     key: &AuthKey,
     buf: &[u8],
@@ -298,45 +296,17 @@ pub fn verify_frame(
 ///   corrupted length-prefixed stream, so callers must drop the
 ///   connection.
 pub fn decode_frame(key: &AuthKey, buf: &[u8]) -> Result<Option<DecodedFrame>, WireError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let body_len = be_u32(&buf[..4]) as usize;
-    if !(HEADER_BYTES + TAG_BYTES..=MAX_BODY_BYTES).contains(&body_len) {
-        return Err(WireError::BadLength(format!("body of {body_len} bytes out of bounds")));
-    }
-    if buf.len() < 4 + body_len {
-        return Ok(None);
-    }
-    let body = &buf[4..4 + body_len];
-
-    // Authenticate before interpreting any field.
-    let tag = u64::from_be_bytes(body[body_len - TAG_BYTES..].try_into().expect("8 bytes"));
-    if !key.verify(&body[..body_len - TAG_BYTES], tag) {
-        return Err(WireError::BadMac);
-    }
-
-    if body[0] != WIRE_VERSION {
-        return Err(WireError::BadVersion(body[0]));
-    }
-    let kind = FrameKind::from_byte(body[1]).ok_or(WireError::BadKind(body[1]))?;
+    let Some((kind, consumed)) = verify_frame(key, buf)? else { return Ok(None) };
+    let body = &buf[4..consumed];
     let session = SessionId(u64::from_be_bytes(body[2..10].try_into().expect("8 bytes")));
     let round = be_u32(&body[10..14]);
     let from = be_u32(&body[14..18]);
     let to = be_u32(&body[18..22]);
     let len_bits = be_u32(&body[22..26]) as usize;
-
-    let payload_bytes = len_bits.div_ceil(8);
-    if HEADER_BYTES + payload_bytes + TAG_BYTES != body_len {
-        return Err(WireError::BadLength(format!(
-            "length field {body_len} disagrees with {len_bits}-bit payload"
-        )));
-    }
-    let payload =
-        Message::from_bits(body[HEADER_BYTES..HEADER_BYTES + payload_bytes].to_vec(), len_bits)
-            .map_err(WireError::BadPayload)?;
+    let payload = body[HEADER_BYTES..body.len() - TAG_BYTES].to_vec();
+    let payload = Message::from_bits(payload, len_bits).map_err(WireError::BadPayload)?;
     Ok(Some(DecodedFrame {
-        consumed: 4 + body_len,
+        consumed,
         kind,
         envelope: Envelope { session, round, from, to, payload },
     }))

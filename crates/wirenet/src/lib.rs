@@ -48,7 +48,8 @@
 //!   ranges hand their
 //!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)s
 //!   to worker 0 by value (epoch-fenced; MAC'd `Partial` frames only
-//!   where a range lives on a remote shard host), and worker 0 runs the
+//!   where a range lives on a remote shard host, which runs the same
+//!   range worker behind a socket), and worker 0 runs the
 //!   served protocol's `referee_step` once per round, streaming MAC'd
 //!   downlinks back and the encoded final output as the verdict. A
 //!   [`ServiceCatalog`] names the protocols one server hosts;
@@ -62,9 +63,9 @@
 //!   with a keyed [`vector_digest`] of the assembled vector, which
 //!   [`FleetClient::verify_session`] checks against the vector it sent.
 //! * [`placement`] — **cross-host shard placement**: shard workers as
-//!   network peers. A [`ShardHost`] role serves shard state behind a
-//!   MAC'd registration handshake with per-shard, generation-scoped
-//!   keys; a [`PlacementPolicy`] + [`RemotePlacement`] decide which
+//!   network peers. A [`ShardHost`] runs the engine's range worker
+//!   behind a socket and a MAC'd registration handshake with per-shard,
+//!   generation-scoped keys; a [`PlacementPolicy`] + [`RemotePlacement`] decide which
 //!   host owns which ID range; coordinator-side proxies journal and
 //!   replay so shard-host kill/restart leaves verdicts bit-for-bit
 //!   unchanged.

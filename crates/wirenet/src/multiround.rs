@@ -14,15 +14,17 @@
 //! # Topology
 //!
 //! One **router** thread owns the listener and every client connection;
-//! `k` **shard workers** each own the [`RangeWait`] of their slice of
-//! every session's ID space, and worker 0 also runs the session's
-//! [`RoundMerge`] — the round rule of `referee_protocol::shard`, which
-//! this module only drives. Per session:
+//! `k` **shard workers** run one worker state machine (`Worker`): each
+//! owns the [`RangeWait`] of its slice of every session's ID space, and
+//! worker 0 also runs the session's [`RoundMerge`] — the round rule of
+//! `referee_protocol::shard`, which this module only drives. Per
+//! session:
 //!
 //! 1. the client announces `(session, n, service name)`
 //!    ([`Announce`](FrameKind::Announce)); the router resolves the name
-//!    against the catalog and every worker opens shard `i` for round 1
-//!    under that service's referee and round cap;
+//!    against the catalog, fixes the service's round cap, and every
+//!    worker opens shard `i` for round 1 under that cap (worker 0 also
+//!    opens the service's referee);
 //! 2. round-stamped [`Data`](FrameKind::Data) uplink frames are routed
 //!    to workers by sender range; a worker whose range completes for
 //!    round `r` hands its [`RoundPartialState`] to worker 0 **by value**
@@ -43,10 +45,11 @@
 //!
 //! With a [`RemotePlacement`] the ranges live on
 //! [`ShardHost`](crate::placement::ShardHost) peers instead, each fed by
-//! a coordinator-side proxy, and worker 0 keeps only the referee and
-//! the collector (see [`crate::placement`]). Host partials cross a real
-//! socket as MAC'd [`Partial`](FrameKind::Partial) frames; the proxy
-//! decodes each one and hands the decoded value on.
+//! a coordinator-side proxy: a shard host runs the same worker's range
+//! half behind a socket, and an in-process accumulator keeps only the
+//! referee and the collector (see [`crate::placement`]). Host partials
+//! cross a real socket as MAC'd [`Partial`](FrameKind::Partial) frames;
+//! the proxy decodes each one and hands the decoded value on.
 //!
 //! [`FleetClient::run_multiround_session`](crate::FleetClient::run_multiround_session)
 //! drives the node half of the same protocol against this service:
@@ -64,10 +67,10 @@
 //! their connection at the router's MAC check.
 //!
 //! Faulty sessions fail fast under one rule for every round, the same
-//! on in-process workers and shard hosts because both run
-//! [`RangeWait::ingest`]: an out-of-range sender, a duplicate, a round
-//! stamp outside `1..=cap` or an uplink racing ahead of the protocol
-//! poisons the round it hit. An arrival behind a range partial that
+//! on in-process workers and shard hosts because both run one worker
+//! around [`RangeWait::ingest`]: an out-of-range sender, a duplicate, a
+//! round stamp outside `1..=cap` or an uplink racing ahead of the
+//! protocol poisons the round it hit. An arrival behind a range partial that
 //! already shipped is checked against the retained copy of that round —
 //! a repeat is still provable — and reported to worker 0 as a
 //! round-stamped poison notice. Worker 0 judges a poisoned round
@@ -90,7 +93,7 @@ use crate::reactor::{send_hello, serve, Conn, Role};
 use crate::shard::build_evidence;
 use referee_protocol::evidence::SessionParams;
 use referee_protocol::multiround::RefereeStep;
-use referee_protocol::shard::multiround::{Fault, RangeWait, RoundMerge, RoundPartialState};
+use referee_protocol::shard::multiround::{RangeWait, RoundMerge, RoundPartialState};
 use referee_protocol::shard::{nonempty_shards, route_arrival, shard_range};
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
@@ -205,17 +208,28 @@ pub(crate) fn decode_mr_verdict(msg: &Message) -> Result<Message, DecodeError> {
 /// by `(conn, session)` throughout, so independent clients may number
 /// their sessions identically without colliding.
 pub(crate) enum MrMsg {
-    /// A session opened: every worker creates its round-1 shard under
-    /// the catalog service the router resolved (an index into the
-    /// shared [`ServiceCatalog`] — the router fails unknown names
-    /// closed before they reach any worker).
-    Announce { conn: u32, session: u64, n: usize, epoch: u32, service: u32 },
+    /// A session opened: every worker opens its range of it at round
+    /// `resume` under round cap `cap` (both fixed by the router, which
+    /// resolved the catalog service — an index into the shared
+    /// [`ServiceCatalog`], read only by the collector; the router fails
+    /// unknown names closed before they reach any worker). A shard host
+    /// hears the same message from its proxy, at the round the
+    /// proxy's journal resumes at.
+    Announce {
+        conn: u32,
+        session: u64,
+        n: usize,
+        epoch: u32,
+        service: u32,
+        cap: u32,
+        resume: u32,
+    },
     /// An authenticated round-stamped uplink routed to this worker's
     /// range.
     Data { conn: u32, env: Envelope },
-    /// A range partial or a poison notice for worker 0, by value, from
-    /// range `from`, stamped with the session's announce `epoch`. A
-    /// proxy forwards a shard host's partial as it decoded it: an
+    /// A range partial or a poison notice for the collector, by value,
+    /// from range `from`, stamped with the session's announce `epoch`.
+    /// A proxy forwards a shard host's partial as it decoded it: an
     /// undecodable one arrives as its decode error and fails the
     /// session closed.
     Partial {
@@ -232,7 +246,7 @@ pub(crate) enum MrMsg {
 }
 
 /// Worker → router.
-enum MrOutbound {
+pub(crate) enum MrOutbound {
     /// Stream round `round`'s downlinks (`msgs[i]` to node `i + 1`).
     Downlinks { conn: u32, session: SessionId, round: u32, msgs: Vec<Message> },
     /// The session's terminal verdict.
@@ -242,17 +256,63 @@ enum MrOutbound {
     Evidence { conn: u32, session: SessionId, from: u32, payload: Message },
 }
 
-/// The outbound channel paired with the router poller's waker: mpsc
-/// sends are invisible to `epoll`, so every downlink burst or verdict
-/// nudges the router out of its kernel readiness wait.
-struct OutTx {
-    tx: Sender<MrOutbound>,
+/// Where a [`Worker`]'s output goes: an in-process worker's [`Lane`],
+/// or a shard host's link.
+pub(crate) trait Out {
+    /// Hand the collector a partial of range `from` for session
+    /// `(conn, session)` under announce `epoch`: a ready range partial,
+    /// with the instant its wait opened (reset it to restart the
+    /// clock), or a poison notice (`opened` is `None`).
+    fn partial(
+        &mut self,
+        key: (u32, u64),
+        epoch: u32,
+        from: u32,
+        partial: RoundPartialState,
+        opened: Option<&mut Instant>,
+        metrics: &WireMetrics,
+    );
+
+    /// Ship collector output or an evidence bundle toward the client.
+    /// A sink without a client link drops it (the default): a shard
+    /// host keeps its evidence in its own metrics.
+    fn outbound(&mut self, _out: impl FnOnce() -> MrOutbound) {}
+}
+
+/// An in-process worker's sink: partials go to the collector by value
+/// over its inbox (worker 0's own never leave it), client traffic to
+/// the router — each send paired with a wake of the router's poller,
+/// since mpsc sends are invisible to `epoll`.
+struct Lane {
+    to_collector: Option<Sender<MrMsg>>,
+    router: Sender<MrOutbound>,
     waker: Waker,
 }
 
-impl OutTx {
-    fn send(&self, out: MrOutbound) {
-        let _ = self.tx.send(out);
+impl Out for Lane {
+    fn partial(
+        &mut self,
+        (conn, session): (u32, u64),
+        epoch: u32,
+        from: u32,
+        partial: RoundPartialState,
+        opened: Option<&mut Instant>,
+        metrics: &WireMetrics,
+    ) {
+        if opened.is_some() {
+            let endpoint = trace_endpoint::worker(from);
+            let round = u64::from(partial.round());
+            metrics.trace(session, endpoint, TraceKind::PartialEmit, round);
+            metrics.partial_frames(1);
+        }
+        if let Some(tx) = &self.to_collector {
+            let _ =
+                tx.send(MrMsg::Partial { conn, session, epoch, from, partial: Ok(partial) });
+        }
+    }
+
+    fn outbound(&mut self, out: impl FnOnce() -> MrOutbound) {
+        let _ = self.router.send(out());
         self.waker.wake();
     }
 }
@@ -264,30 +324,231 @@ struct SessionRoute {
 }
 
 /// Per-session state inside one worker — keyed by (conn, session) in
-/// the worker's map. The stepper and round cap are those of the catalog
-/// service resolved at announce time (a re-announced id may land on a
-/// different service under a fresh epoch).
+/// the worker's map.
 struct MrSession {
-    conn: u32,
     n: usize,
     epoch: u32,
-    /// This worker's range wait; `None` on a remote-placement
-    /// accumulator, whose ranges live on shard hosts.
-    wait: Option<RangeWait>,
-    /// Worker 0 only: the referee and the collector of its rounds'
-    /// partials, whose quorum is the shards with non-empty ranges for
-    /// this `n` (empty-range shards never emit; their empty partials
-    /// are implied).
-    stepper: Option<Box<dyn RefereeStepper>>,
-    merge: RoundMerge,
     /// Server-side round cap.
-    cap: usize,
-    /// When this worker saw the announce — the zero point for the
-    /// server-side verdict stage histogram.
+    cap: u32,
+    /// The range half: this worker's range wait and when it opened (the
+    /// announce, or the previous emit — a shard host's uplinks-complete
+    /// zero point). `None` on a worker whose range is empty for this
+    /// `n`, or that owns no range (a remote-placement accumulator).
+    wait: Option<(RangeWait, Instant)>,
+    /// The collector half, on the worker that runs the referee.
+    referee: Option<Referee>,
+}
+
+/// A session's referee and the collector of its rounds' partials, whose
+/// quorum is the shards with non-empty ranges for this `n` (empty-range
+/// shards never emit; their empty partials are implied). The stepper is
+/// that of the catalog service resolved at announce time (a
+/// re-announced id may land on a different service under a fresh
+/// epoch).
+struct Referee {
+    stepper: Box<dyn RefereeStepper>,
+    merge: RoundMerge,
+    /// When the announce arrived — the zero point for the server-side
+    /// verdict stage histogram.
     opened: Instant,
-    /// When the referee's current round opened (reset per round) — the
-    /// zero point for the per-round partial-merge stage histogram.
+    /// When the current round opened (reset per round) — the zero point
+    /// for the per-round partial-merge stage histogram.
     round_opened: Instant,
+}
+
+/// The engine's worker state machine, one per in-process worker thread
+/// and one per registered shard-host link. Its range half (with a
+/// `range`) waits on that range of every session and ships each
+/// round's partial or poison notice through its [`Out`]; its collector
+/// half (with a `collector` catalog) merges every range's partials and
+/// runs the referee. In process, worker 0 has both halves and keeps its
+/// own partials; with remote placement the accumulator is collector
+/// only and each shard host's worker range only.
+pub(crate) struct Worker<'a> {
+    duty: Duty<'a>,
+    sessions: HashMap<(u32, u64), MrSession>,
+}
+
+/// What a [`Worker`] runs, and under which key and trace endpoint.
+struct Duty<'a> {
+    range: Option<usize>,
+    shards: usize,
+    collector: Option<&'a ServiceCatalog>,
+    base: AuthKey,
+    /// Trace endpoint of every event the worker records itself.
+    endpoint: u32,
+}
+
+impl<'a> Worker<'a> {
+    pub(crate) fn new(
+        range: Option<usize>,
+        shards: usize,
+        collector: Option<&'a ServiceCatalog>,
+        base: AuthKey,
+        endpoint: u32,
+    ) -> Worker<'a> {
+        let duty = Duty { range, shards, collector, base, endpoint };
+        Worker { duty, sessions: HashMap::new() }
+    }
+
+    /// Apply one message.
+    pub(crate) fn handle(&mut self, msg: MrMsg, out: &mut impl Out, metrics: &WireMetrics) {
+        let Worker { duty, sessions } = self;
+        match msg {
+            MrMsg::Announce { conn, session, n, epoch, service, cap, resume } => {
+                // An empty range never receives routed data and never
+                // emits: a worker without a collector skips the session.
+                let shards = duty.shards;
+                let wait =
+                    duty.range.filter(|&index| !shard_range(n, shards, index).is_empty()).map(
+                        |index| (RangeWait::new(n, shards, index, resume, cap), Instant::now()),
+                    );
+                let referee = duty.collector.map(|catalog| Referee {
+                    stepper: catalog
+                        .by_index(service as usize)
+                        .expect("router validated the service")
+                        .open(n),
+                    merge: RoundMerge::new(n, nonempty_shards(n, shards), cap as usize),
+                    opened: Instant::now(),
+                    round_opened: Instant::now(),
+                });
+                if wait.is_none() && referee.is_none() {
+                    return;
+                }
+                let key = (conn, session);
+                let mut ws = MrSession { n, epoch, cap, wait, referee };
+                if !duty.settle(key, &mut ws, out, metrics) {
+                    // A re-announce of a live key only happens when a
+                    // shard host's coordinator re-registered (its journal
+                    // replay is about to rebuild the state): start fresh.
+                    sessions.insert(key, ws);
+                }
+            }
+            MrMsg::Data { conn, env } => {
+                let key = (conn, env.session.0);
+                let Some(ws) = sessions.get_mut(&key) else {
+                    metrics.orphan_frames(1); // finished or retired in flight
+                    return;
+                };
+                let Some((wait, _)) = ws.wait.as_mut() else {
+                    metrics.decode_rejects(1); // a range this worker does not own
+                    return;
+                };
+                let Ok(ingested) = wait.ingest(env.from, env.round, &env.payload) else {
+                    // Router/worker range disagreement — a bug, not wire
+                    // data; surfaced in metrics.
+                    metrics.decode_rejects(1);
+                    return;
+                };
+                if let Some(fault) = ingested.fault {
+                    let params =
+                        SessionParams { session: key.1, n: ws.n as u32, round_cap: ws.cap };
+                    let (base, endpoint) = (&duty.base, duty.endpoint);
+                    if let Some(bundle) =
+                        build_evidence(base, conn, params, &env, fault, endpoint, metrics)
+                    {
+                        out.outbound(|| MrOutbound::Evidence {
+                            conn,
+                            session: env.session,
+                            from: bundle.accused.unwrap_or(0),
+                            payload: bundle.encode(),
+                        });
+                    }
+                }
+                if let Some(notice) = ingested.notice {
+                    // Fail fast instead of wedging a sibling range's wait.
+                    let from = u64::from(env.from);
+                    metrics.trace(key.1, duty.endpoint, TraceKind::Poison, from);
+                    duty.ship(key, ws, notice, false, out, metrics);
+                }
+                if duty.settle(key, ws, out, metrics) {
+                    sessions.remove(&key);
+                }
+            }
+            MrMsg::Partial { conn, session, epoch, from, partial } => {
+                let key = (conn, session);
+                // A stale partial from a previous run of this (conn,
+                // session) key must not merge into the current one.
+                let Some(ws) = sessions.get_mut(&key).filter(|ws| ws.epoch == epoch) else {
+                    metrics.orphan_frames(1); // finished or retired in flight
+                    return;
+                };
+                let Some(referee) = ws.referee.as_mut() else {
+                    metrics.orphan_frames(1); // partials only merge at the collector
+                    return;
+                };
+                let done = match absorb(&mut referee.merge, partial, metrics) {
+                    Ok(()) => {
+                        let from = u64::from(from);
+                        metrics.trace(session, duty.endpoint, TraceKind::PartialMerge, from);
+                        duty.settle(key, ws, out, metrics)
+                    }
+                    Err(e) => {
+                        // A partial that does not decode or merge fails
+                        // the session closed.
+                        send_verdict(key, referee, Err(e), out, metrics);
+                        true
+                    }
+                };
+                if done {
+                    sessions.remove(&key);
+                }
+            }
+            MrMsg::Finish { conn, session } => {
+                sessions.remove(&(conn, session));
+            }
+            MrMsg::Retire { conn } => {
+                sessions.retain(|(owner, _), _| *owner != conn);
+            }
+        }
+    }
+}
+
+impl Duty<'_> {
+    /// Hand one partial — a ready range partial or a poison notice — to
+    /// the collector: absorbed in place when this worker runs it, else
+    /// through `out`.
+    fn ship(
+        &self,
+        key: (u32, u64),
+        ws: &mut MrSession,
+        partial: RoundPartialState,
+        ready: bool,
+        out: &mut impl Out,
+        metrics: &WireMetrics,
+    ) {
+        match ws.referee.as_mut() {
+            Some(referee) => {
+                if ready {
+                    let round = u64::from(partial.round());
+                    metrics.trace(key.1, self.endpoint, TraceKind::PartialEmit, round);
+                }
+                absorb(&mut referee.merge, Ok(partial), metrics)
+                    .expect("own partials stay within the cap");
+            }
+            None => {
+                let from = self.range.expect("only a range emits") as u32;
+                let opened = ws.wait.as_mut().map(|(_, opened)| opened).filter(|_| ready);
+                out.partial(key, ws.epoch, from, partial, opened, metrics);
+            }
+        }
+    }
+
+    /// Ship every partial the session's range has ready, then judge
+    /// every round the collector has ready. Returns whether the session
+    /// is judged (its verdict sent).
+    fn settle(
+        &self,
+        key: (u32, u64),
+        ws: &mut MrSession,
+        out: &mut impl Out,
+        metrics: &WireMetrics,
+    ) -> bool {
+        while let Some(partial) = ws.wait.as_mut().and_then(|(wait, _)| wait.take_ready()) {
+            self.ship(key, ws, partial, true, out, metrics);
+        }
+        ws.referee.is_some() && try_advance(key, ws, out, metrics)
+    }
 }
 
 /// The catalog server loop (spawned by
@@ -295,8 +556,9 @@ struct MrSession {
 /// every non-echo server). In process, `shards` workers each own a
 /// range and worker 0 also runs the referee. With a `placement`, one
 /// proxy per shard forwards its range to a
-/// [`ShardHost`](crate::placement::ShardHost) and an extra in-process
-/// worker keeps only the referee and the per-round merge accumulators.
+/// [`ShardHost`](crate::placement::ShardHost), which runs the engine's
+/// range worker behind a socket, and an extra in-process worker keeps
+/// only the referee and the per-round merge accumulators.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_catalog_server(
     listener: TcpListener,
@@ -317,24 +579,26 @@ pub(crate) fn run_catalog_server(
         (0..lanes).map(|_| std::sync::mpsc::channel()).unzip();
     thread::scope(|scope| {
         for (i, rx) in worker_rxs.into_iter().enumerate() {
-            let base = &key;
             match &placement {
                 Some(placement) if i != acc => {
-                    let cfg = ProxyConfig { index: i, shards, base, placement, metrics };
+                    let cfg = ProxyConfig { index: i, shards, base: &key, placement, metrics };
                     let acc_tx = worker_txs[acc].clone();
-                    scope.spawn(move || run_proxy(cfg, rx, acc_tx, catalog));
+                    scope.spawn(move || run_proxy(cfg, rx, acc_tx));
                 }
                 _ => {
                     // The accumulator must not hold a sender to itself
                     // (its inbox would never disconnect).
-                    let tx0 = (i != acc).then(|| worker_txs[acc].clone());
-                    let otx = OutTx { tx: out_tx.clone(), waker: poller.waker() };
-                    let owns_range = placement.is_none();
-                    let index = if owns_range { i } else { 0 };
+                    let to_collector = (i != acc).then(|| worker_txs[acc].clone());
+                    let router = out_tx.clone();
+                    let mut lane = Lane { to_collector, router, waker: poller.waker() };
+                    let range = placement.is_none().then_some(i);
+                    let collector = (i == acc).then_some(catalog);
+                    let endpoint = trace_endpoint::worker(range.unwrap_or(0) as u32);
+                    let mut worker = Worker::new(range, shards, collector, key, endpoint);
                     scope.spawn(move || {
-                        mr_worker(
-                            index, shards, rx, tx0, otx, base, catalog, metrics, owns_range,
-                        )
+                        while let Ok(msg) = rx.recv() {
+                            worker.handle(msg, &mut lane, metrics);
+                        }
                     });
                 }
             }
@@ -436,21 +700,19 @@ impl Router<'_> {
                 // connection stays usable, and no worker ever hears of
                 // the session (nor sizes state by its claimed `n`).
                 let catalog = self.catalog;
-                let service = match &name {
+                let index = name.as_deref().map_or(Some(0), |name| catalog.index_of(name));
+                let service = match index.and_then(|i| Some((i, catalog.by_index(i)?))) {
                     _ if n > MAX_SESSION_NODES => Err(format!(
                         "network size {n} exceeds the limit of {MAX_SESSION_NODES} nodes"
                     )),
-                    None if !catalog.is_empty() => Ok(0),
-                    Some(name) if catalog.index_of(name).is_some() => {
-                        Ok(catalog.index_of(name).expect("checked") as u32)
-                    }
-                    _ => Err(format!(
+                    Some((index, entry)) => Ok((index as u32, entry.round_cap(n) as u32)),
+                    None => Err(format!(
                         "unknown catalog service {:?}",
                         name.as_deref().unwrap_or("")
                     )),
                 };
-                let service = match service {
-                    Ok(service) => service,
+                let (service, cap) = match service {
+                    Ok(resolved) => resolved,
                     Err(why) => {
                         metrics.decode_rejects(1);
                         metrics.verdict_frames(1);
@@ -475,7 +737,16 @@ impl Router<'_> {
                 metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Announce, n as u64);
                 self.announced.insert(key, SessionRoute { n, finished: false });
                 let session = key.1;
-                self.broadcast(|| MrMsg::Announce { conn: id, session, n, epoch, service });
+                let resume = 1;
+                self.broadcast(|| MrMsg::Announce {
+                    conn: id,
+                    session,
+                    n,
+                    epoch,
+                    service,
+                    cap,
+                    resume,
+                });
                 true
             }
             FrameKind::Data => match self.announced.get(&key) {
@@ -609,267 +880,78 @@ fn queue_out(
     true
 }
 
-/// Build, self-verify, and ship the evidence bundle proving `fault`.
-/// The bundle rides the worker→router outbound channel as an
-/// [`MrOutbound::Evidence`] and reaches the client as a
-/// [`FrameKind::Evidence`] frame; it never touches round/verdict
-/// bookkeeping.
-fn mr_evidence(
-    index: usize,
-    base: &AuthKey,
-    ws: &MrSession,
-    env: &Envelope,
-    fault: Fault,
-    otx: &OutTx,
-    metrics: &WireMetrics,
-) {
-    let (session, n) = (env.session.0, ws.n as u32);
-    let params = SessionParams { session, n, round_cap: ws.cap as u32 };
-    let endpoint = trace_endpoint::worker(index as u32);
-    let Some(bundle) = build_evidence(base, ws.conn, params, env, fault, endpoint, metrics)
-    else {
-        return;
-    };
-    otx.send(MrOutbound::Evidence {
-        conn: ws.conn,
-        session: env.session,
-        from: bundle.accused.unwrap_or(0),
-        payload: bundle.encode(),
-    });
-}
-
-/// One shard worker: owns shard `index` of every announced session's
-/// per-round uplink wait. With `owns_range` false (remote placement)
-/// the worker collects nothing itself — it keeps only the referee and
-/// the per-round merge accumulators.
-#[allow(clippy::too_many_arguments)]
-fn mr_worker(
-    index: usize,
-    shards: usize,
-    rx: Receiver<MrMsg>,
-    tx0: Option<Sender<MrMsg>>,
-    otx: OutTx,
-    base: &AuthKey,
-    catalog: &ServiceCatalog,
-    metrics: &WireMetrics,
-    owns_range: bool,
-) {
-    let mut sessions: HashMap<(u32, u64), MrSession> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            MrMsg::Announce { conn, session, n, epoch, service } => {
-                // A worker whose range is empty for this n can never
-                // receive routed data and never emits: skip the session
-                // entirely (worker 0 always participates — it runs the
-                // referee).
-                if index != 0 && shard_range(n, shards, index).is_empty() {
-                    continue;
-                }
-                // The router resolved (and fail-closed) the service
-                // name before broadcasting, so the index is valid.
-                let entry =
-                    catalog.by_index(service as usize).expect("router validated the service");
-                let cap = entry.round_cap(n);
-                let mut ws = MrSession {
-                    conn,
-                    n,
-                    epoch,
-                    wait: owns_range.then(|| RangeWait::new(n, shards, index, 1, cap as u32)),
-                    stepper: (index == 0).then(|| entry.open(n)),
-                    merge: RoundMerge::new(n, nonempty_shards(n, shards), cap),
-                    cap,
-                    opened: Instant::now(),
-                    round_opened: Instant::now(),
-                };
-                emit_ready_rounds(index, session, &mut ws, &tx0, metrics);
-                if index == 0 && try_advance(session, &mut ws, &otx, metrics) {
-                    continue; // e.g. n = 0: judged straight from announce
-                }
-                sessions.insert((conn, session), ws);
-            }
-            MrMsg::Data { conn, env } => {
-                let session = env.session.0;
-                let Some(ws) = sessions.get_mut(&(conn, session)) else {
-                    metrics.orphan_frames(1);
-                    continue;
-                };
-                let Some(wait) = ws.wait.as_mut() else {
-                    metrics.decode_rejects(1); // a range this worker does not own
-                    continue;
-                };
-                let Ok(ingested) = wait.ingest(env.from, env.round, &env.payload) else {
-                    // Router/worker range disagreement — a bug, not wire
-                    // data; surfaced in metrics.
-                    metrics.decode_rejects(1);
-                    continue;
-                };
-                if let Some(fault) = ingested.fault {
-                    mr_evidence(index, base, ws, &env, fault, &otx, metrics);
-                }
-                if let Some(notice) = ingested.notice {
-                    let endpoint = trace_endpoint::worker(index as u32);
-                    metrics.trace(session, endpoint, TraceKind::Poison, u64::from(env.from));
-                    ship(index, session, ws, notice, &tx0, metrics);
-                }
-                emit_ready_rounds(index, session, ws, &tx0, metrics);
-                if index == 0 && try_advance(session, ws, &otx, metrics) {
-                    sessions.remove(&(conn, session));
-                }
-            }
-            MrMsg::Partial { conn, session, epoch, from, partial } => {
-                let Some(ws) = sessions.get_mut(&(conn, session)) else {
-                    metrics.orphan_frames(1); // finished or retired in flight
-                    continue;
-                };
-                // A stale partial from a previous run of this (conn,
-                // session) key must not merge into the current one.
-                if epoch != ws.epoch {
-                    metrics.orphan_frames(1);
-                    continue;
-                }
-                match absorb(ws, partial, metrics) {
-                    Ok(()) => {
-                        let endpoint = trace_endpoint::worker(0);
-                        metrics.trace(
-                            session,
-                            endpoint,
-                            TraceKind::PartialMerge,
-                            u64::from(from),
-                        );
-                        if try_advance(session, ws, &otx, metrics) {
-                            sessions.remove(&(conn, session));
-                        }
-                    }
-                    Err(e) => {
-                        // A partial that does not decode or merge fails
-                        // the session closed.
-                        send_mr_verdict(session, ws, Err(e), &otx, metrics);
-                        sessions.remove(&(conn, session));
-                    }
-                }
-            }
-            MrMsg::Finish { conn, session } => {
-                sessions.remove(&(conn, session));
-            }
-            MrMsg::Retire { conn } => {
-                sessions.retain(|(owner, _), _| *owner != conn);
-            }
-        }
-    }
-}
-
-/// Hand one partial — a range partial or a poison notice — to the
-/// collector by value: worker 0 absorbs it in place, every other worker
-/// sends it to worker 0 stamped with the session's announce epoch.
-fn ship(
-    index: usize,
-    session: u64,
-    ws: &mut MrSession,
-    partial: RoundPartialState,
-    tx0: &Option<Sender<MrMsg>>,
-    metrics: &WireMetrics,
-) {
-    match tx0 {
-        Some(tx) => {
-            let (conn, epoch, from) = (ws.conn, ws.epoch, index as u32);
-            let _ =
-                tx.send(MrMsg::Partial { conn, session, epoch, from, partial: Ok(partial) });
-        }
-        None => absorb(ws, Ok(partial), metrics).expect("own partials stay within the cap"),
-    }
-}
-
-/// Ship every partial this worker's range has ready.
-fn emit_ready_rounds(
-    index: usize,
-    session: u64,
-    ws: &mut MrSession,
-    tx0: &Option<Sender<MrMsg>>,
-    metrics: &WireMetrics,
-) {
-    while let Some(partial) = ws.wait.as_mut().and_then(RangeWait::take_ready) {
-        let endpoint = trace_endpoint::worker(index as u32);
-        metrics.trace(session, endpoint, TraceKind::PartialEmit, u64::from(partial.round()));
-        ship(index, session, ws, partial, tx0, metrics);
-        if tx0.is_some() {
-            metrics.partial_frames(1);
-        }
-    }
-}
-
-/// Worker 0: absorb one partial into the session's collector. A partial
-/// for a round the referee already judged — only ever a late poison
-/// notice — is dropped as an orphan.
+/// Absorb one partial into the session's collector. A partial for a
+/// round the referee already judged — only ever a late poison notice —
+/// is dropped as an orphan.
 fn absorb(
-    ws: &mut MrSession,
+    merge: &mut RoundMerge,
     partial: Result<RoundPartialState, DecodeError>,
     metrics: &WireMetrics,
 ) -> Result<(), DecodeError> {
-    if !ws.merge.absorb(partial?)? {
+    if !merge.absorb(partial?)? {
         metrics.orphan_frames(1);
     }
     Ok(())
 }
 
-/// Worker 0: judge every round the collector has ready, stepping the
-/// referee in round order (see [`RoundMerge::next`]). Returns whether
-/// the session is done (verdict sent).
-fn try_advance(session: u64, ws: &mut MrSession, otx: &OutTx, metrics: &WireMetrics) -> bool {
+/// Judge every round the collector has ready, stepping the referee in
+/// round order (see [`RoundMerge::next`]). Returns whether the session
+/// is done (verdict sent).
+fn try_advance(
+    key: (u32, u64),
+    ws: &mut MrSession,
+    out: &mut impl Out,
+    metrics: &WireMetrics,
+) -> bool {
+    let (n, cap) = (ws.n, ws.cap);
+    let referee = ws.referee.as_mut().expect("the collector runs the referee");
     let verdict = loop {
-        if ws.merge.round() as usize > ws.cap {
-            break Err(DecodeError::Invalid(format!(
-                "no verdict within the {}-round cap",
-                ws.cap
-            )));
+        if referee.merge.round() > cap {
+            break Err(DecodeError::Invalid(format!("no verdict within the {cap}-round cap")));
         }
-        let Some(acc) = ws.merge.next() else { return false };
-        let round = ws.merge.round();
-        metrics.record_stage(Stage::PartialMerge, ws.round_opened.elapsed());
+        let Some(acc) = referee.merge.next() else { return false };
+        let round = referee.merge.round();
+        metrics.record_stage(Stage::PartialMerge, referee.round_opened.elapsed());
         let uplinks = match acc.finish() {
             Ok(uplinks) => uplinks,
             Err(e) => break Err(e),
         };
-        let stepper = ws.stepper.as_mut().expect("worker 0 owns the referee");
         let stepped = Instant::now();
-        let step = stepper.step(ws.n, round as usize, &uplinks);
+        let step = referee.stepper.step(n, round as usize, &uplinks);
         metrics.record_stage(Stage::RefereeStep, stepped.elapsed());
         let endpoint = trace_endpoint::worker(0);
-        metrics.trace(session, endpoint, TraceKind::RefereeStep, u64::from(round));
+        metrics.trace(key.1, endpoint, TraceKind::RefereeStep, u64::from(round));
         match step {
             RefereeStep::Done(out) => break Ok(out),
-            RefereeStep::Continue(downlinks) if downlinks.len() != ws.n => {
+            RefereeStep::Continue(downlinks) if downlinks.len() != n => {
                 break Err(DecodeError::Inconsistent(format!(
-                    "referee produced {} downlinks for {} nodes",
+                    "referee produced {} downlinks for {n} nodes",
                     downlinks.len(),
-                    ws.n
                 )));
             }
             RefereeStep::Continue(msgs) => {
-                let (conn, session) = (ws.conn, SessionId(session));
-                otx.send(MrOutbound::Downlinks { conn, session, round, msgs });
-                ws.merge.advance();
-                ws.round_opened = Instant::now();
+                let (conn, session) = (key.0, SessionId(key.1));
+                out.outbound(|| MrOutbound::Downlinks { conn, session, round, msgs });
+                referee.merge.advance();
+                referee.round_opened = Instant::now();
             }
         }
     };
-    send_mr_verdict(session, ws, verdict, otx, metrics);
+    send_verdict(key, referee, verdict, out, metrics);
     true
 }
 
-fn send_mr_verdict(
-    session: u64,
-    ws: &MrSession,
+fn send_verdict(
+    (conn, session): (u32, u64),
+    referee: &Referee,
     result: Result<Message, DecodeError>,
-    otx: &OutTx,
+    out: &mut impl Out,
     metrics: &WireMetrics,
 ) {
-    metrics.record_stage(Stage::Verdict, ws.opened.elapsed());
+    metrics.record_stage(Stage::Verdict, referee.opened.elapsed());
     metrics.verdict_frames(1);
-    otx.send(MrOutbound::Verdict {
-        conn: ws.conn,
-        session: SessionId(session),
-        payload: encode_mr_verdict(&result),
-    });
+    let payload = encode_mr_verdict(&result);
+    out.outbound(|| MrOutbound::Verdict { conn, session: SessionId(session), payload });
 }
 
 #[cfg(test)]

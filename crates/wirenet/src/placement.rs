@@ -16,17 +16,18 @@
 //!   ([`update_host`](RemotePlacement::update_host)), so a shard host
 //!   that restarts on a new port (or migrates to a new machine) is
 //!   picked up on the proxy's next redial — no server restart.
-//! * [`ShardHost`] is the remote worker role: it accepts coordinator
-//!   connections, each registered as one shard of a placement by a
-//!   MAC'd [`Register`](FrameKind::Register) handshake, ingests routed
-//!   uplinks into the engine's per-round range waits (the same
-//!   [`RangeWait`] an in-process worker runs), and ships
-//!   [`Partial`](FrameKind::Partial) frames back over the same
-//!   authenticated codec the rest of the system speaks. It is a role of
-//!   the reactor's one server loop, as the echo mailbox and the router
-//!   are: it pumps only the links the poller flagged, stops reading a
-//!   link over the write high-water mark, and rejects frames under the
-//!   one reject rule.
+//! * [`ShardHost`] runs the engine's range worker behind a socket: it
+//!   accepts coordinator connections, each registered as one shard of a
+//!   placement by a MAC'd [`Register`](FrameKind::Register) handshake,
+//!   and hands every later frame — announce, routed uplink, finish,
+//!   retire — to that link's range worker, the state machine an
+//!   in-process shard worker runs. The worker's partials and poison
+//!   notices leave as [`Partial`](FrameKind::Partial) frames over the
+//!   same authenticated codec the rest of the system speaks. The host
+//!   is a role of the reactor's one server loop, as the echo mailbox
+//!   and the router are: it pumps only the links the poller flagged,
+//!   stops reading a link over the write high-water mark, and rejects
+//!   frames under the one reject rule.
 //! * The coordinator runs one **proxy** per shard (spawned by the
 //!   catalog server in [`crate::multiround`]): it forwards the router's
 //!   traffic to its shard host, journals everything a live shard may
@@ -75,21 +76,18 @@
 //! reaches the host: the proxy itself hands over the round-stamped
 //! poison notice the host would have sent, as it does for a round stamp
 //! outside `1..=cap`, choosing the round with the same [`fault_round`]
-//! a [`RangeWait`] uses — so fail-fast verdicts do not depend on
+//! the range worker uses — so fail-fast verdicts do not depend on
 //! whether the host is alive.
 
 use crate::auth::AuthKey;
 use crate::fleet::{resolve_bind, DEFAULT_BIND};
 use crate::frame::{encode_wire_frame, FrameKind, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
-use crate::multiround::{MrMsg, ServiceCatalog};
+use crate::multiround::{MrMsg, Out, Worker};
 use crate::poll::{default_backend, Poller};
 use crate::reactor::{serve, Conn, Role, SCRATCH_BYTES};
-use crate::shard::build_evidence;
-use referee_protocol::evidence::SessionParams;
-use referee_protocol::shard::multiround::{fault_round, RangeWait, RoundPartialState};
+use referee_protocol::shard::multiround::{fault_round, RoundPartialState};
 use referee_protocol::shard::replay::{decode_resume, encode_resume, Recorded, ShardJournal};
-use referee_protocol::shard::shard_range;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
@@ -185,17 +183,19 @@ fn decode_register(msg: &Message) -> Result<(usize, usize, u32), DecodeError> {
 /// [`link_key`]`(base, index, generation)`. Exposed for tests and
 /// alternative coordinator implementations.
 pub fn register_frame(base: &AuthKey, index: usize, shards: usize, generation: u32) -> Vec<u8> {
-    encode_wire_frame(
-        &registration_key(base),
-        FrameKind::Register,
-        &Envelope {
-            session: SessionId(0),
-            round: generation,
-            from: index as u32,
-            to: 0,
-            payload: encode_register(index, shards, generation),
-        },
-    )
+    let env = register_envelope(index, shards, generation);
+    encode_wire_frame(&registration_key(base), FrameKind::Register, &env)
+}
+
+/// The [`Register`](FrameKind::Register) handshake's envelope.
+fn register_envelope(index: usize, shards: usize, generation: u32) -> Envelope {
+    Envelope {
+        session: SessionId(0),
+        round: generation,
+        from: index as u32,
+        to: 0,
+        payload: encode_register(index, shards, generation),
+    }
 }
 
 /// Whether a payload fits the wire codec's frame cap.
@@ -364,25 +364,13 @@ impl Drop for ShardHost {
 /// The per-link state of one coordinator link on a shard host.
 #[derive(Default)]
 struct HostLink {
-    /// `(shard index, shard count)`, once registered.
-    role: Option<(usize, usize)>,
-    /// Shard state keyed by (coordinator client-connection id, session).
-    sessions: HashMap<(u32, u64), HostSession>,
+    /// The registered shard index and its range worker, once registered.
+    worker: Option<(usize, Worker<'static>)>,
     /// Flight-recorder watermark: events below this sequence were
     /// already shipped to the coordinator on a previous
     /// `Finish`/`Retire`, so each [`FrameKind::Trace`] segment is an
     /// increment, never a resend.
     shipped_seq: u64,
-}
-
-/// Per-session shard state on a host: the engine's range wait, under
-/// the session's announce epoch. `opened` is when the current range
-/// wait began (the announce, or the previous emit) — the zero point
-/// for the host's uplinks-complete stage histogram.
-struct HostSession {
-    epoch: u32,
-    wait: RangeWait,
-    opened: Instant,
 }
 
 /// The shard-host role of the server loop: every link starts under the
@@ -407,13 +395,14 @@ impl Role for Host {
         // Wrong base key, a sibling shard's key, or a stale-generation
         // frame fails the MAC; a protocol violation is a reject.
         conn.drain(scratch, m, Conn::next_frame, |conn, (kind, env)| {
-            host_frame(link, conn, kind, env, &self.0, m).is_ok()
+            host_frame(link, conn, kind, env, &self.0, m)
         })
     }
 }
 
-/// Handle one authenticated frame on a shard-host link. `Err(())`
-/// poisons the link (protocol violation).
+/// Handle one authenticated frame on a shard-host link: the
+/// registration handshake here, everything else as an [`MrMsg`] for the
+/// link's range worker. `false` poisons the link (protocol violation).
 fn host_frame(
     link: &mut HostLink,
     conn: &mut Conn,
@@ -421,89 +410,48 @@ fn host_frame(
     env: Envelope,
     base: &AuthKey,
     metrics: &WireMetrics,
-) -> Result<(), ()> {
-    let Some((index, shards)) = link.role else {
+) -> bool {
+    let Some((index, worker)) = link.worker.as_mut() else {
         // The registration handshake must come first — and only once.
-        let (index, shards, generation) = match kind {
-            FrameKind::Register => decode_register(&env.payload).map_err(|_| ())?,
-            _ => return Err(()),
+        let registration = match kind {
+            FrameKind::Register => decode_register(&env.payload).ok(),
+            _ => None,
         };
-        link.role = Some((index, shards));
+        let Some((index, shards, generation)) = registration else { return false };
         conn.set_key(link_key(base, index, generation));
         let ep = trace_endpoint::shard_host(index as u32);
         conn.trace_with(metrics.recorder_arc(), ep);
         metrics.trace(0, ep, TraceKind::Dial, u64::from(generation));
-        return Ok(());
+        link.worker = Some((index, Worker::new(Some(index), shards, None, *base, ep)));
+        return true;
     };
+    let index = *index;
     let endpoint = trace_endpoint::shard_host(index as u32);
-    match kind {
+    let session = env.session.0;
+    // The proxy carries the client connection in `from` (in `to` on
+    // uplinks, whose `from` is the sender); client uplinks address the
+    // referee (0), the only address an evidence record accepts.
+    let msg = match kind {
         FrameKind::Announce => {
-            let (n, resume, cap) = decode_resume(&env.payload).map_err(|_| ())?;
-            let cconn = env.from;
-            let session = env.session.0;
-            let epoch = env.round;
+            let Ok((n, resume, cap)) = decode_resume(&env.payload) else { return false };
             metrics.trace(session, endpoint, TraceKind::Announce, n as u64);
-            if shard_range(n, shards, index).is_empty() {
-                // Empty ranges never receive data and never emit — their
-                // per-round partials are implied.
-                return Ok(());
-            }
-            let hs = HostSession {
-                epoch,
-                wait: RangeWait::new(n, shards, index, resume, cap),
-                opened: Instant::now(),
-            };
-            // A re-announce of a live key only happens when the
-            // coordinator re-registered (its journal replay is about to
-            // rebuild the state): start fresh.
-            link.sessions.insert((cconn, session), hs);
-            emit_ready(link, conn, (cconn, session), index, metrics);
-            Ok(())
+            let (conn, epoch) = (env.from, env.round);
+            MrMsg::Announce { conn, session, n, epoch, service: 0, cap, resume }
         }
         FrameKind::Data => {
-            // The proxy carries the client connection in `to`; client
-            // uplinks address the referee (0), the only address an
-            // evidence record accepts.
-            let cconn = env.to;
-            let key = (cconn, env.session.0);
-            let Some(hs) = link.sessions.get_mut(&key) else {
-                metrics.orphan_frames(1); // finished or retired in flight
-                return Ok(());
-            };
-            let (session, from) = (env.session, env.from);
-            metrics.trace(session.0, endpoint, TraceKind::Uplink, u64::from(from));
-            let env = Envelope { to: 0, ..env };
-            let Ok(ingested) = hs.wait.ingest(from, env.round, &env.payload) else {
-                // Coordinator/host range disagreement: surfaced in metrics.
-                metrics.decode_rejects(1);
-                return Ok(());
-            };
-            if let Some(fault) = ingested.fault {
-                let n = hs.wait.n() as u32;
-                let params = SessionParams { session: session.0, n, round_cap: hs.wait.cap() };
-                // Logged host-side only: the host has no client link.
-                let _ = build_evidence(base, cconn, params, &env, fault, endpoint, metrics);
-            }
-            if let Some(notice) = ingested.notice {
-                // Fail fast instead of wedging a sibling range's wait.
-                metrics.trace(session.0, endpoint, TraceKind::Poison, u64::from(from));
-                queue_partial(conn, session, hs.epoch, index, cconn, &notice, metrics);
-            }
-            emit_ready(link, conn, key, index, metrics);
-            Ok(())
+            metrics.trace(session, endpoint, TraceKind::Uplink, u64::from(env.from));
+            MrMsg::Data { conn: env.to, env: Envelope { to: 0, ..env } }
         }
-        FrameKind::Finish => {
-            link.sessions.remove(&(env.from, env.session.0));
-            ship_trace(link, conn, index, metrics);
-            Ok(())
-        }
-        FrameKind::Retire => {
-            link.sessions.retain(|(cconn, _), _| *cconn != env.from);
-            ship_trace(link, conn, index, metrics);
-            Ok(())
-        }
-        _ => Err(()),
+        FrameKind::Finish => MrMsg::Finish { conn: env.from, session },
+        FrameKind::Retire => MrMsg::Retire { conn: env.from },
+        _ => return false,
+    };
+    let teardown = matches!(msg, MrMsg::Finish { .. } | MrMsg::Retire { .. });
+    worker.handle(msg, &mut HostOut(conn), metrics);
+    if teardown {
+        ship_trace(link, conn, index, metrics);
     }
+    true
 }
 
 /// Ship the host's flight-recorder increment (everything recorded since
@@ -536,50 +484,42 @@ fn ship_trace(link: &mut HostLink, conn: &mut Conn, index: usize, metrics: &Wire
     conn.queue_frame(FrameKind::Trace, &env);
 }
 
-/// Ship every partial this session's range wait has ready, advancing
-/// the round each time.
-fn emit_ready(
-    link: &mut HostLink,
-    conn: &mut Conn,
-    key: (u32, u64),
-    index: usize,
-    metrics: &WireMetrics,
-) {
-    let Some(hs) = link.sessions.get_mut(&key) else { return };
-    let (cconn, session) = key;
-    while let Some(partial) = hs.wait.take_ready() {
-        metrics.record_stage(Stage::UplinksComplete, hs.opened.elapsed());
-        hs.opened = Instant::now();
-        queue_partial(conn, SessionId(session), hs.epoch, index, cconn, &partial, metrics);
-    }
-}
+/// A shard-host worker's sink: each partial or poison notice leaves as
+/// one `Partial` frame on the coordinator link, stamped with the
+/// session's announce epoch (a payload beyond the frame cap is dropped
+/// — the session then starves and the client's deadline rejects it,
+/// never a host panic).
+struct HostOut<'a>(&'a mut Conn);
 
-/// Queue `partial` as one `Partial` frame on a shard-host link, stamped
-/// with the session's announce `epoch` (dropping payloads beyond the
-/// frame cap — the session then starves and the client's deadline
-/// rejects it, never a host panic).
-fn queue_partial(
-    conn: &mut Conn,
-    session: SessionId,
-    epoch: u32,
-    index: usize,
-    cconn: u32,
-    partial: &RoundPartialState,
-    metrics: &WireMetrics,
-) {
-    let payload = partial.encode();
-    if !fits_frame(&payload) {
-        metrics.decode_rejects(1);
-        return;
+impl Out for HostOut<'_> {
+    fn partial(
+        &mut self,
+        (conn, session): (u32, u64),
+        epoch: u32,
+        from: u32,
+        partial: RoundPartialState,
+        opened: Option<&mut Instant>,
+        metrics: &WireMetrics,
+    ) {
+        if let Some(opened) = opened {
+            metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
+            *opened = Instant::now();
+        }
+        let payload = partial.encode();
+        if !fits_frame(&payload) {
+            metrics.decode_rejects(1);
+            return;
+        }
+        let env =
+            Envelope { session: SessionId(session), round: epoch, from, to: conn, payload };
+        metrics.frames_sent(1);
+        metrics.partial_frames(1);
+        let endpoint = trace_endpoint::shard_host(from);
+        metrics.trace(session, endpoint, TraceKind::PartialEmit, u64::from(partial.round()));
+        // No eager flush: the server loop's per-link flush batches partials
+        // (a session's whole burst leaves in one write).
+        self.0.queue_frame(FrameKind::Partial, &env);
     }
-    let env = Envelope { session, round: epoch, from: index as u32, to: cconn, payload };
-    metrics.frames_sent(1);
-    metrics.partial_frames(1);
-    let endpoint = trace_endpoint::shard_host(index as u32);
-    metrics.trace(session.0, endpoint, TraceKind::PartialEmit, u64::from(partial.round()));
-    // No eager flush: the server loop's per-link flush batches partials
-    // (a session's whole burst leaves in one write).
-    conn.queue_frame(FrameKind::Partial, &env);
 }
 
 // ---------------------------------------------------------------------------
@@ -613,12 +553,7 @@ struct ProxySession {
 /// shard host, journals for replay, redials on disconnect, and hands
 /// the host's decoded partials to the accumulator by value. Runs until
 /// its inbox disconnects.
-pub(crate) fn run_proxy(
-    cfg: ProxyConfig<'_>,
-    rx: Receiver<MrMsg>,
-    acc: Sender<MrMsg>,
-    catalog: &ServiceCatalog,
-) {
+pub(crate) fn run_proxy(cfg: ProxyConfig<'_>, rx: Receiver<MrMsg>, acc: Sender<MrMsg>) {
     let host = cfg.placement.policy().host_of_shard(cfg.index);
     let mut link: Option<Conn> = None;
     let mut generation: u32 = 0;
@@ -632,7 +567,7 @@ pub(crate) fn run_proxy(
             Ok(m) => {
                 let mut next = Some(m);
                 while let Some(m) = next {
-                    proxy_event(&cfg, m, &mut sessions, &mut link, catalog, &acc);
+                    proxy_event(&cfg, m, &mut sessions, &mut link, &acc);
                     next = rx.try_recv().ok();
                 }
             }
@@ -675,13 +610,7 @@ fn dial(
     cfg.metrics.trace(0, cfg.endpoint(), kind, u64::from(*generation));
     conn.queue_frame(
         FrameKind::Register,
-        &Envelope {
-            session: SessionId(0),
-            round: *generation,
-            from: cfg.index as u32,
-            to: 0,
-            payload: encode_register(cfg.index, cfg.shards, *generation),
-        },
+        &register_envelope(cfg.index, cfg.shards, *generation),
     );
     conn.set_key(link_key(cfg.base, cfg.index, *generation));
     cfg.metrics.shard_reconnects(1);
@@ -689,16 +618,8 @@ fn dial(
         if ps.journal.resume_round() > ps.cap {
             continue; // every round's partial merged; nothing to rebuild
         }
-        conn.queue_frame(
-            FrameKind::Announce,
-            &Envelope {
-                session: SessionId(*session),
-                round: ps.epoch,
-                from: *cconn,
-                to: 0,
-                payload: encode_resume(ps.journal.n(), ps.journal.resume_round(), ps.cap),
-            },
-        );
+        let resume = encode_resume(ps.journal.n(), ps.journal.resume_round(), ps.cap);
+        conn.queue_frame(FrameKind::Announce, &control(*session, ps.epoch, *cconn, resume));
         for (round, sender, payload) in ps.journal.replay() {
             cfg.metrics.replayed_frames(1);
             cfg.metrics.trace(*session, cfg.endpoint(), TraceKind::Replay, u64::from(sender));
@@ -724,32 +645,15 @@ fn proxy_event(
     msg: MrMsg,
     sessions: &mut HashMap<(u32, u64), ProxySession>,
     link: &mut Option<Conn>,
-    catalog: &ServiceCatalog,
     acc: &Sender<MrMsg>,
 ) {
-    match msg {
-        MrMsg::Announce { conn, session, n, epoch, service } => {
-            let entry =
-                catalog.by_index(service as usize).expect("router validated the service");
-            let cap = entry.round_cap(n) as u32;
+    let (kind, env) = match msg {
+        MrMsg::Announce { conn, session, n, epoch, cap, resume, .. } => {
             cfg.metrics.trace(session, cfg.endpoint(), TraceKind::Announce, n as u64);
-            sessions.insert(
-                (conn, session),
-                ProxySession { journal: ShardJournal::new(n), epoch, cap },
-            );
-            if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                c.queue_frame(
-                    FrameKind::Announce,
-                    &Envelope {
-                        session: SessionId(session),
-                        round: epoch,
-                        from: conn,
-                        to: 0,
-                        payload: encode_resume(n, 1, cap),
-                    },
-                );
-                c.flush();
-            }
+            let ps = ProxySession { journal: ShardJournal::new(n), epoch, cap };
+            sessions.insert((conn, session), ps);
+            let announce = control(session, epoch, conn, encode_resume(n, resume, cap));
+            (FrameKind::Announce, announce)
         }
         MrMsg::Data { conn, env } => {
             let Some(ps) = sessions.get_mut(&(conn, env.session.0)) else {
@@ -772,52 +676,37 @@ fn proxy_event(
                 let (epoch, from) = (ps.epoch, cfg.index as u32);
                 let _ =
                     acc.send(MrMsg::Partial { conn, session, epoch, from, partial: notice });
-            } else if ps.journal.record(env.round, env.from, env.payload.clone())
-                == Recorded::Forward
-            {
-                if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                    c.queue_frame(FrameKind::Data, &Envelope { to: conn, ..env });
-                    c.flush();
-                }
-                // Not yet on the wire? The journal has it — the next
-                // (re)dial replays it.
+                return;
             }
+            if ps.journal.record(env.round, env.from, env.payload.clone()) != Recorded::Forward
+            {
+                return;
+            }
+            (FrameKind::Data, Envelope { to: conn, ..env })
         }
         MrMsg::Finish { conn, session } => {
             sessions.remove(&(conn, session));
-            if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                c.queue_frame(
-                    FrameKind::Finish,
-                    &Envelope {
-                        session: SessionId(session),
-                        round: 0,
-                        from: conn,
-                        to: 0,
-                        payload: Message::empty(),
-                    },
-                );
-                c.flush();
-            }
+            (FrameKind::Finish, control(session, 0, conn, Message::empty()))
         }
         MrMsg::Retire { conn } => {
             sessions.retain(|(owner, _), _| *owner != conn);
-            if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                c.queue_frame(
-                    FrameKind::Retire,
-                    &Envelope {
-                        session: SessionId(0),
-                        round: 0,
-                        from: conn,
-                        to: 0,
-                        payload: Message::empty(),
-                    },
-                );
-                c.flush();
-            }
+            (FrameKind::Retire, control(0, 0, conn, Message::empty()))
         }
         // Partials flow toward the accumulator, never into a proxy.
-        MrMsg::Partial { .. } => {}
+        MrMsg::Partial { .. } => return,
+    };
+    // Not on the wire while the link is down? The journal has what a
+    // live shard still needs — the next (re)dial replays it.
+    if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
+        c.queue_frame(kind, &env);
+        c.flush();
     }
+}
+
+/// A proxy → shard-host envelope for client connection `conn`'s
+/// `session`: the host reads the connection from `from`.
+fn control(session: u64, round: u32, conn: u32, payload: Message) -> Envelope {
+    Envelope { session: SessionId(session), round, from: conn, to: 0, payload }
 }
 
 /// Read the shard host's partials off the link, commit their rounds in

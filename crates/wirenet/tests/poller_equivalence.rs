@@ -166,15 +166,20 @@ fn echo_outcomes_match_across_backends() {
     let mut per_backend = Vec::new();
     for backend in BACKENDS {
         let server = FleetServer::builder(key).poller(backend).spawn().unwrap();
-        let honest = run(&FleetClient::connect(server.addr(), 2, key).unwrap());
+        let honest_client = FleetClient::connect(server.addr(), 2, key).unwrap();
+        let honest = run(&honest_client);
         // One connection per session, so a tampered frame poisons only
         // its own session.
-        let tampered = run(&FleetClient::connect(server.addr(), fleet.len(), key)
+        let tampered_client = FleetClient::connect(server.addr(), fleet.len(), key)
             .unwrap()
-            .with_tamper(TamperConfig { flip_every: 3 }));
+            .with_tamper(TamperConfig { flip_every: 3 });
+        let tampered = run(&tampered_client);
         let stats = server.stop();
         assert!(stats.mac_rejects > 0, "{backend:?}: no corruption reached MAC");
-        assert_eq!(stats.frames_received, stats.frames_sent, "{backend:?}: echo is exact");
+        // The server counts as echoed exactly what the clients read.
+        let read =
+            honest_client.metrics().frames_received + tampered_client.metrics().frames_received;
+        assert_eq!(stats.frames_sent, read, "{backend:?}: echo is exact");
         per_backend.push((honest, tampered));
     }
     assert_eq!(per_backend[0], per_backend[1], "sweep vs epoll echo outcomes diverge");

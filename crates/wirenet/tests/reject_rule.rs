@@ -101,6 +101,53 @@ fn wrong_key_frame_is_rejected_once_at_each_server_role() {
     }
 }
 
+/// A reject discards the echoes its drain queued, and the echo
+/// mailbox's counters say so: two valid `Data` frames and a tampered
+/// one written in one burst are drained together, the MAC reject
+/// closes the connection before anything is flushed, and the server's
+/// `frames_sent` equals the echoes the client reads.
+#[test]
+fn echo_counts_only_what_it_writes() {
+    let key = AuthKey::from_seed(96);
+    let server = FleetServer::spawn(key).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut buf = Vec::new();
+    let (kind, hello) = read_frame(&mut stream, &key, &mut buf);
+    assert_eq!(kind, FrameKind::Hello);
+    let conn_key = key.derive(u64::from(hello.from));
+    let mut burst = Vec::new();
+    for from in 1..=3 {
+        burst.extend(encode_wire_frame(&conn_key, FrameKind::Data, &env(1, from)));
+    }
+    let last = burst.len() - 1;
+    burst[last] ^= 0x01; // inside the third frame's MAC tag
+    stream.write_all(&burst).unwrap();
+
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(k) => buf.extend_from_slice(&chunk[..k]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                panic!("the echo mailbox kept the connection open")
+            }
+            Err(_) => break, // reset
+        }
+    }
+    let mut echoes = 0;
+    while let Some(d) = decode_frame(&conn_key, &buf).expect("echoes authenticate") {
+        assert_eq!(d.kind, FrameKind::Data);
+        buf.drain(..d.consumed);
+        echoes += 1;
+    }
+    wait_until("the MAC reject", || server.metrics().mac_rejects > 0);
+    let stats = server.stop();
+    assert_eq!(stats.mac_rejects, 1);
+    assert_eq!(stats.frames_received, 2);
+    assert_eq!(stats.frames_sent, echoes, "echoes counted vs echoes the client read");
+}
+
 /// A registered shard host: a frame under another registration
 /// generation's link key fails the MAC. The host's trace reaches a
 /// coordinator only as shipped segments, so a second registered link's

@@ -16,7 +16,7 @@ use referee_protocol::shard::multiround::{
     run_multiround_sharded, RoundPartialState, RoundShard,
 };
 use referee_protocol::shard::replay::decode_resume;
-use referee_protocol::trace::TraceKind;
+use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::placement::{link_key, register_frame};
@@ -415,4 +415,66 @@ fn shard_host_partial_emits_carry_the_round() {
     }
     server.stop();
     drop(hosts);
+}
+
+/// Faulty arrivals are judged alike wherever the ranges live. For k in
+/// {1, 2, 4}, an out-of-range sender and an equivocating sender give
+/// the same verdict class through a remote-placement coordinator as
+/// through an in-process server; the shard hosts cut as many evidence
+/// bundles as the in-process workers; and each session's `Evidence`
+/// events name the same accused connection in the coordinator's
+/// stitched trace as in the server's.
+#[test]
+fn remote_placement_matches_in_process_on_faulty_arrivals() {
+    let key = AuthKey::from_seed(5151);
+    let g = generators::grid(2, 3);
+    let n = g.n();
+    let messages = local_phase(&EdgeCountProtocol, &g);
+    let honest: Vec<(u32, Message)> =
+        messages.iter().cloned().enumerate().map(|(j, m)| (j as u32 + 1, m)).collect();
+    let mut out_of_range = honest.clone();
+    out_of_range[0] = (n as u32 + 7, messages[0].clone());
+    let mut equivocation = honest.clone();
+    equivocation[1] = (1, bits(0x2a, 7));
+    let faulty = [out_of_range, equivocation];
+    let accused = |trace: &TraceSnapshot, session: u64| {
+        let events = trace.session_events(session).filter(|e| e.kind == TraceKind::Evidence);
+        events.map(|e| e.payload).collect::<Vec<_>>()
+    };
+    let run = |server: &FleetServer| {
+        let client = FleetClient::connect(server.addr(), 1, key).expect("connect");
+        let verdicts = faulty.iter().enumerate().map(|(i, arrivals)| {
+            let verdict = client.verify_session(SessionId(i as u64), n, arrivals.clone());
+            std::mem::discriminant(&verdict.expect_err("a faulty session fails"))
+        });
+        verdicts.collect::<Vec<_>>()
+    };
+    for k in [1, 2, 4] {
+        let server = FleetServer::spawn_sharded(key, k).expect("bind server");
+        let local_verdicts = run(&server);
+        let local_trace = server.stitched_trace();
+        let local_bundles = server.stop().evidence_bundles;
+        assert_eq!(local_bundles, faulty.len() as u64, "k={k}: one bundle per faulty session");
+
+        let (hosts, placement) = placed(key, k);
+        let server =
+            FleetServer::builder(key).placement(placement).spawn().expect("bind coordinator");
+        let remote_verdicts = run(&server);
+        assert_eq!(remote_verdicts, local_verdicts, "k={k}: verdict classes");
+        let host_bundles = || hosts.iter().map(|h| h.metrics().evidence_bundles).sum::<u64>();
+        assert_eq!(host_bundles(), local_bundles, "k={k}: evidence bundles");
+        // Hosts ship their trace on `Finish`, right behind each verdict.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for session in 0..faulty.len() as u64 {
+            let want = accused(&local_trace, session);
+            assert_eq!(want.len(), 1, "k={k} session {session}: {want:?}");
+            while accused(&server.stitched_trace(), session) != want {
+                let got = accused(&server.stitched_trace(), session);
+                assert!(Instant::now() < deadline, "k={k} session {session}: {got:?}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        server.stop();
+        drop(hosts);
+    }
 }

@@ -144,8 +144,8 @@ fn main() {
     let server_stats = server.stop();
     assert!(client_stats.tampered > 0, "tamper hook never fired");
     assert_eq!(
-        server_stats.frames_received, server_stats.frames_sent,
-        "the server must echo exactly what it authenticated"
+        server_stats.frames_sent, client_stats.frames_received,
+        "the server must count as echoed exactly what it wrote"
     );
     assert!(server_stats.mac_rejects > 0, "no corruption ever reached MAC verification");
     println!(
