@@ -219,10 +219,11 @@ impl FleetServerBuilder {
     /// Place the referee's shards on **remote shard hosts**: the server
     /// becomes a coordinator whose shard ranges live on the
     /// [`ShardHost`](crate::placement::ShardHost)s named by
-    /// `placement` (one proxy per shard forwards routed uplinks,
-    /// journals for replay, and survives shard-host kill/restart — see
-    /// [`crate::placement`]). The shard count comes from the
-    /// placement's [`PlacementPolicy`](crate::placement::PlacementPolicy),
+    /// `placement` (one proxy per shard waits on its own poller,
+    /// forwards routed uplinks, journals for replay, and survives
+    /// shard-host kill/restart; proxy 0 also runs the collector, as worker
+    /// 0 does in process — see [`crate::placement`]). The shard count
+    /// comes from the placement's [`PlacementPolicy`](crate::placement::PlacementPolicy),
     /// overriding [`shards`](FleetServerBuilder::shards). Combine with
     /// [`multiround`](FleetServerBuilder::multiround) or
     /// [`catalog`](FleetServerBuilder::catalog) to choose the served
@@ -1255,7 +1256,7 @@ fn await_hello(
                         "no Hello from server (is it a referee fleet server?)",
                     ));
                 }
-                poller.wait();
+                poller.wait_ready(&mut Vec::new());
             }
             Err(e) => {
                 return Err(io::Error::new(

@@ -47,17 +47,17 @@
 //!   session + node range (`referee_protocol::shard`), each round's
 //!   ranges hand their
 //!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)s
-//!   to worker 0 by value (epoch-fenced; MAC'd `Partial` frames only
+//!   to lane 0 by value (epoch-fenced; MAC'd `Partial` frames only
 //!   where a range lives on a remote shard host, which runs the same
-//!   range worker behind a socket), and worker 0 runs the
-//!   served protocol's `referee_step` once per round, streaming MAC'd
-//!   downlinks back and the encoded final output as the verdict. A
-//!   [`ServiceCatalog`] names the protocols one server hosts;
-//!   [`FleetClient::run_multiround_session`] drives the node half
-//!   client-side, so Borůvka-style protocols run against a live wire
-//!   referee. Client-side deadlines (Hello handshake, verdict/round
-//!   waits) default to 10 s and 30 s; [`FleetClient::connect_with`]
-//!   takes explicit [`WireTimeouts`].
+//!   range worker behind a socket), and lane 0 (worker 0, or proxy 0
+//!   under remote placement) runs the served protocol's `referee_step`
+//!   once per round, streaming MAC'd downlinks back and the encoded
+//!   final output as the verdict. A [`ServiceCatalog`] names the
+//!   protocols one server hosts; [`FleetClient::run_multiround_session`]
+//!   drives the node half client-side, so Borůvka-style protocols run
+//!   against a live wire referee. Client-side deadlines (Hello
+//!   handshake, verdict/round waits) default to 10 s and 30 s;
+//!   [`FleetClient::connect_with`] takes explicit [`WireTimeouts`].
 //! * [`shard`] — the **one-round verifier** is not a second engine but
 //!   the cap-1 catalog service on this one: its round-1 step answers
 //!   with a keyed [`vector_digest`] of the assembled vector, which
@@ -66,9 +66,9 @@
 //!   network peers. A [`ShardHost`] runs the engine's range worker
 //!   behind a socket and a MAC'd registration handshake with per-shard,
 //!   generation-scoped keys; a [`PlacementPolicy`] + [`RemotePlacement`] decide which
-//!   host owns which ID range; coordinator-side proxies journal and
-//!   replay so shard-host kill/restart leaves verdicts bit-for-bit
-//!   unchanged.
+//!   host owns which ID range; coordinator-side proxies wait on their
+//!   pollers, journal and replay so shard-host kill/restart leaves
+//!   verdicts bit-for-bit unchanged, and proxy 0 also collects.
 //!
 //! # Frame layout
 //!

@@ -45,11 +45,11 @@
 //!
 //! With a [`RemotePlacement`] the ranges live on
 //! [`ShardHost`](crate::placement::ShardHost) peers instead, each fed by
-//! a coordinator-side proxy: a shard host runs the same worker's range
-//! half behind a socket, and an in-process accumulator keeps only the
-//! referee and the collector (see [`crate::placement`]). Host partials
-//! cross a real socket as MAC'd [`Partial`](FrameKind::Partial) frames;
-//! the proxy decodes each one and hands the decoded value on.
+//! a coordinator-side proxy in worker `i`'s lane: a shard host runs the
+//! same worker's range half behind a socket, and proxy 0 runs the
+//! collector half (see [`crate::placement`]). Host partials cross a real
+//! socket as MAC'd [`Partial`](FrameKind::Partial) frames; each proxy
+//! decodes them and hands the decoded value to lane 0.
 //!
 //! [`FleetClient::run_multiround_session`](crate::FleetClient::run_multiround_session)
 //! drives the node half of the same protocol against this service:
@@ -87,7 +87,7 @@
 use crate::auth::AuthKey;
 use crate::frame::FrameKind;
 use crate::metrics::{trace_endpoint, Stage, WireMetrics};
-use crate::placement::{run_proxy, ProxyConfig, RemotePlacement};
+use crate::placement::{run_proxy, Collector, Proxy, RemotePlacement};
 use crate::poll::{Poller, Waker};
 use crate::reactor::{send_hello, serve, Conn, Role};
 use crate::shard::build_evidence;
@@ -98,6 +98,7 @@ use referee_protocol::shard::{nonempty_shards, route_arrival, shard_range};
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
@@ -204,8 +205,8 @@ pub(crate) fn decode_mr_verdict(msg: &Message) -> Result<Message, DecodeError> {
     Err(class_error(class))
 }
 
-/// Router → worker (and worker → worker 0) traffic. Sessions are keyed
-/// by `(conn, session)` throughout, so independent clients may number
+/// Router → lane (and lane → lane 0) traffic. Sessions are keyed by
+/// `(conn, session)` throughout, so independent clients may number
 /// their sessions identically without colliding.
 pub(crate) enum MrMsg {
     /// A session opened: every worker opens its range of it at round
@@ -279,14 +280,38 @@ pub(crate) trait Out {
     fn outbound(&mut self, _out: impl FnOnce() -> MrOutbound) {}
 }
 
-/// An in-process worker's sink: partials go to the collector by value
-/// over its inbox (worker 0's own never leave it), client traffic to
-/// the router — each send paired with a wake of the router's poller,
-/// since mpsc sends are invisible to `epoll`.
-struct Lane {
+/// A worker's sink (proxy 0's collector's too): partials go to the
+/// collector by value over its inbox (lane 0's own never leave it),
+/// client traffic to the router — each send paired with a wake of the
+/// router's poller, since mpsc sends are invisible to `epoll`.
+pub(crate) struct Lane {
     to_collector: Option<Sender<MrMsg>>,
     router: Sender<MrOutbound>,
     waker: Waker,
+}
+
+/// A sender into one lane's inbox, paired (as [`Lane`] pairs `router`
+/// with `waker`) with the lane's poller [`Waker`] when the lane is a
+/// proxy, which waits on its poller, not in `recv`.
+#[derive(Clone)]
+pub(crate) struct Inbox {
+    tx: Sender<MrMsg>,
+    waker: Option<Waker>,
+    queued: Cell<bool>,
+}
+
+impl Inbox {
+    pub(crate) fn send(&self, msg: MrMsg) {
+        let _ = self.tx.send(msg);
+        self.queued.set(true);
+    }
+
+    /// One wake for everything queued since the last call.
+    pub(crate) fn wake_queued(&self) {
+        if let (true, Some(waker)) = (self.queued.take(), &self.waker) {
+            waker.wake();
+        }
+    }
 }
 
 impl Out for Lane {
@@ -333,7 +358,7 @@ struct MrSession {
     /// The range half: this worker's range wait and when it opened (the
     /// announce, or the previous emit — a shard host's uplinks-complete
     /// zero point). `None` on a worker whose range is empty for this
-    /// `n`, or that owns no range (a remote-placement accumulator).
+    /// `n`, or that owns no range (proxy 0's collector).
     wait: Option<(RangeWait, Instant)>,
     /// The collector half, on the worker that runs the referee.
     referee: Option<Referee>,
@@ -362,8 +387,8 @@ struct Referee {
 /// round's partial or poison notice through its [`Out`]; its collector
 /// half (with a `collector` catalog) merges every range's partials and
 /// runs the referee. In process, worker 0 has both halves and keeps its
-/// own partials; with remote placement the accumulator is collector
-/// only and each shard host's worker range only.
+/// own partials; with remote placement lane 0's proxy holds a
+/// collector-only worker and each shard host's worker is range only.
 pub(crate) struct Worker<'a> {
     duty: Duty<'a>,
     sessions: HashMap<(u32, u64), MrSession>,
@@ -553,12 +578,12 @@ impl Duty<'_> {
 
 /// The catalog server loop (spawned by
 /// [`FleetServerBuilder::spawn`](crate::FleetServerBuilder::spawn) for
-/// every non-echo server). In process, `shards` workers each own a
-/// range and worker 0 also runs the referee. With a `placement`, one
-/// proxy per shard forwards its range to a
-/// [`ShardHost`](crate::placement::ShardHost), which runs the engine's
-/// range worker behind a socket, and an extra in-process worker keeps
-/// only the referee and the per-round merge accumulators.
+/// every non-echo server): `shards` lanes, of which lane 0 also runs the
+/// referee and the per-round merge. In process, lane `i` is a worker
+/// owning range `i`; with a `placement`, it is a proxy forwarding range
+/// `i` to a [`ShardHost`](crate::placement::ShardHost), which runs the
+/// engine's range worker behind a socket. Proxies wait on their own
+/// pollers, on the server's backend; workers block in `recv`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_catalog_server(
     listener: TcpListener,
@@ -571,30 +596,34 @@ pub(crate) fn run_catalog_server(
     poller: Poller,
 ) {
     let (out_tx, out_rx) = std::sync::mpsc::channel::<MrOutbound>();
-    // One lane per shard, plus the accumulator's (last) when the
-    // ranges are remote; the router broadcasts control traffic to all.
-    let acc = if placement.is_some() { shards } else { 0 };
-    let lanes = shards + usize::from(placement.is_some());
-    let (worker_txs, worker_rxs): (Vec<Sender<MrMsg>>, Vec<Receiver<MrMsg>>) =
-        (0..lanes).map(|_| std::sync::mpsc::channel()).unzip();
+    let (inboxes, ends): (Vec<Inbox>, Vec<_>) = (0..shards)
+        .map(|_| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let lane_poller = placement.is_some().then(|| Poller::new(poller.backend()));
+            let waker = lane_poller.as_ref().map(Poller::waker);
+            (Inbox { tx, waker, queued: Cell::new(false) }, (rx, lane_poller))
+        })
+        .unzip();
     thread::scope(|scope| {
-        for (i, rx) in worker_rxs.into_iter().enumerate() {
-            match &placement {
-                Some(placement) if i != acc => {
-                    let cfg = ProxyConfig { index: i, shards, base: &key, placement, metrics };
-                    let acc_tx = worker_txs[acc].clone();
-                    scope.spawn(move || run_proxy(cfg, rx, acc_tx));
+        for (i, (rx, lane_poller)) in ends.into_iter().enumerate() {
+            // Lane 0 runs the collector and must not hold a sender to
+            // itself (its inbox would never disconnect).
+            let to_collector = (i != 0).then(|| inboxes[0].tx.clone());
+            let mut lane = Lane { to_collector, router: out_tx.clone(), waker: poller.waker() };
+            let range = placement.is_none().then_some(i);
+            let collector = (i == 0).then_some(catalog);
+            let endpoint = trace_endpoint::worker(range.unwrap_or(0) as u32);
+            let mut worker = Worker::new(range, shards, collector, key, endpoint);
+            match (&placement, lane_poller) {
+                (Some(placement), Some(lane_poller)) => {
+                    let collector = match i {
+                        0 => Collector::Here(worker, lane),
+                        _ => Collector::There(inboxes[0].clone()),
+                    };
+                    let proxy = Proxy { index: i, base: &key, placement, metrics, collector };
+                    scope.spawn(move || run_proxy(proxy, rx, lane_poller));
                 }
                 _ => {
-                    // The accumulator must not hold a sender to itself
-                    // (its inbox would never disconnect).
-                    let to_collector = (i != acc).then(|| worker_txs[acc].clone());
-                    let router = out_tx.clone();
-                    let mut lane = Lane { to_collector, router, waker: poller.waker() };
-                    let range = placement.is_none().then_some(i);
-                    let collector = (i == acc).then_some(catalog);
-                    let endpoint = trace_endpoint::worker(range.unwrap_or(0) as u32);
-                    let mut worker = Worker::new(range, shards, collector, key, endpoint);
                     scope.spawn(move || {
                         while let Ok(msg) = rx.recv() {
                             worker.handle(msg, &mut lane, metrics);
@@ -607,34 +636,17 @@ pub(crate) fn run_catalog_server(
         let mut router = Router {
             key,
             catalog,
-            shards,
-            worker_txs: &worker_txs,
+            inboxes: &inboxes,
             out_rx: &out_rx,
             announced: HashMap::new(),
             finished_fifo: VecDeque::new(),
             next_epoch: 1,
         };
         serve(listener, key, &mut router, shutdown, metrics, &poller);
-        // Dropping the senders disconnects every worker inbox; the scope
-        // then joins the workers.
-        drop(worker_txs);
+        // Dropping the senders disconnects every lane's inbox (lane 0's
+        // once the other lanes exit); the scope then joins the lanes.
+        drop(inboxes);
     });
-}
-
-/// Index order for broadcasting router control traffic to workers: the
-/// merge accumulator FIRST, then everyone else. Every worker's reaction
-/// to a control message funnels into the accumulator's inbox — e.g. an
-/// empty-range shard host ships its partial the instant a proxy relays
-/// a fresh announce — and channel causality only keeps that reaction
-/// *behind* the message that caused it if the router enqueued the
-/// accumulator's copy before any other worker's. In-process layouts
-/// keep the accumulator at index 0 (forward order was already safe);
-/// remote placement appends its channel after the `shards` proxies,
-/// where forward order let partials overtake their announce and starve
-/// the merge quorum.
-fn acc_first_order(len: usize, shards: usize) -> impl Iterator<Item = usize> {
-    let acc = if len > shards { shards } else { 0 };
-    std::iter::once(acc).chain((0..len).filter(move |i| *i != acc))
 }
 
 /// The router role of the server loop: authenticates, routes
@@ -643,8 +655,7 @@ fn acc_first_order(len: usize, shards: usize) -> impl Iterator<Item = usize> {
 struct Router<'a> {
     key: AuthKey,
     catalog: &'a ServiceCatalog,
-    shards: usize,
-    worker_txs: &'a [Sender<MrMsg>],
+    inboxes: &'a [Inbox],
     out_rx: &'a Receiver<MrOutbound>,
     announced: HashMap<(u32, u64), SessionRoute>,
     /// Finished routes, oldest first (at most [`FINISHED_ROUTE_CAP`]).
@@ -653,12 +664,11 @@ struct Router<'a> {
 }
 
 impl Router<'_> {
-    /// Send `msg()` to every worker, accumulator first: see
-    /// [`acc_first_order`] — a partial must never overtake the control
-    /// message that caused it into the accumulator's inbox.
+    /// Send `msg()` to every lane, lane 0 (the collector's) first, so a
+    /// partial it causes never overtakes it into the collector's inbox.
     fn broadcast(&self, msg: impl Fn() -> MrMsg) {
-        for wi in acc_first_order(self.worker_txs.len(), self.shards) {
-            let _ = self.worker_txs[wi].send(msg());
+        for inbox in self.inboxes {
+            inbox.send(msg());
         }
     }
 
@@ -755,10 +765,10 @@ impl Router<'_> {
                     true
                 }
                 Some(route) => {
-                    let target = route_arrival(route.n, self.shards, env.from);
+                    let target = route_arrival(route.n, self.inboxes.len(), env.from);
                     let from = u64::from(env.from);
                     metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Uplink, from);
-                    let _ = self.worker_txs[target].send(MrMsg::Data { conn: id, env });
+                    self.inboxes[target].send(MrMsg::Data { conn: id, env });
                     true
                 }
                 None => false,
@@ -840,6 +850,8 @@ impl Role for Router<'_> {
                 conn.flush();
             }
         }
+        // One wake per proxy lane this pass queued for.
+        self.inboxes.iter().for_each(Inbox::wake_queued);
         progress
     }
 

@@ -28,17 +28,17 @@
 //!   and the router are: it pumps only the links the poller flagged,
 //!   stops reading a link over the write high-water mark, and rejects
 //!   frames under the one reject rule.
-//! * The coordinator runs one **proxy** per shard (spawned by the
-//!   catalog server in [`crate::multiround`]): it forwards the router's
-//!   traffic to its shard host, journals everything a live shard may
+//! * The coordinator runs one **proxy** per shard, in the lane an
+//!   in-process worker holds ([`crate::multiround`]): it forwards the
+//!   router's traffic to its shard host, journals what a live shard may
 //!   still need ([`ShardJournal`]), and on disconnect redials,
 //!   re-registers and replays — so a shard-host kill/restart is
-//!   invisible to honest sessions (pinned bit-for-bit by the chaos
-//!   tests). It reads its link through the reactor's one frame drain,
-//!   decodes each host partial — to commit its journal — and hands the
-//!   decoded value, or the decode error, to the collector by value, so
-//!   an undecodable host partial fails its session closed with the
-//!   decoder's error class.
+//!   invisible to honest sessions (pinned by the chaos tests). It waits
+//!   on its own poller, which watches its link and is woken by whoever
+//!   queues into its inbox, reads the link through the one frame drain,
+//!   and hands each decoded host partial, or its decode error, to the
+//!   collector. Lane 0 collects, as in process: proxy 0 runs the session
+//!   collector and absorbs its own host's partials in place.
 //!
 //! # Per-shard keys
 //!
@@ -70,7 +70,8 @@
 //! journal. Because shards are deterministic in their inputs, the
 //! rebuilt shard re-emits bit-identical partials — verdicts are
 //! unchanged by any kill/restart schedule that eventually lets the
-//! fleet drain.
+//! fleet drain. A dial blocks its proxy's thread, proxy 0's collector
+//! included, delaying no session: each with `n ≥ 1` waits on host 0.
 //!
 //! An uplink for a round the journal has already committed never
 //! reaches the host: the proxy itself hands over the round-stamped
@@ -83,7 +84,7 @@ use crate::auth::AuthKey;
 use crate::fleet::{resolve_bind, DEFAULT_BIND};
 use crate::frame::{encode_wire_frame, FrameKind, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
-use crate::multiround::{MrMsg, Out, Worker};
+use crate::multiround::{Inbox, Lane, MrMsg, Out, Worker};
 use crate::poll::{default_backend, Poller};
 use crate::reactor::{serve, Conn, Role, SCRATCH_BYTES};
 use referee_protocol::shard::multiround::{fault_round, RoundPartialState};
@@ -95,7 +96,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -310,8 +311,8 @@ impl ShardHost {
             let metrics = Arc::clone(&metrics);
             thread::Builder::new().name("wirenet-shard-host".into()).spawn(move || {
                 let poller = Poller::new(default_backend());
-                let reg_key = registration_key(&key);
-                serve(listener, reg_key, &mut Host(key), &shutdown, &metrics, &poller)
+                let mut host = Host { key, shipped_seq: 0 };
+                serve(listener, registration_key(&key), &mut host, &shutdown, &metrics, &poller)
             })?
         };
         Ok(ShardHost { addr, shutdown, metrics, thread: Some(thread) })
@@ -361,41 +362,34 @@ impl Drop for ShardHost {
     }
 }
 
-/// The per-link state of one coordinator link on a shard host.
-#[derive(Default)]
-struct HostLink {
-    /// The registered shard index and its range worker, once registered.
-    worker: Option<(usize, Worker<'static>)>,
-    /// Flight-recorder watermark: events below this sequence were
-    /// already shipped to the coordinator on a previous
-    /// `Finish`/`Retire`, so each [`FrameKind::Trace`] segment is an
-    /// increment, never a resend.
+/// The shard-host role of the server loop: every link starts under the
+/// registration key, and a dead link takes its shard state (index and
+/// range worker) with it — the coordinator's journal is the durable copy.
+struct Host {
+    key: AuthKey,
+    /// Flight-recorder watermark, host-wide as the recorder is: events
+    /// up to it already shipped on some link, so each ships once.
     shipped_seq: u64,
 }
 
-/// The shard-host role of the server loop: every link starts under the
-/// registration key, and a dead coordinator link takes its shard state
-/// with it — the coordinator's journal is the durable copy.
-struct Host(AuthKey);
-
 impl Role for Host {
-    type Link = HostLink;
+    type Link = Option<(usize, Worker<'static>)>;
 
-    fn accept(&mut self, _: &mut Conn, _: u32, _: &WireMetrics) -> HostLink {
-        HostLink::default()
+    fn accept(&mut self, _: &mut Conn, _: u32, _: &WireMetrics) -> Self::Link {
+        None
     }
 
     fn pump(
         &mut self,
         conn: &mut Conn,
-        link: &mut HostLink,
+        link: &mut Self::Link,
         scratch: &mut [u8],
         m: &WireMetrics,
     ) -> bool {
         // Wrong base key, a sibling shard's key, or a stale-generation
         // frame fails the MAC; a protocol violation is a reject.
         conn.drain(scratch, m, Conn::next_frame, |conn, (kind, env)| {
-            host_frame(link, conn, kind, env, &self.0, m)
+            host_frame(self, link, conn, kind, env, m)
         })
     }
 }
@@ -404,25 +398,25 @@ impl Role for Host {
 /// registration handshake here, everything else as an [`MrMsg`] for the
 /// link's range worker. `false` poisons the link (protocol violation).
 fn host_frame(
-    link: &mut HostLink,
+    host: &mut Host,
+    link: &mut Option<(usize, Worker<'static>)>,
     conn: &mut Conn,
     kind: FrameKind,
     env: Envelope,
-    base: &AuthKey,
     metrics: &WireMetrics,
 ) -> bool {
-    let Some((index, worker)) = link.worker.as_mut() else {
+    let Some((index, worker)) = link.as_mut() else {
         // The registration handshake must come first — and only once.
         let registration = match kind {
             FrameKind::Register => decode_register(&env.payload).ok(),
             _ => None,
         };
         let Some((index, shards, generation)) = registration else { return false };
-        conn.set_key(link_key(base, index, generation));
+        conn.set_key(link_key(&host.key, index, generation));
         let ep = trace_endpoint::shard_host(index as u32);
         conn.trace_with(metrics.recorder_arc(), ep);
         metrics.trace(0, ep, TraceKind::Dial, u64::from(generation));
-        link.worker = Some((index, Worker::new(Some(index), shards, None, *base, ep)));
+        *link = Some((index, Worker::new(Some(index), shards, None, host.key, ep)));
         return true;
     };
     let index = *index;
@@ -449,26 +443,26 @@ fn host_frame(
     let teardown = matches!(msg, MrMsg::Finish { .. } | MrMsg::Retire { .. });
     worker.handle(msg, &mut HostOut(conn), metrics);
     if teardown {
-        ship_trace(link, conn, index, metrics);
+        ship_trace(&mut host.shipped_seq, conn, index, metrics);
     }
     true
 }
 
 /// Ship the host's flight-recorder increment (everything recorded since
-/// the last ship) back to the coordinator as one
+/// the last ship, on any link) back to the coordinator as one
 /// [`Trace`](FrameKind::Trace) frame — called on `Finish`/`Retire`, the
 /// natural session-teardown points, so the coordinator can stitch a
 /// cross-process timeline without any extra round trips. Best-effort: a
 /// segment too large for a frame is skipped (the events stay in the
 /// ring for a later, smaller increment… or are eventually dropped-oldest
 /// and surface in `trace_drops`).
-fn ship_trace(link: &mut HostLink, conn: &mut Conn, index: usize, metrics: &WireMetrics) {
+fn ship_trace(shipped_seq: &mut u64, conn: &mut Conn, index: usize, metrics: &WireMetrics) {
     let recorder = metrics.recorder();
     if !recorder.is_enabled() {
         return;
     }
     let mark = recorder.last_seq();
-    let segment = recorder.snapshot_since(link.shipped_seq);
+    let segment = recorder.snapshot_since(*shipped_seq);
     if segment.is_empty() {
         return;
     }
@@ -476,7 +470,7 @@ fn ship_trace(link: &mut HostLink, conn: &mut Conn, index: usize, metrics: &Wire
     if !fits_frame(&payload) {
         return;
     }
-    link.shipped_seq = mark;
+    *shipped_seq = mark;
     let env = Envelope { session: SessionId(0), round: 0, from: index as u32, to: 0, payload };
     metrics.frames_sent(1);
     // No eager flush: the server loop's per-link flush ships this
@@ -526,19 +520,19 @@ impl Out for HostOut<'_> {
 // Coordinator-side proxy
 // ---------------------------------------------------------------------------
 
-/// Everything a proxy needs to serve one shard remotely.
-pub(crate) struct ProxyConfig<'a> {
+/// One shard's coordinator proxy, and where its partials go.
+pub(crate) struct Proxy<'a> {
     pub index: usize,
-    pub shards: usize,
     pub base: &'a AuthKey,
     pub placement: &'a RemotePlacement,
     pub metrics: &'a WireMetrics,
+    pub collector: Collector<'a>,
 }
 
-impl ProxyConfig<'_> {
-    /// This proxy's trace endpoint id.
-    fn endpoint(&self) -> u32 {
-        trace_endpoint::proxy(self.index as u32)
+impl Proxy<'_> {
+    /// Record a trace event under this proxy's endpoint.
+    fn trace(&self, session: u64, kind: TraceKind, payload: u64) {
+        self.metrics.trace(session, trace_endpoint::proxy(self.index as u32), kind, payload);
     }
 }
 
@@ -549,115 +543,121 @@ struct ProxySession {
     cap: u32,
 }
 
-/// One shard's coordinator proxy: forwards the router's traffic to the
-/// shard host, journals for replay, redials on disconnect, and hands
-/// the host's decoded partials to the accumulator by value. Runs until
-/// its inbox disconnects.
-pub(crate) fn run_proxy(cfg: ProxyConfig<'_>, rx: Receiver<MrMsg>, acc: Sender<MrMsg>) {
-    let host = cfg.placement.policy().host_of_shard(cfg.index);
-    let mut link: Option<Conn> = None;
-    let mut generation: u32 = 0;
-    let mut last_dial: Option<Instant> = None;
-    let mut sessions: HashMap<(u32, u64), ProxySession> = HashMap::new();
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    loop {
-        // Drain the router's traffic (briefly blocking so an idle proxy
-        // doesn't spin).
-        match rx.recv_timeout(Duration::from_micros(200)) {
-            Ok(m) => {
-                let mut next = Some(m);
-                while let Some(m) = next {
-                    proxy_event(&cfg, m, &mut sessions, &mut link, &acc);
-                    next = rx.try_recv().ok();
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-        // Keep the link alive: dial, register, replay.
-        if !link.as_ref().is_some_and(Conn::is_open) {
-            let backoff_over = last_dial.is_none_or(|t| t.elapsed() >= REDIAL_BACKOFF);
-            if backoff_over {
-                last_dial = Some(Instant::now());
-                link = dial(&cfg, host, &mut generation, &sessions);
-            }
-        }
-        // Pump the socket: flush queued frames, absorb partials.
-        if let Some(conn) = link.as_mut() {
-            pump_partials(&cfg, conn, &mut scratch, &mut sessions, &acc);
+/// Where a proxy's partials go. Proxy 0 holds the collector-only worker
+/// (as in-process worker 0 holds range 0 plus the collector) and hears
+/// every partial and control message; the others queue partials on lane
+/// 0's inbox, woken once per pass.
+pub(crate) enum Collector<'a> {
+    Here(Worker<'a>, Lane),
+    There(Inbox),
+}
+
+impl Collector<'_> {
+    fn hand(&mut self, msg: MrMsg, metrics: &WireMetrics) {
+        match self {
+            Collector::Here(worker, lane) => worker.handle(msg, lane, metrics),
+            Collector::There(lane0) if matches!(msg, MrMsg::Partial { .. }) => lane0.send(msg),
+            Collector::There(_) => {}
         }
     }
 }
 
-/// Dial the shard host, register generation `generation + 1`, and
-/// replay every session with a round left to collect from the journal
-/// (round caps were fixed at announce time; replay reuses the stored
-/// ones).
+/// Run one shard's proxy: forward the router's traffic to the shard
+/// host, journal for replay, redial on disconnect, and hand the host's
+/// decoded partials to the collector. Each pass drains the inbox,
+/// redials after the backoff, pumps the link (one flush) and waits on
+/// `poller`. Runs until its inbox disconnects.
+pub(crate) fn run_proxy(mut proxy: Proxy<'_>, inbox: Receiver<MrMsg>, poller: Poller) {
+    let (mut link, mut generation, mut last_dial) = (None, 0, None::<Instant>);
+    let mut sessions: HashMap<(u32, u64), ProxySession> = HashMap::new();
+    let (mut scratch, mut ready) = (vec![0u8; SCRATCH_BYTES], Vec::new());
+    loop {
+        loop {
+            match inbox.try_recv() {
+                Ok(m) => proxy_event(&mut proxy, m, &mut sessions, &mut link),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return,
+            }
+        }
+        // Keep the link alive: dial, register, replay.
+        if !link.as_ref().is_some_and(Conn::is_open)
+            && last_dial.is_none_or(|t| t.elapsed() >= REDIAL_BACKOFF)
+        {
+            last_dial = Some(Instant::now());
+            link = dial(&proxy, &poller, &mut generation, &sessions);
+        }
+        // Pump the socket: flush queued frames, absorb partials.
+        if let Some(conn) = link.as_mut() {
+            pump_partials(&mut proxy, conn, &mut scratch, &mut sessions);
+        }
+        if let Collector::There(lane0) = &proxy.collector {
+            lane0.wake_queued();
+        }
+        poller.wait_ready(&mut ready);
+    }
+}
+
+/// Dial the shard host, watch the link with `poller`, register
+/// generation `generation + 1`, and replay every session with a round
+/// left to collect from the journal (round caps were fixed at announce
+/// time; replay reuses the stored ones).
 fn dial(
-    cfg: &ProxyConfig<'_>,
-    host: HostId,
+    proxy: &Proxy<'_>,
+    poller: &Poller,
     generation: &mut u32,
     sessions: &HashMap<(u32, u64), ProxySession>,
 ) -> Option<Conn> {
-    let addr = cfg.placement.addr_of_host(host);
+    let addr = proxy.placement.addr_of_shard(proxy.index);
     let dialed = Instant::now();
     let stream = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT).ok()?;
-    let mut conn = Conn::new(stream, registration_key(cfg.base)).ok()?;
-    conn.trace_with(cfg.metrics.recorder_arc(), cfg.endpoint());
-    cfg.metrics.record_stage(Stage::ConnectHello, dialed.elapsed());
+    let mut conn = Conn::new(stream, registration_key(proxy.base)).ok()?;
+    conn.meter_with(proxy.metrics.syscall_meter());
+    poller.register(conn.fd());
+    conn.trace_with(proxy.metrics.recorder_arc(), trace_endpoint::proxy(proxy.index as u32));
+    proxy.metrics.record_stage(Stage::ConnectHello, dialed.elapsed());
     *generation = generation.wrapping_add(1).max(1);
     let kind = if *generation == 1 { TraceKind::Dial } else { TraceKind::Redial };
-    cfg.metrics.trace(0, cfg.endpoint(), kind, u64::from(*generation));
-    conn.queue_frame(
-        FrameKind::Register,
-        &register_envelope(cfg.index, cfg.shards, *generation),
-    );
-    conn.set_key(link_key(cfg.base, cfg.index, *generation));
-    cfg.metrics.shard_reconnects(1);
+    proxy.trace(0, kind, u64::from(*generation));
+    let register = register_envelope(proxy.index, proxy.placement.shards(), *generation);
+    conn.queue_frame(FrameKind::Register, &register);
+    conn.set_key(link_key(proxy.base, proxy.index, *generation));
+    proxy.metrics.shard_reconnects(1);
     for ((cconn, session), ps) in sessions {
         if ps.journal.resume_round() > ps.cap {
             continue; // every round's partial merged; nothing to rebuild
         }
         let resume = encode_resume(ps.journal.n(), ps.journal.resume_round(), ps.cap);
         conn.queue_frame(FrameKind::Announce, &control(*session, ps.epoch, *cconn, resume));
-        for (round, sender, payload) in ps.journal.replay() {
-            cfg.metrics.replayed_frames(1);
-            cfg.metrics.trace(*session, cfg.endpoint(), TraceKind::Replay, u64::from(sender));
-            conn.queue_frame(
-                FrameKind::Data,
-                &Envelope {
-                    session: SessionId(*session),
-                    round,
-                    from: sender,
-                    to: *cconn,
-                    payload: payload.clone(),
-                },
-            );
+        for (round, from, payload) in ps.journal.replay() {
+            proxy.metrics.replayed_frames(1);
+            proxy.trace(*session, TraceKind::Replay, u64::from(from));
+            let (session, to, payload) = (SessionId(*session), *cconn, payload.clone());
+            conn.queue_frame(FrameKind::Data, &Envelope { session, round, from, to, payload });
         }
     }
     conn.flush();
     Some(conn)
 }
 
-/// Apply one router message: journal, forward, or synthesize.
+/// Apply one inbox message: journal, forward, synthesize, or collect.
 fn proxy_event(
-    cfg: &ProxyConfig<'_>,
+    proxy: &mut Proxy<'_>,
     msg: MrMsg,
     sessions: &mut HashMap<(u32, u64), ProxySession>,
     link: &mut Option<Conn>,
-    acc: &Sender<MrMsg>,
 ) {
     let (kind, env) = match msg {
         MrMsg::Announce { conn, session, n, epoch, cap, resume, .. } => {
-            cfg.metrics.trace(session, cfg.endpoint(), TraceKind::Announce, n as u64);
+            proxy.trace(session, TraceKind::Announce, n as u64);
             let ps = ProxySession { journal: ShardJournal::new(n), epoch, cap };
             sessions.insert((conn, session), ps);
             let announce = control(session, epoch, conn, encode_resume(n, resume, cap));
+            proxy.collector.hand(msg, proxy.metrics);
             (FrameKind::Announce, announce)
         }
         MrMsg::Data { conn, env } => {
             let Some(ps) = sessions.get_mut(&(conn, env.session.0)) else {
-                cfg.metrics.orphan_frames(1); // judged or retired in flight
+                proxy.metrics.orphan_frames(1); // judged or retired in flight
                 return;
             };
             // A round stamp outside 1..=cap poisons the round being
@@ -670,13 +670,12 @@ fn proxy_event(
             let resume = ps.journal.resume_round();
             if env.round == 0 || env.round > ps.cap || env.round < resume {
                 let (session, from) = (env.session.0, env.from);
-                cfg.metrics.trace(session, cfg.endpoint(), TraceKind::Poison, u64::from(from));
+                proxy.trace(session, TraceKind::Poison, u64::from(from));
                 let round = fault_round(env.round, resume, ps.cap);
                 let notice = Ok(RoundPartialState::poison_notice(ps.journal.n(), round, from));
-                let (epoch, from) = (ps.epoch, cfg.index as u32);
-                let _ =
-                    acc.send(MrMsg::Partial { conn, session, epoch, from, partial: notice });
-                return;
+                let (epoch, from) = (ps.epoch, proxy.index as u32);
+                let notice = MrMsg::Partial { conn, session, epoch, from, partial: notice };
+                return proxy.collector.hand(notice, proxy.metrics);
             }
             if ps.journal.record(env.round, env.from, env.payload.clone()) != Recorded::Forward
             {
@@ -686,20 +685,21 @@ fn proxy_event(
         }
         MrMsg::Finish { conn, session } => {
             sessions.remove(&(conn, session));
+            proxy.collector.hand(msg, proxy.metrics);
             (FrameKind::Finish, control(session, 0, conn, Message::empty()))
         }
         MrMsg::Retire { conn } => {
             sessions.retain(|(owner, _), _| *owner != conn);
+            proxy.collector.hand(msg, proxy.metrics);
             (FrameKind::Retire, control(0, 0, conn, Message::empty()))
         }
-        // Partials flow toward the accumulator, never into a proxy.
-        MrMsg::Partial { .. } => return,
+        // Only lane 0's inbox carries partials: the other proxies'.
+        MrMsg::Partial { .. } => return proxy.collector.hand(msg, proxy.metrics),
     };
     // Not on the wire while the link is down? The journal has what a
     // live shard still needs — the next (re)dial replays it.
     if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
         c.queue_frame(kind, &env);
-        c.flush();
     }
 }
 
@@ -709,44 +709,44 @@ fn control(session: u64, round: u32, conn: u32, payload: Message) -> Envelope {
     Envelope { session: SessionId(session), round, from: conn, to: 0, payload }
 }
 
-/// Read the shard host's partials off the link, commit their rounds in
-/// the journal, and hand them — decoded, or as their decode error — to
-/// the accumulator.
+/// Flush the link, read the shard host's partials off it, commit their
+/// rounds in the journal, and hand them — decoded, or as their decode
+/// error — to the collector.
 fn pump_partials(
-    cfg: &ProxyConfig<'_>,
+    proxy: &mut Proxy<'_>,
     conn: &mut Conn,
     scratch: &mut [u8],
     sessions: &mut HashMap<(u32, u64), ProxySession>,
-    acc: &Sender<MrMsg>,
 ) {
     conn.flush();
     // A stale-generation (pre-epoch) or cross-shard-keyed frame fails
     // the MAC and drops the link — it never merges. A host answering
     // for a shard it was not registered as fails the link closed.
-    conn.drain(scratch, cfg.metrics, Conn::next_frame, |_, (kind, env)| {
-        if env.from as usize != cfg.index {
+    conn.drain(scratch, proxy.metrics, Conn::next_frame, |_, (kind, env)| {
+        if env.from as usize != proxy.index {
             return false;
         }
         match kind {
             FrameKind::Partial => {
                 let Some(ps) = sessions.get_mut(&(env.to, env.session.0)) else {
-                    cfg.metrics.orphan_frames(1); // judged while in flight
+                    proxy.metrics.orphan_frames(1); // judged while in flight
                     return true;
                 };
                 if env.round != ps.epoch {
-                    cfg.metrics.orphan_frames(1); // stale announce run
+                    proxy.metrics.orphan_frames(1); // stale announce run
                     return true;
                 }
                 // Commit the emitted round; an undecodable or past-cap
-                // partial is still forwarded — the accumulator fails the
+                // partial is still forwarded — the collector fails the
                 // session closed.
                 let partial = RoundPartialState::decode(ps.journal.n(), &env.payload);
                 if let Some(p) = partial.as_ref().ok().filter(|p| p.round() <= ps.cap) {
                     ps.journal.commit(p.round());
                 }
-                cfg.metrics.partial_frames(1);
+                proxy.metrics.partial_frames(1);
                 let (conn, session, epoch, from) = (env.to, env.session.0, env.round, env.from);
-                let _ = acc.send(MrMsg::Partial { conn, session, epoch, from, partial });
+                let partial = MrMsg::Partial { conn, session, epoch, from, partial };
+                proxy.collector.hand(partial, proxy.metrics);
                 true
             }
             // A trace segment the host shipped on Finish/Retire: stitch
@@ -754,7 +754,7 @@ fn pump_partials(
             // fails the link closed like any other protocol violation.
             FrameKind::Trace => match TraceSnapshot::decode(&env.payload) {
                 Ok(segment) => {
-                    cfg.metrics.absorb_trace(&segment);
+                    proxy.metrics.absorb_trace(&segment);
                     true
                 }
                 Err(_) => false,

@@ -2,10 +2,10 @@
 //! with a wakeup fd, plus the portable sweep fallback.
 //!
 //! Every pump loop in this crate (the reactor's one server loop, which
-//! the echo mailbox, the router and the shard host run, and the
-//! client's pump in [`crate::fleet`]) has the same shape: sweep the
-//! connections, and when a sweep makes no progress, wait for something
-//! to change. Historically that wait was
+//! the echo mailbox, the router and the shard host run, the placement
+//! proxies, and the client's pump in [`crate::fleet`]) has the same
+//! shape: sweep the connections, and when a sweep makes no progress,
+//! wait for something to change. Historically that wait was
 //! `thread::sleep(IDLE_SLEEP)` — a readiness *poll* that burned a
 //! syscall-and-sleep cycle per 50 µs of idleness and capped wire
 //! throughput far below what the sockets can carry. `Poller` replaces
@@ -23,13 +23,12 @@
 //!
 //! The syscall layer is a hand-rolled `extern "C"` shim (no `libc`
 //! crate — the symbols resolve against the C library `std` already
-//! links). Waits come in two grades: `Poller::wait` reports only
-//! *that* something is ready, while `Poller::wait_ready` also hands
-//! back *which* fds edged (`Readiness::Fds`) so the loops (the server
-//! loop, the fleet client) pump exactly the flagged connections
-//! instead of probing the whole pool. Any degraded answer — a wakeup,
-//! a timeout, an overflowing event buffer, the sweep backend — is
-//! `Readiness::All`: probe everything, the historical behavior.
+//! links). `Poller::wait_ready` hands back *which* fds edged
+//! (`Readiness::Fds`) so the loops (the server loop, the fleet client)
+//! pump exactly the flagged connections instead of probing the whole
+//! pool. Any degraded answer — a wakeup, a timeout, an overflowing
+//! event buffer, the sweep backend — is `Readiness::All`: probe
+//! everything, the historical behavior.
 //! Edge-triggered registration is safe here because every pumped
 //! socket is drained to `WouldBlock` before the loop returns to the
 //! wait; the wait is additionally capped (`EPOLL_CAP`) and reports
@@ -189,12 +188,12 @@ impl Epoll {
     }
 
     /// Block until any registered fd is ready, a wake arrives, or
-    /// `cap` elapses. With `out`, collect the ready fds and report
+    /// `cap` elapses. Collect the ready fds into `out` and report
     /// whether the caller may trust them (`Readiness::Fds`) or must
     /// probe everything (`Readiness::All` — returned on wake, on
     /// timeout, on `EINTR`, and when the event buffer overflowed, so
     /// every degraded case falls back to the full sweep).
-    fn wait(&self, cap: Duration, mut out: Option<&mut Vec<i32>>) -> Readiness {
+    fn wait(&self, cap: Duration, out: &mut Vec<i32>) -> Readiness {
         let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
         let timeout_ms = cap.as_millis().clamp(1, i32::MAX as u128) as i32;
         // SAFETY: the buffer outlives the call and maxevents matches
@@ -208,7 +207,7 @@ impl Epoll {
             let data = ev.data;
             if data == u64::MAX {
                 woken = true;
-            } else if let Some(out) = out.as_deref_mut() {
+            } else {
                 out.push(data as i32);
             }
         }
@@ -225,7 +224,7 @@ impl Epoll {
         // full buffer may have truncated the ready list; n <= 0 is a
         // timeout or EINTR, where the capped-wait safety story *is* the
         // sweep.
-        if out.is_none() || woken || n <= 0 || n as usize == events.len() {
+        if woken || n <= 0 || n as usize == events.len() {
             Readiness::All
         } else {
             Readiness::Fds
@@ -275,10 +274,10 @@ enum Imp {
 /// A reactor loop's idle-wait mechanism: kernel readiness (epoll) or
 /// the sleep-and-sweep fallback, behind one interface.
 ///
-/// The loop registers every socket it owns, calls
-/// [`wait`](Poller::wait) when a sweep makes no progress, and hands
-/// [`Waker`] clones to threads that feed it work through channels the
-/// kernel cannot see (shard workers queueing verdicts for the router).
+/// The loop registers every socket it owns, calls `wait_ready` when a
+/// sweep makes no progress, and hands [`Waker`] clones to threads that
+/// feed it work through channels the kernel cannot see (shard workers
+/// queueing verdicts for the router, a router queueing for a proxy).
 pub(crate) struct Poller {
     imp: Arc<Imp>,
 }
@@ -324,30 +323,18 @@ impl Poller {
     }
 
     /// Wait for readiness, a wake, or the cap — the replacement for
-    /// `thread::sleep(IDLE_SLEEP)` in every pump loop.
-    pub(crate) fn wait(&self) {
-        match &*self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => {
-                ep.wait(EPOLL_CAP, None);
-            }
-            Imp::Sweep => std::thread::sleep(IDLE_SLEEP),
-        }
-    }
-
-    /// As [`wait`](Poller::wait), but additionally collect *which* fds
-    /// the kernel flagged into `ready` (cleared first). The return
-    /// value says whether that list may be trusted: on
-    /// `Readiness::All` the caller must probe every socket exactly as
-    /// after a plain [`wait`](Poller::wait) — the sweep backend, wakes,
-    /// timeouts and event-buffer overflow all take that path, so a
-    /// loop built on this method degrades to the historical sweep, it
-    /// never loses liveness.
+    /// `thread::sleep(IDLE_SLEEP)` in every pump loop — collecting
+    /// *which* fds the kernel flagged into `ready` (cleared first). The
+    /// return value says whether that list may be trusted: on
+    /// `Readiness::All` the caller must probe every socket — the sweep
+    /// backend, wakes, timeouts and event-buffer overflow all take that
+    /// path, so a loop built on this method degrades to the historical
+    /// sweep, it never loses liveness.
     pub(crate) fn wait_ready(&self, ready: &mut Vec<i32>) -> Readiness {
         ready.clear();
         match &*self.imp {
             #[cfg(target_os = "linux")]
-            Imp::Epoll(ep) => ep.wait(EPOLL_CAP, Some(ready)),
+            Imp::Epoll(ep) => ep.wait(EPOLL_CAP, ready),
             Imp::Sweep => {
                 std::thread::sleep(IDLE_SLEEP);
                 Readiness::All
@@ -355,22 +342,22 @@ impl Poller {
         }
     }
 
-    /// As [`wait`](Poller::wait) but capped at `cap` (e.g. a deadline
-    /// fragment shorter than the default cap).
+    /// As [`wait_ready`](Poller::wait_ready) but capped at `cap` (e.g. a
+    /// deadline fragment shorter than the default cap).
     #[cfg(test)]
     pub(crate) fn wait_for(&self, cap: Duration) {
         match &*self.imp {
             #[cfg(target_os = "linux")]
             Imp::Epoll(ep) => {
-                ep.wait(cap.min(EPOLL_CAP), None);
+                ep.wait(cap.min(EPOLL_CAP), &mut Vec::new());
             }
             Imp::Sweep => std::thread::sleep(IDLE_SLEEP.min(cap)),
         }
     }
 
-    /// Interrupt the current (or next) [`wait`](Poller::wait). The
-    /// production paths wake through a cloned [`Waker`] handle; only
-    /// tests wake a directly-held poller.
+    /// Interrupt the current (or next) wait. The production paths wake
+    /// through a cloned [`Waker`] handle; only tests wake a
+    /// directly-held poller.
     #[cfg(test)]
     pub(crate) fn wake(&self) {
         match &*self.imp {
@@ -453,7 +440,7 @@ mod tests {
         let p = Poller::new(PollerBackend::Sweep);
         assert_eq!(p.backend(), PollerBackend::Sweep);
         let t = Instant::now();
-        p.wait();
+        assert_eq!(p.wait_ready(&mut Vec::new()), Readiness::All);
         assert!(t.elapsed() >= IDLE_SLEEP);
         // wake() is a no-op, not a panic.
         p.wake();

@@ -15,19 +15,19 @@ use referee_protocol::referee::local_phase;
 use referee_protocol::shard::multiround::{
     run_multiround_sharded, RoundPartialState, RoundShard,
 };
-use referee_protocol::shard::replay::decode_resume;
+use referee_protocol::shard::replay::{decode_resume, encode_resume};
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::placement::{link_key, register_frame};
 use referee_wirenet::{
     boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame,
-    trace_endpoint, vector_digest, AuthKey, FleetClient, FleetServer, FrameKind,
+    trace_endpoint, vector_digest, AuthKey, FleetClient, FleetServer, FrameKind, HostId,
     PlacementPolicy, RemotePlacement, ShardHost, TamperConfig, WireTimeouts,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -117,9 +117,17 @@ proptest! {
 /// A seeded kill/reconnect schedule mid-fleet: one shard host is
 /// repeatedly stopped and respawned (on fresh ports, the address book
 /// re-pointed); journal replay must keep every verdict bit-for-bit
-/// equal to the in-process sharded run.
+/// equal to the in-process sharded run. The victim is each host in
+/// turn: host 0 serves shard 0, whose proxy also runs the collector, so
+/// its kills exercise redial and replay on the collector's thread.
 #[test]
 fn kill_reconnect_schedule_preserves_verdicts() {
+    for victim in [0u32, 1] {
+        kill_reconnect_schedule(victim);
+    }
+}
+
+fn kill_reconnect_schedule(victim: HostId) {
     let key = AuthKey::from_seed(4242);
     let k = 4usize;
     let (mut hosts, placement) = placed(key, k);
@@ -135,21 +143,21 @@ fn kill_reconnect_schedule_preserves_verdicts() {
     let chaos = {
         let stop = Arc::clone(&stop);
         let placement = placement.clone();
-        let victim = hosts.pop().expect("two hosts"); // host id 1
+        let host = hosts.remove(victim as usize);
         std::thread::spawn(move || {
-            let mut victim = Some(victim);
+            let mut host = Some(host);
             let mut kills = 0usize;
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(25));
-                let h = victim.take().expect("host present");
+                let h = host.take().expect("host present");
                 h.stop(); // volatile shard state dies with it
                 kills += 1;
                 std::thread::sleep(Duration::from_millis(10));
                 let fresh = ShardHost::spawn(key).expect("respawn");
-                assert!(placement.update_host(1, fresh.addr()));
-                victim = Some(fresh);
+                assert!(placement.update_host(victim, fresh.addr()));
+                host = Some(fresh);
             }
-            (victim, kills)
+            (host, kills)
         })
     };
 
@@ -162,20 +170,20 @@ fn kill_reconnect_schedule_preserves_verdicts() {
     }
     stop.store(true, Ordering::SeqCst);
     let (survivor, kills) = chaos.join().expect("chaos thread");
-    assert!(kills > 0, "the schedule must actually kill");
+    assert!(kills > 0, "host {victim}: the schedule must actually kill");
 
     for (i, (wire, g)) in verdicts.iter().zip(&fleet).enumerate() {
         let (local, _) = run_multiround_sharded(&BoruvkaConnectivity, g, k, CAP);
         assert_eq!(
             *wire,
             local.expect("terminates").expect("decodes"),
-            "session {i} diverged under the kill schedule"
+            "host {victim}: session {i} diverged under the kill schedule"
         );
     }
     let stats = server.stop();
     assert!(
         stats.shard_reconnects as u64 > k as u64,
-        "kills must force redials: {}",
+        "host {victim}: kills must force redials: {}",
         stats.shard_reconnects
     );
     drop(survivor);
@@ -217,7 +225,7 @@ fn remote_tamper_sweep_zero_undetected() {
 }
 
 /// n = 0 and tiny sessions ride the remote path too (empty-range shards
-/// are implied at the accumulator, never announced to hosts in
+/// are implied at the collector, never announced to hosts in
 /// multi-round mode).
 #[test]
 fn remote_trivial_sizes() {
@@ -415,6 +423,61 @@ fn shard_host_partial_emits_carry_the_round() {
     }
     server.stop();
     drop(hosts);
+}
+
+/// A shard host ships each flight-recorder event once, not once per
+/// coordinator link: shards 0 and 1 of one placement, registered on one
+/// host, each finish a session, and the `Trace` segments the two links
+/// carry back hold disjoint event sequence numbers.
+#[test]
+fn shard_host_ships_each_trace_event_once() {
+    let key = AuthKey::from_seed(6161);
+    let host = ShardHost::spawn(key).expect("bind shard host");
+    let mut links: Vec<(TcpStream, AuthKey)> = (0..2)
+        .map(|index| {
+            let mut stream = TcpStream::connect(host.addr()).expect("dial the host");
+            stream.write_all(&register_frame(&key, index, 2, 1)).expect("register");
+            (stream, link_key(&key, index, 1))
+        })
+        .collect();
+    let mut spans = Vec::new();
+    for (session, (stream, link)) in links.iter_mut().enumerate() {
+        let control = |kind, payload| {
+            let env = Envelope {
+                session: SessionId(session as u64),
+                round: 1,
+                from: 1,
+                to: 0,
+                payload,
+            };
+            encode_wire_frame(link, kind, &env)
+        };
+        stream
+            .write_all(&control(FrameKind::Announce, encode_resume(4, 1, 1)))
+            .expect("announce");
+        stream.write_all(&control(FrameKind::Finish, Message::empty())).expect("finish");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let (mut buf, mut scratch) = (Vec::new(), [0u8; 4096]);
+        let segment = loop {
+            let frame = decode_frame(link, &buf).expect("MAC'd under the link key");
+            match frame {
+                Some(frame) if frame.kind == FrameKind::Trace => {
+                    break TraceSnapshot::decode(&frame.envelope.payload).expect("segment");
+                }
+                Some(frame) => drop(buf.drain(..frame.consumed)),
+                None => {
+                    let got = stream.read(&mut scratch).expect("the host ships its trace");
+                    assert!(got > 0, "shard {session}: the host closed the link");
+                    buf.extend_from_slice(&scratch[..got]);
+                }
+            }
+        };
+        let seqs: BTreeSet<u64> = segment.events().iter().map(|e| e.seq).collect();
+        assert!(!seqs.is_empty(), "shard {session}: an empty segment ships nothing");
+        spans.push(seqs);
+    }
+    assert!(spans[0].is_disjoint(&spans[1]), "events shipped twice: {spans:?}");
+    host.stop();
 }
 
 /// Faulty arrivals are judged alike wherever the ranges live. For k in
