@@ -7,9 +7,13 @@
 //! either way); remote placement pays one extra socket hop per shard
 //! partial, so throughput lands below in-process but stays in the same
 //! order of magnitude — that gap is the price of shards that can live
-//! on other machines. The remote rows self-assert that every host
-//! partial decodes and that the coordinator forwards exactly one per
-//! non-empty shard range per session.
+//! on other machines. A session splits over `effective_shards(n, k)`
+//! ranges, so a small fleet (every session on shard 0) and a large one
+//! (n ≥ 8 · `MIN_RANGE_NODES`, split k ways) both run. The rows
+//! self-assert the exact partial counts — in process one per
+//! non-collector range per session, remote one forwarded per non-empty
+//! range per session — that every host partial decodes, and that a
+//! kill-free run replays nothing.
 //!
 //! Run: `cargo run --release -p referee-bench --bin exp_placement`
 
@@ -19,7 +23,7 @@ use referee_bench::{render_table, section, write_bench_json, BenchRecord, Percen
 use referee_graph::{generators, LabelledGraph};
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::referee::local_phase;
-use referee_protocol::shard::nonempty_shards;
+use referee_protocol::shard::{effective_shards, nonempty_shards, MIN_RANGE_NODES};
 use referee_protocol::HistSnapshot;
 use referee_simnet::{Scheduler, SessionId};
 use referee_wirenet::{
@@ -28,24 +32,28 @@ use referee_wirenet::{
 };
 use std::time::Instant;
 
-fn fleet(count: usize, seed: u64) -> Vec<LabelledGraph> {
+fn fleet(count: usize, min_n: usize, span: usize, seed: u64) -> Vec<LabelledGraph> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|i| generators::gnp(12 + i % 20, 0.2, &mut rng)).collect()
+    let p = (6.0 / min_n as f64).min(0.2);
+    (0..count).map(|i| generators::gnp(min_n + i % span, p, &mut rng)).collect()
 }
 
-fn main() {
-    println!("# E30: cross-host shard placement — in-process vs remote shard hosts");
-    println!("# expectation: identical digests; remote pays one socket hop per partial.");
+/// Ranges a `k`-shard deployment splits each session of `graphs` over.
+fn ranges(graphs: &[LabelledGraph], k: usize) -> impl Iterator<Item = usize> + '_ {
+    graphs.iter().map(move |g| nonempty_shards(g.n(), effective_shards(g.n(), k)))
+}
 
-    let sessions = 600usize;
-    let graphs = fleet(sessions, 2031);
+/// Run `graphs` as one-round sessions through in-process and remote
+/// deployments of 1/2/4/8 shards; `suffix` names the fleet in the
+/// records' backends.
+fn sweep(graphs: &[LabelledGraph], suffix: &str, records: &mut Vec<BenchRecord>) {
+    let sessions = graphs.len();
     let scheduler = Scheduler::new(8, 8);
     let key = AuthKey::from_seed(30);
     let truth: Vec<u64> = graphs
         .iter()
         .map(|g| vector_digest(&key, &local_phase(&EdgeCountProtocol, g)))
         .collect();
-    let mut records: Vec<BenchRecord> = Vec::new();
     let mut rows =
         vec![["backend", "shards", "hosts", "sess/s", "partials", "replays", "mac-rej"]
             .into_iter()
@@ -68,15 +76,19 @@ fn main() {
         (t0.elapsed().as_secs_f64(), digests, client.metrics())
     };
 
-    section(&format!("{sessions}-session fleets, in-process shard workers"));
+    let min_n = graphs.iter().map(LabelledGraph::n).min().unwrap_or(0);
+    section(&format!("{sessions}-session fleets, n ≥ {min_n}, in-process shard workers"));
     for shards in [1usize, 2, 4, 8] {
         let server = FleetServer::spawn_sharded(key, shards).expect("bind");
         let (wall, digests, c) = run(&server);
         assert_eq!(digests, truth, "in-process digests must pin the sent vectors");
         let s = server.stop();
         assert_eq!(s.mac_rejects, 0);
+        // Every range but the collector's hands over one partial.
+        let handed: usize = ranges(graphs, shards).map(|r| r - 1).sum();
+        assert_eq!(s.partial_frames as usize, handed, "k={shards}: in-process partials");
         records.push(
-            BenchRecord::new("wirenet", shards, sessions as f64 / wall)
+            BenchRecord::new(&format!("wirenet{suffix}"), shards, sessions as f64 / wall)
                 .with_percentiles(Percentiles::from_hist(c.stage(Stage::Verdict))),
         );
         rows.push(vec![
@@ -90,7 +102,7 @@ fn main() {
         ]);
     }
 
-    section(&format!("{sessions}-session fleets, shards placed on 2 remote hosts"));
+    section(&format!("{sessions}-session fleets, n ≥ {min_n}, shards on 2 remote hosts"));
     for shards in [1usize, 2, 4, 8] {
         let hosts: Vec<ShardHost> =
             (0..2).map(|_| ShardHost::spawn(key).expect("bind shard host")).collect();
@@ -106,11 +118,14 @@ fn main() {
         let s = server.stop();
         assert_eq!(s.mac_rejects, 0);
         assert_eq!(s.decode_rejects, 0, "every host partial must decode");
-        // One forwarded partial per non-empty shard range per session.
-        let ranges: usize = graphs.iter().map(|g| nonempty_shards(g.n(), shards)).sum();
-        assert_eq!(s.partial_frames as usize, ranges, "k={shards}: forwarded partials");
+        assert_eq!(s.replayed_frames, 0, "k={shards}: no host died, so nothing replays");
+        // One forwarded partial per non-empty range per session.
+        let forwarded: usize = ranges(graphs, shards).sum();
+        assert_eq!(s.partial_frames as usize, forwarded, "k={shards}: forwarded partials");
+        let sent: u64 = hosts.iter().map(|h| h.metrics().partial_frames).sum();
+        assert_eq!(sent as usize, forwarded, "k={shards}: host partial frames");
         records.push(
-            BenchRecord::new("remote", shards, sessions as f64 / wall)
+            BenchRecord::new(&format!("remote{suffix}"), shards, sessions as f64 / wall)
                 .with_percentiles(Percentiles::from_hist(c.stage(Stage::Verdict))),
         );
         // Ship each host's range-wait histogram back over the encoded
@@ -138,6 +153,21 @@ fn main() {
         drop(hosts);
     }
     println!("{}", render_table(&rows));
+}
+
+fn main() {
+    println!("# E30: cross-host shard placement — in-process vs remote shard hosts");
+    println!("# expectation: identical digests; remote pays one socket hop per partial.");
+    println!("# A session of n nodes splits over min(k, ⌈n / {MIN_RANGE_NODES}⌉) ranges: the");
+    println!("# small fleet runs on shard 0 alone at every k, the large one splits k ways.");
+
+    let mut records: Vec<BenchRecord> = Vec::new();
+    let small = fleet(600, 12, 20, 2031);
+    assert!(ranges(&small, 8).all(|r| r == 1));
+    sweep(&small, "", &mut records);
+    let large = fleet(100, 8 * MIN_RANGE_NODES, 20, 2032);
+    assert!(ranges(&large, 8).all(|r| r == 8));
+    sweep(&large, "-large", &mut records);
 
     let json = write_bench_json("exp_placement", &records).expect("write BENCH json");
     println!("\nmachine-readable results: {}", json.display());

@@ -14,10 +14,15 @@
 //!   verifies EdgeCount fleets through `verify_session` (verdict digests
 //!   pin the sent vectors); `FleetServer::spawn_multiround` referees
 //!   Borůvka through `run_multiround_session` (verdicts pinned against
-//!   the in-process sweep).
+//!   the in-process sweep). The wire splits a session over
+//!   `effective_shards(n, k)` ranges, so each protocol runs twice: a
+//!   small fleet (unsplit at every k, no partials) and a large one
+//!   (n ≥ 8 · `MIN_RANGE_NODES`, split k ways); both assert the exact
+//!   partial count, one per non-collector range per round.
 //!
 //! Emits `BENCH_exp_shard.json` (sessions/s per shard count per backend;
-//! the Borůvka rows carry a `-multiround` backend suffix).
+//! the Borůvka rows carry a `-multiround` backend suffix, the large
+//! fleets a `-large` one).
 //!
 //! Run: `cargo run --release -p referee-bench --bin exp_shard`
 
@@ -28,6 +33,7 @@ use referee_graph::{generators, LabelledGraph};
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_protocol::referee::local_phase;
+use referee_protocol::shard::{effective_shards, nonempty_shards, MIN_RANGE_NODES};
 use referee_simnet::scheduler::Report;
 use referee_simnet::{Scheduler, SessionId, SweepReport};
 use referee_wirenet::{
@@ -43,7 +49,8 @@ const CAP: usize = 64;
 
 fn fleet(count: usize, min_n: usize, span: usize, seed: u64) -> Vec<LabelledGraph> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|i| generators::gnp(min_n + i % span, 0.2, &mut rng)).collect()
+    let p = (6.0 / min_n as f64).min(0.2);
+    (0..count).map(|i| generators::gnp(min_n + i % span, p, &mut rng)).collect()
 }
 
 fn header(cols: &[&str]) -> Vec<Vec<String>> {
@@ -135,23 +142,23 @@ fn wire_rows<T: Send + PartialEq + Debug>(
     records
 }
 
-fn main() {
-    println!("# E28: sharded referee — mergeable partial states, in-memory and on the wire");
-    println!("# expectation: outcomes identical at every shard count (merge is commutative");
-    println!("# and associative); exchange overhead grows with rounds × k; one-round");
-    println!("# verification stays in the same order of magnitude as the echo fleet, and");
-    println!("# multi-round wire throughput is bounded by the per-round round trips.");
+/// The partials a `k`-shard wire server hands its collector over
+/// honest sessions of `(n, rounds)`: one per non-collector range per
+/// round, a session of `n` nodes splitting over `effective_shards(n, k)`
+/// ranges.
+fn wire_partials(sessions: impl Iterator<Item = (usize, usize)>, k: usize) -> usize {
+    sessions.map(|(n, rounds)| rounds * (nonempty_shards(n, effective_shards(n, k)) - 1)).sum()
+}
 
+/// EdgeCount over `graphs`: the simnet sweep at every shard count, then
+/// the wire fleets. `suffix` names the fleet in the records' backends.
+fn one_round(graphs: &[LabelledGraph], suffix: &str, records: &mut Vec<BenchRecord>) {
     let scheduler = Scheduler::new(8, 8);
-    let mut records: Vec<BenchRecord> = Vec::new();
-
-    // ---- one-round EdgeCount ------------------------------------------
-    let sessions = 1000usize;
-    let graphs = fleet(sessions, 12, 20, 2028);
-    section(&format!("simnet: {sessions} EdgeCount sessions, scheduler 8×8"));
-    let mono = scheduler.sweep_one_round(&EdgeCountProtocol, &graphs, None);
-    records.extend(simnet_rows("simnet", &mono, |k| {
-        let sweep = scheduler.sweep_one_round_sharded(&EdgeCountProtocol, &graphs, k, None);
+    let sessions = graphs.len();
+    section(&format!("simnet{suffix}: {sessions} EdgeCount sessions, scheduler 8×8"));
+    let mono = scheduler.sweep_one_round(&EdgeCountProtocol, graphs, None);
+    records.extend(simnet_rows(&format!("simnet{suffix}"), &mono, |k| {
+        let sweep = scheduler.sweep_one_round_sharded(&EdgeCountProtocol, graphs, k, None);
         for (s, m) in sweep.reports.iter().zip(&mono.reports) {
             assert_eq!(
                 s.outcome.as_ref().unwrap(),
@@ -164,7 +171,7 @@ fn main() {
     }));
 
     section(&format!(
-        "wirenet: {sessions}-session EdgeCount fleets verified by sharded servers"
+        "wirenet{suffix}: {sessions}-session EdgeCount fleets verified by sharded servers"
     ));
     let key = AuthKey::from_seed(28);
     let truth: Vec<u64> = graphs
@@ -172,7 +179,7 @@ fn main() {
         .map(|g| vector_digest(&key, &local_phase(&EdgeCountProtocol, g)))
         .collect();
     records.extend(wire_rows(
-        "wirenet",
+        &format!("wirenet{suffix}"),
         key,
         &truth,
         &["shards", "conns", "sess/s", "partials", "verdicts", "wire KiB", "mac-rej"],
@@ -188,7 +195,8 @@ fn main() {
                 .expect("honest session verifies")
         },
         |k, c, s| {
-            assert_eq!(s.partial_frames as usize, sessions * (k - 1));
+            let want = wire_partials(graphs.iter().map(|g| (g.n(), 1)), k);
+            assert_eq!(s.partial_frames as usize, want, "k={k}");
             vec![
                 s.partial_frames.to_string(),
                 s.verdict_frames.to_string(),
@@ -197,15 +205,17 @@ fn main() {
             ]
         },
     ));
+}
 
-    // ---- multi-round Borůvka ------------------------------------------
-    let sessions = 600usize;
-    let graphs = fleet(sessions, 8, 16, 2029);
-    section(&format!("simnet: {sessions} Borůvka sessions, scheduler 8×8"));
-    let mono = scheduler.sweep_multi_round(&BoruvkaConnectivity, &graphs, CAP, None);
-    records.extend(simnet_rows("simnet-multiround", &mono, |k| {
+/// Borůvka over `graphs`, as [`one_round`] runs EdgeCount.
+fn multi_round(graphs: &[LabelledGraph], suffix: &str, records: &mut Vec<BenchRecord>) {
+    let scheduler = Scheduler::new(8, 8);
+    let sessions = graphs.len();
+    section(&format!("simnet{suffix}: {sessions} Borůvka sessions, scheduler 8×8"));
+    let mono = scheduler.sweep_multi_round(&BoruvkaConnectivity, graphs, CAP, None);
+    records.extend(simnet_rows(&format!("simnet-multiround{suffix}"), &mono, |k| {
         let sweep =
-            scheduler.sweep_multi_round_sharded(&BoruvkaConnectivity, &graphs, k, CAP, None);
+            scheduler.sweep_multi_round_sharded(&BoruvkaConnectivity, graphs, k, CAP, None);
         for (s, m) in sweep.reports.iter().zip(&mono.reports) {
             assert_eq!(
                 s.outcome.as_ref().unwrap(),
@@ -217,15 +227,19 @@ fn main() {
         (sweep, bits)
     }));
 
-    section(&format!("wirenet: {sessions}-session Borůvka fleets, sharded wire referee"));
+    section(&format!(
+        "wirenet{suffix}: {sessions}-session Borůvka fleets, sharded wire referee"
+    ));
     let key = AuthKey::from_seed(29);
     let truth: Vec<bool> = mono
         .reports
         .iter()
         .map(|r| *r.outcome.as_ref().unwrap().as_ref().unwrap().as_ref().unwrap())
         .collect();
+    let rounds: Vec<(usize, usize)> =
+        graphs.iter().zip(&mono.reports).map(|(g, r)| (g.n(), r.metrics.rounds)).collect();
     records.extend(wire_rows(
-        "wirenet-multiround",
+        &format!("wirenet-multiround{suffix}"),
         key,
         &truth,
         &["shards", "conns", "sess/s", "partials", "downlinks", "verdicts", "mac-rej"],
@@ -243,7 +257,9 @@ fn main() {
                 .expect("honest session completes");
             decode_bool_output(&out).expect("honest uplinks decode")
         },
-        |_, _, s| {
+        |k, _, s| {
+            let want = wire_partials(rounds.iter().copied(), k);
+            assert_eq!(s.partial_frames as usize, want, "k={k}");
             vec![
                 s.partial_frames.to_string(),
                 s.downlink_frames.to_string(),
@@ -252,6 +268,31 @@ fn main() {
             ]
         },
     ));
+}
+
+fn main() {
+    println!("# E28: sharded referee — mergeable partial states, in-memory and on the wire");
+    println!("# expectation: outcomes identical at every shard count (merge is commutative");
+    println!("# and associative); exchange overhead grows with rounds × k; one-round");
+    println!("# verification stays in the same order of magnitude as the echo fleet, and");
+    println!("# multi-round wire throughput is bounded by the per-round round trips.");
+    println!("# The wire splits a session of n nodes over min(k, ⌈n / {MIN_RANGE_NODES}⌉)");
+    println!("# ranges: the small fleets run unsplit at every k, the large ones split k ways.");
+
+    let mut records: Vec<BenchRecord> = Vec::new();
+    let large = SHARD_COUNTS[SHARD_COUNTS.len() - 1] * MIN_RANGE_NODES;
+
+    // ---- one-round EdgeCount ------------------------------------------
+    let small = fleet(1000, 12, 20, 2028);
+    assert_eq!(wire_partials(small.iter().map(|g| (g.n(), 1)), 8), 0);
+    one_round(&small, "", &mut records);
+    let split = fleet(200, large, 20, 2030);
+    assert_eq!(wire_partials(split.iter().map(|g| (g.n(), 1)), 8), split.len() * 7);
+    one_round(&split, "-large", &mut records);
+
+    // ---- multi-round Borůvka ------------------------------------------
+    multi_round(&fleet(600, 8, 16, 2029), "", &mut records);
+    multi_round(&fleet(40, large, 16, 2031), "-large", &mut records);
 
     let json = write_bench_json("exp_shard", &records).expect("write BENCH json");
     println!("\nmachine-readable results: {}", json.display());

@@ -17,6 +17,10 @@
 //!   of a partition — a left fold, a binary tree, whatever a cross-host
 //!   topology dictates — yields the same [`finish`](PartialState::finish)
 //!   verdict, bit for bit.
+//! * [`effective_shards`] — how many of a deployment's shards a session
+//!   of `n` nodes splits over: at most one per [`MIN_RANGE_NODES`]
+//!   nodes, which the verdict allows since it is the same for every
+//!   shard count.
 //!
 //! The monolithic
 //! [`assemble_from_arrivals`](crate::referee::assemble_from_arrivals)
@@ -146,6 +150,30 @@ pub fn shard_range(n: usize, shards: usize, index: usize) -> ShardRange {
 /// emit partials.
 pub fn nonempty_shards(n: usize, shards: usize) -> usize {
     (0..shards).filter(|&i| !shard_range(n, shards, i).is_empty()).count()
+}
+
+/// The session size per range below which a deployment does not split:
+/// a session of `n` nodes uses [`effective_shards`]`(n, k)` ranges, not
+/// `k`. Below it, a second range costs a cross-thread handoff and a
+/// merge per round and buys no parallel work worth having. 128 is a
+/// floor above every session size the benchmark workloads run (n ≤ 95),
+/// so those run unsplit. Where splitting starts to pay is not verified:
+/// on a 2-core host a k = 2 server was no better than k = 1 at any
+/// n ≤ 1024 (one connection: p50 latency within noise from n = 128 on;
+/// 8 connections: throughput within 2% for Borůvka, 10% lower for a
+/// one-round protocol), and cost more CPU throughout (tables in
+/// CHANGES.md).
+pub const MIN_RANGE_NODES: usize = 128;
+
+/// How many of a deployment's `shards` ranges a session of `n` nodes
+/// is split over: `⌈n / MIN_RANGE_NODES⌉`, clamped to `1..=shards`.
+/// Every range of that split is non-empty for `n ≥ 1`, and a session
+/// that gets 1 runs whole on shard 0, with no partial and no merge.
+/// Verdicts do not depend on it: every shard count is pinned to the
+/// monolithic oracle.
+pub fn effective_shards(n: usize, shards: usize) -> usize {
+    assert!(shards >= 1, "need at least one shard");
+    n.div_ceil(MIN_RANGE_NODES).clamp(1, shards)
 }
 
 /// How [`RefereeShard::ingest`] classified one arrival.
@@ -847,6 +875,27 @@ mod tests {
         assert_eq!(nonempty_shards(3, 8), 3);
         assert_eq!(nonempty_shards(10, 4), 4);
         assert_eq!(nonempty_shards(10, 1), 1);
+    }
+
+    #[test]
+    fn effective_shards_split_only_large_sessions() {
+        let m = MIN_RANGE_NODES;
+        for (n, k, want) in [(0, 4, 1), (1, 4, 1), (m, 4, 1), (m + 1, 4, 2), (4 * m, 4, 4)] {
+            assert_eq!(effective_shards(n, k), want, "n={n} k={k}");
+        }
+        assert_eq!(effective_shards(4 * m + 1, 4), 4);
+        assert_eq!(effective_shards(100 * m, 1), 1);
+        // Every range of a split is non-empty and holds at least half
+        // the minimum.
+        for n in (1..=9 * m).step_by(7) {
+            for k in 1..=8 {
+                let e = effective_shards(n, k);
+                assert_eq!(nonempty_shards(n, e), e, "n={n} k={k}");
+                if e > 1 {
+                    assert!((0..e).all(|i| shard_range(n, e, i).len() >= m / 2), "n={n} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,8 +44,10 @@
 //!   ([`WireSnapshot`]).
 //! * [`multiround`] — the **referee session engine**, one for every
 //!   service: authenticated frames are routed to shard workers by
-//!   session + node range (`referee_protocol::shard`), each round's
-//!   ranges hand their
+//!   session + node range (`referee_protocol::shard`), a session of `n`
+//!   nodes splitting over `effective_shards(n, k)` of the `k` ranges (a
+//!   small one runs whole on lane 0), in one batched channel message
+//!   per lane per router pass; each round's ranges hand their
 //!   [`RoundPartialState`](referee_protocol::shard::multiround::RoundPartialState)s
 //!   to lane 0 by value (epoch-fenced; MAC'd `Partial` frames only
 //!   where a range lives on a remote shard host, which runs the same
@@ -66,9 +68,12 @@
 //!   network peers. A [`ShardHost`] runs the engine's range worker
 //!   behind a socket and a MAC'd registration handshake with per-shard,
 //!   generation-scoped keys; a [`PlacementPolicy`] + [`RemotePlacement`] decide which
-//!   host owns which ID range; coordinator-side proxies wait on their
-//!   pollers, journal and replay so shard-host kill/restart leaves
-//!   verdicts bit-for-bit unchanged, and proxy 0 also collects.
+//!   host owns which ID range (a session uses hosts of its effective
+//!   ranges only); coordinator-side proxies wait on their pollers,
+//!   journal and replay so shard-host kill/restart leaves verdicts
+//!   bit-for-bit unchanged (only a redial counts as a replay), and
+//!   proxy 0 also collects. The coordinator keeps the trace segments
+//!   hosts ship in a FIFO bounded by its recorder's capacity.
 //!
 //! # Frame layout
 //!
@@ -228,7 +233,10 @@
 //! ([`FrameKind::Trace`]), and snapshot merge is a set union under a
 //! canonical `(session, endpoint, seq)` order — commutative,
 //! associative, idempotent — so segments arriving in any order
-//! assemble one causally ordered timeline per session.
+//! assemble one causally ordered timeline per session. The coordinator
+//! keeps at most its recorder's capacity of shipped events, dropping
+//! the oldest whole segments ([`WireSnapshot::remote_trace_drops`]),
+//! and sorts them only when asked for the stitched timeline.
 //!
 //! Post-mortems are failure-triggered and off by default: set
 //! `REFEREE_TRACE_DUMP=1` and call

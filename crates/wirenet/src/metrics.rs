@@ -3,6 +3,7 @@
 //! histograms and a causal-event flight recorder over the session
 //! lifecycle.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -153,6 +154,7 @@ pub struct WireMetrics {
     downlink_frames: AtomicU64,
     shard_reconnects: AtomicU64,
     replayed_frames: AtomicU64,
+    sessions_held: AtomicU64,
     evidence_bundles: AtomicU64,
     /// `write(2)`/`read(2)` syscall counters, `Arc`-shared so every
     /// connection carries a cheap [`SyscallMeter`] clone into the
@@ -168,12 +170,22 @@ pub struct WireMetrics {
     /// `Finish`/`Retire`), stitched with the local ring by
     /// [`WireMetrics::stitched_trace`]. Only touched at segment-ship
     /// and post-mortem time, so a mutex is fine here.
-    remote_trace: Mutex<TraceSnapshot>,
+    remote_trace: Mutex<RemoteTrace>,
     /// Evidence bundles cut (or received) by this endpoint, capped at
     /// `evidence_cap` ([`DEFAULT_EVIDENCE_CAP`]). Violations are rare and
     /// off the hot path, so a mutex is fine here too.
     evidence_log: Mutex<Vec<EvidenceBundle>>,
     evidence_cap: usize,
+}
+
+/// The remote trace segments a coordinator keeps, oldest first.
+#[derive(Debug, Default)]
+struct RemoteTrace {
+    segments: VecDeque<TraceSnapshot>,
+    /// Events held across `segments`.
+    events: usize,
+    /// Events dropped with the oldest segments.
+    dropped: u64,
 }
 
 impl Default for WireMetrics {
@@ -215,6 +227,7 @@ impl WireMetrics {
             downlink_frames: AtomicU64::new(0),
             shard_reconnects: AtomicU64::new(0),
             replayed_frames: AtomicU64::new(0),
+            sessions_held: AtomicU64::new(0),
             evidence_bundles: AtomicU64::new(0),
             write_syscalls: Arc::new(AtomicU64::new(0)),
             read_syscalls: Arc::new(AtomicU64::new(0)),
@@ -227,7 +240,7 @@ impl WireMetrics {
                 capacity,
                 trace::wall_clock_us(),
             )),
-            remote_trace: Mutex::new(TraceSnapshot::new()),
+            remote_trace: Mutex::new(RemoteTrace::default()),
             evidence_log: Mutex::new(Vec::new()),
             evidence_cap: DEFAULT_EVIDENCE_CAP,
         }
@@ -248,6 +261,7 @@ impl WireMetrics {
     bump!(downlink_frames);
     bump!(shard_reconnects);
     bump!(replayed_frames);
+    bump!(sessions_held);
 
     /// A [`SyscallMeter`] clone sharing this endpoint's syscall
     /// counters — attach it to every [`Conn`](crate::reactor) via
@@ -291,11 +305,22 @@ impl WireMetrics {
         Arc::clone(&self.recorder)
     }
 
-    /// Fold a trace segment shipped from a remote endpoint (the
-    /// coordinator-side half of cross-process trace stitching —
-    /// the trace analogue of [`WireMetrics::absorb_stage`]).
+    /// Keep a trace segment shipped from a remote endpoint (the
+    /// coordinator-side half of cross-process trace stitching — the
+    /// trace analogue of [`WireMetrics::absorb_stage`]). Segments sit
+    /// in a FIFO holding at most the local recorder's capacity in
+    /// events: the oldest whole segments make room, counted in
+    /// [`WireSnapshot::remote_trace_drops`]. Constant work per segment;
+    /// sorting waits for [`WireMetrics::stitched_trace`].
     pub fn absorb_trace(&self, snap: &TraceSnapshot) {
-        self.remote_trace.lock().expect("remote trace lock").merge(snap);
+        let mut remote = self.remote_trace.lock().expect("remote trace lock");
+        remote.events += snap.len();
+        remote.segments.push_back(snap.clone());
+        while remote.events > self.recorder.capacity() {
+            let oldest = remote.segments.pop_front().expect("events > 0 means a segment");
+            remote.events -= oldest.len();
+            remote.dropped += oldest.len() as u64;
+        }
     }
 
     /// Log one [`EvidenceBundle`] cut (or received) by this endpoint:
@@ -315,11 +340,14 @@ impl WireMetrics {
     }
 
     /// One causally-ordered timeline: the local ring's surviving events
-    /// merged with every absorbed remote segment.
+    /// merged with every retained remote segment.
     pub fn stitched_trace(&self) -> TraceSnapshot {
-        let mut snap = self.recorder.snapshot();
-        snap.merge(&self.remote_trace.lock().expect("remote trace lock"));
-        snap
+        let mut events = self.recorder.snapshot().events().to_vec();
+        let remote = self.remote_trace.lock().expect("remote trace lock");
+        for segment in &remote.segments {
+            events.extend_from_slice(segment.events());
+        }
+        TraceSnapshot::from_events(events)
     }
 
     /// A point-in-time copy of every counter and stage histogram.
@@ -340,10 +368,12 @@ impl WireMetrics {
             downlink_frames: self.downlink_frames.load(Ordering::Relaxed),
             shard_reconnects: self.shard_reconnects.load(Ordering::Relaxed),
             replayed_frames: self.replayed_frames.load(Ordering::Relaxed),
+            sessions_held: self.sessions_held.load(Ordering::Relaxed),
             evidence_bundles: self.evidence_bundles.load(Ordering::Relaxed),
             write_syscalls: self.write_syscalls.load(Ordering::Relaxed),
             read_syscalls: self.read_syscalls.load(Ordering::Relaxed),
             trace_drops: self.recorder.dropped(),
+            remote_trace_drops: self.remote_trace.lock().expect("remote trace lock").dropped,
             stages: std::array::from_fn(|i| self.stages[i].snapshot()),
         }
     }
@@ -391,8 +421,18 @@ pub struct WireSnapshot {
     /// shard-host loss.
     pub shard_reconnects: u64,
     /// Remote placement only: journaled frames resent to a reconnected
-    /// shard host (announcements excluded).
+    /// shard host (announcements excluded). A proxy's first dial sends
+    /// what the router queued before the link came up; that is not a
+    /// replay.
     pub replayed_frames: u64,
+    /// Catalog server only, counted as it stops: the sessions its router
+    /// (unjudged routes), workers and proxies (journals) still held.
+    /// A leak detector: it reads 0 when every session was judged or its
+    /// connection closed, so a nonzero value in the snapshot
+    /// [`FleetServer::stop`](crate::FleetServer::stop) returns names
+    /// session state some lane kept after it should have let go (say, a
+    /// lane that never heard its session finish).
+    pub sessions_held: u64,
     /// Evidence bundles cut (server) or received (client) — see
     /// [`WireMetrics::record_evidence`] and
     /// [`referee_protocol::evidence`]. Nonzero means a peer committed a
@@ -410,6 +450,10 @@ pub struct WireSnapshot {
     /// than the incident and the ring needs resizing
     /// (`REFEREE_TRACE_CAPACITY`).
     pub trace_drops: u64,
+    /// Remote trace events (segments shipped in by shard hosts) dropped
+    /// oldest-first to keep the retained ones within the recorder's
+    /// capacity — see [`WireMetrics::absorb_trace`].
+    pub remote_trace_drops: u64,
     /// Per-stage latency histograms, indexed in [`Stage::ALL`] order.
     pub stages: [HistSnapshot; Stage::ALL.len()],
 }
@@ -454,10 +498,14 @@ impl WireSnapshot {
             downlink_frames: self.downlink_frames.saturating_sub(earlier.downlink_frames),
             shard_reconnects: self.shard_reconnects.saturating_sub(earlier.shard_reconnects),
             replayed_frames: self.replayed_frames.saturating_sub(earlier.replayed_frames),
+            sessions_held: self.sessions_held.saturating_sub(earlier.sessions_held),
             evidence_bundles: self.evidence_bundles.saturating_sub(earlier.evidence_bundles),
             write_syscalls: self.write_syscalls.saturating_sub(earlier.write_syscalls),
             read_syscalls: self.read_syscalls.saturating_sub(earlier.read_syscalls),
             trace_drops: self.trace_drops.saturating_sub(earlier.trace_drops),
+            remote_trace_drops: self
+                .remote_trace_drops
+                .saturating_sub(earlier.remote_trace_drops),
             stages: std::array::from_fn(|i| self.stages[i].delta(&earlier.stages[i])),
         }
     }
@@ -469,8 +517,8 @@ impl std::fmt::Display for WireSnapshot {
             f,
             "conns {} | frames {}/{} | bytes {}/{} | mac-rejects {} | decode-rejects {} | \
              stalls {} | tampered {} | orphans {} | partials {} | verdicts {} | downlinks {} \
-             | shard-reconnects {} | replays {} | evidence {} | \
-             syscalls {}w/{}r ({:.1} frames/write) | trace-drops {}",
+             | shard-reconnects {} | replays {} | held {} | evidence {} | \
+             syscalls {}w/{}r ({:.1} frames/write) | trace-drops {} | remote-trace-drops {}",
             self.connections,
             self.frames_sent,
             self.frames_received,
@@ -486,11 +534,13 @@ impl std::fmt::Display for WireSnapshot {
             self.downlink_frames,
             self.shard_reconnects,
             self.replayed_frames,
+            self.sessions_held,
             self.evidence_bundles,
             self.write_syscalls,
             self.read_syscalls,
             self.frames_per_write(),
             self.trace_drops,
+            self.remote_trace_drops,
         )?;
         for stage in Stage::ALL {
             let h = self.stage(stage);
@@ -642,6 +692,34 @@ mod tests {
         // Absorbing the same segment again is idempotent.
         m.absorb_trace(&remote.stitched_trace());
         assert_eq!(m.stitched_trace(), stitched);
+    }
+
+    #[test]
+    fn remote_trace_stays_within_capacity() {
+        // 10k sessions' segments of 3 events each into a 4096-event cap:
+        // the oldest whole segments go, and every shipped event is
+        // either retained or counted dropped.
+        let cap = 4096;
+        let m = WireMetrics::with_trace_capacity(cap);
+        let mut shipped = 0u64;
+        for session in 0..10_000u64 {
+            let host = WireMetrics::with_trace_capacity(8);
+            for kind in [TraceKind::Announce, TraceKind::Uplink, TraceKind::PartialEmit] {
+                host.trace(session, trace_endpoint::shard_host(1), kind, session);
+            }
+            let segment = host.stitched_trace();
+            shipped += segment.len() as u64;
+            m.absorb_trace(&segment);
+        }
+        let retained = m.stitched_trace();
+        let dropped = m.snapshot().remote_trace_drops;
+        assert!(retained.len() <= cap, "{} retained", retained.len());
+        assert_eq!(retained.len() as u64 + dropped, shipped);
+        // Whole segments: the newest sessions survive, each complete.
+        assert_eq!(retained.len(), cap / 3 * 3);
+        assert_eq!(retained.session_events(9_999).count(), 3);
+        assert_eq!(retained.session_events(0).count(), 0);
+        assert!(format!("{}", m.snapshot()).contains(&format!("remote-trace-drops {dropped}")));
     }
 
     #[test]

@@ -15,16 +15,21 @@
 //!
 //! One **router** thread owns the listener and every client connection;
 //! `k` **shard workers** run one worker state machine (`Worker`): each
-//! owns the [`RangeWait`] of its slice of every session's ID space, and
+//! owns the [`RangeWait`] of its slice of a session's ID space, and
 //! worker 0 also runs the session's [`RoundMerge`] — the round rule of
-//! `referee_protocol::shard`, which this module only drives. Per
-//! session:
+//! `referee_protocol::shard`, which this module only drives. A session
+//! of `n` nodes splits over only
+//! [`effective_shards`]`(n, k) = min(k, ⌈n / MIN_RANGE_NODES⌉)` ranges
+//! (`referee_protocol::shard`): below that size a second range costs a
+//! cross-thread handoff and a merge per round and buys nothing, so a
+//! small session runs whole on worker 0, with no partial and no merge.
+//! Per session, with `k_eff` its effective shard count:
 //!
 //! 1. the client announces `(session, n, service name)`
 //!    ([`Announce`](FrameKind::Announce)); the router resolves the name
-//!    against the catalog, fixes the service's round cap, and every
-//!    worker opens shard `i` for round 1 under that cap (worker 0 also
-//!    opens the service's referee);
+//!    against the catalog, fixes the service's round cap, and workers
+//!    `0..k_eff` open shard `i` of `k_eff` for round 1 under that cap
+//!    (worker 0 also opens the service's referee);
 //! 2. round-stamped [`Data`](FrameKind::Data) uplink frames are routed
 //!    to workers by sender range; a worker whose range completes for
 //!    round `r` hands its [`RoundPartialState`] to worker 0 **by value**
@@ -40,16 +45,25 @@
 //! 4. `Continue` streams one MAC'd downlink [`Data`](FrameKind::Data)
 //!    frame per node back to the client (from = referee, round `r`);
 //!    `Done` ships the encoded output as a
-//!    [`Verdict`](FrameKind::Verdict) frame and retires the session
-//!    everywhere.
+//!    [`Verdict`](FrameKind::Verdict) frame, worker 0 drops the session,
+//!    and the router retires it on workers `1..k_eff`.
+//!
+//! Handoffs are batched: the router stages what it routes to each lane
+//! and sends every lane one channel message per pass, lane 0's first,
+//! so an announce stays ahead of every partial it causes; a worker
+//! stages the partials it hands worker 0 and wakes the router once per
+//! batch it handled. A `Data` frame therefore costs no channel send of
+//! its own.
 //!
 //! With a [`RemotePlacement`] the ranges live on
 //! [`ShardHost`](crate::placement::ShardHost) peers instead, each fed by
 //! a coordinator-side proxy in worker `i`'s lane: a shard host runs the
 //! same worker's range half behind a socket, and proxy 0 runs the
-//! collector half (see [`crate::placement`]). Host partials cross a real
+//! collector half (see [`crate::placement`]). The split is the same, so
+//! a small session runs on host 0 alone. Host partials cross a real
 //! socket as MAC'd [`Partial`](FrameKind::Partial) frames; each proxy
-//! decodes them and hands the decoded value to lane 0.
+//! decodes them and hands the decoded value to lane 0. Proxy 0 hears a
+//! session's finish too: its journal and host 0's range still hold it.
 //!
 //! [`FleetClient::run_multiround_session`](crate::FleetClient::run_multiround_session)
 //! drives the node half of the same protocol against this service:
@@ -61,10 +75,10 @@
 //! # Failure behaviour
 //!
 //! Sessions are keyed by (connection, session id); a judged session is
-//! retired from the router and every worker the moment its verdict
-//! ships, and its id becomes re-announceable. Epochs fence stale
-//! cross-shard partials of re-announced ids, and tampered frames poison
-//! their connection at the router's MAC check.
+//! retired from the router and every worker that holds it the moment
+//! its verdict ships, and its id becomes re-announceable. Epochs fence
+//! stale cross-shard partials of re-announced ids, and tampered frames
+//! poison their connection at the router's MAC check.
 //!
 //! Faulty sessions fail fast under one rule for every round, the same
 //! on in-process workers and shard hosts because both run one worker
@@ -94,11 +108,10 @@ use crate::shard::build_evidence;
 use referee_protocol::evidence::SessionParams;
 use referee_protocol::multiround::RefereeStep;
 use referee_protocol::shard::multiround::{RangeWait, RoundMerge, RoundPartialState};
-use referee_protocol::shard::{nonempty_shards, route_arrival, shard_range};
+use referee_protocol::shard::{effective_shards, nonempty_shards, route_arrival, shard_range};
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
@@ -281,36 +294,59 @@ pub(crate) trait Out {
 }
 
 /// A worker's sink (proxy 0's collector's too): partials go to the
-/// collector by value over its inbox (lane 0's own never leave it),
-/// client traffic to the router — each send paired with a wake of the
-/// router's poller, since mpsc sends are invisible to `epoll`.
+/// collector by value, staged on its inbox (lane 0's own never leave
+/// it), client traffic to the router. [`Lane::flush`] runs once per
+/// inbox batch (per pass on a proxy): it sends the staged partials as
+/// one batch and wakes the router's poller once if anything went its
+/// way, since mpsc sends are invisible to `epoll`.
 pub(crate) struct Lane {
-    to_collector: Option<Sender<MrMsg>>,
+    to_collector: Option<Inbox>,
     router: Sender<MrOutbound>,
     waker: Waker,
+    wake_pending: bool,
 }
 
-/// A sender into one lane's inbox, paired (as [`Lane`] pairs `router`
-/// with `waker`) with the lane's poller [`Waker`] when the lane is a
-/// proxy, which waits on its poller, not in `recv`.
-#[derive(Clone)]
+impl Lane {
+    pub(crate) fn flush(&mut self) {
+        if let Some(inbox) = &mut self.to_collector {
+            inbox.flush();
+        }
+        if std::mem::take(&mut self.wake_pending) {
+            self.waker.wake();
+        }
+    }
+}
+
+/// A sender into one lane's inbox. Messages are staged and leave as one
+/// channel message per [`flush`](Inbox::flush), paired (as [`Lane`]
+/// pairs `router` with `waker`) with a wake of the lane's poller when
+/// the lane is a proxy, which waits on its poller, not in `recv`.
 pub(crate) struct Inbox {
-    tx: Sender<MrMsg>,
+    tx: Sender<Vec<MrMsg>>,
     waker: Option<Waker>,
-    queued: Cell<bool>,
+    staged: Vec<MrMsg>,
 }
 
 impl Inbox {
-    pub(crate) fn send(&self, msg: MrMsg) {
-        let _ = self.tx.send(msg);
-        self.queued.set(true);
+    pub(crate) fn stage(&mut self, msg: MrMsg) {
+        self.staged.push(msg);
     }
 
-    /// One wake for everything queued since the last call.
-    pub(crate) fn wake_queued(&self) {
-        if let (true, Some(waker)) = (self.queued.take(), &self.waker) {
+    /// Send everything staged since the last flush as one batch, with
+    /// one wake.
+    pub(crate) fn flush(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
+        let _ = self.tx.send(std::mem::take(&mut self.staged));
+        if let Some(waker) = &self.waker {
             waker.wake();
         }
+    }
+
+    /// Another sender into the same lane, with its own staging.
+    pub(crate) fn sender(&self) -> Inbox {
+        Inbox { tx: self.tx.clone(), waker: self.waker.clone(), staged: Vec::new() }
     }
 }
 
@@ -330,21 +366,22 @@ impl Out for Lane {
             metrics.trace(session, endpoint, TraceKind::PartialEmit, round);
             metrics.partial_frames(1);
         }
-        if let Some(tx) = &self.to_collector {
-            let _ =
-                tx.send(MrMsg::Partial { conn, session, epoch, from, partial: Ok(partial) });
+        if let Some(inbox) = &mut self.to_collector {
+            inbox.stage(MrMsg::Partial { conn, session, epoch, from, partial: Ok(partial) });
         }
     }
 
     fn outbound(&mut self, out: impl FnOnce() -> MrOutbound) {
         let _ = self.router.send(out());
-        self.waker.wake();
+        self.wake_pending = true;
     }
 }
 
 /// Router-side per-session record.
 struct SessionRoute {
     n: usize,
+    /// The session's [`effective_shards`]: lanes `0..lanes` hold it.
+    lanes: usize,
     finished: bool,
 }
 
@@ -416,18 +453,29 @@ impl<'a> Worker<'a> {
         Worker { duty, sessions: HashMap::new() }
     }
 
+    /// Sessions this worker holds state for.
+    pub(crate) fn held(&self) -> u64 {
+        self.sessions.len() as u64
+    }
+
     /// Apply one message.
     pub(crate) fn handle(&mut self, msg: MrMsg, out: &mut impl Out, metrics: &WireMetrics) {
         let Worker { duty, sessions } = self;
         match msg {
             MrMsg::Announce { conn, session, n, epoch, service, cap, resume } => {
-                // An empty range never receives routed data and never
-                // emits: a worker without a collector skips the session.
-                let shards = duty.shards;
-                let wait =
-                    duty.range.filter(|&index| !shard_range(n, shards, index).is_empty()).map(
-                        |index| (RangeWait::new(n, shards, index, resume, cap), Instant::now()),
-                    );
+                // The session splits over its effective shard count. A
+                // range outside it, or empty, never receives routed data
+                // and never emits: a worker without a collector skips
+                // the session.
+                let shards = effective_shards(n, duty.shards);
+                let wait = duty
+                    .range
+                    .filter(|&index| {
+                        index < shards && !shard_range(n, shards, index).is_empty()
+                    })
+                    .map(|index| {
+                        (RangeWait::new(n, shards, index, resume, cap), Instant::now())
+                    });
                 let referee = duty.collector.map(|catalog| Referee {
                     stepper: catalog
                         .by_index(service as usize)
@@ -601,15 +649,16 @@ pub(crate) fn run_catalog_server(
             let (tx, rx) = std::sync::mpsc::channel();
             let lane_poller = placement.is_some().then(|| Poller::new(poller.backend()));
             let waker = lane_poller.as_ref().map(Poller::waker);
-            (Inbox { tx, waker, queued: Cell::new(false) }, (rx, lane_poller))
+            (Inbox { tx, waker, staged: Vec::new() }, (rx, lane_poller))
         })
         .unzip();
     thread::scope(|scope| {
         for (i, (rx, lane_poller)) in ends.into_iter().enumerate() {
             // Lane 0 runs the collector and must not hold a sender to
             // itself (its inbox would never disconnect).
-            let to_collector = (i != 0).then(|| inboxes[0].tx.clone());
-            let mut lane = Lane { to_collector, router: out_tx.clone(), waker: poller.waker() };
+            let to_collector = (i != 0).then(|| inboxes[0].sender());
+            let (router, waker) = (out_tx.clone(), poller.waker());
+            let mut lane = Lane { to_collector, router, waker, wake_pending: false };
             let range = placement.is_none().then_some(i);
             let collector = (i == 0).then_some(catalog);
             let endpoint = trace_endpoint::worker(range.unwrap_or(0) as u32);
@@ -618,16 +667,20 @@ pub(crate) fn run_catalog_server(
                 (Some(placement), Some(lane_poller)) => {
                     let collector = match i {
                         0 => Collector::Here(worker, lane),
-                        _ => Collector::There(inboxes[0].clone()),
+                        _ => Collector::There(inboxes[0].sender()),
                     };
                     let proxy = Proxy { index: i, base: &key, placement, metrics, collector };
                     scope.spawn(move || run_proxy(proxy, rx, lane_poller));
                 }
                 _ => {
                     scope.spawn(move || {
-                        while let Ok(msg) = rx.recv() {
-                            worker.handle(msg, &mut lane, metrics);
+                        while let Ok(batch) = rx.recv() {
+                            for msg in batch {
+                                worker.handle(msg, &mut lane, metrics);
+                            }
+                            lane.flush();
                         }
+                        metrics.sessions_held(worker.held());
                     });
                 }
             }
@@ -636,26 +689,34 @@ pub(crate) fn run_catalog_server(
         let mut router = Router {
             key,
             catalog,
-            inboxes: &inboxes,
+            proxied: placement.is_some(),
+            inboxes,
             out_rx: &out_rx,
             announced: HashMap::new(),
             finished_fifo: VecDeque::new(),
             next_epoch: 1,
         };
         serve(listener, key, &mut router, shutdown, metrics, &poller);
+        let unjudged = router.announced.values().filter(|route| !route.finished).count();
+        metrics.sessions_held(unjudged as u64);
         // Dropping the senders disconnects every lane's inbox (lane 0's
         // once the other lanes exit); the scope then joins the lanes.
-        drop(inboxes);
+        drop(router);
     });
 }
 
 /// The router role of the server loop: authenticates, routes
 /// round-stamped uplinks by session + node range, and streams downlink
-/// and verdict frames back. Each connection's link is its id.
+/// and verdict frames back. Each connection's link is its id. What it
+/// routes to a lane is staged on that lane's [`Inbox`] and leaves once
+/// per pass, in lane order, lane 0 (the collector's) first, so an
+/// announce stays ahead of every partial it causes.
 struct Router<'a> {
     key: AuthKey,
     catalog: &'a ServiceCatalog,
-    inboxes: &'a [Inbox],
+    /// Remote placement: every lane, lane 0 included, is a proxy.
+    proxied: bool,
+    inboxes: Vec<Inbox>,
     out_rx: &'a Receiver<MrOutbound>,
     announced: HashMap<(u32, u64), SessionRoute>,
     /// Finished routes, oldest first (at most [`FINISHED_ROUTE_CAP`]).
@@ -664,14 +725,6 @@ struct Router<'a> {
 }
 
 impl Router<'_> {
-    /// Send `msg()` to every lane, lane 0 (the collector's) first, so a
-    /// partial it causes never overtakes it into the collector's inbox.
-    fn broadcast(&self, msg: impl Fn() -> MrMsg) {
-        for inbox in self.inboxes {
-            inbox.send(msg());
-        }
-    }
-
     /// Remember the finished route `key` in the bounded FIFO, evicting
     /// the oldest finished routes beyond [`FINISHED_ROUTE_CAP`].
     fn remember_finished(&mut self, key: (u32, u64)) {
@@ -737,7 +790,8 @@ impl Router<'_> {
                         };
                         queue_counted(conn, FrameKind::Verdict, &verdict, metrics);
                         metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Verdict, bits);
-                        self.announced.insert(key, SessionRoute { n, finished: true });
+                        let route = SessionRoute { n, lanes: 0, finished: true };
+                        self.announced.insert(key, route);
                         self.remember_finished(key);
                         return true;
                     }
@@ -745,18 +799,20 @@ impl Router<'_> {
                 let epoch = self.next_epoch & 0x7fff_ffff;
                 self.next_epoch = self.next_epoch.wrapping_add(1);
                 metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Announce, n as u64);
-                self.announced.insert(key, SessionRoute { n, finished: false });
-                let session = key.1;
-                let resume = 1;
-                self.broadcast(|| MrMsg::Announce {
-                    conn: id,
-                    session,
-                    n,
-                    epoch,
-                    service,
-                    cap,
-                    resume,
-                });
+                let lanes = effective_shards(n, self.inboxes.len());
+                self.announced.insert(key, SessionRoute { n, lanes, finished: false });
+                let (conn, session, resume) = (id, key.1, 1);
+                for inbox in &mut self.inboxes[..lanes] {
+                    inbox.stage(MrMsg::Announce {
+                        conn,
+                        session,
+                        n,
+                        epoch,
+                        service,
+                        cap,
+                        resume,
+                    });
+                }
                 true
             }
             FrameKind::Data => match self.announced.get(&key) {
@@ -765,10 +821,10 @@ impl Router<'_> {
                     true
                 }
                 Some(route) => {
-                    let target = route_arrival(route.n, self.inboxes.len(), env.from);
+                    let target = route_arrival(route.n, route.lanes, env.from);
                     let from = u64::from(env.from);
                     metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Uplink, from);
-                    self.inboxes[target].send(MrMsg::Data { conn: id, env });
+                    self.inboxes[target].stage(MrMsg::Data { conn: id, env });
                     true
                 }
                 None => false,
@@ -833,11 +889,19 @@ impl Role for Router<'_> {
                         );
                     }
                     let key = (conn, session.0);
-                    if let Some(route) = self.announced.get_mut(&key) {
-                        route.finished = true;
-                        self.remember_finished(key);
+                    let Some(route) = self.announced.get_mut(&key) else {
+                        continue; // its connection closed: every lane retired it
+                    };
+                    route.finished = true;
+                    // Only the lanes that hold the session hear of it. In
+                    // process, lane 0's collector dropped it when it
+                    // judged it; a proxy lane 0 still holds its journal,
+                    // and host 0 its range.
+                    let first = usize::from(!self.proxied);
+                    for inbox in &mut self.inboxes[first.min(route.lanes)..route.lanes] {
+                        inbox.stage(MrMsg::Finish { conn, session: session.0 });
                     }
-                    self.broadcast(|| MrMsg::Finish { conn, session: session.0 });
+                    self.remember_finished(key);
                 }
                 MrOutbound::Evidence { conn, session, from, payload } => {
                     let env = Envelope { session, round: 0, from, to: 0, payload };
@@ -850,14 +914,19 @@ impl Role for Router<'_> {
                 conn.flush();
             }
         }
-        // One wake per proxy lane this pass queued for.
-        self.inboxes.iter().for_each(Inbox::wake_queued);
+        // One batch (and, on a proxy lane, one wake) per lane this pass
+        // staged for, lane 0 first.
+        self.inboxes.iter_mut().for_each(Inbox::flush);
         progress
     }
 
+    /// Runs after this pass's flush, so the retire leaves at once.
     fn closed(&mut self, id: u32) {
         self.announced.retain(|(owner, _), _| *owner != id);
-        self.broadcast(|| MrMsg::Retire { conn: id });
+        for inbox in &mut self.inboxes {
+            inbox.stage(MrMsg::Retire { conn: id });
+            inbox.flush();
+        }
     }
 }
 

@@ -38,7 +38,9 @@
 //!   queues into its inbox, reads the link through the one frame drain,
 //!   and hands each decoded host partial, or its decode error, to the
 //!   collector. Lane 0 collects, as in process: proxy 0 runs the session
-//!   collector and absorbs its own host's partials in place.
+//!   collector and absorbs its own host's partials in place. A session
+//!   reaches only the proxies of the ranges it splits over
+//!   (`effective_shards`), so a small one runs on host 0 alone.
 //!
 //! # Per-shard keys
 //!
@@ -67,7 +69,9 @@
 //! the journal. On redial the proxy bumps the generation, re-registers,
 //! re-announces every uncommitted session at its
 //! [`resume_round`](ShardJournal::resume_round) and replays the
-//! journal. Because shards are deterministic in their inputs, the
+//! journal. (The first dial sends the same way whatever the router
+//! queued before the link came up; only a redial counts it as
+//! replayed.) Because shards are deterministic in their inputs, the
 //! rebuilt shard re-emits bit-identical partials — verdicts are
 //! unchanged by any kill/restart schedule that eventually lets the
 //! fleet drain. A dial blocks its proxy's thread, proxy 0's collector
@@ -556,8 +560,17 @@ impl Collector<'_> {
     fn hand(&mut self, msg: MrMsg, metrics: &WireMetrics) {
         match self {
             Collector::Here(worker, lane) => worker.handle(msg, lane, metrics),
-            Collector::There(lane0) if matches!(msg, MrMsg::Partial { .. }) => lane0.send(msg),
+            Collector::There(lane0) if matches!(msg, MrMsg::Partial { .. }) => lane0.stage(msg),
             Collector::There(_) => {}
+        }
+    }
+
+    /// Once per pass: send lane 0 the partials staged for it (one batch,
+    /// one wake), or the router what the collector shipped (one wake).
+    fn flush(&mut self) {
+        match self {
+            Collector::Here(_, lane) => lane.flush(),
+            Collector::There(lane0) => lane0.flush(),
         }
     }
 }
@@ -567,16 +580,27 @@ impl Collector<'_> {
 /// decoded partials to the collector. Each pass drains the inbox,
 /// redials after the backoff, pumps the link (one flush) and waits on
 /// `poller`. Runs until its inbox disconnects.
-pub(crate) fn run_proxy(mut proxy: Proxy<'_>, inbox: Receiver<MrMsg>, poller: Poller) {
+pub(crate) fn run_proxy(mut proxy: Proxy<'_>, inbox: Receiver<Vec<MrMsg>>, poller: Poller) {
     let (mut link, mut generation, mut last_dial) = (None, 0, None::<Instant>);
     let mut sessions: HashMap<(u32, u64), ProxySession> = HashMap::new();
     let (mut scratch, mut ready) = (vec![0u8; SCRATCH_BYTES], Vec::new());
     loop {
         loop {
             match inbox.try_recv() {
-                Ok(m) => proxy_event(&mut proxy, m, &mut sessions, &mut link),
+                Ok(batch) => {
+                    for m in batch {
+                        proxy_event(&mut proxy, m, &mut sessions, &mut link);
+                    }
+                }
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Disconnected) => {
+                    let collecting = match &proxy.collector {
+                        Collector::Here(worker, _) => worker.held(),
+                        Collector::There(_) => 0,
+                    };
+                    proxy.metrics.sessions_held(sessions.len() as u64 + collecting);
+                    return;
+                }
             }
         }
         // Keep the link alive: dial, register, replay.
@@ -590,9 +614,7 @@ pub(crate) fn run_proxy(mut proxy: Proxy<'_>, inbox: Receiver<MrMsg>, poller: Po
         if let Some(conn) = link.as_mut() {
             pump_partials(&mut proxy, conn, &mut scratch, &mut sessions);
         }
-        if let Collector::There(lane0) = &proxy.collector {
-            lane0.wake_queued();
-        }
+        proxy.collector.flush();
         poller.wait_ready(&mut ready);
     }
 }
@@ -616,7 +638,10 @@ fn dial(
     conn.trace_with(proxy.metrics.recorder_arc(), trace_endpoint::proxy(proxy.index as u32));
     proxy.metrics.record_stage(Stage::ConnectHello, dialed.elapsed());
     *generation = generation.wrapping_add(1).max(1);
-    let kind = if *generation == 1 { TraceKind::Dial } else { TraceKind::Redial };
+    // The first dial flushes what the router queued before the link
+    // came up; only a redial replays.
+    let redial = *generation >= 2;
+    let kind = if redial { TraceKind::Redial } else { TraceKind::Dial };
     proxy.trace(0, kind, u64::from(*generation));
     let register = register_envelope(proxy.index, proxy.placement.shards(), *generation);
     conn.queue_frame(FrameKind::Register, &register);
@@ -629,8 +654,10 @@ fn dial(
         let resume = encode_resume(ps.journal.n(), ps.journal.resume_round(), ps.cap);
         conn.queue_frame(FrameKind::Announce, &control(*session, ps.epoch, *cconn, resume));
         for (round, from, payload) in ps.journal.replay() {
-            proxy.metrics.replayed_frames(1);
-            proxy.trace(*session, TraceKind::Replay, u64::from(from));
+            if redial {
+                proxy.metrics.replayed_frames(1);
+                proxy.trace(*session, TraceKind::Replay, u64::from(from));
+            }
             let (session, to, payload) = (SessionId(*session), *cconn, payload.clone());
             conn.queue_frame(FrameKind::Data, &Envelope { session, round, from, to, payload });
         }

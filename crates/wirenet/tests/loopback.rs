@@ -8,6 +8,7 @@ use referee_protocol::combinators::OneRoundAsMultiRound;
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::multiround::BoruvkaConnectivity;
 use referee_protocol::referee::local_phase;
+use referee_protocol::shard::{effective_shards, nonempty_shards, MIN_RANGE_NODES};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{
     Envelope, MultiRoundSession, OneRoundReport, PerfectTransport, Scheduler, SessionId,
@@ -287,25 +288,38 @@ fn derived_key_cannot_cross_connections() {
 #[test]
 fn sharded_referee_verifies_thousand_sessions() {
     let key = AuthKey::from_seed(23);
-    let server = FleetServer::spawn_sharded(key, 2).unwrap();
+    let k = 2;
+    let server = FleetServer::spawn_sharded(key, k).unwrap();
     let client = FleetClient::connect(server.addr(), 8, key).unwrap();
-    let fleet = graphs(1000, 99);
+    // A thousand small sessions run unsplit; the large ones split over
+    // both ranges, so their partials cross shards.
+    let small = graphs(1000, 99);
+    let mut rng = StdRng::seed_from_u64(98);
+    let large: Vec<LabelledGraph> =
+        (0..40).map(|i| generators::gnp(k * MIN_RANGE_NODES + i % 9, 0.03, &mut rng)).collect();
+    let fleet: Vec<&LabelledGraph> = small.iter().chain(&large).collect();
 
     let digests: Vec<u64> = Scheduler::new(8, 8).run_indexed(fleet.len(), |i| {
-        let g = &fleet[i];
+        let g = fleet[i];
         let messages = local_phase(&EdgeCountProtocol, g);
         let arrivals = messages.into_iter().enumerate().map(|(j, m)| (j as u32 + 1, m));
         client.verify_session(SessionId(i as u64), g.n(), arrivals).expect("honest session")
     });
     for (i, digest) in digests.iter().enumerate() {
-        let messages = local_phase(&EdgeCountProtocol, &fleet[i]);
+        let messages = local_phase(&EdgeCountProtocol, fleet[i]);
         assert_eq!(*digest, vector_digest(&key, &messages), "session {i} digest mismatch");
     }
 
     let stats = server.stop();
-    assert_eq!(stats.verdict_frames, 1000);
-    // With 2 shards exactly one partial crosses shards per session.
-    assert_eq!(stats.partial_frames, 1000);
+    assert_eq!(stats.verdict_frames as usize, fleet.len());
+    // One round: every non-empty range but the collector's ships one
+    // partial — none for a small session, one for each large one.
+    let partials = |gs: &[LabelledGraph]| -> usize {
+        gs.iter().map(|g| nonempty_shards(g.n(), effective_shards(g.n(), k)) - 1).sum()
+    };
+    assert_eq!(partials(&small), 0);
+    assert_eq!(partials(&large), large.len());
+    assert_eq!(stats.partial_frames as usize, partials(&large));
     assert_eq!(stats.mac_rejects, 0);
     assert_eq!(stats.decode_rejects, 0);
     assert_eq!(stats.connections, 8);
@@ -422,25 +436,29 @@ fn bind_address_is_configurable() {
 /// client. Under-delivery errors immediately client-side; a substituted
 /// sender (full count, but one node replaced by an out-of-range stray)
 /// is judged fast server-side even though a shard's range never fills.
+/// The sessions split over all 3 ranges, and the substituted node lies
+/// outside range 0, so the range left open is not the collector's.
 #[test]
 fn incomplete_or_substituted_sessions_never_hang() {
     let key = AuthKey::from_seed(33);
     let server = FleetServer::spawn_sharded(key, 3).unwrap();
     let client = FleetClient::connect(server.addr(), 1, key).unwrap();
-    let g = generators::grid(3, 4);
+    let g = generators::grid(3, MIN_RANGE_NODES);
     let n = g.n();
     let messages = local_phase(&EdgeCountProtocol, &g);
+    let arrivals = || messages.iter().cloned().enumerate().map(|(j, m)| (j as u32 + 1, m));
+
+    // An honest session splits 3 ways: ranges 1 and 2 hand range 0's
+    // collector one partial each.
+    assert_eq!(effective_shards(n, 3), 3);
+    let want = vector_digest(&key, &messages);
+    assert_eq!(client.verify_session(SessionId(0), n, arrivals()), Ok(want));
+    assert_eq!(server.metrics().partial_frames, 2, "the session must split");
 
     // n − 1 arrivals: the referee would wait forever; the client must
     // reject before sending anything (no wedged session server-side).
-    let short: Vec<_> = messages
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(j, m)| (j as u32 + 1, m))
-        .take(n - 1)
-        .collect();
-    match client.verify_session(SessionId(1), n, short) {
+    let sent = client.metrics().frames_sent;
+    match client.verify_session(SessionId(1), n, arrivals().take(n - 1)) {
         Err(DecodeError::Inconsistent(msg)) => {
             assert!(msg.contains("needs exactly"), "{msg}")
         }
@@ -448,19 +466,16 @@ fn incomplete_or_substituted_sessions_never_hang() {
     }
     assert_eq!(
         client.metrics().frames_sent,
-        0,
+        sent,
         "a rejected call must not announce the session"
     );
 
-    // n arrivals, but node 5's message replaced by a stray sender: the
-    // stray poisons the session, so the verdict arrives although node
-    // 5's shard never completes.
-    let substituted: Vec<_> = messages
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(j, m)| if j == 4 { (n as u32 + 9, m) } else { (j as u32 + 1, m) })
-        .collect();
+    // n arrivals, but node `MIN_RANGE_NODES + 5`'s message (range 1)
+    // replaced by a stray sender: the stray poisons the session, so the
+    // verdict arrives although range 1 never completes.
+    let hole = MIN_RANGE_NODES as u32 + 5;
+    let substituted =
+        arrivals().map(|(v, m)| if v == hole { (n as u32 + 9, m) } else { (v, m) });
     match client.verify_session(SessionId(2), n, substituted) {
         Err(DecodeError::OutOfRange(_)) => {}
         other => panic!("substituted sender must reject fast, got {other:?}"),

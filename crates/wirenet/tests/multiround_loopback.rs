@@ -10,6 +10,9 @@ use referee_graph::{algo, generators, LabelledGraph};
 use referee_protocol::evidence::{verify_bundle, EvidenceBundle, ProvableError, SessionParams};
 use referee_protocol::multiround::{run_multiround, BoruvkaConnectivity, RefereeStep};
 use referee_protocol::shard::replay::encode_resume;
+use referee_protocol::shard::{
+    effective_shards, nonempty_shards, shard_range, ShardRange, MIN_RANGE_NODES,
+};
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, Scheduler, SessionId};
@@ -34,7 +37,9 @@ const CAP: usize = 64;
 /// Multi-round Borůvka sessions multiplexed over 4 connections against
 /// a 4-shard multi-round server: every wire verdict equals the
 /// in-process `run_multiround` verdict and the centralized truth, and
-/// the server exchanged per-round partials and streamed downlinks.
+/// the server streamed downlinks. Small sessions run unsplit; large
+/// ones split over all 4 ranges and exchange one partial per
+/// non-collector range per round.
 #[test]
 fn multiround_fleet_matches_in_process_runs() {
     let key = AuthKey::from_seed(51);
@@ -42,7 +47,10 @@ fn multiround_fleet_matches_in_process_runs() {
     let server =
         FleetServer::spawn_multiround(key, shards, boruvka_connectivity_service()).unwrap();
     let client = FleetClient::connect(server.addr(), 4, key).unwrap();
-    let fleet = graphs(120, 71);
+    let mut fleet = graphs(120, 71);
+    let mut rng = StdRng::seed_from_u64(72);
+    let large = (0..6).map(|i| generators::gnp(shards * MIN_RANGE_NODES + i, 0.01, &mut rng));
+    fleet.extend(large);
 
     let verdicts: Vec<bool> = Scheduler::new(8, 4).run_indexed(fleet.len(), |i| {
         let out = client
@@ -51,18 +59,23 @@ fn multiround_fleet_matches_in_process_runs() {
         decode_bool_output(&out).expect("honest uplinks decode")
     });
 
+    let mut partials = [0usize; 2]; // [small, large]
     for (i, (wire, g)) in verdicts.iter().zip(&fleet).enumerate() {
-        let (local, _) = run_multiround(&BoruvkaConnectivity, g, CAP);
+        let (local, stats) = run_multiround(&BoruvkaConnectivity, g, CAP);
         let local = local.expect("terminates").expect("decodes");
         assert_eq!(*wire, local, "session {i} diverged from the in-process run");
         assert_eq!(*wire, algo::is_connected(g), "session {i} vs centralized");
+        let ranges = nonempty_shards(g.n(), effective_shards(g.n(), shards));
+        partials[usize::from(i >= 120)] += stats.rounds * (ranges - 1);
     }
 
     let stats = server.stop();
     assert_eq!(stats.verdict_frames as usize, fleet.len());
     assert_eq!(stats.mac_rejects, 0);
     assert_eq!(stats.decode_rejects, 0);
-    assert!(stats.partial_frames > 0, "rounds must exchange shard partials");
+    assert_eq!(partials[0], 0, "small sessions run unsplit");
+    assert!(partials[1] > 0, "large sessions must exchange shard partials");
+    assert_eq!(stats.partial_frames as usize, partials[1]);
     assert!(stats.downlink_frames > 0, "continuing rounds must stream downlinks");
 }
 
@@ -477,16 +490,25 @@ fn multiround_against_echo_server_fails_closed() {
 // Arrivals behind a shipped range
 // ---------------------------------------------------------------------------
 
-/// Drive one raw-socket session of `n = 6` against an 8-shard Borůvka
-/// server: node 1 (shard 0's whole range) sends its round-1 uplink, then
-/// `repeat` for the same slot, then nodes 2..=5 — node 6 never speaks.
-/// The repeat lands after shard 0 shipped its round-1 partial. Returns
-/// the connection id, the time to the verdict, its reject bit, and the
-/// evidence bundles shipped ahead of it.
+/// The behind-a-shipped-range sessions: 8 ranges of `MIN_RANGE_NODES`
+/// nodes on an 8-shard server, so the session splits 8 ways.
+const SHIPPED_N: usize = 8 * MIN_RANGE_NODES;
+
+/// Drive one raw-socket session of [`SHIPPED_N`] nodes against an
+/// 8-shard Borůvka server: range 0 (nodes `1..=MIN_RANGE_NODES`) sends
+/// its round-1 uplinks, node 1 first, then `repeat` for node 1's slot,
+/// then every other node but the last, which never speaks. The repeat
+/// lands after range 0 shipped its round-1 partial (the server's trace
+/// shows that emit ahead of the evidence). Returns the connection id,
+/// the time to the verdict, its reject bit, and the evidence bundles
+/// shipped ahead of it.
 fn repeat_behind_shipped_range(
     seed: u64,
     repeat: Message,
 ) -> (u32, Duration, bool, Vec<EvidenceBundle>, FleetServer) {
+    let n = SHIPPED_N;
+    assert_eq!(effective_shards(n, 8), 8, "the session must split");
+    assert_eq!(shard_range(n, 8, 0), ShardRange { lo: 1, hi: MIN_RANGE_NODES as u32 });
     let base = AuthKey::from_seed(seed);
     let server =
         FleetServer::spawn_multiround(base, 8, boruvka_connectivity_service()).unwrap();
@@ -500,7 +522,7 @@ fn repeat_behind_shipped_range(
     let key = base.derive(u64::from(conn));
 
     let session = SessionId(3);
-    let announce = Envelope { session, round: 0, from: 0, to: 0, payload: bits(6, 32) };
+    let announce = Envelope { session, round: 0, from: 0, to: 0, payload: bits(n as u64, 32) };
     let opened = Instant::now();
     link.send(&encode_wire_frame(&key, FrameKind::Announce, &announce));
     let uplink = |from: u32, payload: Message| {
@@ -510,10 +532,14 @@ fn repeat_behind_shipped_range(
             &Envelope { session, round: 1, from, to: 0, payload },
         )
     };
+    let filler = |from: u32| uplink(from, bits(u64::from(from % 8), 3));
     link.send(&uplink(1, bits(0b101, 3)));
+    for from in 2..=MIN_RANGE_NODES as u32 {
+        link.send(&filler(from));
+    }
     link.send(&uplink(1, repeat));
-    for from in 2..=5 {
-        link.send(&uplink(from, bits(u64::from(from), 3)));
+    for from in MIN_RANGE_NODES as u32 + 1..n as u32 {
+        link.send(&filler(from));
     }
 
     let mut bundles = Vec::new();
@@ -530,7 +556,19 @@ fn repeat_behind_shipped_range(
             other => panic!("unexpected {other:?} frame awaiting the verdict"),
         }
     };
-    (conn, opened.elapsed(), rejected, bundles, server)
+    let elapsed = opened.elapsed();
+    // Range 0 emitted its round-1 partial before the repeat was proven.
+    let trace = server.stitched_trace();
+    let seq_of = |kind: TraceKind| {
+        let mut events = trace.session_events(3);
+        events
+            .find(|e| e.kind == kind && e.endpoint == trace_endpoint::worker(0))
+            .map(|e| e.seq)
+    };
+    let emitted = seq_of(TraceKind::PartialEmit).expect("range 0 shipped round 1");
+    let proven = trace.session_events(3).find(|e| e.kind == TraceKind::Evidence);
+    assert!(emitted < proven.expect("the repeat is proven").seq, "repeat behind the emit");
+    (conn, elapsed, rejected, bundles, server)
 }
 
 /// A bit-identical repeat behind a shipped range fails the session fast
@@ -546,8 +584,8 @@ fn duplicate_behind_shipped_range_fails_fast_with_proof() {
     let logged = server.evidence();
     assert_eq!(logged, bundles, "the server holds exactly the shipped bundle");
     assert_eq!(logged[0].error, ProvableError::DuplicateSender);
-    let cap = boruvka_connectivity_service().round_cap(6) as u32;
-    let params = SessionParams { session: 3, n: 6, round_cap: cap };
+    let cap = boruvka_connectivity_service().round_cap(SHIPPED_N) as u32;
+    let params = SessionParams { session: 3, n: SHIPPED_N as u32, round_cap: cap };
     let att = verify_bundle(AuthKey::from_seed(71).mac_key(), &params, &logged[0])
         .expect("standalone verification");
     assert_eq!(att.culprit, None, "an identical duplicate accuses nobody");
@@ -566,8 +604,8 @@ fn equivocation_behind_shipped_range_is_attributed() {
     assert_eq!(bundles.len(), 1);
     assert_eq!(bundles[0].error, ProvableError::Equivocation);
     assert_eq!(bundles[0].accused, Some(conn));
-    let cap = boruvka_connectivity_service().round_cap(6) as u32;
-    let params = SessionParams { session: 3, n: 6, round_cap: cap };
+    let cap = boruvka_connectivity_service().round_cap(SHIPPED_N) as u32;
+    let params = SessionParams { session: 3, n: SHIPPED_N as u32, round_cap: cap };
     let att = verify_bundle(AuthKey::from_seed(72).mac_key(), &params, &bundles[0])
         .expect("standalone verification");
     assert_eq!(att.culprit, Some(conn));

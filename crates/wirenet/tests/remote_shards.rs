@@ -16,6 +16,7 @@ use referee_protocol::shard::multiround::{
     run_multiround_sharded, RoundPartialState, RoundShard,
 };
 use referee_protocol::shard::replay::{decode_resume, encode_resume};
+use referee_protocol::shard::{effective_shards, MIN_RANGE_NODES};
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
@@ -120,6 +121,8 @@ proptest! {
 /// equal to the in-process sharded run. The victim is each host in
 /// turn: host 0 serves shard 0, whose proxy also runs the collector, so
 /// its kills exercise redial and replay on the collector's thread.
+/// Small sessions run on shard 0 alone; the large ones split over all
+/// four shards, so host 1 holds ranges of them too.
 #[test]
 fn kill_reconnect_schedule_preserves_verdicts() {
     for victim in [0u32, 1] {
@@ -137,7 +140,10 @@ fn kill_reconnect_schedule(victim: HostId) {
         .spawn()
         .expect("bind coordinator");
     let client = FleetClient::connect(server.addr(), 2, key).expect("connect");
-    let fleet = graphs(50, 99);
+    let mut fleet = graphs(50, 99);
+    let mut rng = StdRng::seed_from_u64(98);
+    fleet.extend((0..8).map(|i| generators::gnp(k * MIN_RANGE_NODES + i, 0.01, &mut rng)));
+    assert!(fleet.iter().any(|g| effective_shards(g.n(), k) == k));
 
     let stop = Arc::new(AtomicBool::new(false));
     let chaos = {
@@ -187,6 +193,63 @@ fn kill_reconnect_schedule(victim: HostId) {
         stats.shard_reconnects
     );
     drop(survivor);
+    drop(hosts);
+}
+
+/// What the router queued before a proxy's first dial completed leaves
+/// on that dial, and is no replay: with the shard hosts coming up only
+/// after the first sessions were announced, a kill-free run reads
+/// `replayed_frames == 0` and traces no `Replay`, one dial per proxy,
+/// and every verdict correct.
+#[test]
+fn first_dial_is_not_a_replay() {
+    let key = AuthKey::from_seed(7272);
+    let k = 2usize;
+    // Nothing listens here: every dial fails until the hosts come up.
+    let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+    let placement =
+        RemotePlacement::new(PlacementPolicy::balanced(k, &[0, 1]), [(0, dead), (1, dead)])
+            .expect("addresses cover the policy");
+    let server = FleetServer::builder(key)
+        .placement(placement.clone())
+        .multiround(boruvka_connectivity_service())
+        .spawn()
+        .expect("bind coordinator");
+    let client = FleetClient::connect(server.addr(), 2, key).expect("connect");
+    let mut rng = StdRng::seed_from_u64(7);
+    let fleet: Vec<LabelledGraph> =
+        (0..4).map(|i| generators::gnp(k * MIN_RANGE_NODES + i, 0.02, &mut rng)).collect();
+    let hosts = std::thread::scope(|scope| {
+        let runs: Vec<_> = fleet
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                let client = &client;
+                scope.spawn(move || {
+                    let id = SessionId(i as u64);
+                    client.run_multiround_session(id, &BoruvkaConnectivity, g, CAP)
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let hosts: Vec<ShardHost> =
+            (0..2).map(|_| ShardHost::spawn(key).expect("bind shard host")).collect();
+        for (h, host) in hosts.iter().enumerate() {
+            assert!(placement.update_host(h as HostId, host.addr()));
+        }
+        for (run, g) in runs.into_iter().zip(&fleet) {
+            let out = run.join().expect("session thread").expect("session completes");
+            let (local, _) = run_multiround_sharded(&BoruvkaConnectivity, g, k, CAP);
+            let local = local.expect("terminates").expect("decodes");
+            assert_eq!(decode_bool_output(&out), Ok(local));
+        }
+        hosts
+    });
+    let replays = server.stitched_trace().events().iter().any(|e| e.kind == TraceKind::Replay);
+    let stats = server.stop();
+    assert_eq!(stats.replayed_frames, 0);
+    assert!(!replays, "a first dial traces no replay");
+    assert_eq!(stats.shard_reconnects, k as u64, "one dial per proxy");
     drop(hosts);
 }
 
@@ -481,7 +544,7 @@ fn shard_host_ships_each_trace_event_once() {
 }
 
 /// Faulty arrivals are judged alike wherever the ranges live. For k in
-/// {1, 2, 4}, an out-of-range sender and an equivocating sender give
+/// {1, 2, 4}, on sessions that split k ways, an out-of-range sender and an equivocating sender give
 /// the same verdict class through a remote-placement coordinator as
 /// through an in-process server; the shard hosts cut as many evidence
 /// bundles as the in-process workers; and each session's `Evidence`
@@ -490,7 +553,8 @@ fn shard_host_ships_each_trace_event_once() {
 #[test]
 fn remote_placement_matches_in_process_on_faulty_arrivals() {
     let key = AuthKey::from_seed(5151);
-    let g = generators::grid(2, 3);
+    // Large enough that every k below splits k ways.
+    let g = generators::grid(4, MIN_RANGE_NODES);
     let n = g.n();
     let messages = local_phase(&EdgeCountProtocol, &g);
     let honest: Vec<(u32, Message)> =
@@ -500,21 +564,29 @@ fn remote_placement_matches_in_process_on_faulty_arrivals() {
     let mut equivocation = honest.clone();
     equivocation[1] = (1, bits(0x2a, 7));
     let faulty = [out_of_range, equivocation];
+    let sessions = 1..=faulty.len() as u64;
     let accused = |trace: &TraceSnapshot, session: u64| {
         let events = trace.session_events(session).filter(|e| e.kind == TraceKind::Evidence);
         events.map(|e| e.payload).collect::<Vec<_>>()
     };
-    let run = |server: &FleetServer| {
+    // Session 0 is honest and shows the split: `partials` handed to the
+    // collector. Sessions 1.. are the faulty ones.
+    let run = |server: &FleetServer, partials: u64| {
         let client = FleetClient::connect(server.addr(), 1, key).expect("connect");
-        let verdicts = faulty.iter().enumerate().map(|(i, arrivals)| {
-            let verdict = client.verify_session(SessionId(i as u64), n, arrivals.clone());
+        let digest = client.verify_session(SessionId(0), n, honest.clone());
+        assert_eq!(digest, Ok(vector_digest(&key, &messages)));
+        assert_eq!(server.metrics().partial_frames, partials, "the session must split");
+        let verdicts = faulty.iter().zip(sessions.clone()).map(|(arrivals, session)| {
+            let verdict = client.verify_session(SessionId(session), n, arrivals.clone());
             std::mem::discriminant(&verdict.expect_err("a faulty session fails"))
         });
         verdicts.collect::<Vec<_>>()
     };
     for k in [1, 2, 4] {
+        assert_eq!(effective_shards(n, k), k);
         let server = FleetServer::spawn_sharded(key, k).expect("bind server");
-        let local_verdicts = run(&server);
+        // In process, every range but the collector's hands one over.
+        let local_verdicts = run(&server, k as u64 - 1);
         let local_trace = server.stitched_trace();
         let local_bundles = server.stop().evidence_bundles;
         assert_eq!(local_bundles, faulty.len() as u64, "k={k}: one bundle per faulty session");
@@ -522,13 +594,14 @@ fn remote_placement_matches_in_process_on_faulty_arrivals() {
         let (hosts, placement) = placed(key, k);
         let server =
             FleetServer::builder(key).placement(placement).spawn().expect("bind coordinator");
-        let remote_verdicts = run(&server);
+        // Under remote placement, the proxies forward every range's.
+        let remote_verdicts = run(&server, k as u64);
         assert_eq!(remote_verdicts, local_verdicts, "k={k}: verdict classes");
         let host_bundles = || hosts.iter().map(|h| h.metrics().evidence_bundles).sum::<u64>();
         assert_eq!(host_bundles(), local_bundles, "k={k}: evidence bundles");
         // Hosts ship their trace on `Finish`, right behind each verdict.
         let deadline = Instant::now() + Duration::from_secs(10);
-        for session in 0..faulty.len() as u64 {
+        for session in sessions.clone() {
             let want = accused(&local_trace, session);
             assert_eq!(want.len(), 1, "k={k} session {session}: {want:?}");
             while accused(&server.stitched_trace(), session) != want {

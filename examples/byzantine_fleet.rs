@@ -2,13 +2,17 @@
 //! real loopback TCP — the attributable-misbehavior acceptance demo.
 //!
 //! For each shard count `k ∈ {1, 2, 4, 8}` the example runs one
-//! sharded [`FleetServer`] and throws two populations at it:
+//! sharded [`FleetServer`] per network size — a 6-node grid, which
+//! every `k` runs unsplit on shard 0, and an `8 · MIN_RANGE_NODES`-node
+//! grid, which `k` shards split `k` ways, so violations land in every
+//! range — and throws two populations at it:
 //!
 //! - **honest sessions** driven through the ordinary [`FleetClient`]
 //!   API — every one must verify, and none may ever be accused;
 //! - **byzantine clients** speaking the raw wire protocol on their own
 //!   sockets, each committing a seeded provable violation per session
-//!   (equivocation, bit-identical duplicate, or out-of-range sender).
+//!   (equivocation or bit-identical duplicate by a seeded sender, or an
+//!   out-of-range sender).
 //!
 //! The gates, enforced with `assert!` so CI fails loudly:
 //!
@@ -38,6 +42,9 @@ use referee_one_round::protocol::evidence::{
     verify_bundle, EvidenceBundle, ProvableError, SessionParams,
 };
 use referee_one_round::protocol::referee::local_phase;
+use referee_one_round::protocol::shard::{
+    effective_shards, nonempty_shards, shard_of, MIN_RANGE_NODES,
+};
 use referee_one_round::protocol::{BitWriter, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::{
@@ -78,17 +85,21 @@ fn msg(bits: u64, width: u32) -> Message {
     Message::from_writer(w)
 }
 
+/// One byzantine session: its id, the violation, the in-range sender
+/// that committed it (0 for an out-of-range one) and the bundles the
+/// server shipped back before the verdict.
+type ByzSession = (u64, ProvableError, u32, Vec<EvidenceBundle>);
+
 /// One byzantine client: raw handshake, then `BYZ_SESSIONS_PER_CONN`
 /// sessions each committing one seeded violation. Returns the
-/// connection id and, per session, the violation and the bundles the
-/// server shipped back before the verdict.
+/// connection id and its sessions.
 fn run_byzantine_conn(
     server: &FleetServer,
     base: &AuthKey,
     n: usize,
     session0: u64,
     rng: &mut StdRng,
-) -> (u32, Vec<(u64, ProvableError, Vec<EvidenceBundle>)>) {
+) -> (u32, Vec<ByzSession>) {
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut buf = Vec::new();
     let (kind, hello) = read_raw_frame(&mut stream, base, &mut buf);
@@ -105,25 +116,26 @@ fn run_byzantine_conn(
 
         let uplink =
             |from: u32, payload: Message| Envelope { session, round: 1, from, to: 0, payload };
-        let violation = match rng.gen_range(0u32..3) {
+        let sender = rng.gen_range(1..=n as u32);
+        let (violation, sender) = match rng.gen_range(0u32..3) {
             0 => {
-                // Equivocation: sender 1 speaks twice, differently.
-                stream.write_all(&encode_frame(&key, &uplink(1, msg(3, 5)))).unwrap();
-                stream.write_all(&encode_frame(&key, &uplink(1, msg(9, 5)))).unwrap();
-                ProvableError::Equivocation
+                // Equivocation: the sender speaks twice, differently.
+                stream.write_all(&encode_frame(&key, &uplink(sender, msg(3, 5)))).unwrap();
+                stream.write_all(&encode_frame(&key, &uplink(sender, msg(9, 5)))).unwrap();
+                (ProvableError::Equivocation, sender)
             }
             1 => {
                 // Bit-identical duplicate: provable, but accuses nobody.
-                let frame = encode_frame(&key, &uplink(1, msg(3, 5)));
+                let frame = encode_frame(&key, &uplink(sender, msg(3, 5)));
                 stream.write_all(&frame).unwrap();
                 stream.write_all(&frame).unwrap();
-                ProvableError::DuplicateSender
+                (ProvableError::DuplicateSender, sender)
             }
             _ => {
                 // Out-of-range sender.
                 let stray = n as u32 + rng.gen_range(1u32..9);
                 stream.write_all(&encode_frame(&key, &uplink(stray, msg(3, 5)))).unwrap();
-                ProvableError::OutOfRangeSender
+                (ProvableError::OutOfRangeSender, 0)
             }
         };
 
@@ -141,129 +153,150 @@ fn run_byzantine_conn(
                 other => panic!("unexpected {other:?} frame awaiting the verdict"),
             }
         }
-        outcomes.push((session.0, violation, bundles));
+        outcomes.push((session.0, violation, sender, bundles));
     }
     (conn, outcomes)
 }
 
 fn main() {
     let evidence_dir = std::env::var("REFEREE_EVIDENCE_DIR").ok();
-    let g = referee_one_round::graph::generators::grid(2, 3);
-    let n = g.n();
-    let messages = local_phase(&EdgeCountProtocol, &g);
+    let grids = [
+        referee_one_round::graph::generators::grid(2, 3),
+        referee_one_round::graph::generators::grid(8, MIN_RANGE_NODES),
+    ];
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut total_bundles = 0usize;
     let mut total_attributed = 0usize;
     let mut dumped = 0usize;
 
     for &k in &[1usize, 2, 4, 8] {
-        let key = AuthKey::from_seed(SEED ^ k as u64);
-        let server = FleetServer::spawn_sharded(key, k).expect("bind loopback");
+        for g in &grids {
+            let n = g.n();
+            let messages = local_phase(&EdgeCountProtocol, g);
+            let ranges = nonempty_shards(n, effective_shards(n, k));
+            let key = AuthKey::from_seed(SEED ^ k as u64 ^ ((n as u64) << 8));
+            let server = FleetServer::spawn_sharded(key, k).expect("bind loopback");
 
-        // Byzantine population first (ids disjoint from the honest ids).
-        let mut byz_conns = HashSet::new();
-        let mut outcomes = Vec::new();
-        for c in 0..BYZ_CONNS {
-            let (conn, runs) = run_byzantine_conn(
-                &server,
-                &key,
-                n,
-                (1000 * (c as u64 + 1)) + k as u64 * 100_000,
-                &mut rng,
-            );
-            byz_conns.insert(conn);
-            outcomes.extend(runs);
-        }
+            // Byzantine population first (ids disjoint from the honest ids).
+            let mut byz_conns = HashSet::new();
+            let mut outcomes = Vec::new();
+            for c in 0..BYZ_CONNS {
+                let (conn, runs) = run_byzantine_conn(
+                    &server,
+                    &key,
+                    n,
+                    (1000 * (c as u64 + 1)) + k as u64 * 100_000,
+                    &mut rng,
+                );
+                byz_conns.insert(conn);
+                outcomes.extend(runs);
+            }
+            // Violations by a sender outside range 0 cross ranges: the
+            // range that saw them poisons the collector's round.
+            let crossing = outcomes
+                .iter()
+                .filter(|(_, _, v, _)| *v > 0 && shard_of(n, ranges, *v) > 0)
+                .count();
+            assert_eq!(crossing > 0, ranges > 1, "k={k} n={n}: {crossing} cross-range");
 
-        // Honest population: every session must verify.
-        let client = FleetClient::connect(server.addr(), 2, key).expect("connect");
-        for i in 0..HONEST_SESSIONS {
-            let arrivals = messages.iter().cloned().enumerate().map(|(j, m)| (j as u32 + 1, m));
-            client
-                .verify_session(SessionId(i as u64), n, arrivals)
-                .unwrap_or_else(|e| panic!("honest session {i} rejected at k={k}: {e}"));
-        }
+            // Honest population: every session must verify, each handing
+            // the collector one partial per other range.
+            let before = server.metrics();
+            let client = FleetClient::connect(server.addr(), 2, key).expect("connect");
+            for i in 0..HONEST_SESSIONS {
+                let arrivals =
+                    messages.iter().cloned().enumerate().map(|(j, m)| (j as u32 + 1, m));
+                client
+                    .verify_session(SessionId(i as u64), n, arrivals)
+                    .unwrap_or_else(|e| panic!("honest session {i} rejected at k={k}: {e}"));
+            }
+            let honest = server.metrics().delta(&before);
+            assert_eq!(honest.partial_frames as usize, HONEST_SESSIONS * (ranges - 1));
 
-        // Gate 1: completeness. Every byzantine session produced at
-        // least one bundle, every bundle verifies standalone, and the
-        // attributable violations name the byzantine connection.
-        for (session, violation, bundles) in &outcomes {
-            assert!(
-                !bundles.is_empty(),
-                "k={k}: byzantine session {session} ({violation:?}) produced no evidence"
-            );
-            let params = SessionParams { session: *session, n: n as u32, round_cap: 1 };
-            for bundle in bundles {
-                assert_eq!(bundle.error, *violation, "k={k} session {session}");
-                let att = verify_bundle(key.mac_key(), &params, bundle)
-                    .unwrap_or_else(|e| panic!("k={k} session {session}: bundle fails: {e}"));
-                if violation.attributable() {
-                    let culprit = att.culprit.expect("attributable violation");
+            // Gate 1: completeness. Every byzantine session produced at
+            // least one bundle, every bundle verifies standalone, and the
+            // attributable violations name the byzantine connection.
+            for (session, violation, _, bundles) in &outcomes {
+                assert!(
+                    !bundles.is_empty(),
+                    "k={k}: byzantine session {session} ({violation:?}) produced no evidence"
+                );
+                let params = SessionParams { session: *session, n: n as u32, round_cap: 1 };
+                for bundle in bundles {
+                    assert_eq!(bundle.error, *violation, "k={k} session {session}");
+                    let att =
+                        verify_bundle(key.mac_key(), &params, bundle).unwrap_or_else(|e| {
+                            panic!("k={k} session {session}: bundle fails: {e}")
+                        });
+                    if violation.attributable() {
+                        let culprit = att.culprit.expect("attributable violation");
+                        assert!(
+                            byz_conns.contains(&culprit),
+                            "k={k} session {session}: accused {culprit} is not byzantine — \
+                             FRAMING"
+                        );
+                        total_attributed += 1;
+                    } else {
+                        assert_eq!(att.culprit, None, "a duplicate must accuse nobody");
+                    }
+                }
+                total_bundles += bundles.len();
+            }
+
+            // Gate 2: no-framing, server-side. Every retained bundle's
+            // accused (if any) is a byzantine connection.
+            let retained = server.evidence();
+            for bundle in &retained {
+                if let Some(accused) = bundle.accused {
                     assert!(
-                        byz_conns.contains(&culprit),
-                        "k={k} session {session}: accused {culprit} is not byzantine — FRAMING"
+                        byz_conns.contains(&accused),
+                        "k={k}: server log accuses honest connection {accused} — FRAMING"
                     );
-                    total_attributed += 1;
-                } else {
-                    assert_eq!(att.culprit, None, "a duplicate must accuse nobody");
                 }
             }
-            total_bundles += bundles.len();
-        }
 
-        // Gate 2: no-framing, server-side. Every retained bundle's
-        // accused (if any) is a byzantine connection.
-        let retained = server.evidence();
-        for bundle in &retained {
-            if let Some(accused) = bundle.accused {
-                assert!(
-                    byz_conns.contains(&accused),
-                    "k={k}: server log accuses honest connection {accused} — FRAMING"
-                );
+            // Gate 3: forgery rejection. Bit-flip every bundle in body and
+            // tag; both mutations must fail verification.
+            for (session, _, _, bundles) in &outcomes {
+                let params = SessionParams { session: *session, n: n as u32, round_cap: 1 };
+                for bundle in bundles {
+                    let mut body_flip = bundle.clone();
+                    let last = body_flip.records[0].body.len() - 1;
+                    body_flip.records[0].body[last] ^= 0x01;
+                    assert!(
+                        verify_bundle(key.mac_key(), &params, &body_flip).is_err(),
+                        "k={k} session {session}: body-flipped bundle verified"
+                    );
+                    let mut tag_flip = bundle.clone();
+                    tag_flip.records[0].tag ^= 0x8000_0000;
+                    assert!(
+                        verify_bundle(key.mac_key(), &params, &tag_flip).is_err(),
+                        "k={k} session {session}: tag-flipped bundle verified"
+                    );
+                }
             }
-        }
 
-        // Gate 3: forgery rejection. Bit-flip every bundle in body and
-        // tag; both mutations must fail verification.
-        for (session, _, bundles) in &outcomes {
-            let params = SessionParams { session: *session, n: n as u32, round_cap: 1 };
-            for bundle in bundles {
-                let mut body_flip = bundle.clone();
-                let last = body_flip.records[0].body.len() - 1;
-                body_flip.records[0].body[last] ^= 0x01;
-                assert!(
-                    verify_bundle(key.mac_key(), &params, &body_flip).is_err(),
-                    "k={k} session {session}: body-flipped bundle verified"
-                );
-                let mut tag_flip = bundle.clone();
-                tag_flip.records[0].tag ^= 0x8000_0000;
-                assert!(
-                    verify_bundle(key.mac_key(), &params, &tag_flip).is_err(),
-                    "k={k} session {session}: tag-flipped bundle verified"
-                );
+            // Artifact dump: self-contained bundles, re-verifiable offline.
+            if let Some(dir) = &evidence_dir {
+                for bundle in &retained {
+                    let path = format!("{dir}/EVIDENCE_{k}_{dumped}.bin");
+                    std::fs::write(&path, bundle.to_bytes())
+                        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+                    dumped += 1;
+                }
             }
-        }
 
-        // Artifact dump: self-contained bundles, re-verifiable offline.
-        if let Some(dir) = &evidence_dir {
-            for bundle in &retained {
-                let path = format!("{dir}/EVIDENCE_{k}_{dumped}.bin");
-                std::fs::write(&path, bundle.to_bytes())
-                    .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                dumped += 1;
-            }
+            let stats = server.stop();
+            println!(
+                "k={k} n={n}: {ranges} ranges, {} byzantine sessions ({crossing} cross-range), \
+                 {} honest sessions, {} bundles (server logged {}), 0 framings",
+                outcomes.len(),
+                HONEST_SESSIONS,
+                outcomes.iter().map(|(_, _, _, b)| b.len()).sum::<usize>(),
+                stats.evidence_bundles,
+            );
+            assert!(stats.evidence_bundles >= outcomes.len() as u64);
         }
-
-        let stats = server.stop();
-        println!(
-            "k={k}: {} byzantine sessions, {} honest sessions, {} bundles \
-             (server logged {}), 0 framings",
-            outcomes.len(),
-            HONEST_SESSIONS,
-            outcomes.iter().map(|(_, _, b)| b.len()).sum::<usize>(),
-            stats.evidence_bundles,
-        );
-        assert!(stats.evidence_bundles >= outcomes.len() as u64);
     }
 
     println!(

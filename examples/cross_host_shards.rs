@@ -25,6 +25,7 @@ use referee_bench::{Percentiles, SloCheck};
 use referee_one_round::prelude::*;
 use referee_one_round::protocol::multiround::BoruvkaConnectivity;
 use referee_one_round::protocol::shard::multiround::run_multiround_sharded;
+use referee_one_round::protocol::shard::{effective_shards, nonempty_shards, MIN_RANGE_NODES};
 use referee_one_round::protocol::trace::{
     dump_if_armed, wall_clock_us, FlightRecorder, TraceKind, TraceSnapshot,
 };
@@ -78,9 +79,18 @@ fn spawn_host() -> (Child, SocketAddr) {
     (child, addr)
 }
 
+/// Mostly small graphs, which run on shard 0 (host 0) alone, and every
+/// 15th one large enough to split over all [`SHARDS`] shards, so both
+/// hosts' kills hit live ranges.
 fn fleet_graphs(count: usize, seed: u64) -> Vec<LabelledGraph> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|i| generators::gnp(5 + i % 18, 0.22, &mut rng)).collect()
+    let large = SHARDS * MIN_RANGE_NODES;
+    (0..count)
+        .map(|i| match i % 15 {
+            14 => generators::gnp(large + i % 7, 6.0 / large as f64, &mut rng),
+            _ => generators::gnp(5 + i % 18, 0.22, &mut rng),
+        })
+        .collect()
 }
 
 /// Kill every child on exit, success or panic.
@@ -195,12 +205,18 @@ fn main() {
     chaos.join().expect("chaos thread");
     let kills = kill_count.load(Ordering::SeqCst);
 
+    // Every round of every session forwards one partial per range it
+    // splits over, at least: a kill can make a host re-emit one.
+    let mut partials = 0usize;
     for (i, (wire, g)) in verdicts.iter().zip(&graphs).enumerate() {
-        let (local, _) = run_multiround_sharded(&BoruvkaConnectivity, g, SHARDS, CAP);
+        let (local, run) = run_multiround_sharded(&BoruvkaConnectivity, g, SHARDS, CAP);
         let local = local.expect("terminates").expect("honest run decodes");
         assert_eq!(*wire, local, "session {i} diverged from in-process sharded run");
         assert_eq!(*wire, algo::is_connected(g), "session {i} diverged from centralized truth");
+        partials += run.rounds * nonempty_shards(g.n(), effective_shards(g.n(), SHARDS));
     }
+    let split = graphs.iter().filter(|g| effective_shards(g.n(), SHARDS) == SHARDS).count();
+    assert!(split > 0, "some sessions must split over every shard");
     let client_stats = client.metrics();
     // Stitch one causally-ordered timeline: server ring + segments
     // shipped by the shard hosts + client lifecycle + injected kills.
@@ -215,9 +231,11 @@ fn main() {
         total as f64 / wall
     );
     println!(
-        "  reconnects {} | replayed frames {} | partials {} | mac-rejects {}",
+        "  reconnects {} | replayed frames {} | partials {} | mac-rejects {} | \
+         {split} sessions split {SHARDS} ways",
         stats.shard_reconnects, stats.replayed_frames, stats.partial_frames, stats.mac_rejects
     );
+    assert!(stats.partial_frames as usize >= partials, "{partials} partials at least");
     assert!(kills > 0, "the chaos schedule must actually kill");
     assert!(
         stats.shard_reconnects as usize > SHARDS,

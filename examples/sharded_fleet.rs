@@ -7,8 +7,9 @@
 //!   multiplexed TCP connections. Every verdict carries a keyed digest
 //!   of the assembled message vector, cross-checked against the locally
 //!   computed vector — so the referee provably assembled *exactly* what
-//!   each session sent, with shard partials handed to the collector by
-//!   value.
+//!   each session sent. Small sessions run whole on shard 0; every 20th
+//!   is large enough to split over all 4, its shard partials handed to
+//!   the collector by value (the exact count is asserted).
 //! * **Multi-round, honest:** a `FleetServer` in multi-round mode (4
 //!   shard workers) runs the referee half of Borůvka for 600 sessions
 //!   over 8 connections: round-stamped uplinks route to shard workers
@@ -31,6 +32,7 @@ use referee_one_round::prelude::*;
 use referee_one_round::protocol::easy::EdgeCountProtocol;
 use referee_one_round::protocol::multiround::{run_multiround, BoruvkaConnectivity};
 use referee_one_round::protocol::referee::local_phase;
+use referee_one_round::protocol::shard::{effective_shards, nonempty_shards, MIN_RANGE_NODES};
 use referee_one_round::protocol::trace::{dump_if_armed, TraceSnapshot};
 use referee_simnet::{Scheduler, SessionId};
 use referee_wirenet::{
@@ -42,9 +44,27 @@ const SHARDS: usize = 4;
 const CONNS: usize = 8;
 const CAP: usize = 64;
 
+/// Small graphs of `min_n..min_n + span` nodes, which every shard count
+/// runs unsplit, and every 20th one large enough to split over all
+/// [`SHARDS`] ranges.
 fn fleet_graphs(count: usize, min_n: usize, span: usize, seed: u64) -> Vec<LabelledGraph> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|i| generators::gnp(min_n + i % span, 0.2, &mut rng)).collect()
+    let large = SHARDS * MIN_RANGE_NODES;
+    (0..count)
+        .map(|i| match i % 20 {
+            19 => generators::gnp(large + i % 7, 6.0 / large as f64, &mut rng),
+            _ => generators::gnp(min_n + i % span, 0.2, &mut rng),
+        })
+        .collect()
+}
+
+/// The partials a [`SHARDS`]-shard server hands its collector over
+/// honest sessions of `(n, rounds)`: one per non-collector range per
+/// round, a session splitting over `effective_shards(n, SHARDS)` ranges.
+fn partials(sessions: impl Iterator<Item = (usize, usize)>) -> usize {
+    sessions
+        .map(|(n, rounds)| rounds * (nonempty_shards(n, effective_shards(n, SHARDS)) - 1))
+        .sum()
 }
 
 /// What an honest phase leaves behind: per-session results, wall time,
@@ -152,10 +172,12 @@ fn one_round() {
             "session {i}: the referee assembled a different vector than was sent"
         );
     }
-    assert_eq!(server_stats.partial_frames as usize, sessions * (SHARDS - 1));
+    let want = partials(graphs.iter().map(|g| (g.n(), 1)));
+    assert!(want > 0, "the large sessions split");
+    assert_eq!(server_stats.partial_frames as usize, want);
     println!("  all {sessions} verdict digests match the locally computed vectors ✓");
     println!(
-        "  {} cross-shard partial frames exchanged (MAC'd, {} per session) ✓",
+        "  {} cross-shard partials handed to the collector by value ({} per split session) ✓",
         server_stats.partial_frames,
         SHARDS - 1
     );
@@ -197,13 +219,17 @@ fn multi_round() {
                 .expect("honest session completes");
             decode_bool_output(&out).expect("honest uplinks decode")
         });
+    let mut rounds = Vec::new();
     for (i, (wire, g)) in verdicts.iter().zip(&graphs).enumerate() {
-        let (local, _) = run_multiround(&BoruvkaConnectivity, g, CAP);
+        let (local, stats) = run_multiround(&BoruvkaConnectivity, g, CAP);
         let local = local.expect("terminates").expect("decodes");
         assert_eq!(*wire, local, "session {i}: wire verdict diverged from in-process run");
         assert_eq!(*wire, algo::is_connected(g), "session {i}: verdict diverged from truth");
+        rounds.push((g.n(), stats.rounds));
     }
-    assert!(server_stats.partial_frames > 0);
+    let want = partials(rounds.into_iter());
+    assert!(want > 0, "the large sessions split");
+    assert_eq!(server_stats.partial_frames as usize, want);
     assert!(server_stats.downlink_frames > 0);
     assert!(
         client_stats.frames_per_write() > 1.0,
