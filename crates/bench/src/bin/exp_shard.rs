@@ -18,7 +18,12 @@
 //!   `effective_shards(n, k)` ranges, so each protocol runs twice: a
 //!   small fleet (unsplit at every k, no partials) and a large one
 //!   (n ≥ 8 · `MIN_RANGE_NODES`, split k ways); both assert the exact
-//!   partial count, one per non-collector range per round.
+//!   partial count, one per non-collector range per round, and the
+//!   exact wire shape: uplinks and downlinks travel as runs, one per
+//!   session round each way, so a verify session moves 3 frames
+//!   (announce, run, verdict) and a Borůvka session of `r` rounds
+//!   `1 + r` client frames and `r` server frames (`r − 1` downlink runs
+//!   and the verdict).
 //!
 //! Emits `BENCH_exp_shard.json` (sessions/s per shard count per backend;
 //! the Borůvka rows carry a `-multiround` backend suffix, the large
@@ -99,11 +104,15 @@ fn simnet_rows<S: Report>(
 
 /// One wire fleet per shard count: `spawn(k)` starts the server,
 /// `run(client, i)` drives session `i`, and the results must equal
-/// `truth`. `row` checks and renders the protocol-specific columns.
+/// `truth`. The client must send exactly `frames.0` frames and the
+/// server exactly `frames.1`. `row` checks and renders the
+/// protocol-specific columns.
+#[allow(clippy::too_many_arguments)]
 fn wire_rows<T: Send + PartialEq + Debug>(
     backend: &str,
     key: AuthKey,
     truth: &[T],
+    frames: (u64, u64),
     cols: &[&str],
     spawn: impl Fn(usize) -> FleetServer,
     run: impl Fn(&FleetClient, usize) -> T + Sync,
@@ -124,6 +133,7 @@ fn wire_rows<T: Send + PartialEq + Debug>(
         let s = server.stop();
         assert_eq!(s.mac_rejects, 0);
         assert_eq!(s.verdict_frames as usize, sessions);
+        assert_eq!((c.frames_sent, s.frames_sent), frames, "{backend} k={shards}: wire shape");
         // The client stamps announce→verdict per session into its
         // Verdict stage histogram — the end-to-end wire latency.
         records.push(
@@ -134,6 +144,7 @@ fn wire_rows<T: Send + PartialEq + Debug>(
             shards.to_string(),
             CONNS.to_string(),
             format!("{:.0}", sessions as f64 / wall),
+            format!("{:.1}", (c.frames_sent + s.frames_sent) as f64 / sessions as f64),
         ];
         cells.extend(row(shards, &c, &s));
         rows.push(cells);
@@ -178,11 +189,23 @@ fn one_round(graphs: &[LabelledGraph], suffix: &str, records: &mut Vec<BenchReco
         .iter()
         .map(|g| vector_digest(&key, &local_phase(&EdgeCountProtocol, g)))
         .collect();
+    // Announce + one uplink run out, the verdict back.
+    let frames = (2 * sessions as u64, sessions as u64);
     records.extend(wire_rows(
         &format!("wirenet{suffix}"),
         key,
         &truth,
-        &["shards", "conns", "sess/s", "partials", "verdicts", "wire KiB", "mac-rej"],
+        frames,
+        &[
+            "shards",
+            "conns",
+            "sess/s",
+            "frames/sess",
+            "partials",
+            "verdicts",
+            "wire KiB",
+            "mac-rej",
+        ],
         |k| FleetServer::spawn_sharded(key, k).expect("bind"),
         |client, i| {
             let g = &graphs[i];
@@ -238,11 +261,25 @@ fn multi_round(graphs: &[LabelledGraph], suffix: &str, records: &mut Vec<BenchRe
         .collect();
     let rounds: Vec<(usize, usize)> =
         graphs.iter().zip(&mono.reports).map(|(g, r)| (g.n(), r.metrics.rounds)).collect();
+    // Per session of r rounds: the announce and r uplink runs out, r − 1
+    // downlink runs and the verdict back.
+    let total: u64 = rounds.iter().map(|&(_, r)| r as u64).sum();
+    let frames = (sessions as u64 + total, total);
     records.extend(wire_rows(
         &format!("wirenet-multiround{suffix}"),
         key,
         &truth,
-        &["shards", "conns", "sess/s", "partials", "downlinks", "verdicts", "mac-rej"],
+        frames,
+        &[
+            "shards",
+            "conns",
+            "sess/s",
+            "frames/sess",
+            "partials",
+            "downlinks",
+            "verdicts",
+            "mac-rej",
+        ],
         |k| {
             FleetServer::spawn_multiround(key, k, boruvka_connectivity_service()).expect("bind")
         },
@@ -260,6 +297,7 @@ fn multi_round(graphs: &[LabelledGraph], suffix: &str, records: &mut Vec<BenchRe
         |k, _, s| {
             let want = wire_partials(rounds.iter().copied(), k);
             assert_eq!(s.partial_frames as usize, want, "k={k}");
+            assert_eq!(s.downlink_frames, total - sessions as u64, "k={k}: one run per round");
             vec![
                 s.partial_frames.to_string(),
                 s.downlink_frames.to_string(),

@@ -15,8 +15,8 @@
 //!
 //! # Record format
 //!
-//! A record's `body` is byte-for-byte the authenticated body of a
-//! `wirenet` frame (everything after the length prefix, before the
+//! A record's `body` has the layout of a per-node `wirenet` frame's
+//! authenticated body (everything after the length prefix, before the
 //! tag):
 //!
 //! ```text
@@ -26,10 +26,13 @@
 //! all integers big-endian, and `tag = siphash24(key, body)` where
 //! `key` is the base key folded through the record's derivation
 //! [`path`](EvidenceRecord::path) (`base.derive(p₀).derive(p₁)…`).
-//! Because the wire codec is canonical — encode ∘ decode is the
-//! identity on authenticated frames — an endpoint that decoded a frame
-//! can reconstruct the byte-identical record without retaining raw
-//! buffers, and a record round-trips losslessly through a bundle.
+//! On the wire, uplinks travel as runs (every node's entry of one
+//! session round in one MAC'd frame), so a wire record is the
+//! referee's per-node projection of an authenticated run: the one
+//! entry the accusation concerns, re-signed under the key that
+//! authenticated the run. Under the honest-referee model below that
+//! proves what a per-node frame would, and a record round-trips
+//! losslessly through a bundle.
 //!
 //! # Attribution and the no-framing argument
 //!
@@ -201,8 +204,7 @@ impl RecordFields {
 }
 
 /// Build a canonical record body from parsed fields — the inverse of
-/// [`EvidenceRecord::parse`], and byte-for-byte the authenticated body
-/// `wirenet` puts on the socket for the same envelope.
+/// [`EvidenceRecord::parse`], in the per-node frame layout.
 pub fn encode_record_body(
     ver: u8,
     kind: u8,

@@ -161,8 +161,10 @@ pub fn nonempty_shards(n: usize, shards: usize) -> usize {
 /// on a 2-core host a k = 2 server was no better than k = 1 at any
 /// n ≤ 1024 (one connection: p50 latency within noise from n = 128 on;
 /// 8 connections: throughput within 2% for Borůvka, 10% lower for a
-/// one-round protocol), and cost more CPU throughout (tables in
-/// CHANGES.md).
+/// one-round protocol), and cost more CPU throughout. Re-measured once
+/// uplinks travelled as runs: on one connection a one-round k = 2
+/// session's p50 was 2-5% lower at n = 256-1024 for 9-20% more CPU,
+/// and Borůvka's was higher at every n ≥ 128 (tables in CHANGES.md).
 pub const MIN_RANGE_NODES: usize = 128;
 
 /// How many of a deployment's `shards` ranges a session of `n` nodes

@@ -56,9 +56,10 @@ pub enum TraceKind {
     Redial = 1,
     /// A session announce was sent or accepted (payload: `n`).
     Announce = 2,
-    /// Uplinks crossed the endpoint: servers and proxies record one
-    /// event per frame (payload: sender vertex); a wire client records
-    /// one event per round burst (payload: the round).
+    /// Uplinks crossed the endpoint: wire servers and shard hosts record
+    /// one event per uplink run (payload: the run's entry count); a wire
+    /// client records one event per round burst (payload: the round).
+    /// The placement simulator's arrivals are runs of one (payload 1).
     Uplink = 3,
     /// A shard emitted its partial state (payload: the partial's
     /// protocol round; a one-round session's partials are round 1's).
@@ -74,8 +75,9 @@ pub enum TraceKind {
     /// A session was poisoned / a poison notice was synthesized
     /// (payload: offending sender when known).
     Poison = 8,
-    /// A journaled frame was replayed to a restarted shard host
-    /// (payload: sender vertex).
+    /// A journaled uplink run was replayed to a restarted shard host
+    /// (payload: the run's entry count; the placement simulator replays
+    /// runs of one, payload 1).
     Replay = 9,
     /// A verdict was issued or observed (payload: the bit length of
     /// the verdict payload on the wire).

@@ -218,7 +218,8 @@ impl PlacementSim {
             }
             let (sender, payload) = &arrivals[step];
             let target = route_arrival(n, k, *sender);
-            tr(tracer, COORDINATOR, TraceKind::Uplink, u64::from(*sender));
+            // Each arrival is a run of one: the payload is its count.
+            tr(tracer, COORDINATOR, TraceKind::Uplink, 1);
             // One-round discipline (the same check the wire proxy
             // runs): once the shard's partial merged, *anything* else —
             // in-range duplicate or out-of-range stray — is reported as
@@ -283,7 +284,7 @@ impl PlacementSim {
             for (_, sender, payload) in journals[i].replay() {
                 ingest_service_policy(&mut fresh, sender, payload.clone());
                 *replayed += 1;
-                tr(tracer, host_endpoint(victim), TraceKind::Replay, u64::from(sender));
+                tr(tracer, host_endpoint(victim), TraceKind::Replay, 1);
             }
             shards[i] = Some(fresh);
         }
@@ -418,7 +419,8 @@ mod tests {
         assert_eq!(count(TraceKind::Verdict), 1);
         // One payload meaning per kind: a partial carries its round (a
         // one-round session has only round 1), a verdict the bit length
-        // the digest service ships (`1` + a 64-bit digest when honest).
+        // the digest service ships (`1` + a 64-bit digest when honest),
+        // an uplink its run's entry count (every arrival a run of one).
         let payloads = |kind: TraceKind| {
             snap.events()
                 .iter()
@@ -429,6 +431,7 @@ mod tests {
         assert!(traced.verdict.is_ok());
         assert!(payloads(TraceKind::PartialEmit).iter().all(|&round| round == 1));
         assert_eq!(payloads(TraceKind::Verdict), [65]);
+        assert!(payloads(TraceKind::Uplink).iter().all(|&count| count == 1));
         // ManualClock hands every event its own tick, so the timeline is
         // causally ordered: all stamps distinct, and within each
         // endpoint's lane seq order and time order agree.

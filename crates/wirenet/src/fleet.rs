@@ -70,7 +70,7 @@
 //! and discarded, and the session id becomes reusable.
 
 use crate::auth::AuthKey;
-use crate::frame::FrameKind;
+use crate::frame::{decode_run, FrameKind, Run, RunDirection, RunWriter};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
 use crate::multiround::{
     decode_mr_verdict, encode_mr_announce, run_catalog_server, ServiceCatalog, WireReferee,
@@ -462,6 +462,10 @@ pub struct TamperConfig {
 #[derive(Debug, Default)]
 struct Lane {
     conn: usize,
+    /// A referee session's lane, whose `Data` frames are downlink runs
+    /// (split into per-node envelopes as they arrive); else an echo
+    /// transport's, whose `Data` frames are single envelopes.
+    runs: bool,
     inbound: VecDeque<Envelope>,
     in_flight: u64,
     /// The referee's verdict payload, once it arrives.
@@ -621,6 +625,16 @@ impl FleetCore {
         progress |= conn.drain(scratch, metrics, Conn::next_frame, |_, (kind, env)| {
             match kind {
                 FrameKind::Data => match lanes.get_mut(&env.session.0) {
+                    Some(lane) if lane.runs => {
+                        // A malformed run is a bad payload: reject.
+                        let Ok(entries) = decode_run(&env, RunDirection::Downlink) else {
+                            return false;
+                        };
+                        let (session, round) = (env.session, env.round);
+                        lane.inbound.extend(entries.into_iter().map(|(to, payload)| {
+                            Envelope { session, round, from: 0, to, payload }
+                        }));
+                    }
                     Some(lane) => {
                         lane.in_flight = lane.in_flight.saturating_sub(1);
                         lane.inbound.push_back(env);
@@ -841,12 +855,13 @@ impl FleetCore {
         }
     }
 
-    /// Register `session` on the next connection (round-robin).
-    fn register(&self, session: SessionId) -> usize {
+    /// Register `session` on the next connection (round-robin): a
+    /// referee session's lane (`runs`) or an echo transport's.
+    fn register(&self, session: SessionId, runs: bool) -> usize {
         let mut st = self.lock();
         let conn = st.next_conn % st.conns.len();
         st.next_conn += 1;
-        let prev = st.lanes.insert(session.0, Lane { conn, ..Lane::default() });
+        let prev = st.lanes.insert(session.0, Lane { conn, runs, ..Lane::default() });
         assert!(prev.is_none(), "session {session} registered twice");
         conn
     }
@@ -947,7 +962,7 @@ impl FleetClient {
     /// counted as `orphan_frames` and discarded, so reuse an id only
     /// once its traffic has drained.
     pub fn transport(&self, session: SessionId) -> SocketTransport {
-        self.core.register(session);
+        self.core.register(session, false);
         SocketTransport {
             core: Arc::clone(&self.core),
             session,
@@ -991,19 +1006,22 @@ impl FleetClient {
         // duplicate or stray — and a trailing extra could race the
         // verdict. Rejecting up front means an aborted call leaves no
         // wedged session state on the server.
-        let mut arrivals: Vec<(u32, Message)> = arrivals.into_iter().collect();
+        let arrivals: Vec<(u32, Message)> = arrivals.into_iter().collect();
         if arrivals.len() != n {
             return Err(DecodeError::Inconsistent(format!(
                 "a size-{n} session needs exactly {n} arrivals, got {}",
                 arrivals.len()
             )));
         }
-        // Duplicate and out-of-range senders go out as given: judging
-        // them is the server's round rules' job.
+        // Duplicate and out-of-range senders go out as given, in the
+        // order given (a run ends at every id that does not increase):
+        // judging them is the server's round rules' job.
         let verdict = self.run_session(session, n, None, 1, |round, _| {
-            std::mem::take(&mut arrivals)
-                .into_iter()
-                .try_for_each(|(from, payload)| self.send_uplink(session, round, from, payload))
+            let mut runs = RunWriter::new();
+            for (from, payload) in &arrivals {
+                self.send_run(session, round, runs.push(*from, payload))?;
+            }
+            self.send_run(session, round, runs.finish())
         })?;
         decode_digest_verdict(&verdict)
     }
@@ -1077,12 +1095,14 @@ impl FleetClient {
                 protocol.node_receive(&mut states[i], view(v), prev, &inbox[i], down);
                 inbox[i].clear();
             }
-            // Node sends: uplinks cross the wire; link messages are
-            // delivered locally, one per edge per round.
+            // Node sends: uplinks cross the wire as the round's runs, each
+            // sent once it closes; link messages are delivered locally,
+            // one per edge per round.
+            let mut runs = RunWriter::new();
             for v in 1..=n as u32 {
                 let (to_nbrs, uplink) =
                     protocol.node_send(&states[(v - 1) as usize], view(v), round as usize);
-                self.send_uplink(session, round, v, uplink)?;
+                self.send_run(session, round, runs.push(v, &uplink))?;
                 for (target, payload) in to_nbrs {
                     if !g.has_edge(v, target) {
                         return Err(DecodeError::Invalid(format!(
@@ -1098,7 +1118,7 @@ impl FleetClient {
                     inbox[(target - 1) as usize].push((v, payload));
                 }
             }
-            Ok(())
+            self.send_run(session, round, runs.finish())
         };
         let verdict = self.run_session(session, n, service, max_rounds, node_half)?;
         decode_mr_verdict(&verdict)
@@ -1118,7 +1138,7 @@ impl FleetClient {
         max_rounds: usize,
         node_half: impl FnMut(u32, Vec<Message>) -> Result<(), DecodeError>,
     ) -> Result<Message, DecodeError> {
-        self.core.register(session);
+        self.core.register(session, true);
         let result = self.run_rounds(session, n, service, max_rounds, node_half);
         self.core.release(session);
         result
@@ -1185,19 +1205,20 @@ impl FleetClient {
         )))
     }
 
-    /// Frame node `from`'s round-`round` uplink onto `session`'s lane.
-    fn send_uplink(
+    /// Frame a closed round-`round` uplink run, if any, onto
+    /// `session`'s lane.
+    fn send_run(
         &self,
         session: SessionId,
         round: u32,
-        from: u32,
-        payload: Message,
+        run: Option<Run>,
     ) -> Result<(), DecodeError> {
-        if self.core.send(&Envelope { session, round, from, to: 0, payload }) {
+        let Some(run) = run else { return Ok(()) };
+        if self.core.send(&run.envelope(session, round, RunDirection::Uplink)) {
             return Ok(());
         }
         Err(DecodeError::Inconsistent(format!(
-            "connection died sending the round-{round} uplink of node {from}"
+            "connection died sending round {round}'s uplinks"
         )))
     }
 

@@ -23,6 +23,33 @@
 //! exact bit length, so `decode ∘ encode` is the identity on envelopes
 //! (pinned by proptests).
 //!
+//! # Runs
+//!
+//! Between a client and the referee engine (and between a coordinator
+//! and its shard hosts) a `Data` payload is a **run**: the `(node,
+//! message)` entries of one (session, round) in one direction, in one
+//! MAC'd frame, so a round costs one frame, not one per node. The
+//! payload is a sequence of entries on [`referee_protocol::bits`]:
+//!
+//! ```text
+//! entry = gamma(node + 1) · gamma(len_bits + 1) · message bits
+//! ```
+//!
+//! with node ids strictly increasing, so any `u32` id — 0 and ids past
+//! `n` included — is expressible, and one run names a node at most
+//! once. The MAC-covered header fixes the direction and the entry
+//! count ([`RunDirection`]): an uplink run has `from` = its count and
+//! `to` = its addressee, a downlink run has `from` = 0 (the referee)
+//! and `to` = its count, so a downlink can never be re-read as an
+//! uplink. A run stops at [`RUN_BYTES`] of payload; a single larger
+//! message travels alone, up to [`MAX_BODY_BYTES`]. One (session,
+//! round) may take any number of runs. [`decode_run`] rejects an
+//! empty run, a repeated or reordered id, a count the payload does not
+//! match, a truncated entry and a multi-entry run past [`RUN_BYTES`];
+//! at an endpoint that is a bad payload under the reactor's one reject
+//! rule. The echo mailbox never looks inside a payload, so its `Data`
+//! frames still carry one envelope each.
+//!
 //! Decoding is *streaming*: [`decode_frame`] consumes a prefix of a byte
 //! buffer and returns [`None`] while the frame is still incomplete.
 //! Every malformed input — truncation that can never complete, version
@@ -31,19 +58,21 @@
 //! *before* any body field is interpreted (authenticate, then parse).
 
 use crate::auth::AuthKey;
-use referee_protocol::{DecodeError, Message};
+use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 
-/// Wire protocol version carried in every frame (bumped to 2 when the
-/// frame-kind byte was added for the sharded referee service).
-pub const WIRE_VERSION: u8 = 2;
+/// Wire protocol version carried in every frame (2 added the frame-kind
+/// byte for the sharded referee service; 3 made the referee engine's
+/// `Data` payload a run of entries).
+pub const WIRE_VERSION: u8 = 3;
 
 /// What a frame carries. The kind byte sits inside the MAC-covered
 /// region, so a frame's type can no more be forged than its contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// A session envelope (the only kind the echo mailbox serves).
+    /// A session envelope (the only kind the echo mailbox serves); to
+    /// and from the referee engine, a run of them (see [Runs](self#runs)).
     Data = 0,
     /// Server → client at accept time: `from` is the connection id both
     /// ends feed to [`AuthKey::derive`] for the per-connection key.
@@ -336,6 +365,166 @@ pub fn decode_frames(
     Ok((frames, consumed))
 }
 
+/// The payload ceiling of a run with more than one entry (16 KiB, the
+/// client's write-coalescing threshold), so a round of large uplinks
+/// leaves in several moderate frames and socket buffers stay at the
+/// size per-node frames needed.
+pub const RUN_BYTES: usize = 16 * 1024;
+
+/// Which way a run travels, as its MAC-covered header says: an uplink
+/// run carries its entry count in `from` and its addressee in `to`
+/// (0, the referee, from a client; the client connection on a
+/// coordinator → shard-host link), a downlink run carries `from` = 0
+/// and its entry count in `to`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunDirection {
+    /// Nodes → referee.
+    Uplink,
+    /// Referee → nodes.
+    Downlink,
+}
+
+/// One encoded run: how many entries it carries, and its payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run {
+    /// Entries in the run (at least 1).
+    pub count: u32,
+    /// The entries, encoded (see [Runs](self#runs)).
+    pub payload: Message,
+}
+
+impl Run {
+    /// The run as round `round`'s `Data` envelope of `session`,
+    /// travelling `dir` (an uplink addressed to the referee).
+    pub fn envelope(self, session: SessionId, round: u32, dir: RunDirection) -> Envelope {
+        let (from, to) = match dir {
+            RunDirection::Uplink => (self.count, 0),
+            RunDirection::Downlink => (0, self.count),
+        };
+        Envelope { session, round, from, to, payload: self.payload }
+    }
+}
+
+/// Bits of an Elias gamma code of `v ≥ 1`.
+fn gamma_bits(v: u64) -> usize {
+    2 * (63 - v.leading_zeros() as usize) + 1
+}
+
+/// A streaming run encoder: entries go in one at a time, and each run
+/// comes out as soon as it is closed, so a sender holds at most one
+/// run's bytes. A run closes before an id that does not exceed the
+/// previous one, and before an entry that would take a non-empty run
+/// past [`RUN_BYTES`] (so a larger message travels alone).
+#[derive(Debug, Default)]
+pub struct RunWriter {
+    w: BitWriter,
+    count: u32,
+    last: u32,
+}
+
+impl RunWriter {
+    /// An empty encoder.
+    pub fn new() -> RunWriter {
+        RunWriter::default()
+    }
+
+    /// Append node `id`'s `msg`, returning the run this entry closed,
+    /// if any.
+    pub fn push(&mut self, id: u32, msg: &Message) -> Option<Run> {
+        let (id_code, len_code) = (u64::from(id) + 1, msg.len_bits() as u64 + 1);
+        let bits = gamma_bits(id_code) + gamma_bits(len_code) + msg.len_bits();
+        let closed = (self.count > 0
+            && (id <= self.last || self.w.len_bits() + bits > RUN_BYTES * 8))
+            .then(|| self.take());
+        self.w.write_gamma(id_code);
+        self.w.write_gamma(len_code);
+        if msg.len_bits() <= 64 {
+            let len = msg.len_bits() as u32;
+            self.w.write_bits(
+                msg.reader().read_bits(len).expect("a message holds its bits"),
+                len,
+            );
+        } else {
+            msg.append_to(&mut self.w);
+        }
+        (self.count, self.last) = (self.count + 1, id);
+        closed
+    }
+
+    /// The last, still open run, if any entry went in since the last
+    /// one closed.
+    pub fn finish(mut self) -> Option<Run> {
+        (self.count > 0).then(|| self.take())
+    }
+
+    fn take(&mut self) -> Run {
+        let payload = Message::from_writer(std::mem::take(&mut self.w));
+        Run { count: std::mem::take(&mut self.count), payload }
+    }
+}
+
+/// Cut `entries` into runs, keeping their order (see [`RunWriter`]).
+pub fn encode_runs<'a>(entries: impl IntoIterator<Item = (u32, &'a Message)>) -> Vec<Run> {
+    let mut writer = RunWriter::new();
+    let mut runs: Vec<Run> =
+        entries.into_iter().filter_map(|(id, m)| writer.push(id, m)).collect();
+    runs.extend(writer.finish());
+    runs
+}
+
+/// Decode the run `env` carries, expecting direction `dir`: its
+/// `(node, message)` entries in id order. Every way a run can be
+/// malformed — a header of the other direction or counting 0 entries,
+/// a payload holding a different count, a repeated or reordered id, an
+/// id past `u32`, a truncated entry, more than one entry past
+/// [`RUN_BYTES`] — is an `Err`. Allocation is bounded by the payload:
+/// every entry takes at least two of its bits, and the header's count
+/// only ever bounds the loop, never sizes a buffer.
+pub fn decode_run(
+    env: &Envelope,
+    dir: RunDirection,
+) -> Result<Vec<(u32, Message)>, DecodeError> {
+    let count = match dir {
+        RunDirection::Uplink => env.from,
+        RunDirection::Downlink if env.from == 0 => env.to,
+        RunDirection::Downlink => 0,
+    };
+    if count == 0 {
+        return Err(DecodeError::Invalid(format!("not a non-empty {dir:?} run header")));
+    }
+    if count > 1 && env.payload.len_bits() > RUN_BYTES * 8 {
+        return Err(DecodeError::Invalid(format!(
+            "a {count}-entry run of {} bits exceeds {RUN_BYTES} bytes",
+            env.payload.len_bits()
+        )));
+    }
+    let mut r = env.payload.reader();
+    let mut entries: Vec<(u32, Message)> = Vec::new();
+    while !r.is_exhausted() {
+        if entries.len() == count as usize {
+            return Err(DecodeError::Inconsistent(format!(
+                "run holds more than the {count} entries its header counts"
+            )));
+        }
+        let id = u32::try_from(r.read_gamma()? - 1)
+            .map_err(|_| DecodeError::OutOfRange("run entry id exceeds u32".into()))?;
+        if entries.last().is_some_and(|&(prev, _)| id <= prev) {
+            return Err(DecodeError::Invalid(format!("run ids not increasing at {id}")));
+        }
+        let len = usize::try_from(r.read_gamma()? - 1).map_err(|_| DecodeError::Truncated)?;
+        let mut w = BitWriter::new();
+        r.copy_bits_into(&mut w, len)?;
+        entries.push((id, Message::from_writer(w)));
+    }
+    if entries.len() != count as usize {
+        return Err(DecodeError::Inconsistent(format!(
+            "run header counts {count} entries, payload holds {}",
+            entries.len()
+        )));
+    }
+    Ok(entries)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,6 +801,78 @@ mod tests {
             bad[at] = val;
             assert_verify_matches_decode(&retag(bad));
         }
+    }
+
+    fn bytes(len: usize) -> Message {
+        let mut w = BitWriter::new();
+        for i in 0..len {
+            w.write_bits(i as u64 & 0xff, 8);
+        }
+        Message::from_writer(w)
+    }
+
+    fn decode_all(runs: Vec<Run>, dir: RunDirection) -> Vec<(u32, Message)> {
+        let session = SessionId(4);
+        runs.into_iter()
+            .flat_map(|run| decode_run(&run.envelope(session, 2, dir), dir).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn runs_round_trip_any_u32_id_in_both_directions() {
+        let entries = vec![
+            (0, Message::empty()),
+            (1, bytes(1)),
+            (7, env(0, 0, 0, 0, 0b101, 3).payload),
+            (u32::MAX - 1, bytes(3)),
+            (u32::MAX, Message::empty()),
+        ];
+        let refs = || entries.iter().map(|(id, m)| (*id, m));
+        for dir in [RunDirection::Uplink, RunDirection::Downlink] {
+            let runs = encode_runs(refs());
+            assert_eq!(runs.len(), 1);
+            assert_eq!(runs[0].count, 5);
+            assert_eq!(decode_all(runs, dir), entries);
+        }
+    }
+
+    #[test]
+    fn runs_split_at_non_increasing_ids_and_at_the_byte_ceiling() {
+        let m = bytes(1);
+        let cut = |ids: &[u32]| -> Vec<u32> {
+            encode_runs(ids.iter().map(|&id| (id, &m))).iter().map(|r| r.count).collect()
+        };
+        assert_eq!(cut(&[3, 1, 3, 4, 4, 2]), [1, 3, 1, 1]);
+        assert!(cut(&[]).is_empty());
+        // A run stops at RUN_BYTES; a message past it travels alone.
+        let third = bytes(RUN_BYTES / 3);
+        let huge = bytes(RUN_BYTES + 1);
+        let entries = [(1, &third), (2, &third), (3, &third), (4, &huge), (5, &third)];
+        let runs = encode_runs(entries);
+        let counts: Vec<u32> = runs.iter().map(|r| r.count).collect();
+        assert_eq!(counts, [2, 1, 1, 1]);
+        assert!(runs.iter().all(|r| r.count == 1 || r.payload.len_bits() <= RUN_BYTES * 8));
+        let back = decode_all(runs, RunDirection::Uplink);
+        let want: Vec<(u32, Message)> =
+            entries.iter().map(|(i, m)| (*i, (*m).clone())).collect();
+        assert_eq!(back, want);
+    }
+
+    #[test]
+    fn the_header_fixes_direction_and_count() {
+        let m = bytes(2);
+        let run = encode_runs([(1, &m), (2, &m)]).remove(0);
+        let up = run.clone().envelope(SessionId(1), 1, RunDirection::Uplink);
+        let down = run.envelope(SessionId(1), 1, RunDirection::Downlink);
+        assert_eq!((up.from, up.to, down.from, down.to), (2, 0, 0, 2));
+        assert!(decode_run(&down, RunDirection::Uplink).is_err(), "downlink read as uplink");
+        assert!(decode_run(&up, RunDirection::Downlink).is_err(), "uplink read as downlink");
+        for lie in [1, 3] {
+            let liar = Envelope { from: lie, ..up.clone() };
+            assert!(decode_run(&liar, RunDirection::Uplink).is_err(), "count {lie}");
+        }
+        let empty = Envelope { from: 1, payload: Message::empty(), ..up };
+        assert!(decode_run(&empty, RunDirection::Uplink).is_err(), "empty run");
     }
 
     #[test]

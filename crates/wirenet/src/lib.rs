@@ -13,7 +13,11 @@
 //!   the [`SessionId`](referee_simnet::SessionId) that lets one
 //!   connection multiplex a whole fleet. [`FrameKind`] types each frame:
 //!   session data, the key handshake, and the referee engine's
-//!   partial-state, downlink and verdict traffic.
+//!   partial-state, downlink and verdict traffic. To and from the
+//!   referee engine a `Data` payload is a **run**: every node's entry
+//!   of one session round in one direction, in one MAC'd frame
+//!   ([`encode_runs`], [`decode_run`]), so a one-round verify moves
+//!   three frames (announce, run, verdict).
 //! * [`auth`] — the authentication layer: a keyed 64-bit SipHash-2-4
 //!   tag on every frame; verification failures surface through the
 //!   existing `DecodeError` rejection paths. Every connection runs on a
@@ -251,14 +255,15 @@
 //!
 //! Every provable wire-level violation produces more than a dead
 //! session: the referee engine packages the offending
-//! MAC'd frames into self-contained
+//! arrivals into self-contained
 //! [`EvidenceBundle`](referee_protocol::evidence::EvidenceBundle)s
 //! (see `referee_protocol::evidence` for the format and the no-framing
-//! argument). The load-bearing identity: an evidence record's body
-//! **is** the frame's MAC-covered region byte-for-byte, and its tag is
-//! the tag the client's own frame carried under the per-connection
-//! derived key (path `[conn]`) — so a bundle is the client's own
-//! signed bytes, not the referee's paraphrase.
+//! argument). An uplink travels inside a MAC'd run, and a record is
+//! the referee's per-node projection of that run: the offending
+//! entry's per-node body, signed under the per-connection derived key
+//! (path `[conn]`) that authenticated the run. Under the documented
+//! honest-referee model a bundle proves what the client's own per-node
+//! frame would.
 //!
 //! Bundles travel as [`FrameKind::Evidence`] frames (shipped
 //! coordinator-ward ahead of the verdict, `from` = the accused
@@ -367,8 +372,9 @@ pub use fleet::{
     BIND_ENV,
 };
 pub use frame::{
-    decode_frame, decode_frames, encode_frame, encode_frame_into, encode_wire_frame,
-    DecodedFrame, FrameKind, WireError, HEADER_BYTES, TAG_BYTES, WIRE_VERSION,
+    decode_frame, decode_frames, decode_run, encode_frame, encode_frame_into, encode_runs,
+    encode_wire_frame, DecodedFrame, FrameKind, Run, RunDirection, WireError, HEADER_BYTES,
+    RUN_BYTES, TAG_BYTES, WIRE_VERSION,
 };
 pub use metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot, TRACE_CAPACITY_ENV};
 pub use multiround::{

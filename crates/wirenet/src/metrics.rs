@@ -403,7 +403,9 @@ pub struct WireSnapshot {
     /// Frames deliberately corrupted by the fault-injection hook.
     pub tampered: u64,
     /// Authenticated frames that arrived for a session no longer (or
-    /// never) registered — late echoes after session teardown.
+    /// never) registered — late echoes after session teardown. A run
+    /// counts once, as one frame (a run judged after part of it was
+    /// applied counts its rest once).
     pub orphan_frames: u64,
     /// Connections ever opened.
     pub connections: u64,
@@ -413,15 +415,16 @@ pub struct WireSnapshot {
     pub partial_frames: u64,
     /// Sharded referee only: session verdicts issued.
     pub verdict_frames: u64,
-    /// Multi-round referee only: per-round downlink frames streamed
-    /// back to clients.
+    /// Multi-round referee only: downlink frames streamed back to
+    /// clients — runs, one per session round unless the round's
+    /// downlinks pass [`RUN_BYTES`](crate::frame::RUN_BYTES).
     pub downlink_frames: u64,
     /// Remote placement only: (re)connections a coordinator proxy made
     /// to its shard host — 1 per proxy for a clean run, more after
     /// shard-host loss.
     pub shard_reconnects: u64,
-    /// Remote placement only: journaled frames resent to a reconnected
-    /// shard host (announcements excluded). A proxy's first dial sends
+    /// Remote placement only: journaled uplink runs resent to a
+    /// reconnected shard host (announcements excluded). A proxy's first dial sends
     /// what the router queued before the link came up; that is not a
     /// replay.
     pub replayed_frames: u64,

@@ -30,9 +30,14 @@
 //!    against the catalog, fixes the service's round cap, and workers
 //!    `0..k_eff` open shard `i` of `k_eff` for round 1 under that cap
 //!    (worker 0 also opens the service's referee);
-//! 2. round-stamped [`Data`](FrameKind::Data) uplink frames are routed
-//!    to workers by sender range; a worker whose range completes for
-//!    round `r` hands its [`RoundPartialState`] to worker 0 **by value**
+//! 2. round-stamped uplinks arrive as **runs** — every `(node, message)`
+//!    entry of one session round in one [`Data`](FrameKind::Data) frame
+//!    (see [`crate::frame`]); the router decodes each run once, splits
+//!    it by sender range and hands each worker its entries as one
+//!    message, which the worker applies one arrival at a time, exactly
+//!    as if each had travelled in its own frame; a worker whose range
+//!    completes for round `r` hands its [`RoundPartialState`] to worker
+//!    0 **by value**
 //!    over the in-process channel, stamped with the session's announce
 //!    **epoch** (the round travels inside the partial), and advances to
 //!    round `r+1` — nothing between threads of one process is encoded
@@ -42,8 +47,9 @@
 //!    `r`'s quorum is complete (or poisoned, which fixes the verdict's
 //!    `Err` shape), runs the protocol's
 //!    [`referee_step`](referee_protocol::multiround::MultiRoundProtocol::referee_step);
-//! 4. `Continue` streams one MAC'd downlink [`Data`](FrameKind::Data)
-//!    frame per node back to the client (from = referee, round `r`);
+//! 4. `Continue` streams the round's downlinks back to the client as
+//!    MAC'd downlink runs (from = referee, round `r`: one frame unless
+//!    the downlinks pass [`RUN_BYTES`](crate::frame::RUN_BYTES));
 //!    `Done` ships the encoded output as a
 //!    [`Verdict`](FrameKind::Verdict) frame, worker 0 drops the session,
 //!    and the router retires it on workers `1..k_eff`.
@@ -52,8 +58,7 @@
 //! and sends every lane one channel message per pass, lane 0's first,
 //! so an announce stays ahead of every partial it causes; a worker
 //! stages the partials it hands worker 0 and wakes the router once per
-//! batch it handled. A `Data` frame therefore costs no channel send of
-//! its own.
+//! batch it handled. A run therefore costs no channel send of its own.
 //!
 //! With a [`RemotePlacement`] the ranges live on
 //! [`ShardHost`](crate::placement::ShardHost) peers instead, each fed by
@@ -99,7 +104,7 @@
 //! undecodable host partial with its decode error.
 
 use crate::auth::AuthKey;
-use crate::frame::FrameKind;
+use crate::frame::{decode_run, encode_runs, FrameKind, Run, RunDirection};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics};
 use crate::placement::{run_proxy, Collector, Proxy, RemotePlacement};
 use crate::poll::{Poller, Waker};
@@ -238,9 +243,9 @@ pub(crate) enum MrMsg {
         cap: u32,
         resume: u32,
     },
-    /// An authenticated round-stamped uplink routed to this worker's
-    /// range.
-    Data { conn: u32, env: Envelope },
+    /// The entries of an authenticated round-`round` uplink run that
+    /// fall in this worker's range, in run order.
+    Data { conn: u32, session: u64, round: u32, entries: Vec<(u32, Message)> },
     /// A range partial or a poison notice for the collector, by value,
     /// from range `from`, stamped with the session's announce `epoch`.
     /// A proxy forwards a shard host's partial as it decoded it: an
@@ -261,8 +266,8 @@ pub(crate) enum MrMsg {
 
 /// Worker → router.
 pub(crate) enum MrOutbound {
-    /// Stream round `round`'s downlinks (`msgs[i]` to node `i + 1`).
-    Downlinks { conn: u32, session: SessionId, round: u32, msgs: Vec<Message> },
+    /// Stream round `round`'s downlinks, encoded as runs.
+    Downlinks { conn: u32, session: SessionId, round: u32, runs: Vec<Run> },
     /// The session's terminal verdict.
     Verdict { conn: u32, session: SessionId, payload: Message },
     /// A serialized evidence bundle for a provable violation observed
@@ -497,45 +502,25 @@ impl<'a> Worker<'a> {
                     sessions.insert(key, ws);
                 }
             }
-            MrMsg::Data { conn, env } => {
-                let key = (conn, env.session.0);
+            MrMsg::Data { conn, session, round, entries } => {
+                let key = (conn, session);
                 let Some(ws) = sessions.get_mut(&key) else {
                     metrics.orphan_frames(1); // finished or retired in flight
                     return;
                 };
-                let Some((wait, _)) = ws.wait.as_mut() else {
+                if ws.wait.is_none() {
                     metrics.decode_rejects(1); // a range this worker does not own
                     return;
-                };
-                let Ok(ingested) = wait.ingest(env.from, env.round, &env.payload) else {
-                    // Router/worker range disagreement — a bug, not wire
-                    // data; surfaced in metrics.
-                    metrics.decode_rejects(1);
-                    return;
-                };
-                if let Some(fault) = ingested.fault {
-                    let params =
-                        SessionParams { session: key.1, n: ws.n as u32, round_cap: ws.cap };
-                    let (base, endpoint) = (&duty.base, duty.endpoint);
-                    if let Some(bundle) =
-                        build_evidence(base, conn, params, &env, fault, endpoint, metrics)
-                    {
-                        out.outbound(|| MrOutbound::Evidence {
-                            conn,
-                            session: env.session,
-                            from: bundle.accused.unwrap_or(0),
-                            payload: bundle.encode(),
-                        });
+                }
+                let mut entries = entries.into_iter();
+                for (from, payload) in entries.by_ref() {
+                    if duty.arrive(key, ws, round, from, payload, out, metrics) {
+                        sessions.remove(&key);
+                        if entries.len() > 0 {
+                            metrics.orphan_frames(1); // the run's judged-after rest
+                        }
+                        return;
                     }
-                }
-                if let Some(notice) = ingested.notice {
-                    // Fail fast instead of wedging a sibling range's wait.
-                    let from = u64::from(env.from);
-                    metrics.trace(key.1, duty.endpoint, TraceKind::Poison, from);
-                    duty.ship(key, ws, notice, false, out, metrics);
-                }
-                if duty.settle(key, ws, out, metrics) {
-                    sessions.remove(&key);
                 }
             }
             MrMsg::Partial { conn, session, epoch, from, partial } => {
@@ -578,6 +563,58 @@ impl<'a> Worker<'a> {
 }
 
 impl Duty<'_> {
+    /// Apply one arrival of a run to the session's range wait, exactly as
+    /// if it had its own frame: ingest, sign the evidence of a provable
+    /// fault (the arrival's per-node record, re-signed under the
+    /// connection key), ship a poison notice, then settle. Returns
+    /// whether the session is judged.
+    #[allow(clippy::too_many_arguments)]
+    fn arrive(
+        &self,
+        key: (u32, u64),
+        ws: &mut MrSession,
+        round: u32,
+        from: u32,
+        payload: Message,
+        out: &mut impl Out,
+        metrics: &WireMetrics,
+    ) -> bool {
+        let (wait, _) = ws.wait.as_mut().expect("the caller checked the range");
+        let Ok(ingested) = wait.ingest(from, round, &payload) else {
+            // Router/worker range disagreement — a bug, not wire data;
+            // surfaced in metrics.
+            metrics.decode_rejects(1);
+            return false;
+        };
+        if let Some(fault) = ingested.fault {
+            let (conn, session) = (key.0, SessionId(key.1));
+            let params = SessionParams { session: key.1, n: ws.n as u32, round_cap: ws.cap };
+            let arrival = Envelope { session, round, from, to: 0, payload };
+            if let Some(bundle) = build_evidence(
+                &self.base,
+                conn,
+                params,
+                &arrival,
+                fault,
+                self.endpoint,
+                metrics,
+            ) {
+                out.outbound(|| MrOutbound::Evidence {
+                    conn,
+                    session,
+                    from: bundle.accused.unwrap_or(0),
+                    payload: bundle.encode(),
+                });
+            }
+        }
+        if let Some(notice) = ingested.notice {
+            // Fail fast instead of wedging a sibling range's wait.
+            metrics.trace(key.1, self.endpoint, TraceKind::Poison, u64::from(from));
+            self.ship(key, ws, notice, false, out, metrics);
+        }
+        self.settle(key, ws, out, metrics)
+    }
+
     /// Hand one partial — a ready range partial or a poison notice — to
     /// the collector: absorbed in place when this worker runs it, else
     /// through `out`.
@@ -821,10 +858,28 @@ impl Router<'_> {
                     true
                 }
                 Some(route) => {
-                    let target = route_arrival(route.n, route.lanes, env.from);
-                    let from = u64::from(env.from);
-                    metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Uplink, from);
-                    self.inboxes[target].stage(MrMsg::Data { conn: id, env });
+                    // A client's run addresses the referee; a malformed
+                    // one is a bad payload.
+                    let entries = match decode_run(&env, RunDirection::Uplink) {
+                        Ok(entries) if env.to == 0 => entries,
+                        _ => return false,
+                    };
+                    let count = entries.len() as u64;
+                    metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Uplink, count);
+                    let (conn, session, round) = (id, key.1, env.round);
+                    if route.lanes == 1 {
+                        self.inboxes[0].stage(MrMsg::Data { conn, session, round, entries });
+                        return true;
+                    }
+                    let mut split = vec![Vec::new(); route.lanes];
+                    for entry in entries {
+                        split[route_arrival(route.n, route.lanes, entry.0)].push(entry);
+                    }
+                    for (inbox, entries) in self.inboxes.iter_mut().zip(split) {
+                        if !entries.is_empty() {
+                            inbox.stage(MrMsg::Data { conn, session, round, entries });
+                        }
+                    }
                     true
                 }
                 None => false,
@@ -866,12 +921,11 @@ impl Role for Router<'_> {
         while let Ok(out) = self.out_rx.try_recv() {
             progress = true;
             match out {
-                MrOutbound::Downlinks { conn, session, round, msgs } => {
-                    let count = msgs.len() as u64;
-                    let frames = msgs.into_iter().enumerate().map(|(i, payload)| {
-                        // From the referee to node i + 1.
-                        Envelope { session, round, from: 0, to: i as u32 + 1, payload }
-                    });
+                MrOutbound::Downlinks { conn, session, round, runs } => {
+                    let count = runs.len() as u64;
+                    let frames = runs
+                        .into_iter()
+                        .map(|run| run.envelope(session, round, RunDirection::Downlink));
                     if queue_out(conns, &mut touched, conn, FrameKind::Data, frames, metrics) {
                         metrics.downlink_frames(count);
                     }
@@ -1012,7 +1066,12 @@ fn try_advance(
             }
             RefereeStep::Continue(msgs) => {
                 let (conn, session) = (key.0, SessionId(key.1));
-                out.outbound(|| MrOutbound::Downlinks { conn, session, round, msgs });
+                out.outbound(|| {
+                    // Node i + 1's downlink is msgs[i].
+                    let runs =
+                        encode_runs(msgs.iter().enumerate().map(|(i, m)| (i as u32 + 1, m)));
+                    MrOutbound::Downlinks { conn, session, round, runs }
+                });
                 referee.merge.advance();
                 referee.round_opened = Instant::now();
             }

@@ -19,7 +19,7 @@
 //! * [`ShardHost`] runs the engine's range worker behind a socket: it
 //!   accepts coordinator connections, each registered as one shard of a
 //!   placement by a MAC'd [`Register`](FrameKind::Register) handshake,
-//!   and hands every later frame — announce, routed uplink, finish,
+//!   and hands every later frame — announce, routed uplink run, finish,
 //!   retire — to that link's range worker, the state machine an
 //!   in-process shard worker runs. The worker's partials and poison
 //!   notices leave as [`Partial`](FrameKind::Partial) frames over the
@@ -86,7 +86,10 @@
 
 use crate::auth::AuthKey;
 use crate::fleet::{resolve_bind, DEFAULT_BIND};
-use crate::frame::{encode_wire_frame, FrameKind, HEADER_BYTES, MAX_BODY_BYTES, TAG_BYTES};
+use crate::frame::{
+    decode_run, encode_runs, encode_wire_frame, FrameKind, RunDirection, HEADER_BYTES,
+    MAX_BODY_BYTES, TAG_BYTES,
+};
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
 use crate::multiround::{Inbox, Lane, MrMsg, Out, Worker};
 use crate::poll::{default_backend, Poller};
@@ -427,8 +430,7 @@ fn host_frame(
     let endpoint = trace_endpoint::shard_host(index as u32);
     let session = env.session.0;
     // The proxy carries the client connection in `from` (in `to` on
-    // uplinks, whose `from` is the sender); client uplinks address the
-    // referee (0), the only address an evidence record accepts.
+    // uplink runs, whose `from` is the entry count).
     let msg = match kind {
         FrameKind::Announce => {
             let Ok((n, resume, cap)) = decode_resume(&env.payload) else { return false };
@@ -437,8 +439,9 @@ fn host_frame(
             MrMsg::Announce { conn, session, n, epoch, service: 0, cap, resume }
         }
         FrameKind::Data => {
-            metrics.trace(session, endpoint, TraceKind::Uplink, u64::from(env.from));
-            MrMsg::Data { conn: env.to, env: Envelope { to: 0, ..env } }
+            let Ok(entries) = decode_run(&env, RunDirection::Uplink) else { return false };
+            metrics.trace(session, endpoint, TraceKind::Uplink, entries.len() as u64);
+            MrMsg::Data { conn: env.to, session, round: env.round, entries }
         }
         FrameKind::Finish => MrMsg::Finish { conn: env.from, session },
         FrameKind::Retire => MrMsg::Retire { conn: env.from },
@@ -653,13 +656,22 @@ fn dial(
         }
         let resume = encode_resume(ps.journal.n(), ps.journal.resume_round(), ps.cap);
         conn.queue_frame(FrameKind::Announce, &control(*session, ps.epoch, *cconn, resume));
-        for (round, from, payload) in ps.journal.replay() {
-            if redial {
-                proxy.metrics.replayed_frames(1);
-                proxy.trace(*session, TraceKind::Replay, u64::from(from));
+        // The journal keeps (round, node) entries; each round replays
+        // as runs, in routing order.
+        let mut replay = ps.journal.replay().peekable();
+        while let Some(&(round, _, _)) = replay.peek() {
+            let entries: Vec<(u32, &Message)> =
+                std::iter::from_fn(|| replay.next_if(|&(r, _, _)| r == round))
+                    .map(|(_, from, payload)| (from, payload))
+                    .collect();
+            for run in encode_runs(entries) {
+                if redial {
+                    proxy.metrics.replayed_frames(1);
+                    proxy.trace(*session, TraceKind::Replay, u64::from(run.count));
+                }
+                let run = run.envelope(SessionId(*session), round, RunDirection::Uplink);
+                conn.queue_frame(FrameKind::Data, &Envelope { to: *cconn, ..run });
             }
-            let (session, to, payload) = (SessionId(*session), *cconn, payload.clone());
-            conn.queue_frame(FrameKind::Data, &Envelope { session, round, from, to, payload });
         }
     }
     conn.flush();
@@ -682,33 +694,44 @@ fn proxy_event(
             proxy.collector.hand(msg, proxy.metrics);
             (FrameKind::Announce, announce)
         }
-        MrMsg::Data { conn, env } => {
-            let Some(ps) = sessions.get_mut(&(conn, env.session.0)) else {
+        MrMsg::Data { conn, session, round, entries } => {
+            let Some(ps) = sessions.get_mut(&(conn, session)) else {
                 proxy.metrics.orphan_frames(1); // judged or retired in flight
                 return;
             };
             // A round stamp outside 1..=cap poisons the round being
             // collected (the last one, once all have merged); a round
             // whose partial already merged is poisoned by any arrival.
-            // Either way synthesize the notice *here*: the shard host
-            // may not even hold the session any more (e.g. it restarted
-            // and committed rounds are not replayed), and the fail-fast
-            // verdict must not depend on host liveness.
+            // Either way synthesize the notices *here*, one per arrival
+            // as the host would: the shard host may not even hold the
+            // session any more (e.g. it restarted and committed rounds
+            // are not replayed), and the fail-fast verdict must not
+            // depend on host liveness.
             let resume = ps.journal.resume_round();
-            if env.round == 0 || env.round > ps.cap || env.round < resume {
-                let (session, from) = (env.session.0, env.from);
-                proxy.trace(session, TraceKind::Poison, u64::from(from));
-                let round = fault_round(env.round, resume, ps.cap);
-                let notice = Ok(RoundPartialState::poison_notice(ps.journal.n(), round, from));
-                let (epoch, from) = (ps.epoch, proxy.index as u32);
-                let notice = MrMsg::Partial { conn, session, epoch, from, partial: notice };
-                return proxy.collector.hand(notice, proxy.metrics);
-            }
-            if ps.journal.record(env.round, env.from, env.payload.clone()) != Recorded::Forward
-            {
+            if round == 0 || round > ps.cap || round < resume {
+                let (n, poisoned) = (ps.journal.n(), fault_round(round, resume, ps.cap));
+                let (epoch, index) = (ps.epoch, proxy.index as u32);
+                for (from, _) in entries {
+                    proxy.trace(session, TraceKind::Poison, u64::from(from));
+                    let partial = Ok(RoundPartialState::poison_notice(n, poisoned, from));
+                    let notice = MrMsg::Partial { conn, session, epoch, from: index, partial };
+                    proxy.collector.hand(notice, proxy.metrics);
+                }
                 return;
             }
-            (FrameKind::Data, Envelope { to: conn, ..env })
+            let forward: Vec<(u32, Message)> = entries
+                .into_iter()
+                .filter(|(from, payload)| {
+                    ps.journal.record(round, *from, payload.clone()) == Recorded::Forward
+                })
+                .collect();
+            if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
+                for run in encode_runs(forward.iter().map(|(from, m)| (*from, m))) {
+                    let run = run.envelope(SessionId(session), round, RunDirection::Uplink);
+                    c.queue_frame(FrameKind::Data, &Envelope { to: conn, ..run });
+                }
+            }
+            return;
         }
         MrMsg::Finish { conn, session } => {
             sessions.remove(&(conn, session));

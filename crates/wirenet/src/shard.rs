@@ -97,11 +97,14 @@ pub(crate) fn decode_digest_verdict(msg: &Message) -> Result<u64, DecodeError> {
     Ok(digest)
 }
 
-/// Re-sign one client payload as a transcript record. The evidence
-/// record body layout is byte-for-byte the wire frame's MAC-covered
-/// body, and the record key path `[conn]` folds to the connection key
-/// both ends already derived — so a record cut from a decoded arrival
-/// carries exactly the tag the client's frame did (pinned by tests).
+/// Re-sign one arrival as a transcript record: the referee's per-node
+/// projection of the authenticated run that carried it. The record body
+/// is the per-node frame layout (`[ver][kind][session][round][from][to]
+/// [len_bits][payload]`, `to` = the referee), and the record key path
+/// `[conn]` folds to the connection key the run was MAC'd under, so the
+/// record is signed under exactly the key that authenticated the run
+/// (pinned by tests). Under the honest-referee model of
+/// `referee_protocol::evidence` this proves what a per-node frame did.
 fn evidence_record_for(
     base: &AuthKey,
     conn: u32,
@@ -120,17 +123,18 @@ fn evidence_record_for(
     EvidenceRecord::sign(base.mac_key(), vec![u64::from(conn)], body)
 }
 
-/// Sign `fault` — a violation the arrival `env` on `conn` exhibits at
-/// a range wait — into one self-verified evidence bundle, accusing
+/// Sign `fault` — a violation the arrival `env` (one entry of a run, to
+/// the referee) on `conn` exhibits at a range wait — into one
+/// self-verified evidence bundle, accusing
 /// `conn` when the error is attributable. The records are the arrival
 /// itself, twice for a bit-identical repeat (a
 /// [`DuplicateSender`](ProvableError::DuplicateSender): provable, but an
 /// at-least-once network does that too, so it accuses nobody), and
 /// after the recorded original for an
 /// [`Equivocation`](ProvableError::Equivocation). `None` means the
-/// offending frame's fields fall outside the self-contained shape rules
-/// (say, a data frame addressed off the referee) and prove nothing to a
-/// third party — the accountability layer never ships a bundle
+/// arrival's fields fall outside the self-contained shape rules and
+/// prove nothing to a third party — the accountability layer never
+/// ships a bundle
 /// `verify_bundle` would bounce. Also logs the bundle on `metrics` and
 /// traces the emission.
 pub(crate) fn build_evidence(

@@ -266,11 +266,12 @@ fn oversize_network_announce_fails_closed_with_typed_verdict() {
 }
 
 /// The client's wire bytes, pinned: `verify_session` writes a round-0
-/// `Announce` carrying exactly the bare 32-bit `n`, then one round-1
-/// `Data` frame per arrival in the order given — non-ID order and a
-/// duplicate sender included — each MAC'd under the connection's
-/// derived key. A raw listener plays the server's Hello and captures
-/// what the client writes.
+/// `Announce` carrying exactly the bare 32-bit `n`, then the arrivals
+/// as round-1 uplink runs in the order given — a run ends at every id
+/// that does not increase, so non-ID order and a duplicate sender go
+/// out as given — each MAC'd under the connection's derived key. A raw
+/// listener plays the server's Hello and captures what the client
+/// writes.
 #[test]
 fn verify_session_writes_the_bare_announce_and_arrivals_verbatim() {
     const CONN_ID: u32 = 5;
@@ -286,8 +287,21 @@ fn verify_session_writes_the_bare_announce_and_arrivals_verbatim() {
     let key = base.derive(u64::from(CONN_ID));
     let announce = Envelope { session, round: 0, from: 0, to: 0, payload: bare_announce(3) };
     let mut expected = encode_wire_frame(&key, FrameKind::Announce, &announce);
-    for (from, payload) in arrivals.clone() {
-        let env = Envelope { session, round: 1, from, to: 0, payload };
+    // Two runs, [3] and [1, 3], written out by hand: gamma(id + 1),
+    // gamma(len + 1), the 8 message bits.
+    let mut first = BitWriter::new();
+    first.write_gamma(4);
+    first.write_gamma(9);
+    first.write_bits(30, 8);
+    let mut second = BitWriter::new();
+    for (id, v) in [(1, 10), (3, 31)] {
+        second.write_gamma(id + 1);
+        second.write_gamma(9);
+        second.write_bits(v, 8);
+    }
+    for (count, run) in [(1, first), (2, second)] {
+        let payload = Message::from_writer(run);
+        let env = Envelope { session, round: 1, from: count, to: 0, payload };
         expected.extend_from_slice(&encode_wire_frame(&key, FrameKind::Data, &env));
     }
 

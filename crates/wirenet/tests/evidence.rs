@@ -3,11 +3,11 @@
 //! against nothing but the base key and the public session parameters —
 //! and honest traffic never produces an accusation.
 //!
-//! The load-bearing identity pinned here: an evidence record's MAC'd
-//! body is the wire frame's MAC-covered body **byte for byte**, signed
-//! under the same per-connection derived key — so the tag inside a
-//! bundle is literally the tag the client's own frame carried, and
-//! "the referee made it up" is not a defense.
+//! The identity pinned here: uplinks travel as MAC'd runs, and an
+//! evidence record is the referee's per-node projection of one — the
+//! offending entry's per-node body, signed under exactly the
+//! per-connection derived key that authenticated the run. Under the
+//! honest-referee model that proves what a per-node frame would.
 
 use referee_protocol::easy::EdgeCountProtocol;
 use referee_protocol::evidence::{
@@ -18,8 +18,9 @@ use referee_protocol::referee::local_phase;
 use referee_protocol::{BitWriter, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::{
-    boruvka_connectivity_service, decode_frame, encode_frame, encode_wire_frame, link_key,
-    link_key_path, AuthKey, FleetClient, FleetServer, FrameKind, TAG_BYTES, WIRE_VERSION,
+    boruvka_connectivity_service, decode_frame, decode_run, encode_runs, encode_wire_frame,
+    link_key, link_key_path, AuthKey, FleetClient, FleetServer, FrameKind, RunDirection,
+    WIRE_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -43,6 +44,15 @@ fn read_raw_frame(
         assert!(k > 0, "server closed the connection");
         buf.extend_from_slice(&chunk[..k]);
     }
+}
+
+/// One round-`round` uplink run of `session` carrying `entries`, as a
+/// frame MAC'd under `key`.
+fn uplink_run(key: &AuthKey, session: u64, round: u32, entries: &[(u32, Message)]) -> Vec<u8> {
+    let runs = encode_runs(entries.iter().map(|(from, m)| (*from, m)));
+    assert_eq!(runs.len(), 1, "one run");
+    let env = runs[0].clone().envelope(SessionId(session), round, RunDirection::Uplink);
+    encode_wire_frame(key, FrameKind::Data, &env)
 }
 
 /// Complete the per-connection handshake on a raw socket: returns the
@@ -144,13 +154,13 @@ fn sharded_service_ships_verifiable_evidence() {
 }
 
 /// The identity at the heart of attributability, pinned bit-for-bit on
-/// a real socket: the MAC-covered body of the uplink frame a client
-/// sends IS the evidence record's body, and the record's tag (signed
-/// via the derived-key path `[conn]`) IS the frame's trailing tag. A
-/// wrong-round uplink then comes back as a bundle carrying exactly that
-/// record.
+/// a real socket: the record for an offending entry of a client's run
+/// is that entry's per-node body, and its tag (signed via the
+/// derived-key path `[conn]`) is a tag under the very key that
+/// authenticated the run. A wrong-round uplink inside a run then comes
+/// back as a bundle carrying exactly that record.
 #[test]
-fn evidence_record_is_the_wire_frame_bit_for_bit() {
+fn evidence_record_is_the_per_node_projection_of_the_run() {
     let base = AuthKey::from_seed(91);
     let server = FleetServer::spawn_sharded(base, 2).unwrap();
     let (mut stream, conn, key, mut buf) = raw_connect(&server, &base);
@@ -167,25 +177,21 @@ fn evidence_record_is_the_wire_frame_bit_for_bit() {
     };
     stream.write_all(&encode_wire_frame(&key, FrameKind::Announce, &announce)).unwrap();
 
-    // An uplink stamped round 3 — impossible in a one-round service.
+    // An uplink run stamped round 3 — impossible in a one-round service.
     let mut w = BitWriter::new();
     w.write_bits(5, 6);
-    let env = Envelope {
-        session: SessionId(7),
-        round: 3,
-        from: 2,
-        to: 0,
-        payload: Message::from_writer(w),
-    };
-    let frame = encode_frame(&key, &env);
+    let payload = Message::from_writer(w);
+    let frame = uplink_run(&key, 7, 3, &[(2, payload.clone())]);
+    // The run authenticates under the connection key and carries the
+    // entry.
+    let run = decode_frame(&key, &frame).unwrap().expect("one whole frame").envelope;
+    assert_eq!(decode_run(&run, RunDirection::Uplink), Ok(vec![(2, payload.clone())]));
 
-    // Frame body ≡ record body, byte for byte.
-    let body =
-        encode_record_body(WIRE_VERSION, FrameKind::Data as u8, 7, 3, 2, 0, &env.payload);
-    assert_eq!(&frame[4..frame.len() - TAG_BYTES], &body[..], "frame body != record body");
-    // Frame tag ≡ record tag under the derived-key path [conn].
-    let rec = EvidenceRecord::sign(base.mac_key(), vec![u64::from(conn)], body);
-    assert_eq!(frame[frame.len() - TAG_BYTES..], rec.tag.to_be_bytes(), "tags disagree");
+    // The record is the entry's per-node body, signed under the key
+    // path [conn], which folds to that same connection key.
+    let body = encode_record_body(WIRE_VERSION, FrameKind::Data as u8, 7, 3, 2, 0, &payload);
+    let rec = EvidenceRecord::sign(base.mac_key(), vec![u64::from(conn)], body.clone());
+    assert_eq!(rec.tag, key.tag(&body), "the record key is not the connection key");
     assert!(rec.verify(base.mac_key()));
 
     stream.write_all(&frame).unwrap();
@@ -199,7 +205,7 @@ fn evidence_record_is_the_wire_frame_bit_for_bit() {
     assert_eq!(bundle.error, ProvableError::WrongRound);
     assert_eq!(bundle.accused, Some(conn));
     assert_eq!(bundle.records.len(), 1);
-    assert_eq!(bundle.records[0], rec, "the bundle carries the client's own frame");
+    assert_eq!(bundle.records[0], rec, "the bundle carries the entry's per-node record");
 
     let params = SessionParams { session: 7, n: 4, round_cap: 1 };
     let att = verify_bundle(base.mac_key(), &params, &bundle).expect("standalone verification");
@@ -330,9 +336,7 @@ fn multiround_service_emits_out_of_range_evidence() {
     stream.write_all(&encode_wire_frame(&key, FrameKind::Announce, &announce)).unwrap();
 
     // Sender 9 of a 4-node session: provably out of range on its own.
-    let env =
-        Envelope { session: SessionId(5), round: 1, from: 9, to: 0, payload: Message::empty() };
-    stream.write_all(&encode_frame(&key, &env)).unwrap();
+    stream.write_all(&uplink_run(&key, 5, 1, &[(9, Message::empty())])).unwrap();
 
     let bundle = loop {
         let (kind, env) = read_raw_frame(&mut stream, &key, &mut buf);
@@ -372,9 +376,7 @@ fn multiround_service_rejects_round_zero_uplink_fast() {
     };
     stream.write_all(&encode_wire_frame(&key, FrameKind::Announce, &announce)).unwrap();
     let opened = Instant::now();
-    let env =
-        Envelope { session: SessionId(6), round: 0, from: 2, to: 0, payload: Message::empty() };
-    stream.write_all(&encode_frame(&key, &env)).unwrap();
+    stream.write_all(&uplink_run(&key, 6, 0, &[(2, Message::empty())])).unwrap();
 
     let mut bundles = Vec::new();
     let verdict = loop {

@@ -18,9 +18,10 @@ use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, Scheduler, SessionId};
 use referee_wirenet::placement::{link_key, register_frame, shard_key};
 use referee_wirenet::{
-    boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame,
-    trace_endpoint, AuthKey, FleetClient, FleetServer, FrameKind, RefereeStepper, ShardHost,
-    TamperConfig, WireError, WireReferee, WireTimeouts,
+    boruvka_connectivity_service, decode_bool_output, decode_frame, encode_runs,
+    encode_wire_frame, trace_endpoint, AuthKey, FleetClient, FleetServer, FrameKind,
+    RefereeStepper, RunDirection, ShardHost, TamperConfig, WireError, WireReferee,
+    WireTimeouts,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -391,6 +392,21 @@ fn bits(v: u64, w: u32) -> Message {
     Message::from_writer(wr)
 }
 
+/// `entries` (ids increasing) as one round-`round` uplink run of
+/// `session` addressed to `to`, MAC'd under `key`.
+fn run_frame(
+    key: &AuthKey,
+    session: u64,
+    round: u32,
+    to: u32,
+    entries: &[(u32, Message)],
+) -> Vec<u8> {
+    let mut runs = encode_runs(entries.iter().map(|(from, m)| (*from, m)));
+    assert_eq!(runs.len(), 1, "one run");
+    let run = runs.remove(0).envelope(SessionId(session), round, RunDirection::Uplink);
+    encode_wire_frame(key, FrameKind::Data, &Envelope { to, ..run })
+}
+
 /// A frame MAC'd with shard A's key, replayed to a link registered as
 /// shard B, is MAC-rejected and poisons the link — per-shard keys keep
 /// siblings cryptographically apart even inside one fleet. The control
@@ -414,9 +430,9 @@ fn frame_under_sibling_shard_key_is_rejected() {
         payload: encode_resume(1, 1, 1),
     };
     a.send(&encode_wire_frame(&key_a, FrameKind::Announce, &announce));
-    let data =
-        Envelope { session: SessionId(7), round: 1, from: 1, to: 1, payload: bits(0b1011, 4) };
-    a.send(&encode_wire_frame(&key_a, FrameKind::Data, &data));
+    // Node 1's uplink run for client connection 1.
+    let data = run_frame(&key_a, 7, 1, 1, &[(1, bits(0b1011, 4))]);
+    a.send(&data);
     let (kind, env) = a
         .read_frame(&key_a, Duration::from_secs(5))
         .expect("link healthy")
@@ -428,7 +444,7 @@ fn frame_under_sibling_shard_key_is_rejected() {
     // shard 0's key.
     let mut b = RawLink::connect(host.addr());
     b.send(&register_frame(&base, 1, shards, 1));
-    b.send(&encode_wire_frame(&key_a, FrameKind::Data, &data));
+    b.send(&data);
     // The host must reject the MAC and hang up on the link.
     let outcome = b.read_frame(&link_key(&base, 1, 1), Duration::from_secs(5));
     assert_eq!(outcome, Err(true), "the tampering link must be closed");
@@ -496,8 +512,9 @@ const SHIPPED_N: usize = 8 * MIN_RANGE_NODES;
 
 /// Drive one raw-socket session of [`SHIPPED_N`] nodes against an
 /// 8-shard Borůvka server: range 0 (nodes `1..=MIN_RANGE_NODES`) sends
-/// its round-1 uplinks, node 1 first, then `repeat` for node 1's slot,
-/// then every other node but the last, which never speaks. The repeat
+/// its round-1 uplinks as one run, then `repeat` for node 1's slot as a
+/// run of its own, then a run of every other node but the last, which
+/// never speaks. The repeat
 /// lands after range 0 shipped its round-1 partial (the server's trace
 /// shows that emit ahead of the evidence). Returns the connection id,
 /// the time to the verdict, its reject bit, and the evidence bundles
@@ -525,22 +542,12 @@ fn repeat_behind_shipped_range(
     let announce = Envelope { session, round: 0, from: 0, to: 0, payload: bits(n as u64, 32) };
     let opened = Instant::now();
     link.send(&encode_wire_frame(&key, FrameKind::Announce, &announce));
-    let uplink = |from: u32, payload: Message| {
-        encode_wire_frame(
-            &key,
-            FrameKind::Data,
-            &Envelope { session, round: 1, from, to: 0, payload },
-        )
-    };
-    let filler = |from: u32| uplink(from, bits(u64::from(from % 8), 3));
-    link.send(&uplink(1, bits(0b101, 3)));
-    for from in 2..=MIN_RANGE_NODES as u32 {
-        link.send(&filler(from));
-    }
-    link.send(&uplink(1, repeat));
-    for from in MIN_RANGE_NODES as u32 + 1..n as u32 {
-        link.send(&filler(from));
-    }
+    let run = |entries: Vec<(u32, Message)>| run_frame(&key, session.0, 1, 0, &entries);
+    let filler = |from: u32| (from, bits(u64::from(from % 8), 3));
+    let range0 = std::iter::once((1, bits(0b101, 3)));
+    link.send(&run(range0.chain((2..=MIN_RANGE_NODES as u32).map(filler)).collect()));
+    link.send(&run(vec![(1, repeat)]));
+    link.send(&run((MIN_RANGE_NODES as u32 + 1..n as u32).map(filler).collect()));
 
     let mut bundles = Vec::new();
     let rejected = loop {

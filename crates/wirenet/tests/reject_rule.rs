@@ -4,15 +4,21 @@
 //! exactly one `mac_rejects` and one `MacReject` trace event at that
 //! endpoint's id, and closes the connection; an authenticated frame of a
 //! kind the endpoint does not accept is counted received, rejected once,
-//! and closes the connection too.
+//! and closes the connection too. So is an authenticated `Data` frame
+//! whose run is malformed — at the router, a shard host and a client —
+//! and the run decoder answers arbitrary authenticated bytes with a
+//! typed error or a run its encoder reproduces, never a panic, with
+//! allocation bounded by the payload.
 
+use proptest::prelude::*;
+use referee_protocol::shard::replay::encode_resume;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
-use referee_protocol::Message;
+use referee_protocol::{BitWriter, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::placement::{link_key, register_frame};
 use referee_wirenet::{
-    decode_frame, encode_wire_frame, trace_endpoint, AuthKey, FleetClient, FleetServer,
-    FrameKind, ShardHost, WireTimeouts,
+    decode_frame, decode_run, encode_runs, encode_wire_frame, trace_endpoint, AuthKey,
+    FleetClient, FleetServer, FrameKind, RunDirection, ShardHost, WireTimeouts, RUN_BYTES,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -227,4 +233,195 @@ fn router_counts_then_rejects_an_authenticated_wrong_kind_frame() {
     assert_eq!(stats.frames_received, 1);
     assert_eq!(stats.decode_rejects, 1);
     assert_eq!(stats.mac_rejects, 0);
+}
+
+/// Entries encoded the way a run lays them out, with none of the
+/// encoder's checks: ids in the order given, any count.
+fn raw_entries(entries: &[(u32, Message)]) -> Message {
+    let mut w = BitWriter::new();
+    for (id, m) in entries {
+        w.write_gamma(u64::from(*id) + 1);
+        w.write_gamma(m.len_bits() as u64 + 1);
+        m.append_to(&mut w);
+    }
+    Message::from_writer(w)
+}
+
+fn bits(v: u64, width: u32) -> Message {
+    let mut w = BitWriter::new();
+    w.write_bits(v, width);
+    Message::from_writer(w)
+}
+
+/// Hand-made malformed runs, each as `(what, from, to, payload)` of a
+/// round-1 `Data` frame: every way a run can lie.
+fn malformed_runs() -> Vec<(&'static str, u32, u32, Message)> {
+    let m = bits(0b101, 3);
+    let big = Message::from_writer({
+        let mut w = BitWriter::new();
+        for _ in 0..RUN_BYTES / 2 + 8 {
+            w.write_bits(0xa5, 8);
+        }
+        w
+    });
+    let mut truncated = BitWriter::new();
+    truncated.write_gamma(2);
+    truncated.write_gamma(21); // 20 bits promised…
+    truncated.write_bits(0b10110, 5); // …5 delivered
+    vec![
+        ("empty", 1, 0, Message::empty()),
+        ("zero count", 0, 0, raw_entries(&[(1, m.clone())])),
+        ("downlink header", 0, 1, raw_entries(&[(1, m.clone())])),
+        ("reordered ids", 2, 0, raw_entries(&[(3, m.clone()), (2, m.clone())])),
+        ("repeated id", 2, 0, raw_entries(&[(2, m.clone()), (2, m.clone())])),
+        ("count too high", 3, 0, raw_entries(&[(1, m.clone()), (2, m.clone())])),
+        ("count too low", 1, 0, raw_entries(&[(1, m.clone()), (2, m.clone())])),
+        ("truncated entry", 1, 0, Message::from_writer(truncated)),
+        ("two entries past RUN_BYTES", 2, 0, raw_entries(&[(1, big.clone()), (2, big)])),
+    ]
+}
+
+/// The router: each malformed uplink run on a live session is counted
+/// received, rejected once, and closes its connection; no verdict
+/// follows. A run addressed off the referee is rejected the same way.
+#[test]
+fn router_rejects_every_malformed_run_once() {
+    let key = AuthKey::from_seed(97);
+    let server = FleetServer::spawn_sharded(key, 2).unwrap();
+    let mut cases = malformed_runs();
+    cases.push(("addressed off the referee", 1, 5, raw_entries(&[(1, bits(1, 1))])));
+    for (i, (what, from, to, payload)) in cases.iter().enumerate() {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut buf = Vec::new();
+        let (_, hello) = read_frame(&mut stream, &key, &mut buf);
+        let conn_key = key.derive(u64::from(hello.from));
+        let session = SessionId(i as u64);
+        let announce = Envelope { session, round: 0, from: 0, to: 0, payload: bits(8, 32) };
+        stream
+            .write_all(&encode_wire_frame(&conn_key, FrameKind::Announce, &announce))
+            .unwrap();
+        let run =
+            Envelope { session, round: 1, from: *from, to: *to, payload: payload.clone() };
+        stream.write_all(&encode_wire_frame(&conn_key, FrameKind::Data, &run)).unwrap();
+        wait_until(what, || server.metrics().decode_rejects > i as u64);
+        assert_closed(&mut stream);
+    }
+    let stats = server.stop();
+    assert_eq!(stats.decode_rejects, cases.len() as u64);
+    assert_eq!(stats.frames_received, 2 * cases.len() as u64, "announce + run, each counted");
+    assert_eq!((stats.mac_rejects, stats.verdict_frames), (0, 0));
+}
+
+/// A registered shard host rejects a malformed uplink run from its
+/// coordinator link under the same rule.
+#[test]
+fn shard_host_rejects_every_malformed_run_once() {
+    let key = AuthKey::from_seed(98);
+    let host = ShardHost::spawn(key).unwrap();
+    let cases = malformed_runs();
+    for (i, (what, from, _, payload)) in cases.iter().enumerate() {
+        let mut link = TcpStream::connect(host.addr()).unwrap();
+        link.write_all(&register_frame(&key, 0, 1, 1)).unwrap();
+        let link_key = link_key(&key, 0, 1);
+        // Client connection 7's session, at epoch 1.
+        let session = SessionId(i as u64);
+        let announce =
+            Envelope { session, round: 1, from: 7, to: 0, payload: encode_resume(8, 1, 1) };
+        link.write_all(&encode_wire_frame(&link_key, FrameKind::Announce, &announce)).unwrap();
+        let run = Envelope { session, round: 1, from: *from, to: 7, payload: payload.clone() };
+        link.write_all(&encode_wire_frame(&link_key, FrameKind::Data, &run)).unwrap();
+        wait_until(what, || host.metrics().decode_rejects > i as u64);
+        assert_closed(&mut link);
+    }
+    let stats = host.stop();
+    assert_eq!(stats.decode_rejects, cases.len() as u64);
+    assert_eq!(stats.mac_rejects, 0);
+}
+
+/// A client: a fake referee answers round 1 with a malformed downlink
+/// run. The client's drain rejects it and the session fails fast.
+#[test]
+fn client_rejects_a_malformed_downlink_run() {
+    let key = AuthKey::from_seed(99);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.write_all(&encode_wire_frame(&key, FrameKind::Hello, &env(0, 5))).unwrap();
+        let conn_key = key.derive(5);
+        // Two downlinks for node 2 in one run: repeated ids.
+        let m = bits(1, 1);
+        let payload = raw_entries(&[(2, m.clone()), (2, m)]);
+        let run = Envelope { session: SessionId(1), round: 1, from: 0, to: 2, payload };
+        stream.write_all(&encode_wire_frame(&conn_key, FrameKind::Data, &run)).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut sink = [0u8; 4096];
+        while matches!(stream.read(&mut sink), Ok(k) if k > 0) {}
+    });
+    let timeouts =
+        WireTimeouts { hello: Duration::from_secs(5), verdict: Duration::from_secs(5) };
+    let client = FleetClient::connect_with(addr, 1, key, timeouts).unwrap();
+    let t0 = Instant::now();
+    let g = referee_graph::generators::path(3);
+    client
+        .run_multiround_session(
+            SessionId(1),
+            &referee_protocol::multiround::BoruvkaConnectivity,
+            &g,
+            8,
+        )
+        .expect_err("a malformed downlink run fails the session");
+    assert!(t0.elapsed() < Duration::from_secs(4), "the reject must fail the session fast");
+    let stats = client.metrics();
+    assert_eq!((stats.decode_rejects, stats.mac_rejects), (1, 0));
+    drop(client);
+    fake.join().unwrap();
+}
+
+proptest! {
+    /// Authenticated garbage: any payload under any header decodes to a
+    /// typed error or to a run the encoder reproduces byte for byte —
+    /// never a panic — and a decoded run holds at most one entry per two
+    /// payload bits and no more message bits than the payload has.
+    #[test]
+    fn run_decoder_types_every_authenticated_payload(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        cut in 0usize..8,
+        from in 0u32..6,
+        to in 0u32..6,
+        wide in any::<u32>(),
+        widen in 0u8..3,
+        downlink in any::<bool>(),
+    ) {
+        // Small header fields, or one of them anywhere in u32.
+        let (from, to) = match widen {
+            1 => (wide, to),
+            2 => (from, wide),
+            _ => (from, to),
+        };
+        let len_bits = (bytes.len() * 8).saturating_sub(cut);
+        let mut bytes = bytes;
+        if len_bits % 8 != 0 {
+            // Canonical padding: the frame layer rejects anything else
+            // before a run is ever decoded.
+            let last = bytes.len() - 1;
+            bytes[last] &= !(0xffu8 >> (len_bits % 8));
+        }
+        let payload = Message::from_bits(bytes, len_bits).expect("canonical");
+        // Through the frame codec under a valid MAC first.
+        let key = AuthKey::from_seed(100);
+        let env = Envelope { session: SessionId(1), round: 1, from, to, payload };
+        let frame = encode_wire_frame(&key, FrameKind::Data, &env);
+        let env = decode_frame(&key, &frame).expect("authentic").expect("whole").envelope;
+        let dir = if downlink { RunDirection::Downlink } else { RunDirection::Uplink };
+        if let Ok(entries) = decode_run(&env, dir) {
+            prop_assert!(!entries.is_empty() && entries.len() <= len_bits / 2);
+            let carried: usize = entries.iter().map(|(_, m)| m.len_bits()).sum();
+            prop_assert!(carried <= len_bits);
+            let runs = encode_runs(entries.iter().map(|(id, m)| (*id, m)));
+            prop_assert_eq!(runs.len(), 1);
+            prop_assert_eq!(runs[0].count as usize, entries.len());
+            prop_assert_eq!(&runs[0].payload, &env.payload);
+        }
+    }
 }

@@ -22,9 +22,10 @@ use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::placement::{link_key, register_frame};
 use referee_wirenet::{
-    boruvka_connectivity_service, decode_bool_output, decode_frame, encode_wire_frame,
-    trace_endpoint, vector_digest, AuthKey, FleetClient, FleetServer, FrameKind, HostId,
-    PlacementPolicy, RemotePlacement, ShardHost, TamperConfig, WireTimeouts,
+    boruvka_connectivity_service, decode_bool_output, decode_frame, decode_run,
+    encode_wire_frame, trace_endpoint, vector_digest, AuthKey, FleetClient, FleetServer,
+    FrameKind, HostId, PlacementPolicy, RemotePlacement, RunDirection, ShardHost, TamperConfig,
+    WireTimeouts,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
@@ -378,7 +379,10 @@ fn fake_shard_host(key: AuthKey, plays: Vec<HostPlay>) -> (SocketAddr, JoinHandl
                         else {
                             continue; // a hostile session's uplinks
                         };
-                        shard.ingest(env.from, env.payload).expect("in range");
+                        let entries = decode_run(&env, RunDirection::Uplink).expect("a run");
+                        for (from, payload) in entries {
+                            shard.ingest(from, payload).expect("in range");
+                        }
                         if !shard.is_complete() {
                             continue;
                         }

@@ -48,7 +48,8 @@ use referee_one_round::protocol::shard::{
 use referee_one_round::protocol::{BitWriter, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::{
-    decode_frame, encode_frame, encode_wire_frame, AuthKey, FleetClient, FleetServer, FrameKind,
+    decode_frame, encode_runs, encode_wire_frame, AuthKey, FleetClient, FleetServer, FrameKind,
+    RunDirection,
 };
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -114,19 +115,23 @@ fn run_byzantine_conn(
             Envelope { session, round: 0, from: 0, to: 0, payload: msg(n as u64, 32) };
         stream.write_all(&encode_wire_frame(&key, FrameKind::Announce, &announce)).unwrap();
 
-        let uplink =
-            |from: u32, payload: Message| Envelope { session, round: 1, from, to: 0, payload };
+        // Each uplink goes out as a run of one.
+        let uplink = |from: u32, payload: Message| {
+            let run = encode_runs([(from, &payload)]).remove(0);
+            let env = run.envelope(session, 1, RunDirection::Uplink);
+            encode_wire_frame(&key, FrameKind::Data, &env)
+        };
         let sender = rng.gen_range(1..=n as u32);
         let (violation, sender) = match rng.gen_range(0u32..3) {
             0 => {
                 // Equivocation: the sender speaks twice, differently.
-                stream.write_all(&encode_frame(&key, &uplink(sender, msg(3, 5)))).unwrap();
-                stream.write_all(&encode_frame(&key, &uplink(sender, msg(9, 5)))).unwrap();
+                stream.write_all(&uplink(sender, msg(3, 5))).unwrap();
+                stream.write_all(&uplink(sender, msg(9, 5))).unwrap();
                 (ProvableError::Equivocation, sender)
             }
             1 => {
                 // Bit-identical duplicate: provable, but accuses nobody.
-                let frame = encode_frame(&key, &uplink(sender, msg(3, 5)));
+                let frame = uplink(sender, msg(3, 5));
                 stream.write_all(&frame).unwrap();
                 stream.write_all(&frame).unwrap();
                 (ProvableError::DuplicateSender, sender)
@@ -134,7 +139,7 @@ fn run_byzantine_conn(
             _ => {
                 // Out-of-range sender.
                 let stray = n as u32 + rng.gen_range(1u32..9);
-                stream.write_all(&encode_frame(&key, &uplink(stray, msg(3, 5)))).unwrap();
+                stream.write_all(&uplink(stray, msg(3, 5))).unwrap();
                 (ProvableError::OutOfRangeSender, 0)
             }
         };
