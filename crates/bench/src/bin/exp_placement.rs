@@ -12,8 +12,11 @@
 //! (n ≥ 8 · `MIN_RANGE_NODES`, split k ways) both run. The rows
 //! self-assert the exact partial counts — in process one per
 //! non-collector range per session, remote one forwarded per non-empty
-//! range per session — that every host partial decodes, and that a
-//! kill-free run replays nothing.
+//! range per session — that every host partial decodes, that a
+//! kill-free run replays nothing, and, on every remote row, both frame
+//! identities: once its traffic settles, the coordinator wrote exactly
+//! the frames its client and hosts read, and read exactly the frames
+//! they wrote.
 //!
 //! Run: `cargo run --release -p referee-bench --bin exp_placement`
 
@@ -30,7 +33,7 @@ use referee_wirenet::{
     vector_digest, AuthKey, FleetClient, FleetServer, PlacementPolicy, RemotePlacement,
     ShardHost, Stage, WireSnapshot,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn fleet(count: usize, min_n: usize, span: usize, seed: u64) -> Vec<LabelledGraph> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -41,6 +44,46 @@ fn fleet(count: usize, min_n: usize, span: usize, seed: u64) -> Vec<LabelledGrap
 /// Ranges a `k`-shard deployment splits each session of `graphs` over.
 fn ranges(graphs: &[LabelledGraph], k: usize) -> impl Iterator<Item = usize> + '_ {
     graphs.iter().map(move |g| nonempty_shards(g.n(), effective_shards(g.n(), k)))
+}
+
+/// Wait (up to 10 s) for the coordinator's frame counts to settle on
+/// what its client `c` and its `hosts` counted from the other end:
+/// `frames_sent == client received + Σ host received` and
+/// `frames_received == client sent + Σ host sent`. The client's
+/// disconnect still sends each host a `Retire`, and each host answers
+/// with a trace segment, so the identities hold only once that settles.
+fn assert_frame_identities(
+    label: &str,
+    c: &WireSnapshot,
+    server: &FleetServer,
+    hosts: &[ShardHost],
+) {
+    let counts = || {
+        let s = server.metrics();
+        let host_received: u64 = hosts.iter().map(|h| h.metrics().frames_received).sum();
+        let host_sent: u64 = hosts.iter().map(|h| h.metrics().frames_sent).sum();
+        (
+            (s.frames_sent, c.frames_received + host_received),
+            (s.frames_received, c.frames_sent + host_sent),
+        )
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (sent, received) = counts();
+        if sent.0 == sent.1 && received.0 == received.1 {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{label}: coordinator frames sent {} vs read by client + hosts {}; \
+             read {} vs written by client + hosts {}",
+            sent.0,
+            sent.1,
+            received.0,
+            received.1
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// Run `graphs` as one-round sessions through in-process and remote
@@ -115,6 +158,7 @@ fn sweep(graphs: &[LabelledGraph], suffix: &str, records: &mut Vec<BenchRecord>)
             FleetServer::builder(key).placement(placement).spawn().expect("bind coordinator");
         let (wall, digests, c) = run(&server);
         assert_eq!(digests, truth, "remote digests must pin the sent vectors");
+        assert_frame_identities(&format!("k={shards}"), &c, &server, &hosts);
         let s = server.stop();
         assert_eq!(s.mac_rejects, 0);
         assert_eq!(s.decode_rejects, 0, "every host partial must decode");

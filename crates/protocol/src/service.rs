@@ -413,13 +413,6 @@ impl ServiceCatalog {
     pub fn entries(&self) -> &[CatalogEntry] {
         &self.entries
     }
-
-    /// The largest round cap any registered service imposes at size `n`
-    /// — the conservative bound shard hosts use when they don't know
-    /// which service a session belongs to.
-    pub fn max_round_cap(&self, n: usize) -> usize {
-        self.entries.iter().map(|e| e.round_cap(n)).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -477,7 +470,6 @@ mod tests {
         assert_eq!(catalog.index_of("nope"), None);
         assert!(catalog.get("boruvka").unwrap().run_local.is_some());
         assert!(catalog.get("raw").unwrap().run_local.is_none());
-        assert_eq!(catalog.max_round_cap(64), 4 * 7 + 8);
     }
 
     #[test]

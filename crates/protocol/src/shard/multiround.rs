@@ -224,15 +224,19 @@ pub fn fault_round(stamp: u32, collecting: u32, cap: u32) -> u32 {
 }
 
 /// A provable violation one arrival at a [`RangeWait`] exhibits: the
-/// class, plus — for an [`Equivocation`](ProvableError::Equivocation) —
-/// the recorded original the arrival conflicts with. An accountability
-/// layer signs the arrival (and the original) into evidence records.
+/// class, the arrival's payload (handed back: the wait took it by
+/// value), plus — for an [`Equivocation`](ProvableError::Equivocation)
+/// — the recorded original the arrival conflicts with. An
+/// accountability layer signs the arrival (and the original) into
+/// evidence records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
     /// The violation's class.
     pub error: ProvableError,
     /// The recorded original of an equivocation pair.
     pub original: Option<Message>,
+    /// The offending arrival's payload.
+    pub arrival: Message,
 }
 
 /// What one arrival did at a [`RangeWait`] besides filling its range.
@@ -276,11 +280,13 @@ impl RangeWait {
         self.cap
     }
 
-    /// Absorb one routed uplink from `from` stamped `round`. A fresh
-    /// arrival fills its round; anything else poisons the round
+    /// Absorb one routed uplink from `from` stamped `round`, taking its
+    /// payload by value. A fresh arrival fills its round (the payload
+    /// moves in); anything else poisons the round
     /// [`fault_round`] names — in place when that is the collecting
     /// round, else through the returned notice. The [`Fault`] is
-    /// provable for an out-of-range sender, a stamp outside `1..=cap`,
+    /// provable, and hands the payload back, for an out-of-range
+    /// sender, a stamp outside `1..=cap`,
     /// and a repeat within the collecting round or behind the last
     /// shipped partial (a duplicate if bit-identical, else an
     /// equivocation); an arrival behind an older round, or racing ahead,
@@ -295,20 +301,13 @@ impl RangeWait {
         &mut self,
         from: VertexId,
         round: u32,
-        payload: &Message,
+        payload: Message,
     ) -> Result<Ingested, DecodeError> {
         let collecting = self.shard.round();
-        let repeat = |prev: &Message| {
-            if prev == payload {
-                Fault { error: ProvableError::DuplicateSender, original: None }
-            } else {
-                Fault { error: ProvableError::Equivocation, original: Some(prev.clone()) }
-            }
-        };
-        let fault = if from == 0 || from as usize > self.n {
-            Some(Fault { error: ProvableError::OutOfRangeSender, original: None })
+        let error = if from == 0 || from as usize > self.n {
+            Some((ProvableError::OutOfRangeSender, None))
         } else if round == 0 || round > self.cap {
-            Some(Fault { error: ProvableError::WrongRound, original: None })
+            Some((ProvableError::WrongRound, None))
         } else {
             let recording = if round == collecting {
                 Some(&mut self.shard)
@@ -316,15 +315,21 @@ impl RangeWait {
                 self.shipped.as_mut().filter(|s| s.round() == round)
             };
             match recording {
-                Some(shard) => {
-                    if shard.ingest(from, payload.clone())? == Arrival::Fresh {
+                Some(shard) => match shard.message_for(from) {
+                    None => {
+                        // In range and unrecorded: a fresh arrival.
+                        shard.ingest(from, payload)?;
                         return Ok(Ingested::default());
                     }
-                    shard.message_for(from).map(repeat)
-                }
+                    Some(prev) if *prev == payload => {
+                        Some((ProvableError::DuplicateSender, None))
+                    }
+                    Some(prev) => Some((ProvableError::Equivocation, Some(prev.clone()))),
+                },
                 None => None,
             }
         };
+        let fault = error.map(|(error, original)| Fault { error, original, arrival: payload });
         let poisoned = fault_round(round, collecting, self.cap);
         let notice = if poisoned == collecting {
             self.shard.inner.state.note_fault(from);
@@ -700,47 +705,59 @@ mod tests {
         // Shard 1 of 2 over n = 4 owns 3..=4, cap 2.
         let mut wait = RangeWait::new(4, 2, 1, 1, 2);
         for v in [3, 4] {
-            let ingested = wait.ingest(v, 1, &msg(v as u64, 4)).unwrap();
+            let ingested = wait.ingest(v, 1, msg(v as u64, 4)).unwrap();
             assert!(ingested.fault.is_none() && ingested.notice.is_none());
         }
         assert_eq!(wait.take_ready(), Some(half(1, 1)));
         assert_eq!(wait.take_ready(), None, "round 2 collects");
-        let behind = wait.ingest(3, 1, &msg(3, 4)).unwrap();
+        let behind = wait.ingest(3, 1, msg(3, 4)).unwrap();
         assert_eq!(
             behind.fault,
-            Some(Fault { error: ProvableError::DuplicateSender, original: None })
+            Some(Fault {
+                error: ProvableError::DuplicateSender,
+                original: None,
+                arrival: msg(3, 4)
+            })
         );
         assert_eq!(behind.notice, Some(RoundPartialState::poison_notice(4, 1, 3)));
-        let behind = wait.ingest(4, 1, &msg(0, 4)).unwrap();
+        let behind = wait.ingest(4, 1, msg(0, 4)).unwrap();
         assert_eq!(
             behind.fault,
-            Some(Fault { error: ProvableError::Equivocation, original: Some(msg(4, 4)) })
+            Some(Fault {
+                error: ProvableError::Equivocation,
+                original: Some(msg(4, 4)),
+                arrival: msg(0, 4)
+            })
         );
         // Behind a partial that shipped poisoned, a first arrival is
         // recorded, not reported; its repeat is.
         let mut early = RangeWait::new(4, 2, 1, 1, 1);
-        early.ingest(3, 1, &msg(3, 4)).unwrap();
-        early.ingest(3, 1, &msg(3, 4)).unwrap();
+        early.ingest(3, 1, msg(3, 4)).unwrap();
+        early.ingest(3, 1, msg(3, 4)).unwrap();
         assert!(early.take_ready().expect("poisoned").poisoned());
-        let first = early.ingest(4, 1, &msg(4, 4)).unwrap();
+        let first = early.ingest(4, 1, msg(4, 4)).unwrap();
         assert!(first.fault.is_none() && first.notice.is_none());
-        let again = early.ingest(4, 1, &msg(4, 4)).unwrap();
+        let again = early.ingest(4, 1, msg(4, 4)).unwrap();
         assert_eq!(again.notice, Some(RoundPartialState::poison_notice(4, 1, 4)));
         // A stamp past the cap poisons the collecting round in place.
-        let wrong = wait.ingest(3, 7, &msg(3, 4)).unwrap();
+        let wrong = wait.ingest(3, 7, msg(3, 4)).unwrap();
         assert_eq!(
             wrong.fault,
-            Some(Fault { error: ProvableError::WrongRound, original: None })
+            Some(Fault {
+                error: ProvableError::WrongRound,
+                original: None,
+                arrival: msg(3, 4)
+            })
         );
         assert!(wrong.notice.is_none());
         let poisoned = wait.take_ready().expect("a poisoned range ships at once");
         assert_eq!((poisoned.round(), poisoned.poisoned()), (2, true));
         // Every round has shipped: faults now poison the last one.
-        let stray = wait.ingest(9, 2, &msg(0, 1)).unwrap();
+        let stray = wait.ingest(9, 2, msg(0, 1)).unwrap();
         assert_eq!(stray.notice, Some(RoundPartialState::poison_notice(4, 2, 9)));
         // Node 1 belongs to shard 0: a router bug, not a fault.
         let mut fresh = RangeWait::new(4, 2, 1, 1, 2);
-        assert!(matches!(fresh.ingest(1, 1, &msg(0, 1)), Err(DecodeError::Invalid(_))));
+        assert!(matches!(fresh.ingest(1, 1, msg(0, 1)), Err(DecodeError::Invalid(_))));
     }
 
     #[test]

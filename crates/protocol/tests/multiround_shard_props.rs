@@ -140,7 +140,7 @@ fn waited_round_assembly(
     let mut items: Vec<(RoundPartialState, bool)> = Vec::new();
     for (sender, m) in arrivals {
         let wait = &mut waits[route_arrival(n, k, *sender)];
-        let ingested = wait.ingest(*sender, round, m).expect("routed");
+        let ingested = wait.ingest(*sender, round, m.clone()).expect("routed");
         items.extend(ingested.notice.map(|notice| (notice, true)));
         items.extend(wait.take_ready().map(|partial| (partial, false)));
     }

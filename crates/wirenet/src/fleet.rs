@@ -424,21 +424,9 @@ impl Role for Echo {
         // never looks inside a Data frame, so per frame it pays one MAC
         // and one memcpy, nothing else. Control frames have no business
         // at an echo mailbox; a peer sending them is confused or
-        // hostile.
-        let (mut frames, mut bytes) = (0, 0);
-        let moved = conn.drain(scratch, m, Conn::echo_frame, |_, (kind, wire_len)| {
-            frames += 1;
-            bytes += wire_len as u64;
-            kind == FrameKind::Data
-        });
-        // A reject closes the connection, and a closed connection
-        // flushes nothing: the echoes this drain queued are never
-        // written, so they are counted sent only if it stayed open.
-        if conn.is_open() {
-            m.frames_sent(frames);
-            m.bytes_sent(bytes);
-        }
-        moved
+        // hostile. A reject closes the connection, which then writes
+        // (and counts) none of the echoes this drain queued.
+        conn.drain(scratch, m, Conn::echo_frame, |_, (kind, _)| kind == FrameKind::Data)
     }
 }
 
@@ -717,24 +705,17 @@ impl FleetCore {
         // Encode straight into the connection's write buffer: no
         // per-frame allocation, and no eager flush — frames coalesce
         // until the pump sweep (or the coalesce ceiling) writes them
-        // out in one syscall.
-        let frame_len = {
-            let frame = st.conns[ci].queue_frame_mut(kind, env);
-            if let Some(mult) = tamper_mult {
-                // Deterministic bit position inside the MAC-covered
-                // body — never the length prefix, so the stream stays
-                // framed and the corruption reaches MAC verification.
-                let body_bits = (frame.len() - 4) * 8;
-                let bit = (mult % body_bits as u64) as usize;
-                frame[4 + bit / 8] ^= 1 << (7 - bit % 8);
-            }
-            frame.len()
-        };
-        if tamper_mult.is_some() {
+        // out in one syscall, and the connection counts them sent then.
+        let frame = st.conns[ci].queue_frame_mut(kind, env);
+        if let Some(mult) = tamper_mult {
+            // Deterministic bit position inside the MAC-covered body —
+            // never the length prefix, so the stream stays framed and
+            // the corruption reaches MAC verification.
+            let body_bits = (frame.len() - 4) * 8;
+            let bit = (mult % body_bits as u64) as usize;
+            frame[4 + bit / 8] ^= 1 << (7 - bit % 8);
             self.metrics.tampered(1);
         }
-        self.metrics.frames_sent(1);
-        self.metrics.bytes_sent(frame_len as u64);
         if kind == FrameKind::Data {
             st.lanes.get_mut(&env.session.0).expect("session registered").in_flight += 1;
         }
@@ -916,7 +897,7 @@ impl FleetClient {
         for _ in 0..conns {
             let dialed = Instant::now();
             let mut conn = Conn::new(TcpStream::connect(addr)?, key)?;
-            conn.meter_with(metrics.syscall_meter());
+            conn.meter_with(metrics.conn_meter());
             poller.register(conn.fd());
             let id = await_hello(&mut conn, &mut scratch, timeouts.hello, &poller)?;
             conn.set_key(key.derive(id as u64));

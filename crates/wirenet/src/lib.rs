@@ -206,12 +206,9 @@
 //!   where the time went (merge wait vs referee step).
 //!
 //! The recipe for a soak loop: snapshot before, snapshot after, and
-//! [`WireSnapshot::delta`] isolates the phase between them; histograms
-//! from remote processes travel through
-//! [`HistSnapshot::encode`](referee_protocol::HistSnapshot::encode) and
-//! merge into a coordinator's metrics with
-//! [`WireMetrics::absorb_stage`] — the same mergeable-partial-state
-//! discipline the referee itself uses. Tail-latency SLOs over these
+//! [`WireSnapshot::delta`] isolates the phase between them. Each
+//! endpoint's histograms stay its own: a shard host's are read from the
+//! host. Tail-latency SLOs over these
 //! percentiles are enforced in CI by `referee_bench::SloCheck` (see
 //! `examples/cross_host_shards.rs`).
 //!

@@ -67,8 +67,10 @@ pub enum Stage {
     ConnectHello,
     /// Session open → announce frame queued and flushed.
     Announce,
-    /// A round's start → its last uplink queued on a client, or its
-    /// range's uplinks complete on a shard host (once per round).
+    /// A round's start → its last uplink queued on a client, or a
+    /// range's uplinks complete on the range worker that emits its
+    /// partial, in process or on a shard host (once per range and
+    /// round).
     UplinksComplete,
     /// Server side: a session (or round) opening → its partial states
     /// fully merged across shards.
@@ -110,27 +112,40 @@ impl Stage {
     }
 }
 
-/// A cloneable handle counting the `write(2)`/`read(2)` syscalls a
-/// [`Conn`](crate::reactor) issues, shared with the owning
-/// [`WireMetrics`] — the evidence that the batched hot path really
-/// batches: `frames_sent / write_syscalls` is
-/// [`WireSnapshot::frames_per_write`].
-#[derive(Debug, Clone)]
-pub struct SyscallMeter {
-    writes: Arc<AtomicU64>,
-    reads: Arc<AtomicU64>,
+/// The counters a [`Conn`](crate::reactor) bumps itself: the frames and
+/// bytes it wrote and the `write(2)`/`read(2)` syscalls it issued.
+#[derive(Debug, Default)]
+struct ConnCounters {
+    frames_sent: AtomicU64,
+    bytes_sent: AtomicU64,
+    write_syscalls: AtomicU64,
+    read_syscalls: AtomicU64,
 }
 
-impl SyscallMeter {
+/// A cloneable handle on an endpoint's [`ConnCounters`], shared with
+/// the owning [`WireMetrics`]: every connection carries one, so each
+/// frame is counted sent where it is written and each syscall where it
+/// is issued, and `frames_sent / write_syscalls` is
+/// [`WireSnapshot::frames_per_write`].
+#[derive(Debug, Clone)]
+pub(crate) struct ConnMeter(Arc<ConnCounters>);
+
+impl ConnMeter {
     /// Count one `write(2)` issued (would-block attempts included —
     /// they are real syscalls).
     pub(crate) fn count_write(&self) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.0.write_syscalls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one `read(2)` issued.
     pub(crate) fn count_read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.0.read_syscalls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count `frames` frames of `bytes` wire bytes written.
+    pub(crate) fn count_sent(&self, frames: u64, bytes: u64) {
+        self.0.frames_sent.fetch_add(frames, Ordering::Relaxed);
+        self.0.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
@@ -139,9 +154,7 @@ impl SyscallMeter {
 /// coherent-enough view with [`WireMetrics::snapshot`].
 #[derive(Debug)]
 pub struct WireMetrics {
-    frames_sent: AtomicU64,
     frames_received: AtomicU64,
-    bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
     mac_rejects: AtomicU64,
     decode_rejects: AtomicU64,
@@ -156,11 +169,10 @@ pub struct WireMetrics {
     replayed_frames: AtomicU64,
     sessions_held: AtomicU64,
     evidence_bundles: AtomicU64,
-    /// `write(2)`/`read(2)` syscall counters, `Arc`-shared so every
-    /// connection carries a cheap [`SyscallMeter`] clone into the
-    /// reactor layer.
-    write_syscalls: Arc<AtomicU64>,
-    read_syscalls: Arc<AtomicU64>,
+    /// Frames and bytes sent and syscalls issued, `Arc`-shared so every
+    /// connection carries a cheap [`ConnMeter`] clone into the reactor
+    /// layer and counts them itself.
+    conn: Arc<ConnCounters>,
     stages: [LatencyHistogram; Stage::ALL.len()],
     /// The endpoint's black-box flight recorder (lock-free ring).
     /// `Arc`-shared so individual connections can carry a trace hook
@@ -212,9 +224,7 @@ impl WireMetrics {
     /// tracing; counters and histograms are unaffected).
     pub fn with_trace_capacity(capacity: usize) -> WireMetrics {
         WireMetrics {
-            frames_sent: AtomicU64::new(0),
             frames_received: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
             mac_rejects: AtomicU64::new(0),
             decode_rejects: AtomicU64::new(0),
@@ -229,8 +239,7 @@ impl WireMetrics {
             replayed_frames: AtomicU64::new(0),
             sessions_held: AtomicU64::new(0),
             evidence_bundles: AtomicU64::new(0),
-            write_syscalls: Arc::new(AtomicU64::new(0)),
-            read_syscalls: Arc::new(AtomicU64::new(0)),
+            conn: Arc::default(),
             stages: std::array::from_fn(|_| LatencyHistogram::new()),
             // Creation-time epoch: a restarted process observing the
             // same endpoint lane (a respawned shard host) gets a later,
@@ -246,9 +255,7 @@ impl WireMetrics {
         }
     }
 
-    bump!(frames_sent);
     bump!(frames_received);
-    bump!(bytes_sent);
     bump!(bytes_received);
     bump!(mac_rejects);
     bump!(decode_rejects);
@@ -263,26 +270,16 @@ impl WireMetrics {
     bump!(replayed_frames);
     bump!(sessions_held);
 
-    /// A [`SyscallMeter`] clone sharing this endpoint's syscall
+    /// A [`ConnMeter`] sharing this endpoint's send and syscall
     /// counters — attach it to every [`Conn`](crate::reactor) via
-    /// `meter_with` so `frames_per_write` measures real batching.
-    pub(crate) fn syscall_meter(&self) -> SyscallMeter {
-        SyscallMeter {
-            writes: Arc::clone(&self.write_syscalls),
-            reads: Arc::clone(&self.read_syscalls),
-        }
+    /// `meter_with`.
+    pub(crate) fn conn_meter(&self) -> ConnMeter {
+        ConnMeter(Arc::clone(&self.conn))
     }
 
     /// Record one duration sample into `stage`'s latency histogram.
     pub(crate) fn record_stage(&self, stage: Stage, elapsed: Duration) {
         self.stages[stage.index()].record_duration(elapsed);
-    }
-
-    /// Fold a frozen histogram (e.g. decoded off the wire from a remote
-    /// [`ShardHost`](crate::ShardHost)) into `stage`'s live histogram —
-    /// the coordinator-side half of cross-host latency aggregation.
-    pub fn absorb_stage(&self, stage: Stage, snap: &HistSnapshot) {
-        self.stages[stage.index()].absorb(snap);
     }
 
     /// Record one causal trace event into this endpoint's flight
@@ -306,8 +303,7 @@ impl WireMetrics {
     }
 
     /// Keep a trace segment shipped from a remote endpoint (the
-    /// coordinator-side half of cross-process trace stitching — the
-    /// trace analogue of [`WireMetrics::absorb_stage`]). Segments sit
+    /// coordinator-side half of cross-process trace stitching). Segments sit
     /// in a FIFO holding at most the local recorder's capacity in
     /// events: the oldest whole segments make room, counted in
     /// [`WireSnapshot::remote_trace_drops`]. Constant work per segment;
@@ -353,9 +349,9 @@ impl WireMetrics {
     /// A point-in-time copy of every counter and stage histogram.
     pub fn snapshot(&self) -> WireSnapshot {
         WireSnapshot {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
+            frames_sent: self.conn.frames_sent.load(Ordering::Relaxed),
             frames_received: self.frames_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
+            bytes_sent: self.conn.bytes_sent.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
             mac_rejects: self.mac_rejects.load(Ordering::Relaxed),
             decode_rejects: self.decode_rejects.load(Ordering::Relaxed),
@@ -370,8 +366,8 @@ impl WireMetrics {
             replayed_frames: self.replayed_frames.load(Ordering::Relaxed),
             sessions_held: self.sessions_held.load(Ordering::Relaxed),
             evidence_bundles: self.evidence_bundles.load(Ordering::Relaxed),
-            write_syscalls: self.write_syscalls.load(Ordering::Relaxed),
-            read_syscalls: self.read_syscalls.load(Ordering::Relaxed),
+            write_syscalls: self.conn.write_syscalls.load(Ordering::Relaxed),
+            read_syscalls: self.conn.read_syscalls.load(Ordering::Relaxed),
             trace_drops: self.recorder.dropped(),
             remote_trace_drops: self.remote_trace.lock().expect("remote trace lock").dropped,
             stages: std::array::from_fn(|i| self.stages[i].snapshot()),
@@ -382,11 +378,14 @@ impl WireMetrics {
 /// A frozen view of [`WireMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireSnapshot {
-    /// Frames queued for transmission (after any tampering).
+    /// Frames written (after any tampering), counted by the connection
+    /// once its write buffer drains; frames queued on a connection that
+    /// closes first are not counted. The Hello handshake is counted on
+    /// neither end.
     pub frames_sent: u64,
     /// Frames received, authenticated and decoded.
     pub frames_received: u64,
-    /// Wire bytes queued for transmission.
+    /// Wire bytes of the frames counted in `frames_sent`.
     pub bytes_sent: u64,
     /// Wire bytes read off sockets.
     pub bytes_received: u64,
@@ -409,9 +408,12 @@ pub struct WireSnapshot {
     pub orphan_frames: u64,
     /// Connections ever opened.
     pub connections: u64,
-    /// Sharded referee only: range partials handed to the collector —
-    /// by value from in-process workers, or forwarded by a proxy from
-    /// its shard host (a host counts the `Partial` frames it sends).
+    /// Sharded referee only: range partials handed to the collector,
+    /// counted by the range worker that emits them — by value from an
+    /// in-process worker, as a `Partial` frame from a shard host — and
+    /// again by the proxy that forwards a host's `Partial` frame. A
+    /// collector's own range never hands over, and a poison notice is
+    /// not a range partial (it is traced as `Poison`).
     pub partial_frames: u64,
     /// Sharded referee only: session verdicts issued.
     pub verdict_frames: u64,
@@ -562,11 +564,11 @@ mod tests {
     #[test]
     fn snapshot_reflects_bumps() {
         let m = WireMetrics::default();
-        m.frames_sent(3);
+        m.conn_meter().count_sent(3, 120);
         m.bytes_received(100);
         m.mac_rejects(1);
         let s = m.snapshot();
-        assert_eq!(s.frames_sent, 3);
+        assert_eq!((s.frames_sent, s.bytes_sent), (3, 120));
         assert_eq!(s.bytes_received, 100);
         assert_eq!(s.mac_rejects, 1);
         assert_eq!(s.frames_received, 0);
@@ -577,12 +579,12 @@ mod tests {
     fn syscall_meter_feeds_frames_per_write() {
         let m = WireMetrics::default();
         assert_eq!(m.snapshot().frames_per_write(), 0.0, "no writes yet");
-        let meter = m.syscall_meter();
+        let meter = m.conn_meter();
         let clone = meter.clone(); // connections share the same counters
         meter.count_write();
         clone.count_write();
         clone.count_read();
-        m.frames_sent(6);
+        clone.count_sent(6, 0);
         let s = m.snapshot();
         assert_eq!(s.write_syscalls, 2);
         assert_eq!(s.read_syscalls, 1);
@@ -609,17 +611,6 @@ mod tests {
         let rendered = format!("{s}");
         assert!(rendered.contains("verdict n=2 p50=1023us"), "{rendered}");
         assert!(!rendered.contains("announce"), "{rendered}");
-    }
-
-    #[test]
-    fn absorb_stage_merges_remote_histograms() {
-        let m = WireMetrics::default();
-        m.record_stage(Stage::PartialMerge, Duration::from_micros(10));
-        let mut remote = referee_protocol::HistSnapshot::new();
-        remote.record_us(2000);
-        remote.record_us(12);
-        m.absorb_stage(Stage::PartialMerge, &remote);
-        assert_eq!(m.snapshot().stage(Stage::PartialMerge).count(), 3);
     }
 
     #[test]
@@ -728,11 +719,12 @@ mod tests {
     #[test]
     fn delta_isolates_a_phase() {
         let m = WireMetrics::default();
-        m.frames_sent(10);
+        let meter = m.conn_meter();
+        meter.count_sent(10, 0);
         m.connections(2);
         m.record_stage(Stage::Verdict, Duration::from_micros(100));
         let before = m.snapshot();
-        m.frames_sent(5);
+        meter.count_sent(5, 0);
         m.mac_rejects(1);
         m.record_stage(Stage::Verdict, Duration::from_micros(4000));
         let after = m.snapshot();

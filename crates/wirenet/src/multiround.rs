@@ -54,11 +54,15 @@
 //!    [`Verdict`](FrameKind::Verdict) frame, worker 0 drops the session,
 //!    and the router retires it on workers `1..k_eff`.
 //!
-//! Handoffs are batched: the router stages what it routes to each lane
-//! and sends every lane one channel message per pass, lane 0's first,
-//! so an announce stays ahead of every partial it causes; a worker
-//! stages the partials it hands worker 0 and wakes the router once per
-//! batch it handled. A run therefore costs no channel send of its own.
+//! Every thread edge is one staged handoff (`Handoff`): router → lane,
+//! lane → collector, proxy → collector and lane → router. The sender
+//! stages messages, and each flush sends them as one channel message and
+//! wakes the receiver once (a wake only where the receiver waits on a
+//! poller: the router and the proxies). The router flushes every lane
+//! once per pass, lane 0's first, so an announce stays ahead of every
+//! partial it causes; a worker flushes once per batch it handled, and a
+//! proxy once per pass. A run therefore costs no channel send of its
+//! own, and the router drains the lanes' output a batch at a time.
 //!
 //! With a [`RemotePlacement`] the ranges live on
 //! [`ShardHost`](crate::placement::ShardHost) peers instead, each fed by
@@ -264,7 +268,7 @@ pub(crate) enum MrMsg {
     Retire { conn: u32 },
 }
 
-/// Worker → router.
+/// Lane → router.
 pub(crate) enum MrOutbound {
     /// Stream round `round`'s downlinks, encoded as runs.
     Downlinks { conn: u32, session: SessionId, round: u32, runs: Vec<Run> },
@@ -278,19 +282,9 @@ pub(crate) enum MrOutbound {
 /// Where a [`Worker`]'s output goes: an in-process worker's [`Lane`],
 /// or a shard host's link.
 pub(crate) trait Out {
-    /// Hand the collector a partial of range `from` for session
-    /// `(conn, session)` under announce `epoch`: a ready range partial,
-    /// with the instant its wait opened (reset it to restart the
-    /// clock), or a poison notice (`opened` is `None`).
-    fn partial(
-        &mut self,
-        key: (u32, u64),
-        epoch: u32,
-        from: u32,
-        partial: RoundPartialState,
-        opened: Option<&mut Instant>,
-        metrics: &WireMetrics,
-    );
+    /// Hand the collector range `from`'s partial or poison notice for
+    /// session `(conn, session)` under announce `epoch`.
+    fn partial(&mut self, key: (u32, u64), epoch: u32, from: u32, partial: RoundPartialState);
 
     /// Ship collector output or an evidence bundle toward the client.
     /// A sink without a client link drops it (the default): a shard
@@ -298,42 +292,23 @@ pub(crate) trait Out {
     fn outbound(&mut self, _out: impl FnOnce() -> MrOutbound) {}
 }
 
-/// A worker's sink (proxy 0's collector's too): partials go to the
-/// collector by value, staged on its inbox (lane 0's own never leave
-/// it), client traffic to the router. [`Lane::flush`] runs once per
-/// inbox batch (per pass on a proxy): it sends the staged partials as
-/// one batch and wakes the router's poller once if anything went its
-/// way, since mpsc sends are invisible to `epoll`.
-pub(crate) struct Lane {
-    to_collector: Option<Inbox>,
-    router: Sender<MrOutbound>,
-    waker: Waker,
-    wake_pending: bool,
-}
-
-impl Lane {
-    pub(crate) fn flush(&mut self) {
-        if let Some(inbox) = &mut self.to_collector {
-            inbox.flush();
-        }
-        if std::mem::take(&mut self.wake_pending) {
-            self.waker.wake();
-        }
-    }
-}
-
-/// A sender into one lane's inbox. Messages are staged and leave as one
-/// channel message per [`flush`](Inbox::flush), paired (as [`Lane`]
-/// pairs `router` with `waker`) with a wake of the lane's poller when
-/// the lane is a proxy, which waits on its poller, not in `recv`.
-pub(crate) struct Inbox {
-    tx: Sender<Vec<MrMsg>>,
+/// The sending end of one thread edge (see the module docs): messages
+/// are staged, and each [`flush`](Handoff::flush) sends everything
+/// staged as one batch and wakes the receiver's poller once, if the
+/// receiver waits on one (mpsc sends are invisible to `epoll`); a
+/// worker blocks in `recv` and needs no wake.
+pub(crate) struct Handoff<T> {
+    tx: Sender<Vec<T>>,
     waker: Option<Waker>,
-    staged: Vec<MrMsg>,
+    staged: Vec<T>,
 }
 
-impl Inbox {
-    pub(crate) fn stage(&mut self, msg: MrMsg) {
+impl<T> Handoff<T> {
+    pub(crate) fn new(tx: Sender<Vec<T>>, waker: Option<Waker>) -> Handoff<T> {
+        Handoff { tx, waker, staged: Vec::new() }
+    }
+
+    pub(crate) fn stage(&mut self, msg: T) {
         self.staged.push(msg);
     }
 
@@ -349,9 +324,29 @@ impl Inbox {
         }
     }
 
-    /// Another sender into the same lane, with its own staging.
-    pub(crate) fn sender(&self) -> Inbox {
-        Inbox { tx: self.tx.clone(), waker: self.waker.clone(), staged: Vec::new() }
+    /// Another sender into the same receiver, with its own staging.
+    pub(crate) fn sender(&self) -> Handoff<T> {
+        Handoff::new(self.tx.clone(), self.waker.clone())
+    }
+}
+
+/// A worker's sink (proxy 0's collector's too): partials go to the
+/// collector by value (lane 0's own never leave it), client traffic to
+/// the router, each staged on its edge's [`Handoff`].
+/// [`Lane::flush`] runs once per inbox batch (per pass on a proxy).
+pub(crate) struct Lane {
+    to_collector: Option<Handoff<MrMsg>>,
+    router: Handoff<MrOutbound>,
+}
+
+impl Lane {
+    /// The router's batch leaves first: evidence a range cut reaches
+    /// the client ahead of the verdict its poison notice causes.
+    pub(crate) fn flush(&mut self) {
+        self.router.flush();
+        if let Some(collector) = &mut self.to_collector {
+            collector.flush();
+        }
     }
 }
 
@@ -362,23 +357,20 @@ impl Out for Lane {
         epoch: u32,
         from: u32,
         partial: RoundPartialState,
-        opened: Option<&mut Instant>,
-        metrics: &WireMetrics,
     ) {
-        if opened.is_some() {
-            let endpoint = trace_endpoint::worker(from);
-            let round = u64::from(partial.round());
-            metrics.trace(session, endpoint, TraceKind::PartialEmit, round);
-            metrics.partial_frames(1);
-        }
-        if let Some(inbox) = &mut self.to_collector {
-            inbox.stage(MrMsg::Partial { conn, session, epoch, from, partial: Ok(partial) });
+        if let Some(collector) = &mut self.to_collector {
+            collector.stage(MrMsg::Partial {
+                conn,
+                session,
+                epoch,
+                from,
+                partial: Ok(partial),
+            });
         }
     }
 
     fn outbound(&mut self, out: impl FnOnce() -> MrOutbound) {
-        let _ = self.router.send(out());
-        self.wake_pending = true;
+        self.router.stage(out());
     }
 }
 
@@ -398,8 +390,8 @@ struct MrSession {
     /// Server-side round cap.
     cap: u32,
     /// The range half: this worker's range wait and when it opened (the
-    /// announce, or the previous emit — a shard host's uplinks-complete
-    /// zero point). `None` on a worker whose range is empty for this
+    /// announce, or the previous emit — the uplinks-complete zero
+    /// point). `None` on a worker whose range is empty for this
     /// `n`, or that owns no range (proxy 0's collector).
     wait: Option<(RangeWait, Instant)>,
     /// The collector half, on the worker that runs the referee.
@@ -565,9 +557,9 @@ impl<'a> Worker<'a> {
 impl Duty<'_> {
     /// Apply one arrival of a run to the session's range wait, exactly as
     /// if it had its own frame: ingest, sign the evidence of a provable
-    /// fault (the arrival's per-node record, re-signed under the
-    /// connection key), ship a poison notice, then settle. Returns
-    /// whether the session is judged.
+    /// fault (the arrival the fault hands back, as its per-node record
+    /// re-signed under the connection key), ship a poison notice, then
+    /// settle. Returns whether the session is judged.
     #[allow(clippy::too_many_arguments)]
     fn arrive(
         &self,
@@ -580,7 +572,7 @@ impl Duty<'_> {
         metrics: &WireMetrics,
     ) -> bool {
         let (wait, _) = ws.wait.as_mut().expect("the caller checked the range");
-        let Ok(ingested) = wait.ingest(from, round, &payload) else {
+        let Ok(ingested) = wait.ingest(from, round, payload) else {
             // Router/worker range disagreement — a bug, not wire data;
             // surfaced in metrics.
             metrics.decode_rejects(1);
@@ -589,16 +581,10 @@ impl Duty<'_> {
         if let Some(fault) = ingested.fault {
             let (conn, session) = (key.0, SessionId(key.1));
             let params = SessionParams { session: key.1, n: ws.n as u32, round_cap: ws.cap };
-            let arrival = Envelope { session, round, from, to: 0, payload };
-            if let Some(bundle) = build_evidence(
-                &self.base,
-                conn,
-                params,
-                &arrival,
-                fault,
-                self.endpoint,
-                metrics,
-            ) {
+            let (base, endpoint) = (&self.base, self.endpoint);
+            if let Some(bundle) =
+                build_evidence(base, conn, params, (round, from), fault, endpoint, metrics)
+            {
                 out.outbound(|| MrOutbound::Evidence {
                     conn,
                     session,
@@ -617,7 +603,11 @@ impl Duty<'_> {
 
     /// Hand one partial — a ready range partial or a poison notice — to
     /// the collector: absorbed in place when this worker runs it, else
-    /// through `out`.
+    /// through `out`. The one place a range emits: a ready partial is
+    /// recorded here (its `UplinksComplete` stage, restarting the clock
+    /// for the next round, its `PartialEmit`, and, when it leaves the
+    /// worker, `partial_frames`) under the worker's own endpoint. A
+    /// poison notice is no emit; `arrive` traces it as `Poison`.
     fn ship(
         &self,
         key: (u32, u64),
@@ -627,19 +617,22 @@ impl Duty<'_> {
         out: &mut impl Out,
         metrics: &WireMetrics,
     ) {
+        if ready {
+            let (_, opened) = ws.wait.as_mut().expect("only a range emits");
+            metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
+            *opened = Instant::now();
+            let round = u64::from(partial.round());
+            metrics.trace(key.1, self.endpoint, TraceKind::PartialEmit, round);
+        }
         match ws.referee.as_mut() {
-            Some(referee) => {
-                if ready {
-                    let round = u64::from(partial.round());
-                    metrics.trace(key.1, self.endpoint, TraceKind::PartialEmit, round);
-                }
-                absorb(&mut referee.merge, Ok(partial), metrics)
-                    .expect("own partials stay within the cap");
-            }
+            Some(referee) => absorb(&mut referee.merge, Ok(partial), metrics)
+                .expect("own partials stay within the cap"),
             None => {
+                if ready {
+                    metrics.partial_frames(1);
+                }
                 let from = self.range.expect("only a range emits") as u32;
-                let opened = ws.wait.as_mut().map(|(_, opened)| opened).filter(|_| ready);
-                out.partial(key, ws.epoch, from, partial, opened, metrics);
+                out.partial(key, ws.epoch, from, partial);
             }
         }
     }
@@ -680,13 +673,14 @@ pub(crate) fn run_catalog_server(
     metrics: &WireMetrics,
     poller: Poller,
 ) {
-    let (out_tx, out_rx) = std::sync::mpsc::channel::<MrOutbound>();
-    let (inboxes, ends): (Vec<Inbox>, Vec<_>) = (0..shards)
+    let (out_tx, out_rx) = std::sync::mpsc::channel();
+    let to_router = Handoff::new(out_tx, Some(poller.waker()));
+    let (inboxes, ends): (Vec<Handoff<MrMsg>>, Vec<_>) = (0..shards)
         .map(|_| {
             let (tx, rx) = std::sync::mpsc::channel();
             let lane_poller = placement.is_some().then(|| Poller::new(poller.backend()));
             let waker = lane_poller.as_ref().map(Poller::waker);
-            (Inbox { tx, waker, staged: Vec::new() }, (rx, lane_poller))
+            (Handoff::new(tx, waker), (rx, lane_poller))
         })
         .unzip();
     thread::scope(|scope| {
@@ -694,8 +688,7 @@ pub(crate) fn run_catalog_server(
             // Lane 0 runs the collector and must not hold a sender to
             // itself (its inbox would never disconnect).
             let to_collector = (i != 0).then(|| inboxes[0].sender());
-            let (router, waker) = (out_tx.clone(), poller.waker());
-            let mut lane = Lane { to_collector, router, waker, wake_pending: false };
+            let mut lane = Lane { to_collector, router: to_router.sender() };
             let range = placement.is_none().then_some(i);
             let collector = (i == 0).then_some(catalog);
             let endpoint = trace_endpoint::worker(range.unwrap_or(0) as u32);
@@ -722,7 +715,7 @@ pub(crate) fn run_catalog_server(
                 }
             }
         }
-        drop(out_tx);
+        drop(to_router);
         let mut router = Router {
             key,
             catalog,
@@ -745,7 +738,7 @@ pub(crate) fn run_catalog_server(
 /// The router role of the server loop: authenticates, routes
 /// round-stamped uplinks by session + node range, and streams downlink
 /// and verdict frames back. Each connection's link is its id. What it
-/// routes to a lane is staged on that lane's [`Inbox`] and leaves once
+/// routes to a lane is staged on that lane's [`Handoff`] and leaves once
 /// per pass, in lane order, lane 0 (the collector's) first, so an
 /// announce stays ahead of every partial it causes.
 struct Router<'a> {
@@ -753,8 +746,8 @@ struct Router<'a> {
     catalog: &'a ServiceCatalog,
     /// Remote placement: every lane, lane 0 included, is a proxy.
     proxied: bool,
-    inboxes: Vec<Inbox>,
-    out_rx: &'a Receiver<MrOutbound>,
+    inboxes: Vec<Handoff<MrMsg>>,
+    out_rx: &'a Receiver<Vec<MrOutbound>>,
     announced: HashMap<(u32, u64), SessionRoute>,
     /// Finished routes, oldest first (at most [`FINISHED_ROUTE_CAP`]).
     finished_fifo: VecDeque<(u32, u64)>,
@@ -815,18 +808,8 @@ impl Router<'_> {
                     Ok(resolved) => resolved,
                     Err(why) => {
                         metrics.decode_rejects(1);
-                        metrics.verdict_frames(1);
                         let payload = encode_mr_verdict(&Err(DecodeError::Invalid(why)));
-                        let bits = payload.len_bits() as u64;
-                        let verdict = Envelope {
-                            session: env.session,
-                            round: 0,
-                            from: 0,
-                            to: 0,
-                            payload,
-                        };
-                        queue_counted(conn, FrameKind::Verdict, &verdict, metrics);
-                        metrics.trace(key.1, trace_endpoint::SERVER, TraceKind::Verdict, bits);
+                        queue_verdict(conn, env.session, payload, metrics);
                         let route = SessionRoute { n, lanes: 0, finished: true };
                         self.announced.insert(key, route);
                         self.remember_finished(key);
@@ -910,56 +893,39 @@ impl Role for Router<'_> {
         })
     }
 
-    /// Drain the workers' outbound traffic onto the client connections.
+    /// Drain the lanes' outbound batches onto the client connections.
     fn after_pump(&mut self, conns: &mut [(Conn, u32)], metrics: &WireMetrics) -> bool {
-        // Worker traffic queues frames on connections the kernel never
+        // Lane traffic queues frames on connections the kernel never
         // flagged, so track which conns the drain touched and flush
         // exactly those afterwards (one batched `write(2)` per conn per
         // burst — a whole round's downlinks coalesce first).
         let mut touched: Vec<u32> = Vec::new();
         let mut progress = false;
-        while let Ok(out) = self.out_rx.try_recv() {
+        while let Ok(batch) = self.out_rx.try_recv() {
             progress = true;
-            match out {
-                MrOutbound::Downlinks { conn, session, round, runs } => {
-                    let count = runs.len() as u64;
-                    let frames = runs
-                        .into_iter()
-                        .map(|run| run.envelope(session, round, RunDirection::Downlink));
-                    if queue_out(conns, &mut touched, conn, FrameKind::Data, frames, metrics) {
-                        metrics.downlink_frames(count);
+            for out in batch {
+                match out {
+                    MrOutbound::Downlinks { conn, session, round, runs } => {
+                        if let Some(c) = open_conn(conns, &mut touched, conn, metrics) {
+                            metrics.downlink_frames(runs.len() as u64);
+                            for run in runs {
+                                let run = run.envelope(session, round, RunDirection::Downlink);
+                                c.queue_frame(FrameKind::Data, &run);
+                            }
+                        }
                     }
-                }
-                MrOutbound::Verdict { conn, session, payload } => {
-                    let bits = payload.len_bits() as u64;
-                    let env = Envelope { session, round: 0, from: 0, to: 0, payload };
-                    if queue_out(conns, &mut touched, conn, FrameKind::Verdict, [env], metrics)
-                    {
-                        metrics.trace(
-                            session.0,
-                            trace_endpoint::SERVER,
-                            TraceKind::Verdict,
-                            bits,
-                        );
+                    MrOutbound::Verdict { conn, session, payload } => {
+                        if let Some(c) = open_conn(conns, &mut touched, conn, metrics) {
+                            queue_verdict(c, session, payload, metrics);
+                        }
+                        self.finished(conn, session.0);
                     }
-                    let key = (conn, session.0);
-                    let Some(route) = self.announced.get_mut(&key) else {
-                        continue; // its connection closed: every lane retired it
-                    };
-                    route.finished = true;
-                    // Only the lanes that hold the session hear of it. In
-                    // process, lane 0's collector dropped it when it
-                    // judged it; a proxy lane 0 still holds its journal,
-                    // and host 0 its range.
-                    let first = usize::from(!self.proxied);
-                    for inbox in &mut self.inboxes[first.min(route.lanes)..route.lanes] {
-                        inbox.stage(MrMsg::Finish { conn, session: session.0 });
+                    MrOutbound::Evidence { conn, session, from, payload } => {
+                        if let Some(c) = open_conn(conns, &mut touched, conn, metrics) {
+                            let env = Envelope { session, round: 0, from, to: 0, payload };
+                            c.queue_frame(FrameKind::Evidence, &env);
+                        }
                     }
-                    self.remember_finished(key);
-                }
-                MrOutbound::Evidence { conn, session, from, payload } => {
-                    let env = Envelope { session, round: 0, from, to: 0, payload };
-                    queue_out(conns, &mut touched, conn, FrameKind::Evidence, [env], metrics);
                 }
             }
         }
@@ -970,7 +936,7 @@ impl Role for Router<'_> {
         }
         // One batch (and, on a proxy lane, one wake) per lane this pass
         // staged for, lane 0 first.
-        self.inboxes.iter_mut().for_each(Inbox::flush);
+        self.inboxes.iter_mut().for_each(Handoff::flush);
         progress
     }
 
@@ -984,35 +950,55 @@ impl Role for Router<'_> {
     }
 }
 
-/// Queue one frame on `conn`, counting it sent.
-fn queue_counted(conn: &mut Conn, kind: FrameKind, env: &Envelope, metrics: &WireMetrics) {
-    let frame_len = conn.queue_frame_mut(kind, env).len();
-    metrics.frames_sent(1);
-    metrics.bytes_sent(frame_len as u64);
+impl Router<'_> {
+    /// Session `(conn, session)` was judged: mark its route finished
+    /// and tell the lanes that still hold it.
+    fn finished(&mut self, conn: u32, session: u64) {
+        let key = (conn, session);
+        let Some(route) = self.announced.get_mut(&key) else {
+            return; // its connection closed: every lane retired it
+        };
+        route.finished = true;
+        // Only the lanes that hold the session hear of it. In process,
+        // lane 0's collector dropped it when it judged it; a proxy lane 0
+        // still holds its journal, and host 0 its range.
+        let first = usize::from(!self.proxied);
+        for inbox in &mut self.inboxes[first.min(route.lanes)..route.lanes] {
+            inbox.stage(MrMsg::Finish { conn, session });
+        }
+        self.remember_finished(key);
+    }
 }
 
-/// Queue `frames` on the open connection `cid`, marking it `touched`
-/// for the post-drain flush and counting each frame sent. `false` (one
-/// orphan counted) when the connection is gone.
-fn queue_out(
-    conns: &mut [(Conn, u32)],
+/// The open connection `cid`, marked `touched` for the post-drain
+/// flush; `None` (one orphan counted) when it is gone.
+fn open_conn<'c>(
+    conns: &'c mut [(Conn, u32)],
     touched: &mut Vec<u32>,
     cid: u32,
-    kind: FrameKind,
-    frames: impl IntoIterator<Item = Envelope>,
     metrics: &WireMetrics,
-) -> bool {
+) -> Option<&'c mut Conn> {
     let Some((conn, _)) = conns.iter_mut().find(|(c, id)| *id == cid && c.is_open()) else {
         metrics.orphan_frames(1);
-        return false;
+        return None;
     };
     if !touched.contains(&cid) {
         touched.push(cid);
     }
-    for env in frames {
-        queue_counted(conn, kind, &env, metrics);
-    }
-    true
+    Some(conn)
+}
+
+/// Queue `session`'s verdict on `conn`, counted and traced: the one
+/// place the router queues a verdict, the collector's or the typed
+/// refusal of an announce it fails closed.
+fn queue_verdict(conn: &mut Conn, session: SessionId, payload: Message, metrics: &WireMetrics) {
+    metrics.verdict_frames(1);
+    let bits = payload.len_bits() as u64;
+    conn.queue_frame(
+        FrameKind::Verdict,
+        &Envelope { session, round: 0, from: 0, to: 0, payload },
+    );
+    metrics.trace(session.0, trace_endpoint::SERVER, TraceKind::Verdict, bits);
 }
 
 /// Absorb one partial into the session's collector. A partial for a
@@ -1089,7 +1075,6 @@ fn send_verdict(
     metrics: &WireMetrics,
 ) {
     metrics.record_stage(Stage::Verdict, referee.opened.elapsed());
-    metrics.verdict_frames(1);
     let payload = encode_mr_verdict(&result);
     out.outbound(|| MrOutbound::Verdict { conn, session: SessionId(session), payload });
 }

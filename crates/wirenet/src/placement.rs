@@ -23,7 +23,9 @@
 //!   retire — to that link's range worker, the state machine an
 //!   in-process shard worker runs. The worker's partials and poison
 //!   notices leave as [`Partial`](FrameKind::Partial) frames over the
-//!   same authenticated codec the rest of the system speaks. The host
+//!   same authenticated codec the rest of the system speaks; the worker
+//!   records its emits, and the link counts the frames it writes, as
+//!   they do in process and at every other endpoint. The host
 //!   is a role of the reactor's one server loop, as the echo mailbox
 //!   and the router are: it pumps only the links the poller flagged,
 //!   stops reading a link over the write high-water mark, and rejects
@@ -37,10 +39,12 @@
 //!   on its own poller, which watches its link and is woken by whoever
 //!   queues into its inbox, reads the link through the one frame drain,
 //!   and hands each decoded host partial, or its decode error, to the
-//!   collector. Lane 0 collects, as in process: proxy 0 runs the session
-//!   collector and absorbs its own host's partials in place. A session
-//!   reaches only the proxies of the ranges it splits over
-//!   (`effective_shards`), so a small one runs on host 0 alone.
+//!   collector, counting it in `partial_frames`. Lane 0 collects, as in
+//!   process: proxy 0 runs the session collector and absorbs its own
+//!   host's partials in place, and the other proxies stage theirs on
+//!   lane 0's handoff, as in-process workers do. A session reaches only
+//!   the proxies of the ranges it splits over (`effective_shards`), so a
+//!   small one runs on host 0 alone.
 //!
 //! # Per-shard keys
 //!
@@ -91,11 +95,11 @@ use crate::frame::{
     MAX_BODY_BYTES, TAG_BYTES,
 };
 use crate::metrics::{trace_endpoint, Stage, WireMetrics, WireSnapshot};
-use crate::multiround::{Inbox, Lane, MrMsg, Out, Worker};
+use crate::multiround::{Handoff, Lane, MrMsg, Out, Worker};
 use crate::poll::{default_backend, Poller};
 use crate::reactor::{serve, Conn, Role, SCRATCH_BYTES};
 use referee_protocol::shard::multiround::{fault_round, RoundPartialState};
-use referee_protocol::shard::replay::{decode_resume, encode_resume, Recorded, ShardJournal};
+use referee_protocol::shard::replay::{decode_resume, encode_resume, ShardJournal};
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
 use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
@@ -448,7 +452,7 @@ fn host_frame(
         _ => return false,
     };
     let teardown = matches!(msg, MrMsg::Finish { .. } | MrMsg::Retire { .. });
-    worker.handle(msg, &mut HostOut(conn), metrics);
+    worker.handle(msg, &mut HostOut(conn, metrics), metrics);
     if teardown {
         ship_trace(&mut host.shipped_seq, conn, index, metrics);
     }
@@ -479,7 +483,6 @@ fn ship_trace(shipped_seq: &mut u64, conn: &mut Conn, index: usize, metrics: &Wi
     }
     *shipped_seq = mark;
     let env = Envelope { session: SessionId(0), round: 0, from: index as u32, to: 0, payload };
-    metrics.frames_sent(1);
     // No eager flush: the server loop's per-link flush ships this
     // alongside whatever else the pass queued, in one write.
     conn.queue_frame(FrameKind::Trace, &env);
@@ -488,9 +491,9 @@ fn ship_trace(shipped_seq: &mut u64, conn: &mut Conn, index: usize, metrics: &Wi
 /// A shard-host worker's sink: each partial or poison notice leaves as
 /// one `Partial` frame on the coordinator link, stamped with the
 /// session's announce epoch (a payload beyond the frame cap is dropped
-/// — the session then starves and the client's deadline rejects it,
-/// never a host panic).
-struct HostOut<'a>(&'a mut Conn);
+/// and counted in `decode_rejects` — the session then starves and the
+/// client's deadline rejects it, never a host panic).
+struct HostOut<'a>(&'a mut Conn, &'a WireMetrics);
 
 impl Out for HostOut<'_> {
     fn partial(
@@ -499,24 +502,14 @@ impl Out for HostOut<'_> {
         epoch: u32,
         from: u32,
         partial: RoundPartialState,
-        opened: Option<&mut Instant>,
-        metrics: &WireMetrics,
     ) {
-        if let Some(opened) = opened {
-            metrics.record_stage(Stage::UplinksComplete, opened.elapsed());
-            *opened = Instant::now();
-        }
         let payload = partial.encode();
         if !fits_frame(&payload) {
-            metrics.decode_rejects(1);
+            self.1.decode_rejects(1);
             return;
         }
         let env =
             Envelope { session: SessionId(session), round: epoch, from, to: conn, payload };
-        metrics.frames_sent(1);
-        metrics.partial_frames(1);
-        let endpoint = trace_endpoint::shard_host(from);
-        metrics.trace(session, endpoint, TraceKind::PartialEmit, u64::from(partial.round()));
         // No eager flush: the server loop's per-link flush batches partials
         // (a session's whole burst leaves in one write).
         self.0.queue_frame(FrameKind::Partial, &env);
@@ -552,11 +545,11 @@ struct ProxySession {
 
 /// Where a proxy's partials go. Proxy 0 holds the collector-only worker
 /// (as in-process worker 0 holds range 0 plus the collector) and hears
-/// every partial and control message; the others queue partials on lane
-/// 0's inbox, woken once per pass.
+/// every partial and control message; the others stage partials on lane
+/// 0's [`Handoff`], flushed once per pass.
 pub(crate) enum Collector<'a> {
     Here(Worker<'a>, Lane),
-    There(Inbox),
+    There(Handoff<MrMsg>),
 }
 
 impl Collector<'_> {
@@ -636,7 +629,7 @@ fn dial(
     let dialed = Instant::now();
     let stream = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT).ok()?;
     let mut conn = Conn::new(stream, registration_key(proxy.base)).ok()?;
-    conn.meter_with(proxy.metrics.syscall_meter());
+    conn.meter_with(proxy.metrics.conn_meter());
     poller.register(conn.fd());
     conn.trace_with(proxy.metrics.recorder_arc(), trace_endpoint::proxy(proxy.index as u32));
     proxy.metrics.record_stage(Stage::ConnectHello, dialed.elapsed());
@@ -719,14 +712,13 @@ fn proxy_event(
                 }
                 return;
             }
-            let forward: Vec<(u32, Message)> = entries
-                .into_iter()
-                .filter(|(from, payload)| {
-                    ps.journal.record(round, *from, payload.clone()) == Recorded::Forward
-                })
-                .collect();
+            // Past the check above every arrival is journaled: a stale
+            // round never reaches the journal.
+            for (from, payload) in &entries {
+                ps.journal.record(round, *from, payload.clone());
+            }
             if let Some(c) = link.as_mut().filter(|c| c.is_open()) {
-                for run in encode_runs(forward.iter().map(|(from, m)| (*from, m))) {
+                for run in encode_runs(entries.iter().map(|(from, m)| (*from, m))) {
                     let run = run.envelope(SessionId(session), round, RunDirection::Uplink);
                     c.queue_frame(FrameKind::Data, &Envelope { to: conn, ..run });
                 }

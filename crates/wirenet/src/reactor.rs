@@ -23,6 +23,14 @@
 //! `Conn::meter_with`) and the derived `frames_per_write` ratio in
 //! [`WireSnapshot`](crate::WireSnapshot) make the batching observable.
 //!
+//! **One send count.** Beside the one drain that counts every frame
+//! read, the connection counts every frame it writes: each queued frame
+//! (an encoded one or an echo) is tallied, and the tally is committed to
+//! `frames_sent`/`bytes_sent` when a `Conn::flush` drains the write
+//! buffer. A connection that closes first writes nothing more, so its
+//! queued frames are dropped uncounted. The Hello is counted on neither
+//! end: the client reads it outside the drain.
+//!
 //! **One drain.** `Conn::drain` is the only place a frame is read: it
 //! fills the read buffer (when `readable`), extracts every complete
 //! frame, counts each authenticated one in `frames_received` and hands
@@ -52,7 +60,7 @@
 
 use crate::auth::AuthKey;
 use crate::frame::{decode_frame, encode_frame_into, verify_frame, FrameKind, WireError};
-use crate::metrics::{trace_endpoint, SyscallMeter, WireMetrics};
+use crate::metrics::{trace_endpoint, ConnMeter, WireMetrics};
 use crate::poll::{fd_of, Poller, PollerBackend, Readiness};
 use referee_protocol::trace::{wall_clock_us, FlightRecorder, TraceKind};
 use referee_protocol::Message;
@@ -85,6 +93,9 @@ pub(crate) struct Conn {
     wbuf: Vec<u8>,
     /// Written prefix of `wbuf` (compacted lazily).
     wpos: usize,
+    /// Frames and bytes queued since `wbuf` last drained, committed to
+    /// the meter when it drains.
+    unsent: (u64, u64),
     open: bool,
     /// Latch for episode-counted backpressure: set while the peer is
     /// being throttled, so a stall episode is counted once, not once
@@ -104,9 +115,10 @@ pub(crate) struct Conn {
     /// connection die; a MAC failure in `Conn::drain` records a
     /// [`TraceKind::MacReject`] first.
     trace: Option<(Arc<FlightRecorder>, u32)>,
-    /// Syscall meter: counts every `write(2)`/`read(2)` this connection
-    /// issues, proving (or disproving) that frames batch per syscall.
-    meter: Option<SyscallMeter>,
+    /// The endpoint's meter: counts every frame this connection writes
+    /// and every `write(2)`/`read(2)` it issues, proving (or
+    /// disproving) that frames batch per syscall.
+    meter: Option<ConnMeter>,
 }
 
 impl Conn {
@@ -123,6 +135,7 @@ impl Conn {
             rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
+            unsent: (0, 0),
             open: true,
             stalled: false,
             readable: true,
@@ -131,11 +144,12 @@ impl Conn {
         })
     }
 
-    /// Attach a syscall meter (cloned off
-    /// [`WireMetrics::syscall_meter`](crate::metrics::WireMetrics::syscall_meter)):
-    /// every `write(2)` and `read(2)` the connection issues is counted,
-    /// so `frames_per_write` in the snapshot measures real batching.
-    pub fn meter_with(&mut self, meter: SyscallMeter) {
+    /// Attach the endpoint's meter (cloned off
+    /// [`WireMetrics::conn_meter`](crate::metrics::WireMetrics::conn_meter)):
+    /// every frame the connection writes and every `write(2)` and
+    /// `read(2)` it issues is counted, so `frames_per_write` in the
+    /// snapshot measures real batching.
+    pub(crate) fn meter_with(&mut self, meter: ConnMeter) {
         self.meter = Some(meter);
     }
 
@@ -178,7 +192,7 @@ impl Conn {
     /// the reused write buffer (MAC computed in place), so queueing a
     /// frame allocates nothing once the buffer is warm.
     pub fn queue_frame(&mut self, kind: FrameKind, env: &Envelope) {
-        encode_frame_into(&self.key, kind, env, &mut self.wbuf);
+        self.queue_frame_mut(kind, env);
     }
 
     /// As `Conn::queue_frame`, returning the queued frame's bytes as
@@ -188,7 +202,16 @@ impl Conn {
     pub fn queue_frame_mut(&mut self, kind: FrameKind, env: &Envelope) -> &mut [u8] {
         let start = self.wbuf.len();
         encode_frame_into(&self.key, kind, env, &mut self.wbuf);
+        if kind != FrameKind::Hello {
+            self.tally(self.wbuf.len() - start);
+        }
         &mut self.wbuf[start..]
+    }
+
+    /// Count one queued frame of `len` bytes, to commit once written.
+    fn tally(&mut self, len: usize) {
+        self.unsent.0 += 1;
+        self.unsent.1 += len as u64;
     }
 
     /// Whether the connection is still usable.
@@ -235,6 +258,11 @@ impl Conn {
             }
         }
         if self.wpos == self.wbuf.len() {
+            // Every queued frame is written: count them sent.
+            let (frames, bytes) = std::mem::take(&mut self.unsent);
+            if let Some(m) = self.meter.as_ref().filter(|_| frames > 0) {
+                m.count_sent(frames, bytes);
+            }
             self.wbuf.clear();
             self.wpos = 0;
         } else if self.wpos > SCRATCH_BYTES {
@@ -308,6 +336,7 @@ impl Conn {
             Some((kind, consumed)) => {
                 if kind == FrameKind::Data {
                     self.wbuf.extend_from_slice(&self.rbuf[self.rpos..self.rpos + consumed]);
+                    self.tally(consumed);
                 }
                 self.consume(consumed);
                 Ok(Some((kind, consumed)))
@@ -391,8 +420,7 @@ impl std::fmt::Debug for Conn {
 /// the Hello naming connection `id` (MAC'd with the base key — the only
 /// frame that ever crosses under it), switch the connection to
 /// `base.derive(id)`, and attach the server's trace hook. Hello frames
-/// are handshake overhead and deliberately absent from the frame
-/// metrics.
+/// are handshake overhead: the connection does not count them sent.
 pub(crate) fn send_hello(conn: &mut Conn, base: &AuthKey, id: u32, metrics: &WireMetrics) {
     let payload = Message::empty();
     let hello = Envelope { session: SessionId(0), round: 0, from: id, to: 0, payload };
@@ -464,7 +492,7 @@ pub(crate) fn serve<R: Role>(
             while let Ok((stream, _)) = listener.accept() {
                 let Ok(mut conn) = Conn::new(stream, key) else { continue };
                 metrics.connections(1);
-                conn.meter_with(metrics.syscall_meter());
+                conn.meter_with(metrics.conn_meter());
                 poller.register(conn.fd());
                 let link = role.accept(&mut conn, next_id, metrics);
                 next_id += 1;

@@ -35,7 +35,7 @@ use referee_protocol::multiround::RefereeStep;
 use referee_protocol::shard::multiround::Fault;
 use referee_protocol::trace::TraceKind;
 use referee_protocol::{BitWriter, DecodeError, Message};
-use referee_simnet::Envelope;
+use referee_simnet::{Envelope, SessionId};
 use std::sync::Arc;
 
 /// Domain-separation tweak for the message-vector digest key.
@@ -123,9 +123,10 @@ fn evidence_record_for(
     EvidenceRecord::sign(base.mac_key(), vec![u64::from(conn)], body)
 }
 
-/// Sign `fault` — a violation the arrival `env` (one entry of a run, to
-/// the referee) on `conn` exhibits at a range wait — into one
-/// self-verified evidence bundle, accusing
+/// Sign `fault` — a violation the arrival it hands back (one entry of a
+/// round-`round` run from node `from`, to the referee) on `conn`
+/// exhibits at a range wait — into one self-verified evidence bundle,
+/// accusing
 /// `conn` when the error is attributable. The records are the arrival
 /// itself, twice for a bit-identical repeat (a
 /// [`DuplicateSender`](ProvableError::DuplicateSender): provable, but an
@@ -141,19 +142,22 @@ pub(crate) fn build_evidence(
     base: &AuthKey,
     conn: u32,
     params: SessionParams,
-    env: &Envelope,
+    (round, from): (u32, u32),
     fault: Fault,
     endpoint: u32,
     metrics: &WireMetrics,
 ) -> Option<EvidenceBundle> {
-    let rec = evidence_record_for(base, conn, env, &env.payload);
-    let records = match (fault.error, fault.original) {
-        (_, Some(original)) => vec![evidence_record_for(base, conn, env, &original), rec],
+    let Fault { error, original, arrival } = fault;
+    let session = SessionId(params.session);
+    let env = Envelope { session, round, from, to: 0, payload: arrival };
+    let rec = evidence_record_for(base, conn, &env, &env.payload);
+    let records = match (error, original) {
+        (_, Some(original)) => vec![evidence_record_for(base, conn, &env, &original), rec],
         (ProvableError::DuplicateSender, None) => vec![rec.clone(), rec],
         (_, None) => vec![rec],
     };
-    let accused = fault.error.attributable().then_some(conn);
-    let bundle = EvidenceBundle { error: fault.error, accused, records };
+    let accused = error.attributable().then_some(conn);
+    let bundle = EvidenceBundle { error, accused, records };
     verify_bundle(base.mac_key(), &params, &bundle).ok()?;
     metrics.record_evidence(&bundle);
     let payload = u64::from(accused.unwrap_or(0));

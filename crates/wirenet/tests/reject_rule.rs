@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use referee_protocol::shard::replay::encode_resume;
 use referee_protocol::trace::{TraceKind, TraceSnapshot};
-use referee_protocol::{BitWriter, Message};
+use referee_protocol::{BitWriter, DecodeError, Message};
 use referee_simnet::{Envelope, SessionId};
 use referee_wirenet::placement::{link_key, register_frame};
 use referee_wirenet::{
@@ -376,6 +376,83 @@ fn client_rejects_a_malformed_downlink_run() {
     assert_eq!((stats.decode_rejects, stats.mac_rejects), (1, 0));
     drop(client);
     fake.join().unwrap();
+}
+
+/// A client: a fake referee answers round 1 with well-formed downlink
+/// runs that break the round's rules — a round-2 run, a node past `n`,
+/// node 2 in two runs. Each fails the session well before the verdict
+/// deadline with its typed error, and no frame is rejected: the runs
+/// decode, so the session's round wait judges them, not the drain.
+#[test]
+fn client_rejects_downlinks_that_break_the_round() {
+    let key = AuthKey::from_seed(101);
+    let m = bits(1, 1);
+    // One well-formed downlink run of session 1.
+    let run = |round: u32, entries: &[(u32, &Message)]| {
+        let mut runs = encode_runs(entries.iter().copied());
+        assert_eq!(runs.len(), 1);
+        runs.remove(0).envelope(SessionId(1), round, RunDirection::Downlink)
+    };
+    // (what, the runs, Invalid rather than Inconsistent, what the error
+    // says)
+    let cases = [
+        (
+            "a round-2 run during round 1",
+            vec![run(2, &[(1, &m)])],
+            true,
+            "round-2 downlink delivered during round 1",
+        ),
+        ("a run naming node n + 1", vec![run(1, &[(4, &m)])], true, "unexpected frame 0 → 4"),
+        (
+            "node 2 in two runs of one round",
+            vec![run(1, &[(1, &m), (2, &m)]), run(1, &[(2, &m)])],
+            false,
+            "duplicate downlink for node 2",
+        ),
+    ];
+    for (what, frames, invalid, says) in cases {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&encode_wire_frame(&key, FrameKind::Hello, &env(0, 5))).unwrap();
+            let conn_key = key.derive(5);
+            // Answer once the round-1 uplinks arrive: the session's lane
+            // is registered by then.
+            let mut buf = Vec::new();
+            while read_frame(&mut stream, &conn_key, &mut buf).0 != FrameKind::Data {}
+            for run in &frames {
+                stream.write_all(&encode_wire_frame(&conn_key, FrameKind::Data, run)).unwrap();
+            }
+            stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+            let mut sink = [0u8; 4096];
+            while matches!(stream.read(&mut sink), Ok(k) if k > 0) {}
+        });
+        let timeouts =
+            WireTimeouts { hello: Duration::from_secs(5), verdict: Duration::from_secs(5) };
+        let client = FleetClient::connect_with(addr, 1, key, timeouts).unwrap();
+        let t0 = Instant::now();
+        let g = referee_graph::generators::path(3);
+        let err = client
+            .run_multiround_session(
+                SessionId(1),
+                &referee_protocol::multiround::BoruvkaConnectivity,
+                &g,
+                8,
+            )
+            .expect_err(what);
+        assert!(t0.elapsed() < Duration::from_secs(4), "{what}: must fail the session fast");
+        match (invalid, &err) {
+            (true, DecodeError::Invalid(msg)) | (false, DecodeError::Inconsistent(msg)) => {
+                assert!(msg.contains(says), "{what}: {msg}")
+            }
+            _ => panic!("{what}: got {err:?}"),
+        }
+        let stats = client.metrics();
+        assert_eq!((stats.decode_rejects, stats.mac_rejects), (0, 0), "{what}");
+        drop(client);
+        fake.join().unwrap();
+    }
 }
 
 proptest! {
